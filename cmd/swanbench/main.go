@@ -19,40 +19,38 @@
 //	fig7      scale-up experiment (property splitting, 222 → 1000)
 //	parallel  host-time speedup of the worker-pool execution mode
 //	workloads generated random-BGP workload through the query compiler
-//	serve     serving-layer throughput/latency benchmark (QPS, p50/p95/p99,
-//	          plan-cache hit ratio, cached-vs-cold speedup); -serve-report
-//	          writes the JSON report
 //	load      bulk-ingest benchmark: sequential loader vs the parallel
 //	          pipeline (triples/sec, per-stage breakdown, deterministic
-//	          byte-identity and cross-build query equivalence);
-//	          -load-report writes the JSON report
+//	          byte-identity and cross-build query equivalence)
 //	stream    streaming vs materializing executor: paper queries plus a
 //	          generated ORDER BY/LIMIT workload, reporting simulated time,
-//	          host time, physical I/O and peak per-query memory;
-//	          -stream-report writes the JSON report
-//	profile   per-operator EXPLAIN ANALYZE on every scheme and both
-//	          executors: estimate-vs-actual rows (q-error), simulated
-//	          charges per operator, and the profiling host-overhead ratio;
-//	          -profile-report writes the JSON report
-//	trace     request-tracing overhead: every scheme and both executors
-//	          through the serving layer, traced (100%% sampling) vs
-//	          untraced, gated on byte-identical rows and identical
-//	          simulated charges; -trace-report writes the JSON report
-//	workload-obs  workload-registry overhead: every scheme and both
-//	          executors through the serving layer, registry on vs off,
-//	          gated on byte-identical rows, identical simulated charges,
-//	          per-fingerprint quantiles within the sketch's ε rank bound,
-//	          and folded per-operator q-error aggregates;
-//	          -workload-obs-report writes the JSON report
+//	          host time, physical I/O and peak per-query memory; fails when
+//	          the LIMIT workload's streaming peak exceeds a quarter of the
+//	          materializing peak
+//	observe   the observation-only gate: -bgp-count generated queries run
+//	          hot through the serving layer on every scheme and both
+//	          executors, once with every sink off and once per sink
+//	          (per-operator profiling, tracing at 100% sampling, the
+//	          workload registry, all three); fails unless every sink-on
+//	          execution is byte-identical to the baseline with identical
+//	          simulated charges, every sink shows proof of life (traces
+//	          kept, registry quantiles within the sketch's ε rank bound,
+//	          q-error aggregates folded) and each sink's host-time ratio
+//	          stays within 1.10
 //	mutate    live mutation: concurrent INSERT DATA / DELETE DATA writers
 //	          and version-tagged readers through the HTTP front-end, the
 //	          recorded history checked against snapshot isolation, the
 //	          final state byte-compared with a from-scratch rebuild, and a
 //	          fault-injection pass proving the checker catches stale
-//	          snapshots; -mutate-report writes the JSON report
+//	          snapshots
 //	sql       generated SQL for both schemes, with union/join counts
 //	gen       write the generated data set as N-Triples to stdout
 //	all       every experiment in paper order
+//
+// load, stream, observe and mutate also write their result as JSON to the
+// file named by -report (one experiment per invocation, so not with all).
+// Serving throughput, tail latency and the plan cache are measured by the
+// ledger under benchmark/, not here.
 //
 // Beyond the paper's fixed queries, -bgp '<query>' compiles and runs an
 // arbitrary basic-graph-pattern query (see internal/bgp for the syntax) on
@@ -89,41 +87,25 @@ func main() {
 		fig6Steps   = flag.Int("fig6-steps", 8, "measurement points for fig6")
 		parallel    = flag.Int("parallel", 0, "worker count for the parallel experiment (defaults to NumCPU); the measured tables always run sequentially so their simulated timings stay deterministic")
 		bgpText     = flag.String("bgp", "", "compile and run this BGP query on all four schemes (see internal/bgp for the syntax), instead of an experiment")
-		bgpCount    = flag.Int("bgp-count", 12, "number of generated queries for the workloads experiment")
+		bgpCount    = flag.Int("bgp-count", 12, "number of generated queries for the workloads and observe experiments")
 		bgpSeed     = flag.Int64("bgp-seed", 0, "workload-generator seed (defaults to -seed)")
-		srvClients  = flag.Int("serve-clients", 4, "closed-loop concurrent clients per scheme for the serve experiment")
-		srvOps      = flag.Int("serve-ops", 50, "timed operations per client for the serve experiment")
-		srvQueries  = flag.Int("serve-queries", 8, "distinct generated queries for the serve experiment")
-		srvCache    = flag.Int("serve-cache", 64, "plan-cache capacity for the serve experiment")
-		srvReport   = flag.String("serve-report", "", "write the serve experiment's JSON report to this file")
+		reportPath  = flag.String("report", "", "write the JSON report of the load, stream, observe or mutate experiment to this file")
 		loadWorkers = flag.Int("load-workers", 0, "parallel worker count for the load experiment (defaults to NumCPU)")
 		loadChunk   = flag.Int("load-chunk", 0, "scan-stage chunk bytes for the load experiment (defaults to 1MiB)")
 		loadQuick   = flag.Bool("load-quick", false, "skip the load experiment's scheme-build/query-equivalence phase")
-		loadReport  = flag.String("load-report", "", "write the load experiment's JSON report to this file")
 		strQueries  = flag.Int("stream-queries", 10, "generated ORDER BY/LIMIT queries for the stream experiment")
 		strHot      = flag.Bool("stream-hot", false, "run the stream experiment hot instead of cold")
 		strOverlap  = flag.Bool("stream-overlap", false, "use the overlapped-I/O clock composition for the stream experiment")
-		strReport   = flag.String("stream-report", "", "write the stream experiment's JSON report to this file")
-		profQueries = flag.Int("profile-queries", 6, "generated BGP queries for the profile experiment")
-		profCold    = flag.Bool("profile-cold", false, "run the profile experiment cold instead of hot")
-		profReport  = flag.String("profile-report", "", "write the profile experiment's JSON report to this file")
-		trcQueries  = flag.Int("trace-queries", 8, "generated BGP queries for the trace experiment")
-		trcReps     = flag.Int("trace-reps", 3, "repetitions per cell for the trace experiment (min host time kept)")
-		trcReport   = flag.String("trace-report", "", "write the trace experiment's JSON report to this file")
-		wobQueries  = flag.Int("workload-obs-queries", 8, "generated BGP queries for the workload-obs experiment")
-		wobReps     = flag.Int("workload-obs-reps", 3, "repetitions per cell for the workload-obs experiment (min host time kept)")
-		wobReport   = flag.String("workload-obs-report", "", "write the workload-obs experiment's JSON report to this file")
 		mutWriters  = flag.Int("mutate-writers", 4, "concurrent writer clients for the mutate experiment")
 		mutOps      = flag.Int("mutate-ops", 75, "commits per writer for the mutate experiment")
 		mutReaders  = flag.Int("mutate-readers", 4, "concurrent reader clients for the mutate experiment")
 		mutReadOps  = flag.Int("mutate-read-ops", 200, "reads per reader for the mutate experiment")
 		mutCompact  = flag.Int("mutate-compact", 50, "delta entries that trigger compaction in the mutate experiment (-1 never compacts)")
 		mutGuard    = flag.Int("mutate-guard", 12, "generated queries for the mutate experiment's byte-identity guard")
-		mutReport   = flag.String("mutate-report", "", "write the mutate experiment's JSON report to this file")
 		version     = flag.Bool("version", false, "print the build identity and exit")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: swanbench [flags] <experiment>\nexperiments: table1 fig1 table2 table4 table5 fig5 table6 table7 fig6 fig7 parallel workloads serve load stream profile trace workload-obs mutate sql gen all\nflags:\n")
+		fmt.Fprintf(os.Stderr, "usage: swanbench [flags] <experiment>\nexperiments: table1 fig1 table2 table4 table5 fig5 table6 table7 fig6 fig7 parallel workloads load stream observe mutate sql gen all\nflags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -138,6 +120,10 @@ func main() {
 		}
 	} else if flag.NArg() != 1 {
 		flag.Usage()
+		os.Exit(2)
+	}
+	if *reportPath != "" && flag.Arg(0) == "all" {
+		fmt.Fprintln(os.Stderr, "swanbench: -report names one experiment's file; run load, stream, observe or mutate on its own")
 		os.Exit(2)
 	}
 	cfg := datagen.Config{Triples: *triples, Properties: *props, Interesting: *interesting, Seed: *seed}
@@ -158,6 +144,12 @@ func main() {
 		return
 	}
 
+	// The generated-workload experiments share one seed: -bgp-seed, or
+	// -seed when it is unset.
+	wseed := *bgpSeed
+	if wseed == 0 {
+		wseed = *seed
+	}
 	run := func(name string) {
 		switch name {
 		case "table1":
@@ -218,36 +210,12 @@ func main() {
 			fail(err)
 			fmt.Print(bench.FormatParallel(pts, workers))
 		case "workloads":
-			wseed := *bgpSeed
-			if wseed == 0 {
-				wseed = *seed
-			}
 			section(fmt.Sprintf("Workloads: %d generated BGP queries (seed %d) through the query compiler", *bgpCount, wseed))
 			systems, err := bench.BGPSystems(w)
 			fail(err)
 			res, err := bench.RunBGPWorkload(w, systems, *bgpCount, wseed, bench.Cold)
 			fail(err)
 			fmt.Print(bench.FormatBGPWorkload(res, systems, bench.Cold))
-		case "serve":
-			wseed := *bgpSeed
-			if wseed == 0 {
-				wseed = *seed
-			}
-			section(fmt.Sprintf("Serving: %d clients × %d ops over %d queries (seed %d) per scheme", *srvClients, *srvOps, *srvQueries, wseed))
-			systems, err := bench.BGPSystems(w)
-			fail(err)
-			report, err := bench.RunServe(w, systems, bench.ServeOptions{
-				Clients: *srvClients, Ops: *srvOps, Queries: *srvQueries,
-				Seed: wseed, CacheSize: *srvCache,
-			})
-			fail(err)
-			fmt.Print(bench.FormatServe(report))
-			if *srvReport != "" {
-				data, err := json.MarshalIndent(report, "", "  ")
-				fail(err)
-				fail(os.WriteFile(*srvReport, append(data, '\n'), 0o644))
-				fmt.Fprintf(os.Stderr, "serve report written to %s\n", *srvReport)
-			}
 		case "load":
 			workers := *loadWorkers
 			if workers <= 0 {
@@ -259,17 +227,8 @@ func main() {
 			})
 			fail(err)
 			fmt.Print(bench.FormatLoad(report))
-			if *loadReport != "" {
-				data, err := json.MarshalIndent(report, "", "  ")
-				fail(err)
-				fail(os.WriteFile(*loadReport, append(data, '\n'), 0o644))
-				fmt.Fprintf(os.Stderr, "load report written to %s\n", *loadReport)
-			}
+			writeReport(*reportPath, report)
 		case "stream":
-			wseed := *bgpSeed
-			if wseed == 0 {
-				wseed = *seed
-			}
 			mode := bench.Cold
 			if *strHot {
 				mode = bench.Hot
@@ -280,80 +239,24 @@ func main() {
 			report, err := bench.RunStream(w, systems, bench.StreamOptions{
 				Queries: *strQueries, Seed: wseed, Mode: mode, Overlapped: *strOverlap,
 			})
+			if report != nil {
+				fmt.Print(bench.FormatStream(report))
+				writeReport(*reportPath, report)
+			}
 			fail(err)
-			fmt.Print(bench.FormatStream(report))
-			if *strReport != "" {
-				data, err := json.MarshalIndent(report, "", "  ")
-				fail(err)
-				fail(os.WriteFile(*strReport, append(data, '\n'), 0o644))
-				fmt.Fprintf(os.Stderr, "stream report written to %s\n", *strReport)
-			}
-		case "profile":
-			wseed := *bgpSeed
-			if wseed == 0 {
-				wseed = *seed
-			}
-			mode := bench.Hot
-			if *profCold {
-				mode = bench.Cold
-			}
-			section(fmt.Sprintf("Profile: EXPLAIN ANALYZE on all schemes, %d generated queries (seed %d), %s runs", *profQueries, wseed, mode))
+		case "observe":
+			section(fmt.Sprintf("Observe: sinks on vs off through the serving layer, %d generated queries (seed %d)", *bgpCount, wseed))
 			systems, err := bench.BGPSystems(w)
 			fail(err)
-			report, err := bench.RunProfile(w, systems, bench.ProfileOptions{
-				Queries: *profQueries, Seed: wseed, Mode: mode,
-			})
-			fail(err)
-			fmt.Print(bench.FormatProfile(report))
-			if *profReport != "" {
-				data, err := json.MarshalIndent(report, "", "  ")
-				fail(err)
-				fail(os.WriteFile(*profReport, append(data, '\n'), 0o644))
-				fmt.Fprintf(os.Stderr, "profile report written to %s\n", *profReport)
+			// A sink above the overhead limit still yields the full report:
+			// print and write it before failing.
+			report, err := bench.RunObserve(w, systems, *bgpCount, wseed)
+			if report != nil {
+				fmt.Print(bench.FormatObserve(report))
+				writeReport(*reportPath, report)
 			}
-		case "trace":
-			wseed := *bgpSeed
-			if wseed == 0 {
-				wseed = *seed
-			}
-			section(fmt.Sprintf("Trace: tracing overhead through the serving layer, %d generated queries (seed %d)", *trcQueries, wseed))
-			systems, err := bench.BGPSystems(w)
 			fail(err)
-			report, err := bench.RunTraceBench(w, systems, bench.TraceBenchOptions{
-				Queries: *trcQueries, Seed: wseed, Reps: *trcReps,
-			})
-			fail(err)
-			fmt.Print(bench.FormatTraceBench(report))
-			if *trcReport != "" {
-				data, err := json.MarshalIndent(report, "", "  ")
-				fail(err)
-				fail(os.WriteFile(*trcReport, append(data, '\n'), 0o644))
-				fmt.Fprintf(os.Stderr, "trace report written to %s\n", *trcReport)
-			}
-		case "workload-obs":
-			wseed := *bgpSeed
-			if wseed == 0 {
-				wseed = *seed
-			}
-			section(fmt.Sprintf("Workload-obs: registry overhead through the serving layer, %d generated queries (seed %d)", *wobQueries, wseed))
-			systems, err := bench.BGPSystems(w)
-			fail(err)
-			report, err := bench.RunWorkloadObs(w, systems, bench.WorkloadObsOptions{
-				Queries: *wobQueries, Seed: wseed, Reps: *wobReps,
-			})
-			fail(err)
-			fmt.Print(bench.FormatWorkloadObs(report))
-			if *wobReport != "" {
-				data, err := json.MarshalIndent(report, "", "  ")
-				fail(err)
-				fail(os.WriteFile(*wobReport, append(data, '\n'), 0o644))
-				fmt.Fprintf(os.Stderr, "workload-obs report written to %s\n", *wobReport)
-			}
 		case "mutate":
-			wseed := *bgpSeed
-			if wseed == 0 {
-				wseed = *seed
-			}
 			section(fmt.Sprintf("Mutate: %d writers × %d commits, %d readers × %d reads through HTTP (seed %d)", *mutWriters, *mutOps, *mutReaders, *mutReadOps, wseed))
 			report, err := bench.RunMutate(w, bench.MutateOptions{
 				Writers: *mutWriters, Ops: *mutOps,
@@ -363,12 +266,7 @@ func main() {
 			})
 			fail(err)
 			fmt.Print(bench.FormatMutate(report))
-			if *mutReport != "" {
-				data, err := json.MarshalIndent(report, "", "  ")
-				fail(err)
-				fail(os.WriteFile(*mutReport, append(data, '\n'), 0o644))
-				fmt.Fprintf(os.Stderr, "mutate report written to %s\n", *mutReport)
-			}
+			writeReport(*reportPath, report)
 		case "sql":
 			section("Generated SQL (triple-store, then vertically-partitioned)")
 			names := make([]string, 0, len(w.Cat.AllProps))
@@ -391,7 +289,7 @@ func main() {
 	}
 
 	if flag.Arg(0) == "all" {
-		for _, name := range []string{"table1", "fig1", "table2", "table4", "table5", "fig5", "table6", "table7", "fig6", "fig7", "parallel", "workloads", "serve", "load", "stream", "profile", "trace", "workload-obs", "mutate"} {
+		for _, name := range []string{"table1", "fig1", "table2", "table4", "table5", "fig5", "table6", "table7", "fig6", "fig7", "parallel", "workloads", "load", "stream", "observe", "mutate"} {
 			run(name)
 		}
 		return
@@ -460,6 +358,18 @@ func runUserBGP(w *bench.Workload, text string) {
 		}
 		fmt.Println("  " + strings.Join(parts, "  "))
 	}
+}
+
+// writeReport serializes an experiment's report to the -report file, if
+// one was named.
+func writeReport(path string, report any) {
+	if path == "" {
+		return
+	}
+	data, err := json.MarshalIndent(report, "", "  ")
+	fail(err)
+	fail(os.WriteFile(path, append(data, '\n'), 0o644))
+	fmt.Fprintf(os.Stderr, "report written to %s\n", path)
 }
 
 func section(title string) {

@@ -28,14 +28,21 @@
 // workloads (swanbench's -bgp flag and workloads experiment). The whole
 // language is validated against bgp.EvalBGP, an independent naive
 // reference evaluator, by per-construct property-test corpora across all
-// four schemes, golden plan trees, and a native parser fuzz target. On
-// top of both,
+// four schemes, golden plan trees, and native fuzz targets for the query
+// and update parsers. On top of both,
 // internal/serve is the concurrent serving layer: an LRU plan cache over
 // canonicalized query text (hits skip parsing and join ordering), bounded
 // admission, request-context cancellation through core.ExecutePlanCtx,
-// and a JSON-over-HTTP front-end (cmd/swanserve); the swanbench serve
-// experiment measures its throughput, latency percentiles and cache
-// amortization. Feeding all of it, internal/ingest bulk-loads N-Triples
+// a delta-overlay write path checked against snapshot isolation
+// (internal/verify), and a JSON-over-HTTP front-end (cmd/swanserve). Every
+// execution becomes one event feeding every observation sink — counters,
+// the per-fingerprint workload registry (internal/sketch), the slow/error
+// ring, request traces (internal/trace) and log/slog — and the swanbench
+// observe experiment is the one gate that the sinks only observe:
+// byte-identical rows, identical simulated charges, bounded host overhead.
+// Its throughput, tail latency and cache amortization are measured by the
+// performance ledger under benchmark/ (BENCHMARK.json), the repository's
+// one measuring stick. Feeding all of it, internal/ingest bulk-loads N-Triples
 // through a pipelined parallel loader over a sharded dictionary
 // (rdf.ShardedDictionary behind the rdf.Dict interface), with a
 // deterministic mode byte-identical to the sequential reader, concurrent

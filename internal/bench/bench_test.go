@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -231,6 +234,65 @@ func grids(t *testing.T) ([]GridResult, []GridResult) {
 	return gridCold, gridHot
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/grid.golden from the measured grid")
+
+const gridGolden = "testdata/grid.golden"
+
+// gridCells renders every measured cell of a grid as one line — mode,
+// system, query, real and user as integer nanoseconds of the simulated
+// clock — in grid and benchmark-query order.
+func gridCells(mode Mode, rs []GridResult) []string {
+	var lines []string
+	for _, r := range rs {
+		for _, q := range core.BenchmarkQueries() {
+			if tm, ok := r.Times[q.String()]; ok {
+				lines = append(lines, fmt.Sprintf("%s\t%s\t%s\t%d\t%d", mode, r.System, q, tm.Real, tm.User))
+			}
+		}
+	}
+	return lines
+}
+
+// checkGridGolden pins the simulated clock per cell: every system × query
+// cell of the mode's grid must equal the golden file to the nanosecond. The
+// clock is deterministic, so a change that moves a paper number has to show
+// it in the diff of testdata/grid.golden (go test ./internal/bench -run
+// Table -update regenerates both tables).
+func checkGridGolden(t *testing.T, mode Mode) {
+	t.Helper()
+	cold, hot := grids(t)
+	if *update {
+		lines := append(gridCells(Cold, cold), gridCells(Hot, hot)...)
+		if err := os.WriteFile(gridGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(gridGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.HasPrefix(line, mode.String()+"\t") {
+			want = append(want, line)
+		}
+	}
+	grid := cold
+	if mode == Hot {
+		grid = hot
+	}
+	got := gridCells(mode, grid)
+	if len(got) != len(want) {
+		t.Fatalf("%s grid has %d cells, %s pins %d", mode, len(got), gridGolden, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("simulated clock moved (mode, system, query, real ns, user ns):\n  got  %s\n  want %s", got[i], want[i])
+		}
+	}
+}
+
 func find(t *testing.T, rs []GridResult, name string) GridResult {
 	t.Helper()
 	for _, r := range rs {
@@ -242,9 +304,11 @@ func find(t *testing.T, rs []GridResult, name string) GridResult {
 	return GridResult{}
 }
 
-// TestTable6Findings asserts the paper's headline cold-run findings.
+// TestTable6Findings asserts the paper's headline cold-run findings, and
+// pins every cold cell of the grid.
 func TestTable6Findings(t *testing.T) {
 	cold, _ := grids(t)
+	checkGridGolden(t, Cold)
 	if len(cold) != 7 {
 		t.Fatalf("grid rows = %d", len(cold))
 	}
@@ -311,9 +375,11 @@ func TestTable6Findings(t *testing.T) {
 }
 
 // TestTable7Findings asserts hot-run properties: hot ≤ cold everywhere, and
-// the restricted-query I/O advantage of the vertical scheme vanishes.
+// the restricted-query I/O advantage of the vertical scheme vanishes. Every
+// hot cell of the grid is pinned too.
 func TestTable7Findings(t *testing.T) {
 	cold, hot := grids(t)
+	checkGridGolden(t, Hot)
 	for i := range cold {
 		for q, ct := range cold[i].Times {
 			ht, ok := hot[i].Times[q]

@@ -1,26 +1,18 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"slices"
-	"sort"
-	"strings"
 	"time"
 
 	"blackswan/internal/bgp"
 	"blackswan/internal/core"
-	"blackswan/internal/rel"
 	"blackswan/internal/serve"
 )
 
-// The serve experiment: the first throughput/latency benchmark of the
-// repository. Closed-loop concurrent clients drive generated BGP queries
-// through the serving layer on every scheme, reporting QPS, latency
-// percentiles, the plan-cache hit ratio, and the cached-vs-cold speedup —
-// with the correctness guarantees checked first: cache-hit executions are
-// byte-identical to cold ones, results agree across schemes, and the cache
-// counters prove the timed phase never parsed or ordered a join.
+// The serving-layer wiring shared by swanserve, the experiments that drive
+// the service (observe, mutate), the ledger under benchmark/ and the serve
+// package's tests: targets and a Service from benchmark systems, and a
+// distinct generated working set.
 
 // ServeTargets adapts benchmark systems to serving targets.
 func ServeTargets(systems []*System) ([]serve.Target, error) {
@@ -37,9 +29,7 @@ func ServeTargets(systems []*System) ([]serve.Target, error) {
 
 // NewService builds a serving layer over benchmark systems: targets from
 // the systems, compile inputs (dictionary, estimator) from the workload
-// they were loaded with. The convenience constructor for swanserve,
-// examples and tests; RunServe wires its warm and cold services by hand
-// so both share one target derivation.
+// they were loaded with.
 func NewService(w *Workload, systems []*System, cfg serve.Config) (*serve.Service, error) {
 	targets, err := ServeTargets(systems)
 	if err != nil {
@@ -48,96 +38,11 @@ func NewService(w *Workload, systems []*System, cfg serve.Config) (*serve.Servic
 	return serve.New(w.DS.Graph.Dict, w.Estimator(), cfg, targets...)
 }
 
-// ServeOptions configures the serve experiment.
-type ServeOptions struct {
-	// Clients is the number of closed-loop concurrent clients per system
-	// (also the service's admission bound). Default 4.
-	Clients int
-	// Ops is the number of queries each client executes in the timed
-	// phase. Default 50.
-	Ops int
-	// Queries is the distinct generated-query working set. Default 8.
-	Queries int
-	// Seed feeds the workload generator.
-	Seed int64
-	// CacheSize bounds the plan cache. Default 64.
-	CacheSize int
-	// Workers is the per-execution core worker count. Default 1.
-	Workers int
-}
-
-func (o ServeOptions) withDefaults() ServeOptions {
-	if o.Clients <= 0 {
-		o.Clients = 4
-	}
-	if o.Ops <= 0 {
-		o.Ops = 50
-	}
-	if o.Queries <= 0 {
-		o.Queries = 8
-	}
-	if o.CacheSize == 0 {
-		o.CacheSize = 64
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
-	return o
-}
-
-// ServeSystemResult is one scheme's row of the serve experiment.
-type ServeSystemResult struct {
-	System string `json:"system"`
-	// Ops counts timed-phase executions; QPS is ops over the phase's host
-	// wall-clock.
-	Ops int     `json:"ops"`
-	QPS float64 `json:"qps"`
-	// Latency percentiles over the timed phase (host milliseconds,
-	// admission wait included — closed-loop client view).
-	P50Ms  float64 `json:"p50Ms"`
-	P95Ms  float64 `json:"p95Ms"`
-	P99Ms  float64 `json:"p99Ms"`
-	MeanMs float64 `json:"meanMs"`
-	// ColdMs is the mean single-client latency with the plan cache
-	// disabled (parse + join ordering + execution per request); CachedMs
-	// is the same measurement through the warm cache. Speedup is their
-	// ratio — the serving layer's amortization of compilation.
-	ColdMs   float64 `json:"coldMs"`
-	CachedMs float64 `json:"cachedMs"`
-	Speedup  float64 `json:"speedup"`
-	// Rows is the total rows returned in the timed phase.
-	Rows int64 `json:"rows"`
-}
-
-// ServeReport is the experiment's full result — the repository's first
-// BENCH artifact; swanbench serializes it as JSON.
-type ServeReport struct {
-	Triples         int   `json:"triples"`
-	Clients         int   `json:"clients"`
-	OpsPerClient    int   `json:"opsPerClient"`
-	DistinctQueries int   `json:"distinctQueries"`
-	Seed            int64 `json:"seed"`
-	// Cache counters over the whole run. CompiledOnce reports the proof
-	// the cache works: misses stayed at exactly one per distinct query,
-	// so no timed-phase execution parsed or ordered anything.
-	CacheHits      int64   `json:"cacheHits"`
-	CacheMisses    int64   `json:"cacheMisses"`
-	CacheEvictions int64   `json:"cacheEvictions"`
-	HitRatio       float64 `json:"hitRatio"`
-	CompiledOnce   bool    `json:"compiledOnce"`
-	// Identical reports that every cache-hit result was byte-identical to
-	// the cold execution of the same query on the same scheme, and that
-	// all schemes agreed. Like CompiledOnce, it is an invariant of an
-	// emitted report: a violation aborts the run with an error instead.
-	Identical bool                `json:"identical"`
-	Systems   []ServeSystemResult `json:"systems"`
-}
-
 // DistinctQueryTexts generates up to n BGP query texts from the
 // workload's generator, distinct by canonical text. The generator may
 // repeat itself, so attempts are bounded at 10×n and a tiny vocabulary
-// can yield fewer than n. Consumers that count one compile per distinct
-// plan (the serve experiment and its tests) draw their working sets here.
+// can yield fewer than n. Consumers that count one compile or one
+// fingerprint per distinct plan draw their working sets here.
 func DistinctQueryTexts(w *Workload, seed int64, n int) []string {
 	gen := bgp.NewGenerator(w.DS.Graph, bgp.GenConfig{Seed: seed})
 	texts := make([]string, 0, n)
@@ -155,201 +60,6 @@ func DistinctQueryTexts(w *Workload, seed int64, n int) []string {
 	return texts
 }
 
-// RunServe runs the serve experiment over the given systems (normally
-// BGPSystems: both engines × both schemes).
-func RunServe(w *Workload, systems []*System, opt ServeOptions) (*ServeReport, error) {
-	opt = opt.withDefaults()
-	// The counter proof (misses == distinct queries through the whole run)
-	// requires the working set to fit the cache: with CacheSize < Queries
-	// the LRU would thrash by design and the experiment would report a
-	// false negative. Reject the combination up front instead.
-	if opt.CacheSize < opt.Queries {
-		return nil, fmt.Errorf("bench: serve: cache size %d < %d distinct queries; the cache-counter proof requires CacheSize >= Queries",
-			opt.CacheSize, opt.Queries)
-	}
-	// Adapt the systems once; both services share the target list.
-	targets, err := ServeTargets(systems)
-	if err != nil {
-		return nil, err
-	}
-	svc, err := serve.New(w.DS.Graph.Dict, w.Estimator(), serve.Config{
-		MaxConcurrent: opt.Clients, ExecWorkers: opt.Workers, CacheSize: opt.CacheSize,
-	}, targets...)
-	if err != nil {
-		return nil, err
-	}
-	// The cold baseline: an identical service with caching disabled, so
-	// every request pays parse + join ordering through the same code path.
-	cold, err := serve.New(w.DS.Graph.Dict, w.Estimator(), serve.Config{
-		MaxConcurrent: opt.Clients, ExecWorkers: opt.Workers, CacheSize: -1,
-	}, targets...)
-	if err != nil {
-		return nil, err
-	}
-
-	texts := DistinctQueryTexts(w, opt.Seed, opt.Queries)
-
-	report := &ServeReport{
-		Triples:         w.DS.Graph.Len(),
-		Clients:         opt.Clients,
-		OpsPerClient:    opt.Ops,
-		DistinctQueries: len(texts),
-		Seed:            opt.Seed,
-		Identical:       true,
-	}
-	ctx := context.Background()
-
-	// Phase 1 — correctness and warm-up, sequential: every query runs cold
-	// (cache disabled) and twice through the caching service on every
-	// scheme. The second caching run must be a hit and byte-identical to
-	// the cold result; schemes must agree with each other.
-	var reference *serve.Result
-	for _, text := range texts {
-		reference = nil
-		for _, t := range targets {
-			coldRes, err := cold.ExecText(ctx, text, t.Name)
-			if err != nil {
-				return nil, fmt.Errorf("bench: serve cold %s: %w", t.Name, err)
-			}
-			if coldRes.Cached {
-				return nil, fmt.Errorf("bench: serve: cache-disabled execution reported a cached plan")
-			}
-			if _, err := svc.ExecText(ctx, text, t.Name); err != nil {
-				return nil, fmt.Errorf("bench: serve warm %s: %w", t.Name, err)
-			}
-			hitRes, err := svc.ExecText(ctx, text, t.Name)
-			if err != nil {
-				return nil, fmt.Errorf("bench: serve hit %s: %w", t.Name, err)
-			}
-			if !hitRes.Cached {
-				return nil, fmt.Errorf("bench: serve: repeat execution on %s missed the plan cache", t.Name)
-			}
-			if !slices.Equal(coldRes.Rows.Data, hitRes.Rows.Data) {
-				return nil, fmt.Errorf("bench: serve: %s cached result differs from cold for %q", t.Name, text)
-			}
-			if reference == nil {
-				reference = hitRes
-			} else if !relEqual(reference, hitRes) {
-				return nil, fmt.Errorf("bench: serve: %s disagrees with %s for %q", t.Name, targets[0].Name, text)
-			}
-		}
-	}
-	// Counter proof, part 1: the warm-up compiled each distinct query
-	// exactly once; everything else was a hit.
-	if got := svc.Stats().Cache.Misses; got != int64(len(texts)) {
-		return nil, fmt.Errorf("bench: serve: warm-up misses = %d, want %d", got, len(texts))
-	}
-
-	// Phase 2 — single-client cold-vs-cached latency per scheme.
-	for _, t := range targets {
-		coldMs, err := meanLatency(cold, ctx, texts, t.Name)
-		if err != nil {
-			return nil, err
-		}
-		cachedMs, err := meanLatency(svc, ctx, texts, t.Name)
-		if err != nil {
-			return nil, err
-		}
-		res := ServeSystemResult{System: t.Name, ColdMs: coldMs, CachedMs: cachedMs}
-		if cachedMs > 0 {
-			res.Speedup = coldMs / cachedMs
-		}
-		report.Systems = append(report.Systems, res)
-	}
-
-	// Phase 3 — closed-loop concurrent clients per scheme, timed.
-	for si, t := range targets {
-		lats := make([][]time.Duration, opt.Clients)
-		rows := make([]int64, opt.Clients)
-		errs := make([]error, opt.Clients)
-		start := time.Now()
-		done := make(chan int, opt.Clients)
-		for c := 0; c < opt.Clients; c++ {
-			go func(c int) {
-				defer func() { done <- c }()
-				lats[c] = make([]time.Duration, 0, opt.Ops)
-				for i := 0; i < opt.Ops; i++ {
-					text := texts[(c*opt.Ops+i)%len(texts)]
-					t0 := time.Now()
-					res, err := svc.ExecText(ctx, text, t.Name)
-					if err != nil {
-						errs[c] = err
-						return
-					}
-					lats[c] = append(lats[c], time.Since(t0))
-					rows[c] += int64(res.Rows.Len())
-				}
-			}(c)
-		}
-		for range lats {
-			<-done
-		}
-		wall := time.Since(start)
-		var all []time.Duration
-		var totalRows int64
-		for c := range lats {
-			if errs[c] != nil {
-				return nil, fmt.Errorf("bench: serve client on %s: %w", t.Name, errs[c])
-			}
-			all = append(all, lats[c]...)
-			totalRows += rows[c]
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		r := &report.Systems[si]
-		r.Ops = len(all)
-		if wall > 0 {
-			r.QPS = float64(len(all)) / wall.Seconds()
-		}
-		r.P50Ms = quantileMs(all, 0.50)
-		r.P95Ms = quantileMs(all, 0.95)
-		r.P99Ms = quantileMs(all, 0.99)
-		var sum time.Duration
-		for _, d := range all {
-			sum += d
-		}
-		if len(all) > 0 {
-			r.MeanMs = float64(sum.Microseconds()) / 1e3 / float64(len(all))
-		}
-		r.Rows = totalRows
-	}
-
-	// Counter proof, part 2: the timed phases added no misses — every
-	// concurrent execution reused a cached plan, skipping parse and join
-	// ordering entirely.
-	cacheStats := svc.Stats().Cache
-	report.CacheHits = cacheStats.Hits
-	report.CacheMisses = cacheStats.Misses
-	report.CacheEvictions = cacheStats.Evictions
-	report.HitRatio = cacheStats.HitRatio()
-	report.CompiledOnce = cacheStats.Misses == int64(len(texts))
-	if !report.CompiledOnce {
-		return nil, fmt.Errorf("bench: serve: timed phase recompiled: misses = %d, want %d",
-			cacheStats.Misses, len(texts))
-	}
-	return report, nil
-}
-
-// meanLatency times texts sequentially (wall time around the full
-// prepare+execute call, so the cold service pays compilation inside the
-// measurement) and returns the mean in milliseconds.
-func meanLatency(s *serve.Service, ctx context.Context, texts []string, system string) (float64, error) {
-	var sum time.Duration
-	for _, text := range texts {
-		t0 := time.Now()
-		if _, err := s.ExecText(ctx, text, system); err != nil {
-			return 0, fmt.Errorf("bench: serve latency on %s: %w", system, err)
-		}
-		sum += time.Since(t0)
-	}
-	return float64(sum.Microseconds()) / 1e3 / float64(len(texts)), nil
-}
-
-// relEqual compares two results as bags (cross-scheme agreement; row order
-// is scheme-specific).
-func relEqual(a, b *serve.Result) bool {
-	return rel.Equal(a.Rows, b.Rows)
-}
-
 func quantileMs(sorted []time.Duration, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
@@ -362,21 +72,4 @@ func quantileMs(sorted []time.Duration, q float64) float64 {
 		i = len(sorted) - 1
 	}
 	return float64(sorted[i].Microseconds()) / 1e3
-}
-
-// FormatServe renders the report for the console.
-func FormatServe(r *ServeReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "serving %d distinct BGP queries (seed %d) with %d closed-loop clients × %d ops per scheme\n",
-		r.DistinctQueries, r.Seed, r.Clients, r.OpsPerClient)
-	fmt.Fprintf(&b, "plan cache: %d hits, %d misses (hit ratio %.3f, evictions %d); compiled once per query: %v\n",
-		r.CacheHits, r.CacheMisses, r.HitRatio, r.CacheEvictions, r.CompiledOnce)
-	fmt.Fprintf(&b, "cached results byte-identical to cold, schemes agree: %v\n\n", r.Identical)
-	fmt.Fprintf(&b, "%-18s %9s %9s %9s %9s %9s %9s %9s %8s\n",
-		"system", "QPS", "p50 (ms)", "p95 (ms)", "p99 (ms)", "mean", "cold", "cached", "speedup")
-	for _, s := range r.Systems {
-		fmt.Fprintf(&b, "%-18s %9.0f %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f %7.2fx\n",
-			s.System, s.QPS, s.P50Ms, s.P95Ms, s.P99Ms, s.MeanMs, s.ColdMs, s.CachedMs, s.Speedup)
-	}
-	return b.String()
 }

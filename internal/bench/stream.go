@@ -20,6 +20,11 @@ import (
 // two executors' results is an invariant of an emitted report — a
 // violation aborts the run.
 
+// StreamMaxLimitPeakRatio is the bounded-memory regression limit: on the
+// scan-shaped LIMIT workload, no system's streaming peak may exceed this
+// fraction of its materializing peak.
+const StreamMaxLimitPeakRatio = 0.25
+
 // StreamOptions configures the stream experiment.
 type StreamOptions struct {
 	// Queries sizes each generated workload (LIMIT-10 pattern queries and
@@ -73,7 +78,8 @@ type StreamQueryResult struct {
 type StreamSystemResult struct {
 	System string `json:"system"`
 	// Peak bytes summed over the LIMIT workload, and their ratio — the
-	// headline bounded-memory claim (CI fails the build above 0.25).
+	// headline bounded-memory claim (RunStream fails above
+	// StreamMaxLimitPeakRatio).
 	LimitPeakMat    int64   `json:"limitPeakMat"`
 	LimitPeakStream int64   `json:"limitPeakStream"`
 	LimitPeakRatio  float64 `json:"limitPeakRatio"`
@@ -106,7 +112,7 @@ type StreamReport struct {
 	// HeapTopNs counts streaming runs that used the bounded heap.
 	HeapTopNs int `json:"heapTopNs"`
 	// MaxLimitPeakRatio is the worst per-system peak-memory ratio on the
-	// LIMIT workload — the number the CI regression guard checks.
+	// LIMIT workload — the number StreamMaxLimitPeakRatio bounds.
 	MaxLimitPeakRatio float64              `json:"maxLimitPeakRatio"`
 	Systems           []StreamSystemResult `json:"systems"`
 	Queries           []StreamQueryResult  `json:"queries"`
@@ -176,7 +182,9 @@ func streamGenQueries(w *Workload, cfg bgp.GenConfig, keep func(*bgp.Query) bool
 }
 
 // RunStream runs the stream experiment over the given systems (normally
-// BGPSystems: both engines × both schemes).
+// BGPSystems: both engines × both schemes). A LIMIT-workload peak ratio
+// above StreamMaxLimitPeakRatio returns the complete report beside the
+// error; every other failure returns a nil report.
 func RunStream(w *Workload, systems []*System, opt StreamOptions) (*StreamReport, error) {
 	opt = opt.withDefaults()
 	report := &StreamReport{
@@ -335,6 +343,10 @@ func RunStream(w *Workload, systems []*System, opt StreamOptions) (*StreamReport
 		}
 	}
 	report.Systems = agg
+	if report.MaxLimitPeakRatio > StreamMaxLimitPeakRatio {
+		return report, fmt.Errorf("bench: stream: LIMIT-workload streaming peak is %.3f of materializing, limit %.2f",
+			report.MaxLimitPeakRatio, StreamMaxLimitPeakRatio)
+	}
 	return report, nil
 }
 
@@ -369,7 +381,7 @@ func FormatStream(r *StreamReport) string {
 			name, q.System, q.Rows, q.Materializing.RealS, q.Streaming.RealS,
 			q.Materializing.PeakBytes, q.Streaming.PeakBytes, heap)
 	}
-	fmt.Fprintf(&b, "\nmax LIMIT-workload peak-memory ratio (streaming/materializing): %.3f (regression guard: 0.25)\n",
-		r.MaxLimitPeakRatio)
+	fmt.Fprintf(&b, "\nmax LIMIT-workload peak-memory ratio (streaming/materializing): %.3f (regression guard: %.2f)\n",
+		r.MaxLimitPeakRatio, StreamMaxLimitPeakRatio)
 	return b.String()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"blackswan/internal/bgp"
+	"blackswan/internal/rdf"
 )
 
 // fuzzSeeds are the corpus the native fuzzer mutates from: the twelve
@@ -79,6 +80,69 @@ func FuzzParse(f *testing.F) {
 		}
 		if !reflect.DeepEqual(q, q3) {
 			t.Fatalf("canonicalization changed the query:\n src: %q\ncanon: %q", text, canon)
+		}
+	})
+}
+
+// updateFuzzSeeds cover the update grammar's forms — single and mixed
+// blocks, the optional '.' and trailing ';', literals with escapes — and
+// each rejection the parser names: variables, literal subjects and
+// properties, empty and unterminated blocks, trailing input.
+var updateFuzzSeeds = []string{
+	`INSERT DATA { <s1> <p1> <o1> . <s1> <p2> "v" }`,
+	`DELETE DATA { <s1> <p1> <o1> }`,
+	"DELETE DATA { <s> <p> <o> } ;\nINSERT DATA { <s> <p> \"a \\\"quoted\\\" literal\" . <s> <q> 42 } ;",
+	`insert data{<s> <p> <o>.}`,
+	`INSERT DATA { ?s <p> <o> }`,
+	`INSERT DATA { "lit" <p> <o> }`,
+	`INSERT DATA { <s> "lit" <o> }`,
+	`INSERT DATA { }`,
+	`INSERT DATA { <s> <p> <o>`,
+	`INSERT DATA { <s> <p> }`,
+	`INSERT { <s> <p> <o> }`,
+	`INSERT DATA { <s> <p> <o> } SELECT`,
+	`SELECT * WHERE { ?s ?p ?o }`,
+	``,
+}
+
+// FuzzParseUpdate drives the update parser — the text POST /update accepts
+// from the network — with arbitrary input. Invariants: ParseUpdate never
+// panics; every rejection is a positioned *bgp.ParseError with in-range
+// positions; an accepted request has at least one block, no block is
+// empty, and every triple is ground data in the positions the data
+// language allows (IRI subject and property). Checked-in crashers live in
+// testdata/fuzz/FuzzParseUpdate.
+func FuzzParseUpdate(f *testing.F) {
+	for _, s := range updateFuzzSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		ops, err := bgp.ParseUpdate(text)
+		if err != nil {
+			var pe *bgp.ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("ParseUpdate(%q): non-positioned error %T: %v", text, err, err)
+			}
+			if pe.Offset < 0 || pe.Offset > len(text) {
+				t.Fatalf("ParseUpdate(%q): offset %d out of range [0,%d]", text, pe.Offset, len(text))
+			}
+			if pe.Line < 1 || pe.Col < 1 {
+				t.Fatalf("ParseUpdate(%q): position %d:%d", text, pe.Line, pe.Col)
+			}
+			return
+		}
+		if len(ops) == 0 {
+			t.Fatalf("ParseUpdate(%q) accepted a request with no blocks", text)
+		}
+		for _, op := range ops {
+			if len(op.Triples) == 0 {
+				t.Fatalf("ParseUpdate(%q) accepted an empty block", text)
+			}
+			for _, tr := range op.Triples {
+				if tr.S.Kind == rdf.Literal || tr.P.Kind == rdf.Literal {
+					t.Fatalf("ParseUpdate(%q) accepted a literal subject or property: %v", text, tr)
+				}
+			}
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -128,7 +129,10 @@ func (e errorString) Error() string { return string(e) }
 // threshold the log is off; with a tiny threshold every served query is
 // recorded — newest first, with its plan and (when profiled) its profile.
 func TestSlowLogService(t *testing.T) {
-	off := newService(t, serve.Config{})
+	var logBuf bytes.Buffer
+	off := newService(t, serve.Config{
+		Logger: slog.New(slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug})),
+	})
 	texts := queryTexts(t, 3)
 	ctx := context.Background()
 	if _, err := off.ExecText(ctx, texts[0], off.Systems()[0]); err != nil {
@@ -136,6 +140,9 @@ func TestSlowLogService(t *testing.T) {
 	}
 	if got := off.SlowQueries(); got != nil {
 		t.Fatalf("disabled slow log returned %d entries", len(got))
+	}
+	if got, _ := logRecord(t, &logBuf, "query served")["version"].(float64); uint64(got) != off.Version() {
+		t.Fatalf("served line version = %v, want %d", got, off.Version())
 	}
 
 	svc := newService(t, serve.Config{SlowQueryThreshold: time.Nanosecond, SlowLogSize: 2})
@@ -156,6 +163,9 @@ func TestSlowLogService(t *testing.T) {
 	}
 	if entries[0].Plan == "" {
 		t.Fatal("slow entry lacks its plan text")
+	}
+	if entries[0].Version != svc.Version() {
+		t.Fatalf("slow entry version %d, want %d", entries[0].Version, svc.Version())
 	}
 	if entries[0].Profile == nil {
 		t.Fatal("profiled slow query lost its profile")

@@ -47,7 +47,12 @@
 // folded into the workload registry (workload.go) under its fingerprint —
 // the hash of the canonical query text — which aggregates counts, rows,
 // latency/queue-wait quantile sketches, per-system splits and per-operator
-// cardinality drift (q-error) for profiled runs. The HTTP front-end in
+// cardinality drift (q-error) for profiled runs. All of these sinks — the
+// counters, the registry, the slow/error ring, the execute span and the
+// structured log — are fed from one queryEvent that exec builds once per
+// execution and observe fans out, so they carry the same facts (trace ID,
+// fingerprint, system, dataset version, cached, queued, latency, rows,
+// error class). The HTTP front-end in
 // http.go exposes all of it over JSON — /query (with profile support),
 // /stats, /metrics, /debug/slow, /debug/workload — with positioned parse
 // diagnostics and classified errors for bad queries.
@@ -463,6 +468,9 @@ type Prepared struct {
 	// column markers, join order and cost diagnostics.
 	Compiled *bgp.Compiled
 
+	// fp is the workload fingerprint of Text, hashed once at compile time
+	// rather than per execution.
+	fp   string
 	snap *snapshot
 }
 
@@ -496,7 +504,7 @@ func (s *Service) prepare(ctx context.Context, sn *snapshot, text string) (*Prep
 		if err != nil {
 			return nil, err
 		}
-		return &Prepared{Text: canon, Compiled: c, snap: sn}, nil
+		return &Prepared{Text: canon, Compiled: c, fp: Fingerprint(canon), snap: sn}, nil
 	})
 	sp.SetAttr(trace.Bool("cached", cached))
 	if err != nil {
@@ -613,13 +621,48 @@ func (s *Service) target(sn *snapshot, system string) (int, error) {
 	return ti, nil
 }
 
+// queryEvent is the one record of a finished execution — successful or
+// failed after compiling. exec builds it once and observe fans it out to
+// every sink (service counters, workload registry, slow/error ring, the
+// execute span, the structured log), so the sinks cannot disagree about
+// what happened. It is immutable once built, apart from the memoized plan
+// text.
+type queryEvent struct {
+	when        time.Time // when the execution finished
+	traceID     string    // "" when the request was untraced
+	fingerprint string
+	text        string // canonical query text
+	system      string
+	version     uint64 // dataset version the execution ran on
+	cached      bool
+	queued      time.Duration
+	latency     time.Duration
+	rows        int
+	err         error
+	class       string // error class, "" on success
+	profile     *core.OpProfile
+
+	root core.Node
+	dict rdf.Dict
+	plan string
+}
+
+// term resolves plan constants through the dictionary of the snapshot the
+// query ran on.
+func (e *queryEvent) term() func(rdf.ID) string { return termFunc(e.dict) }
+
+// planText renders the compiled plan on first use: only a new registry
+// entry and a slow/error ring entry need it, so most events never pay.
+func (e *queryEvent) planText() string {
+	if e.plan == "" {
+		e.plan = core.FormatPlan(e.root, e.term())
+	}
+	return e.plan
+}
+
 func (s *Service) exec(ctx context.Context, sn *snapshot, p *Prepared, ti int, cached bool, opt ExecOpts) (*Result, error) {
 	t := sn.targets[ti]
 	reqTrace, _ := trace.FromContext(ctx)
-	traceID := ""
-	if reqTrace != nil {
-		traceID = reqTrace.ID().String()
-	}
 	start := time.Now()
 	// Admission: block until a slot frees or the request context ends. The
 	// up-front check makes an already-ended context reject deterministically
@@ -656,92 +699,36 @@ func (s *Service) exec(ctx context.Context, sn *snapshot, p *Prepared, ti int, c
 		Profile:   opt.Profile,
 	})
 	latency := time.Since(start)
-	fp := Fingerprint(p.Text)
+	ev := queryEvent{
+		when:        start.Add(latency),
+		fingerprint: p.fp,
+		text:        p.Text,
+		system:      t.Name,
+		version:     sn.version,
+		cached:      cached,
+		queued:      queued,
+		latency:     latency,
+		err:         err,
+		root:        p.Compiled.Root,
+		dict:        sn.dict,
+	}
+	if reqTrace != nil {
+		ev.traceID = reqTrace.ID().String()
+	}
 	if err != nil {
-		execSpan.SetError(err)
-		class := ErrorClass(err)
-		s.metrics.failed(class)
-		var fpCount int64
-		var fpP99 time.Duration
-		if s.wl != nil {
-			s.wl.observe(wlObs{
-				fp:     fp,
-				text:   p.Text,
-				plan:   func() string { return core.FormatPlan(p.Compiled.Root, termFunc(sn.dict)) },
-				system: t.Name, cached: cached,
-				queued: queued, latency: latency,
-				errClass: class,
-				version:  sn.version,
-			})
-			fpCount, fpP99, _ = s.wl.summary(fp)
-			execSpan.SetAttr(trace.String("fingerprint", fp),
-				trace.Int("fingerprint.count", fpCount),
-				trace.Int("fingerprint.p99Ns", int64(fpP99)))
+		ev.class = ErrorClass(err)
+	} else {
+		ev.rows = out.Len()
+		if opt.Profile && tr != nil && tr.Profile != nil {
+			ev.profile = tr.Profile
+			ev.profile.AnnotateEstimates(bgp.EstimateCards(p.Compiled.Root, sn.est))
 		}
-		execSpan.End()
-		// Errored executions land in the slow ring regardless of the
-		// latency threshold: a query that died is at least as interesting
-		// as one that was merely slow.
-		if s.slow != nil {
-			s.slow.add(SlowEntry{
-				When:             time.Now(),
-				Query:            p.Text,
-				System:           t.Name,
-				Cached:           cached,
-				Queued:           queued,
-				Latency:          latency,
-				Plan:             core.FormatPlan(p.Compiled.Root, termFunc(sn.dict)),
-				TraceID:          traceID,
-				Fingerprint:      fp,
-				FingerprintCount: fpCount,
-				FingerprintP99:   fpP99,
-				Error:            err.Error(),
-				Class:            class,
-			})
-		}
-		s.log.LogAttrs(ctx, slog.LevelWarn, "query failed",
-			slog.String("traceId", traceID),
-			slog.String("fingerprint", fp),
-			slog.String("system", t.Name),
-			slog.String("class", class),
-			slog.String("error", err.Error()),
-			slog.Duration("latency", latency))
+	}
+	s.observe(ctx, &ev, reqTrace, execSpan)
+	if err != nil {
 		return nil, fmt.Errorf("serve: %s: %w", t.Name, err)
 	}
-	var prof *core.OpProfile
-	if opt.Profile && tr != nil && tr.Profile != nil {
-		prof = tr.Profile
-		prof.AnnotateEstimates(bgp.EstimateCards(p.Compiled.Root, sn.est))
-	}
-	execSpan.SetAttr(trace.Int("rows", int64(out.Len())))
-	var fpCount int64
-	var fpP99 time.Duration
-	if s.wl != nil {
-		s.wl.observe(wlObs{
-			fp:     fp,
-			text:   p.Text,
-			plan:   func() string { return core.FormatPlan(p.Compiled.Root, termFunc(sn.dict)) },
-			system: t.Name, cached: cached,
-			queued: queued, latency: latency,
-			rows:    int64(out.Len()),
-			profile: prof,
-			term:    termFunc(sn.dict),
-			version: sn.version,
-		})
-		fpCount, fpP99, _ = s.wl.summary(fp)
-		execSpan.SetAttr(trace.String("fingerprint", fp),
-			trace.Int("fingerprint.count", fpCount),
-			trace.Int("fingerprint.p99Ns", int64(fpP99)))
-	}
-	execSpan.End()
-	// Bridge the per-operator profile into the trace: the executor already
-	// measured every operator, so a profiled, traced request yields a full
-	// operator-level trace for free.
-	if reqTrace != nil && prof != nil {
-		bridgeProfile(reqTrace, execSpan.ID(), prof, termFunc(sn.dict))
-	}
-	s.metrics.served(t.Name, latency, int64(out.Len()), cached, prof != nil)
-	res := &Result{
+	return &Result{
 		System:      t.Name,
 		Cols:        p.Compiled.Cols,
 		Rows:        out,
@@ -749,49 +736,104 @@ func (s *Service) exec(ctx context.Context, sn *snapshot, p *Prepared, ti int, c
 		Cached:      cached,
 		Queued:      queued,
 		Latency:     latency,
-		Profile:     prof,
-		TraceID:     traceID,
-		Fingerprint: fp,
+		Profile:     ev.profile,
+		TraceID:     ev.traceID,
+		Fingerprint: ev.fingerprint,
 		Version:     sn.version,
 		dict:        sn.dict,
+	}, nil
+}
+
+// observe is the single post-execution tail: it hands one event to the
+// five sinks in a fixed order and ends the execute span. Errored
+// executions always enter the ring — a query that died is at least as
+// interesting as one that was merely slow — served ones only at or above
+// SlowQueryThreshold.
+func (s *Service) observe(ctx context.Context, ev *queryEvent, reqTrace *trace.Trace, span *trace.Span) {
+	failed := ev.err != nil
+	slow := !failed && s.cfg.SlowQueryThreshold > 0 && ev.latency >= s.cfg.SlowQueryThreshold
+	ring := s.slow != nil && (failed || slow)
+
+	if failed {
+		span.SetError(ev.err)
+		s.metrics.failed(ev.class)
+	} else {
+		span.SetAttr(trace.Int("rows", int64(ev.rows)))
+		s.metrics.served(ev.system, ev.latency, int64(ev.rows), ev.cached, ev.profile != nil)
 	}
-	if s.slow != nil && s.cfg.SlowQueryThreshold > 0 && latency >= s.cfg.SlowQueryThreshold {
+	// The registry's reading of this shape (execution count, p99) is context
+	// for a reader of the span or the ring entry; the p99 costs a sketch
+	// query, so it is computed only when one of the two will carry it.
+	var fpCount int64
+	var fpP99 time.Duration
+	if s.wl != nil {
+		fpCount, fpP99 = s.wl.observe(ev, span != nil || ring)
+		if span != nil { // attribute values are rendered eagerly
+			span.SetAttr(trace.String("fingerprint", ev.fingerprint),
+				trace.Int("fingerprint.count", fpCount),
+				trace.Int("fingerprint.p99Ns", int64(fpP99)))
+		}
+	}
+	span.End()
+	// Bridge the per-operator profile into the trace: the executor already
+	// measured every operator, so a profiled, traced request yields a full
+	// operator-level trace for free.
+	if reqTrace != nil && ev.profile != nil {
+		bridgeProfile(reqTrace, span.ID(), ev.profile, ev.term())
+	}
+
+	level, msg := slog.LevelDebug, "query served"
+	errText := ""
+	switch {
+	case failed:
+		level, msg, errText = slog.LevelWarn, "query failed", ev.err.Error()
+	case slow:
+		level, msg = slog.LevelInfo, "slow query"
 		s.metrics.slow()
+	}
+	if ring {
 		s.slow.add(SlowEntry{
-			When:             time.Now(),
-			Query:            p.Text,
-			System:           t.Name,
-			Rows:             out.Len(),
-			Cached:           cached,
-			Queued:           queued,
-			Latency:          latency,
-			Plan:             core.FormatPlan(p.Compiled.Root, termFunc(sn.dict)),
-			Profile:          profileJSON(prof, termFunc(sn.dict)),
-			TraceID:          traceID,
-			Fingerprint:      fp,
+			When:             ev.when,
+			Query:            ev.text,
+			System:           ev.system,
+			Version:          ev.version,
+			Rows:             ev.rows,
+			Cached:           ev.cached,
+			Queued:           ev.queued,
+			Latency:          ev.latency,
+			Plan:             ev.planText(),
+			Profile:          profileJSON(ev.profile, ev.term()),
+			TraceID:          ev.traceID,
+			Fingerprint:      ev.fingerprint,
 			FingerprintCount: fpCount,
 			FingerprintP99:   fpP99,
+			Error:            errText,
+			Class:            ev.class,
 		})
-		s.log.LogAttrs(ctx, slog.LevelInfo, "slow query",
-			slog.String("traceId", traceID),
-			slog.String("fingerprint", fp),
+	}
+	if !s.log.Enabled(ctx, level) {
+		return
+	}
+	attrs := []slog.Attr{
+		slog.String("traceId", ev.traceID),
+		slog.String("fingerprint", ev.fingerprint),
+		slog.String("system", ev.system),
+		slog.Uint64("version", ev.version),
+		slog.Int("rows", ev.rows),
+		slog.Bool("cached", ev.cached),
+		slog.Duration("queued", ev.queued),
+		slog.Duration("latency", ev.latency),
+	}
+	switch {
+	case failed:
+		attrs = append(attrs, slog.String("class", ev.class), slog.String("error", errText))
+	case slow:
+		attrs = append(attrs,
 			slog.Int64("fingerprintCount", fpCount),
 			slog.Duration("fingerprintP99", fpP99),
-			slog.String("system", t.Name),
-			slog.Int("rows", out.Len()),
-			slog.Bool("cached", cached),
-			slog.Duration("queued", queued),
-			slog.Duration("latency", latency),
-			slog.String("query", p.Text))
-	} else {
-		s.log.LogAttrs(ctx, slog.LevelDebug, "query served",
-			slog.String("traceId", traceID),
-			slog.String("system", t.Name),
-			slog.Int("rows", out.Len()),
-			slog.Bool("cached", cached),
-			slog.Duration("latency", latency))
+			slog.String("query", ev.text))
 	}
-	return res, nil
+	s.log.LogAttrs(ctx, level, msg, attrs...)
 }
 
 // termFunc adapts a dictionary to the plan formatters' term resolver.

@@ -21,6 +21,8 @@ type SlowEntry struct {
 	Query string `json:"query"`
 	// System names the target the query ran on.
 	System string `json:"system"`
+	// Version is the dataset version of the snapshot the query ran on.
+	Version uint64 `json:"version"`
 	// Rows is the full result size (not the decoded/truncated count).
 	Rows int `json:"rows"`
 	// Cached reports whether the plan came from the cache.

@@ -213,12 +213,41 @@ func TestTraceErroredCapture(t *testing.T) {
 	if e.Rows != 0 {
 		t.Fatalf("errored entry reports %d rows", e.Rows)
 	}
+	if e.Version != svc.Version() {
+		t.Fatalf("errored entry version %d, want %d", e.Version, svc.Version())
+	}
 	if !strings.Contains(logBuf.String(), id) {
 		t.Fatalf("structured log lacks the trace ID %s:\n%s", id, logBuf.String())
 	}
 	if !strings.Contains(logBuf.String(), "query failed") {
 		t.Fatal("structured log lacks the failure line")
 	}
+	// The failure line carries the same facts as its siblings.
+	line := logRecord(t, &logBuf, "query failed")
+	if got, _ := line["version"].(float64); uint64(got) != svc.Version() {
+		t.Fatalf("failure line version = %v, want %d", line["version"], svc.Version())
+	}
+	for _, key := range []string{"cached", "queued"} {
+		if _, ok := line[key]; !ok {
+			t.Fatalf("failure line lacks %q: %v", key, line)
+		}
+	}
+}
+
+// logRecord returns the first JSON log line in buf whose message is msg.
+func logRecord(t *testing.T, buf *bytes.Buffer, msg string) map[string]any {
+	t.Helper()
+	for _, raw := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var line map[string]any
+		if err := json.Unmarshal([]byte(raw), &line); err != nil {
+			t.Fatalf("log line is not JSON: %q", raw)
+		}
+		if line["msg"] == msg {
+			return line
+		}
+	}
+	t.Fatalf("structured log lacks a %q line:\n%s", msg, buf.String())
+	return nil
 }
 
 // failingSource wraps a real scheme but fails every property scan — a
@@ -334,10 +363,16 @@ func TestTraceHTTPJoin(t *testing.T) {
 	if len(entries) != 1 || entries[0].TraceID != qr.TraceID {
 		t.Fatalf("slow log does not join: %+v", entries)
 	}
+	if entries[0].Version != qr.Version {
+		t.Fatalf("slow entry version %d, response version %d", entries[0].Version, qr.Version)
+	}
 
 	// And so does the structured log line.
 	if !strings.Contains(logBuf.String(), qr.TraceID) {
 		t.Fatalf("structured log lacks trace ID %s:\n%s", qr.TraceID, logBuf.String())
+	}
+	if got, _ := logRecord(t, &logBuf, "slow query")["version"].(float64); uint64(got) != qr.Version {
+		t.Fatalf("slow-query line version = %v, want %d", got, qr.Version)
 	}
 
 	// Unknown IDs are 404; a service without a tracer serves 404 for the

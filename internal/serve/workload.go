@@ -38,7 +38,7 @@ import (
 //
 // Recording is observation-only: it reads the already-computed result
 // metadata and profile, never touching rows or simulated charges. The
-// workload-obs benchmark (internal/bench) enforces byte-identical rows,
+// observe experiment (internal/bench) enforces byte-identical rows,
 // identical simulated charges and a bounded host-overhead ratio with the
 // registry on.
 
@@ -57,22 +57,6 @@ func Fingerprint(canon string) string {
 	h := fnv.New64a()
 	h.Write([]byte(canon))
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// wlObs is one execution's contribution to the registry.
-type wlObs struct {
-	fp       string
-	text     string        // canonical query text
-	plan     func() string // rendered only when a new entry is created
-	system   string
-	cached   bool
-	queued   time.Duration
-	latency  time.Duration
-	rows     int64
-	errClass string // "" on success
-	profile  *core.OpProfile
-	term     func(rdf.ID) string
-	version  uint64 // dataset version the execution ran on
 }
 
 // wlEntry is one fingerprint's aggregate.
@@ -145,67 +129,71 @@ func newWorkloadReg(capacity int) *workloadReg {
 	}
 }
 
-func (w *workloadReg) observe(obs wlObs) {
-	now := time.Now()
-	latNs := obs.latency.Nanoseconds()
+// observe folds one execution into its fingerprint's aggregate and returns
+// the shape's execution count including this one. The p99 latency — the
+// compact reading the slow log and trace attributes embed — costs a sketch
+// query, so it is computed only when wantP99 says someone will read it.
+func (w *workloadReg) observe(ev *queryEvent, wantP99 bool) (count int64, p99 time.Duration) {
+	latNs := ev.latency.Nanoseconds()
 	if latNs < 0 {
 		latNs = 0
 	}
+	rows := int64(ev.rows)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.observed++
-	w.byCount.Observe(obs.fp, 1)
+	w.byCount.Observe(ev.fingerprint, 1)
 	if latNs > 0 {
-		w.byTime.Observe(obs.fp, latNs)
+		w.byTime.Observe(ev.fingerprint, latNs)
 	}
-	e := w.entries[obs.fp]
+	e := w.entries[ev.fingerprint]
 	if e == nil {
 		if len(w.entries) >= w.capacity {
 			w.evictColdest()
 		}
 		e = &wlEntry{
-			text:      obs.text,
-			firstSeen: now,
+			text:      ev.text,
+			plan:      ev.planText(),
+			firstSeen: ev.when,
 			lat:       sketch.NewQuantile(sketch.DefaultEpsilon),
 			queued:    sketch.NewQuantile(sketch.DefaultEpsilon),
 			systems:   make(map[string]*wlSystem),
 		}
-		if obs.plan != nil {
-			e.plan = obs.plan()
-		}
-		w.entries[obs.fp] = e
+		w.entries[ev.fingerprint] = e
 	}
 	e.count++
-	e.lastSeen = now
-	if obs.version > 0 {
-		e.lastVersion = obs.version
-	}
-	if obs.cached {
+	e.lastSeen = ev.when
+	e.lastVersion = ev.version
+	if ev.cached {
 		e.cacheHits++
 	}
-	if obs.errClass != "" {
+	if ev.class != "" {
 		e.errors++
 		if e.errorsBy == nil {
 			e.errorsBy = make(map[string]int64)
 		}
-		e.errorsBy[obs.errClass]++
+		e.errorsBy[ev.class]++
 	}
-	e.rows += obs.rows
+	e.rows += rows
 	e.latSumNs += latNs
 	e.lat.Add(float64(latNs))
-	e.queued.Add(float64(obs.queued.Nanoseconds()))
-	sys := e.systems[obs.system]
+	e.queued.Add(float64(ev.queued.Nanoseconds()))
+	sys := e.systems[ev.system]
 	if sys == nil {
 		sys = &wlSystem{}
-		e.systems[obs.system] = sys
+		e.systems[ev.system] = sys
 	}
 	sys.count++
-	sys.rows += obs.rows
+	sys.rows += rows
 	sys.latSumNs += latNs
-	if obs.profile != nil {
+	if ev.profile != nil {
 		e.profiled++
-		e.foldProfile(obs.profile, obs.term)
+		e.foldProfile(ev.profile, ev.term())
 	}
+	if wantP99 {
+		p99 = time.Duration(e.lat.Query(0.99))
+	}
+	return e.count, p99
 }
 
 // evictColdest drops the least-executed entry (ties broken towards the
@@ -259,8 +247,7 @@ func (e *wlEntry) foldProfile(prof *core.OpProfile, term func(rdf.ID) string) {
 }
 
 // qErr is the standard q-error: max(est/actual, actual/est) with both
-// sides clamped to at least 1 — the same convention the profile benchmark
-// uses, so drift figures are comparable across the two surfaces.
+// sides clamped to at least 1.
 func qErr(est float64, rows int) float64 {
 	a := float64(rows)
 	if a < 1 {
@@ -281,18 +268,6 @@ func logQ(q float64) float64 {
 		return 0
 	}
 	return math.Log(q)
-}
-
-// summary returns a fingerprint's execution count and p99 latency — the
-// compact reading the slow log and trace attributes embed.
-func (w *workloadReg) summary(fp string) (count int64, p99 time.Duration, ok bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	e := w.entries[fp]
-	if e == nil {
-		return 0, 0, false
-	}
-	return e.count, time.Duration(e.lat.Query(0.99)), true
 }
 
 // WorkloadQuery selects and orders the registry snapshot.

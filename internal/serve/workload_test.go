@@ -154,7 +154,7 @@ func TestWorkloadRegistryAggregates(t *testing.T) {
 }
 
 // TestWorkloadObservationOnly is the registry's contract in miniature
-// (the workload-obs benchmark enforces the full version with simulated
+// (the observe experiment enforces the full version with simulated
 // charges): rows are byte-identical with the registry on and off.
 func TestWorkloadObservationOnly(t *testing.T) {
 	_, sys, _ := fixture(t)

@@ -26,8 +26,8 @@
 //     (otlp.go).
 //
 // Tracing is observation-only by construction: nothing in this package
-// touches result rows or the simulated clocks, and the serving layer's
-// benchmark (swanbench trace) guards the host overhead ratio.
+// touches result rows or the simulated clocks, and the observe experiment
+// (swanbench observe) guards the host overhead ratio.
 package trace
 
 import (
@@ -39,6 +39,7 @@ import (
 	"math"
 	mrand "math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,9 +100,15 @@ const FlagSampled byte = 0x01
 // "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"). Only
 // version 00 fields are interpreted; higher versions are accepted if
 // their first four fields parse (per the spec's forward-compatibility
-// rule), "ff" is rejected. ok is false for anything malformed.
+// rule), "ff" is rejected. The hex fields must be lowercase, as the W3C
+// grammar (HEXDIGLC) demands — so an accepted version-00 header is exactly
+// what FormatTraceparent renders from its parts. ok is false for anything
+// malformed.
 func ParseTraceparent(h string) (tid TraceID, parent SpanID, flags byte, ok bool) {
 	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
+		return TraceID{}, SpanID{}, 0, false
+	}
+	if strings.ContainsAny(h[:55], "ABCDEF") {
 		return TraceID{}, SpanID{}, 0, false
 	}
 	ver, err := hex.DecodeString(h[0:2])

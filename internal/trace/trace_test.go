@@ -82,6 +82,9 @@ func TestTraceparentMalformed(t *testing.T) {
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
 		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
 		"00-4bf92f3577b34da6a3ce929d0e0e473G-00f067aa0ba902b7-01",
+		// Found by FuzzTraceparent: uppercase hex is outside the W3C grammar
+		// and did not round-trip through FormatTraceparent.
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
 	} {
 		if _, _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted malformed input", h)
