@@ -234,7 +234,7 @@ func grids(t *testing.T) ([]GridResult, []GridResult) {
 	return gridCold, gridHot
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/grid.golden from the measured grid")
+var update = flag.Bool("update", false, "rewrite testdata/grid.golden and testdata/stream.golden from the measured cells")
 
 const gridGolden = "testdata/grid.golden"
 

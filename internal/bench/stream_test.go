@@ -2,6 +2,9 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -25,6 +28,7 @@ func TestRunStream(t *testing.T) {
 	if !report.Identical {
 		t.Fatal("streaming results not byte-identical to materializing")
 	}
+	checkStreamGolden(t, report)
 	if report.PaperQueries != 12 {
 		t.Fatalf("paper queries = %d, want 12", report.PaperQueries)
 	}
@@ -90,5 +94,52 @@ func TestRunStream(t *testing.T) {
 	}
 	if back.MaxLimitPeakRatio != report.MaxLimitPeakRatio || len(back.Queries) != len(report.Queries) {
 		t.Fatal("JSON round trip lost fields")
+	}
+}
+
+const streamGolden = "testdata/stream.golden"
+
+// streamCells renders every (query, system) row RunStream measured as one
+// line: both executors' simulated real and user nanoseconds, physical I/O
+// bytes and tracked peak bytes, then the heap-TopN flag.
+func streamCells(r *StreamReport) []string {
+	ns := func(s float64) int64 { return int64(math.Round(s * 1e9)) }
+	cell := func(c StreamRun) string {
+		return fmt.Sprintf("%d\t%d\t%d\t%d", ns(c.RealS), ns(c.UserS), c.IOBytes, c.PeakBytes)
+	}
+	lines := make([]string, 0, len(r.Queries))
+	for _, q := range r.Queries {
+		lines = append(lines, fmt.Sprintf("%s\t%s\t%s\t%d\tmat\t%s\tstream\t%s\theap=%v",
+			q.Kind, q.Query, q.System, q.Rows, cell(q.Materializing), cell(q.Streaming), q.HeapTopN))
+	}
+	return lines
+}
+
+// checkStreamGolden pins the stream experiment per cell, as checkGridGolden
+// pins the materializing grid: the simulated clock, the I/O volume and the
+// tracked (logical) peak are deterministic, so an executor change that moves
+// any of them has to show it in the diff of testdata/stream.golden (go test
+// ./internal/bench -run TestRunStream -update regenerates it).
+func checkStreamGolden(t *testing.T, r *StreamReport) {
+	t.Helper()
+	got := streamCells(r)
+	if *update {
+		if err := os.WriteFile(streamGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(streamGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("stream experiment has %d cells, %s pins %d", len(got), streamGolden, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("stream cell moved (kind, query, system, rows, mat real/user ns, I/O B, peak B, stream same, heap):\n  got  %s\n  want %s", got[i], want[i])
+		}
 	}
 }
