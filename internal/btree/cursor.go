@@ -3,7 +3,7 @@ package btree
 import "fmt"
 
 // Cursor is the pull-based form of ScanPrefix: it yields the same entries
-// in the same order with the same simulated charges, but in caller-sized
+// in the same order with the same simulated charges, but in caller-bounded
 // steps, so a consumer that stops early never pays for the leaves it does
 // not visit. The descent is charged on the first Next call; leaf read-ahead
 // I/O is charged exactly when the scan enters a leaf at a read-ahead
@@ -55,43 +55,39 @@ func (c *Cursor) open() {
 	c.leaf = c.start
 }
 
-// Next appends up to max matching entries to dst and returns the extended
-// slice. Exhaustion is signalled by returning dst unchanged.
-func (c *Cursor) Next(dst []Key, max int) []Key {
+// Next returns the next run of up to max matching entries — a view of one
+// leaf, never a copy, so a run also ends where its leaf does — or nil once
+// the scan is exhausted. The next leaf is entered, and its read-ahead
+// charged, only by the call after the one that finished this leaf.
+func (c *Cursor) Next(max int) []Key {
 	if !c.started {
 		c.open()
 	}
-	if c.done || max <= 0 {
-		return dst
-	}
-	t := c.t
-	n := 0
-	for c.leaf < c.limit {
+	for !c.done && c.leaf < c.limit {
 		if c.idx == 0 && (c.leaf-c.start)%readAheadLeaves == 0 {
-			t.readLeaf(c.leaf, c.limit)
+			c.t.readLeaf(c.leaf, c.limit)
 		}
-		keys := t.leaves[c.leaf]
-		for c.idx < len(keys) {
-			k := keys[c.idx]
-			if c.plen > 0 {
-				switch cmp := Compare(k, c.prefix, c.plen); {
-				case cmp < 0:
-					c.idx++
-					continue
-				case cmp > 0:
-					c.done = true
-					return dst
-				}
-			}
-			dst = append(dst, k)
-			c.idx++
-			if n++; n == max {
-				return dst
-			}
+		keys := c.t.leaves[c.leaf]
+		lo := c.idx
+		for c.plen > 0 && lo < len(keys) && Compare(keys[lo], c.prefix, c.plen) < 0 {
+			lo++
 		}
-		c.leaf++
-		c.idx = 0
+		hi := lo
+		for hi < len(keys) && hi-lo < max && (c.plen == 0 || Compare(keys[hi], c.prefix, c.plen) == 0) {
+			hi++
+		}
+		switch {
+		case hi-lo == max:
+			c.idx = hi
+		case hi < len(keys):
+			c.done = true // a key past the prefix ends the scan
+		default:
+			c.leaf, c.idx = c.leaf+1, 0
+		}
+		if hi > lo {
+			return keys[lo:hi]
+		}
 	}
 	c.done = true
-	return dst
+	return nil
 }

@@ -150,15 +150,12 @@ func (e *Engine) HashJoin(l, r []uint64) (lpos, rpos []int32) {
 		rp, lp := e.HashJoin(r, l)
 		return lp, rp
 	}
-	ht := make(map[uint64][]int32, len(l))
-	for i, v := range l {
-		ht[v] = append(ht[v], int32(i))
-	}
+	ht := rel.NewJoinIndex(&rel.Rel{W: 1, Data: l}, 0)
 	e.Store.ChargeCPU(int64(len(l)) * e.Costs.HashBuild)
 	e.Store.ChargeCPU(int64(len(r)) * e.Costs.HashProbe)
 	for j, v := range r {
-		for _, i := range ht[v] {
-			lpos = append(lpos, i)
+		for i := ht.First(v); i >= 0; i = ht.Next(i) {
+			lpos = append(lpos, int32(i))
 			rpos = append(rpos, int32(j))
 		}
 	}

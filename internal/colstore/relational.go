@@ -56,19 +56,16 @@ func (r Relational) HashJoin(l, rr *rel.Rel, lc, rc int) *rel.Rel {
 type preparedJoin struct {
 	r  Relational
 	l  *rel.Rel
-	ht map[uint64][]int32
+	ht *rel.JoinIndex
 }
 
 // PrepareHashJoin builds the hash side of a repeated join once.
 func (r Relational) PrepareHashJoin(l *rel.Rel, lc int) rel.PreparedJoin {
 	r.E.node()
-	lk := r.key(l, lc)
-	ht := make(map[uint64][]int32, len(lk))
-	for i, v := range lk {
-		ht[v] = append(ht[v], int32(i))
-	}
-	r.E.Store.ChargeCPU(int64(len(lk)) * r.E.Costs.HashBuild)
-	return &preparedJoin{r: r, l: l, ht: ht}
+	// Charged as the key extraction it replaces, then the build.
+	r.E.Store.ChargeCPU(int64(l.Len()) * r.E.Costs.FetchValue)
+	r.E.Store.ChargeCPU(int64(l.Len()) * r.E.Costs.HashBuild)
+	return &preparedJoin{r: r, l: l, ht: rel.NewJoinIndex(l, lc)}
 }
 
 // Probe implements rel.PreparedJoin, charging one operator dispatch per
@@ -79,8 +76,8 @@ func (p *preparedJoin) Probe(rr *rel.Rel, rc int) *rel.Rel {
 	p.r.E.Store.ChargeCPU(int64(len(rk)) * p.r.E.Costs.HashProbe)
 	var lp, rp []int32
 	for j, v := range rk {
-		for _, i := range p.ht[v] {
-			lp = append(lp, i)
+		for i := p.ht.First(v); i >= 0; i = p.ht.Next(i) {
+			lp = append(lp, int32(i))
 			rp = append(rp, int32(j))
 		}
 	}
@@ -98,25 +95,21 @@ func (r Relational) MergeJoin(l, rr *rel.Rel, lc, rc int) *rel.Rel {
 // rp = -1 marking a null-extended row. Left input order is preserved.
 func (r Relational) LeftJoin(l, rr *rel.Rel, lc, rc int, nullVal uint64) *rel.Rel {
 	r.E.node()
-	rk := r.key(rr, rc)
-	ht := make(map[uint64][]int32, len(rk))
-	for i, v := range rk {
-		ht[v] = append(ht[v], int32(i))
-	}
-	r.E.Store.ChargeCPU(int64(len(rk)) * r.E.Costs.HashBuild)
+	ht := rel.NewJoinIndex(rr, rc)
+	r.E.Store.ChargeCPU(int64(rr.Len()) * r.E.Costs.FetchValue)
+	r.E.Store.ChargeCPU(int64(rr.Len()) * r.E.Costs.HashBuild)
 	lk := r.key(l, lc)
 	r.E.Store.ChargeCPU(int64(len(lk)) * r.E.Costs.HashProbe)
 	var lp, rp []int32
 	for i, v := range lk {
-		matches := ht[v]
-		if len(matches) == 0 {
+		j := ht.First(v)
+		if j < 0 {
 			lp = append(lp, int32(i))
 			rp = append(rp, -1)
-			continue
 		}
-		for _, j := range matches {
+		for ; j >= 0; j = ht.Next(j) {
 			lp = append(lp, int32(i))
-			rp = append(rp, j)
+			rp = append(rp, int32(j))
 		}
 	}
 	// Outer materialization: a negative right position emits nulls.

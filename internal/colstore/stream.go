@@ -1,6 +1,10 @@
 package colstore
 
-import "blackswan/internal/rel"
+import (
+	"slices"
+
+	"blackswan/internal/rel"
+)
 
 // This file is the column store's side of the streaming executor contract
 // (core.StreamOps / core.StreamSource). The shared streaming operators in
@@ -185,6 +189,7 @@ type ColScan struct {
 	condRd []*ColReader
 	out    []StreamCol
 	outRd  []*ColReader
+	pos    []int32
 }
 
 // NewColScan opens a streaming scan. All node-startup and binary-search
@@ -208,34 +213,29 @@ func (e *Engine) NewColScan(lo, hi int, conds []EqCond, out []StreamCol, batchRo
 	return s
 }
 
-// Next returns the next batch of assembled rows, or nil when the range is
-// exhausted. Positions are emitted in ascending order, so sorted columns
-// keep their ordering property through the scan.
-func (s *ColScan) Next() *rel.Rel {
+// Next refills out, the caller's buffer, with the next batch of assembled
+// rows, sized to the rows it holds, and reports whether there was one.
+// Positions are emitted in ascending order, so sorted columns keep their
+// ordering property through the scan.
+func (s *ColScan) Next(out *rel.Rel) bool {
 	w := len(s.out)
-	out := rel.New(w)
-	row := make([]uint64, w)
-	for out.Len() == 0 {
-		if s.cur >= s.hi {
-			return nil
-		}
-		end := s.cur + s.batch
-		if end > s.hi {
-			end = s.hi
-		}
-		// Candidate positions start as the whole batch range and shrink
-		// through the conditions in order.
-		pos := make([]int32, 0, end-s.cur)
-		for p := s.cur; p < end; p++ {
-			pos = append(pos, int32(p))
-		}
+	for s.cur < s.hi {
+		lo, end := s.cur, min(s.cur+s.batch, s.hi)
 		s.cur = end
+		// Without conditions the candidates are the range itself; otherwise
+		// they start as the whole batch range and shrink through the
+		// conditions in order.
+		n, pos := end-lo, s.pos[:0]
 		for i, cond := range s.conds {
+			if i == 0 {
+				for p := lo; p < end; p++ {
+					pos = append(pos, int32(p))
+				}
+			}
 			if len(pos) == 0 {
 				break
 			}
-			rd := s.condRd[i]
-			rd.Ensure(int(pos[len(pos)-1]) + 1)
+			s.condRd[i].Ensure(int(pos[len(pos)-1]) + 1)
 			s.e.ChargeSelect(len(pos))
 			kept := pos[:0]
 			for _, p := range pos {
@@ -245,27 +245,35 @@ func (s *ColScan) Next() *rel.Rel {
 			}
 			pos = kept
 		}
-		if len(pos) == 0 {
-			continue
-		}
-		for i, c := range s.out {
-			if c.C == nil {
+		if len(s.conds) > 0 {
+			s.pos = pos
+			if n = len(pos); n == 0 {
 				continue
 			}
-			rd := s.outRd[i]
-			rd.Ensure(int(pos[len(pos)-1]) + 1)
-			s.e.ChargeFetch(len(pos))
+			end = int(pos[n-1]) + 1
 		}
-		for _, p := range pos {
-			for i, c := range s.out {
-				if c.C != nil {
-					row[i] = c.C.vals[p]
-				} else {
-					row[i] = c.Const
+		d := slices.Grow(out.Data[:0], n*w)[:n*w]
+		for i, c := range s.out {
+			if c.C == nil {
+				for r := 0; r < n; r++ {
+					d[r*w+i] = c.Const
 				}
+				continue
 			}
-			out.Data = append(out.Data, row...)
+			s.outRd[i].Ensure(end)
+			s.e.ChargeFetch(n)
+			if len(s.conds) == 0 {
+				for r, v := range c.C.vals[lo:end] {
+					d[r*w+i] = v
+				}
+				continue
+			}
+			for r, p := range pos {
+				d[r*w+i] = c.C.vals[p]
+			}
 		}
+		out.W, out.Data = w, d
+		return true
 	}
-	return out
+	return false
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -592,37 +593,80 @@ func slotCols(slots []slot) []string {
 	return cols
 }
 
-// assemble maps physical (s, p, o) value triples to the pattern's variable
-// columns, applying intra-pattern equality when a variable repeats.
-func assemble(slots []slot, n int, vals func(i int) [3]uint64) (*rel.Rel, []string) {
+// gather is a compiled per-row column mapping: output column i reads input
+// column src[i], or the constant handed to run where src[i] < 0, and a row
+// survives only if every eq pair of inputs agrees. The one form serves
+// access assembly (slot → variable column, the property as the constant,
+// a repeated variable as an eq pair), projection and union alignment, in
+// both executors.
+type gather struct {
+	src  []int
+	eq   [][2]int
+	pass bool // the identity over whole input rows: batches pass through
+}
+
+func newGather(src []int, eq [][2]int, inW int) *gather {
+	g := &gather{src: src, eq: eq, pass: len(eq) == 0 && len(src) == inW}
+	for i, s := range src {
+		g.pass = g.pass && s == i
+	}
+	return g
+}
+
+// compileAssembly resolves an access's kept slots against its scan rows:
+// (s, o) under a constant property when inW is 2, (s, p, o) when 3.
+func compileAssembly(slots []slot, inW int) *gather {
+	var src []int
+	var eq [][2]int
 	cols := slotCols(slots)
-	colIdx := make(map[string]int, len(cols))
-	for i, c := range cols {
-		colIdx[c] = i
+	for _, sl := range slots {
+		in := sl.pos
+		if inW == 2 {
+			in = [3]int{0, -1, 1}[sl.pos]
+		}
+		ci := 0
+		for cols[ci] != sl.name {
+			ci++
+		}
+		if ci < len(src) {
+			eq = append(eq, [2]int{src[ci], in})
+		} else {
+			src = append(src, in)
+		}
 	}
-	out := rel.NewCap(len(cols), n)
-	row := make([]uint64, len(cols))
-	set := make([]bool, len(cols))
+	return newGather(src, eq, inW)
+}
+
+// run maps b's rows into out, emptied first and grown to the rows b holds,
+// and returns it — or b itself, untouched, when the mapping is the identity.
+func (g *gather) run(out, b *rel.Rel, k uint64) *rel.Rel {
+	if g.pass {
+		return b
+	}
+	val := func(row []uint64, s int) uint64 {
+		if s < 0 {
+			return k
+		}
+		return row[s]
+	}
+	reuse(out)
+	n, w := b.Len(), len(g.src)
+	d, o := slices.Grow(out.Data, n*w)[:n*w], 0
+rows:
 	for i := 0; i < n; i++ {
-		v := vals(i)
-		for j := range set {
-			set[j] = false
-		}
-		ok := true
-		for _, sl := range slots {
-			ci := colIdx[sl.name]
-			if set[ci] && row[ci] != v[sl.pos] {
-				ok = false
-				break
+		row := b.Row(i)
+		for _, e := range g.eq {
+			if val(row, e[0]) != val(row, e[1]) {
+				continue rows
 			}
-			row[ci] = v[sl.pos]
-			set[ci] = true
 		}
-		if ok {
-			out.Data = append(out.Data, row...)
+		for j, s := range g.src {
+			d[o+j] = val(row, s)
 		}
+		o += w
 	}
-	return out, cols
+	out.Data = d[:o]
+	return out
 }
 
 // keptSlots prunes an access's variable slots to those the plan consumes.
@@ -681,11 +725,8 @@ func (ex *executor) evalAccess(a *Access) (batch, error) {
 		if err != nil {
 			return batch{}, err
 		}
-		p := uint64(tp.P.Const)
-		out, cols := assemble(slots, rows.Len(), func(i int) [3]uint64 {
-			r := rows.Row(i)
-			return [3]uint64{r[0], p, r[1]}
-		})
+		cols := slotCols(slots)
+		out := compileAssembly(slots, 2).run(rel.New(len(cols)), rows, uint64(tp.P.Const))
 		sorted := ""
 		if ex.src.PropOrdered() {
 			// SO-clustered vertical tables return the first unbound
@@ -710,19 +751,15 @@ func (ex *executor) evalAccess(a *Access) (batch, error) {
 		if restricted {
 			props = ex.src.Cat().Interesting
 		}
+		cols := slotCols(slots)
+		asm := compileAssembly(slots, 2)
 		tag := func(p rdf.ID, part *rel.Rel) *rel.Rel {
-			pv := uint64(p)
-			tagged, _ := assemble(slots, part.Len(), func(i int) [3]uint64 {
-				r := part.Row(i)
-				return [3]uint64{r[0], pv, r[1]}
-			})
-			return tagged
+			return asm.run(rel.New(len(cols)), part, uint64(p))
 		}
 		tagged, err := ex.scanProps(props, tp.S.Const, tp.O.Const, needOf(slots), tag)
 		if err != nil {
 			return batch{}, err
 		}
-		cols := slotCols(slots)
 		ex.tr.UnionParts += len(tagged)
 		out := ex.unionAll(len(cols), tagged)
 		return batch{rel: out, cols: cols}, nil
@@ -740,10 +777,8 @@ func (ex *executor) evalAccess(a *Access) (batch, error) {
 	if restricted {
 		rows = ex.src.RestrictProps(rows, 1)
 	}
-	out, cols := assemble(slots, rows.Len(), func(i int) [3]uint64 {
-		r := rows.Row(i)
-		return [3]uint64{r[0], r[1], r[2]}
-	})
+	cols := slotCols(slots)
+	out := compileAssembly(slots, 3).run(rel.New(len(cols)), rows, 0)
 	return batch{rel: out, cols: cols}, nil
 }
 
@@ -884,12 +919,9 @@ func (ex *executor) evalPartitionedJoin(other batch, a *Access, f *FilterNe) (ba
 	// Atomics: the parallel fan-out runs step concurrently. Touched only
 	// when profiling, so the unprofiled path stays zero-cost.
 	var accRows, filtRows atomic.Int64
+	asm := compileAssembly(slots, 2)
 	step := func(p rdf.ID, part *rel.Rel) *rel.Rel {
-		pv := uint64(p)
-		tagged, _ := assemble(slots, part.Len(), func(i int) [3]uint64 {
-			r := part.Row(i)
-			return [3]uint64{r[0], pv, r[1]}
-		})
+		tagged := asm.run(rel.New(len(accCols)), part, uint64(p))
 		if ex.prof != nil {
 			accRows.Add(int64(tagged.Len()))
 		}

@@ -380,7 +380,7 @@ func (o *DeltaOverlay) StreamProp(p, s, obj rdf.ID, need ScanCols, batchRows int
 	if err != nil {
 		base = &chunkRelIter{rel: rel.New(2), batch: batchRows}
 	}
-	return &overlayPropIter{o: o, p: p, base: base, adds: adds, need: need, batch: batchRows}, nil
+	return &overlayPropIter{o: o, p: p, base: base, adds: adds, need: need, batch: batchRows, out: rel.Rel{W: 2}}, nil
 }
 
 // StreamTriples implements StreamSource: the base stream minus tombstones,
@@ -395,16 +395,16 @@ func (o *DeltaOverlay) StreamTriples(s, obj rdf.ID, need ScanCols, batchRows int
 	} else {
 		base = &chunkRelIter{rel: o.base.ScanTriples(s, obj, AllScanCols()), batch: batchRows}
 	}
-	var adds *rel.Rel
-	if len(o.d.adds) > 0 {
-		adds = rel.New(3)
-		for _, t := range o.d.adds {
-			if (s == rdf.NoID || t.S == s) && (obj == rdf.NoID || t.O == obj) {
-				adds.Data = append(adds.Data, uint64(t.S), uint64(t.P), uint64(t.O))
-			}
+	// The matching additions are this scan's own rows: masked once here,
+	// they replay as views after the base.
+	adds := rel.New(3)
+	for _, t := range o.d.adds {
+		if (s == rdf.NoID || t.S == s) && (obj == rdf.NoID || t.O == obj) {
+			adds.Data = append(adds.Data, uint64(t.S), uint64(t.P), uint64(t.O))
 		}
 	}
-	return &overlayTripleIter{o: o, base: base, adds: adds, need: need, batch: batchRows}
+	tail := &chunkRelIter{rel: o.maskTripleRows(adds, need), batch: batchRows}
+	return &overlayTripleIter{o: o, base: base, tail: tail, need: need, out: rel.Rel{W: 3}}
 }
 
 // overlayPropIter merges a tombstone-filtered base property stream with
@@ -420,6 +420,7 @@ type overlayPropIter struct {
 	ai    int
 	need  ScanCols
 	batch int
+	out   rel.Rel
 }
 
 // nextBase returns the next live (non-tombstoned) base row, pulling new
@@ -452,7 +453,8 @@ func (it *overlayPropIter) nextBase() (row [2]uint64, ok bool, err error) {
 }
 
 func (it *overlayPropIter) Next() (*rel.Rel, error) {
-	out := rel.NewCap(2, it.batch)
+	out := &it.out
+	reuse(out)
 	// peeked holds a base row pulled but not yet emitted across the
 	// batch-fill loop.
 	var peeked *[2]uint64
@@ -479,13 +481,8 @@ func (it *overlayPropIter) Next() (*rel.Rel, error) {
 		it.ai++
 	}
 	if peeked != nil {
-		// Push the unconsumed base row back for the next batch.
-		rest := rel.NewCap(2, 1+it.buf.Len()-it.bi)
-		rest.Data = append(rest.Data, peeked[0], peeked[1])
-		if it.buf != nil {
-			rest.Data = append(rest.Data, it.buf.Data[it.bi*2:]...)
-		}
-		it.buf, it.bi = rest, 0
+		// The unconsumed row is the last one read from buf: step back onto it.
+		it.bi--
 	}
 	if out.Len() == 0 {
 		return nil, nil
@@ -498,13 +495,12 @@ func (it *overlayPropIter) Close() { it.base.Close() }
 // overlayTripleIter filters tombstones out of the base triple stream and
 // appends the additions once the base is exhausted.
 type overlayTripleIter struct {
-	o     *DeltaOverlay
-	base  RelIter
-	done  bool
-	adds  *rel.Rel // nil when no additions match
-	tail  *chunkRelIter
-	need  ScanCols
-	batch int
+	o    *DeltaOverlay
+	base RelIter
+	done bool
+	tail *chunkRelIter // the matching additions, already masked
+	need ScanCols
+	out  rel.Rel
 }
 
 func (it *overlayTripleIter) Next() (*rel.Rel, error) {
@@ -517,7 +513,8 @@ func (it *overlayTripleIter) Next() (*rel.Rel, error) {
 			it.done = true
 			break
 		}
-		out := rel.NewCap(3, b.Len())
+		out := &it.out
+		reuse(out)
 		for i, n := 0, b.Len(); i < n; i++ {
 			row := b.Row(i)
 			if it.o.d.deleted(rdf.Triple{S: rdf.ID(row[0]), P: rdf.ID(row[1]), O: rdf.ID(row[2])}) {
@@ -529,19 +526,7 @@ func (it *overlayTripleIter) Next() (*rel.Rel, error) {
 			return it.o.maskTripleRows(out, it.need), nil
 		}
 	}
-	if it.adds != nil && it.tail == nil {
-		it.tail = &chunkRelIter{rel: it.adds, batch: it.batch}
-	}
-	if it.tail != nil {
-		b, err := it.tail.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		// Copy before masking: the chunk aliases the shared adds slice.
-		out := &rel.Rel{W: 3, Data: append([]uint64(nil), b.Data...)}
-		return it.o.maskTripleRows(out, it.need), nil
-	}
-	return nil, nil
+	return it.tail.Next()
 }
 
 func (it *overlayTripleIter) Close() { it.base.Close() }

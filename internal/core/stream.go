@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,6 +20,13 @@ import (
 // sorts buffer), and TopN/LIMIT propagate early termination upstream by
 // closing their inputs — which reaches all the way into the physical scans,
 // so a LIMIT-10 plan stops paying simulated I/O after ten rows.
+//
+// Batch ownership: a batch belongs to the iterator that returned it and is
+// valid until the next next()/close() on that iterator, which refills the
+// same buffer. Consumers read it, pass it on, or copy what they keep (hash
+// builds, TopN, distinct, the result); none writes to it. Buffers grow to
+// the rows actually produced, so the executor allocates per query, not per
+// batch, and a one-row lookup never pays for a BatchRows-sized buffer.
 //
 // The contract with the materializing executor is result byte-identity:
 // every streaming operator replicates the materializing operator's output
@@ -77,7 +86,8 @@ type StreamOps interface {
 // RelIter is the pull contract of a streaming physical scan: Next returns
 // the next non-empty batch or nil when exhausted; Close releases the scan
 // early (abandoning it is the early-termination protocol — an engine scan
-// holds no resources, it simply stops charging).
+// holds no resources, it simply stops charging). The batch is the scan's own
+// buffer, valid until the next Next or Close: callers copy what they keep.
 type RelIter interface {
 	Next() (*rel.Rel, error)
 	Close()
@@ -159,7 +169,8 @@ func sortCompares(n int) int64 {
 
 // iter is one streaming operator: next returns the next non-empty batch or
 // nil at exhaustion; close terminates early and must propagate upstream.
-// Batches are immutable once emitted — consumers copy, never mutate.
+// A batch is valid until the next next() or close() on the iterator that
+// returned it — consumers copy what they retain, and never mutate.
 type iter interface {
 	next() (*rel.Rel, error)
 	close()
@@ -193,6 +204,55 @@ type streamer struct {
 	partScans  atomic.Int64
 	unionParts atomic.Int64
 	parallel   atomic.Bool
+	// free holds the output buffers of closed operators for the operators
+	// opened next — a partitioned access opens one scan → assemble → filter →
+	// probe chain per property, up to 222 a query. Locked: with Workers > 1
+	// the chains open and close on the prefetch workers.
+	freeMu sync.Mutex
+	free   []*rel.Rel
+}
+
+// poisonWord is what a recycled buffer is overwritten with while
+// poisonRecycled is set (race builds and this package's tests), so a
+// consumer that retains a batch past its iterator's next next()/close()
+// fails the byte-identity corpora instead of passing on stale-but-right rows.
+const poisonWord = 0xDEADBEEFDEADBEEF
+
+var poisonRecycled = raceBuild
+
+// reuse empties a buffer its owner is about to refill.
+func reuse(r *rel.Rel) {
+	if poisonRecycled {
+		for i := range r.Data {
+			r.Data[i] = poisonWord
+		}
+	}
+	r.Data = r.Data[:0]
+}
+
+// take returns an empty width-w output buffer, off the free list if it can.
+func (st *streamer) take(w int) *rel.Rel {
+	st.freeMu.Lock()
+	defer st.freeMu.Unlock()
+	n := len(st.free)
+	if n == 0 {
+		return rel.New(w)
+	}
+	r := st.free[n-1]
+	st.free = st.free[:n-1]
+	r.W = w
+	return r
+}
+
+// give hands a closing operator's buffer (nil is fine) to the free list.
+func (st *streamer) give(r *rel.Rel) {
+	if r == nil {
+		return
+	}
+	reuse(r)
+	st.freeMu.Lock()
+	st.free = append(st.free, r)
+	st.freeMu.Unlock()
 }
 
 // runStream executes root through the streaming operator set. The result is
@@ -389,6 +449,7 @@ type chunkIter struct {
 	batch int
 	cur   int
 	src   bool
+	view  rel.Rel
 }
 
 func (c *chunkIter) next() (*rel.Rel, error) {
@@ -403,12 +464,12 @@ func (c *chunkIter) next() (*rel.Rel, error) {
 	if hi > n {
 		hi = n
 	}
-	out := &rel.Rel{W: c.rel.W, Data: c.rel.Data[c.cur*c.rel.W : hi*c.rel.W]}
+	c.view = rel.Rel{W: c.rel.W, Data: c.rel.Data[c.cur*c.rel.W : hi*c.rel.W]}
 	c.cur = hi
 	if c.src {
 		c.st.srcBatches.Add(1)
 	}
-	return out, nil
+	return &c.view, nil
 }
 
 func (c *chunkIter) close() { c.cur = c.rel.Len() }
@@ -440,29 +501,59 @@ func (s *srcIter) next() (*rel.Rel, error) {
 	}
 }
 
-func (s *srcIter) close() { s.src.Close() }
-
-// mapIter applies a pure per-batch transform (assembly, tagging,
-// projection), skipping batches the transform empties.
-type mapIter struct {
-	in iter
-	f  func(*rel.Rel) *rel.Rel
+// source wraps a physical scan, lending an engine cursor its batch buffer
+// from the free list until close.
+func (st *streamer) source(src RelIter) iter {
+	if c, ok := src.(*cursorIter); ok {
+		c.out = st.take(1) // the cursor sets the width
+	}
+	return &srcIter{st: st, src: src}
 }
 
-func (m *mapIter) next() (*rel.Rel, error) {
+func (s *srcIter) close() {
+	if c, ok := s.src.(*cursorIter); ok {
+		s.st.give(c.out)
+		c.out = nil
+	}
+	s.src.Close()
+}
+
+// gatherIter applies a compiled column mapping (assembly, projection, union
+// alignment) per batch into its own buffer, skipping batches it empties.
+type gatherIter struct {
+	st  *streamer
+	in  iter
+	g   *gather
+	k   uint64
+	out *rel.Rel
+}
+
+// gathered wraps in with g under the constant k; an identity mapping adds
+// nothing to the pipeline.
+func (st *streamer) gathered(in iter, g *gather, k uint64) iter {
+	if g.pass {
+		return in
+	}
+	return &gatherIter{st: st, in: in, g: g, k: k, out: st.take(len(g.src))}
+}
+
+func (m *gatherIter) next() (*rel.Rel, error) {
 	for {
 		b, err := m.in.next()
 		if b == nil || err != nil {
 			return nil, err
 		}
-		out := m.f(b)
-		if out.Len() > 0 {
-			return out, nil
+		if m.g.run(m.out, b, m.k).Len() > 0 {
+			return m.out, nil
 		}
 	}
 }
 
-func (m *mapIter) close() { m.in.close() }
+func (m *gatherIter) close() {
+	m.st.give(m.out)
+	m.out = nil
+	m.in.close()
+}
 
 // emptyIter emits nothing.
 type emptyIter struct{}
@@ -497,7 +588,7 @@ func (st *streamer) propStream(p, s, o rdf.ID, need ScanCols) (iter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &srcIter{st: st, src: ri}, nil
+		return st.source(ri), nil
 	}
 	rows, err := st.ex.src.ScanProp(p, s, o, need)
 	if err != nil {
@@ -510,21 +601,11 @@ func (st *streamer) propStream(p, s, o rdf.ID, need ScanCols) (iter, error) {
 // triplesStream is propStream's unbound-property counterpart.
 func (st *streamer) triplesStream(s, o rdf.ID, need ScanCols) iter {
 	if ss, ok := st.ex.src.(StreamSource); ok {
-		return &srcIter{st: st, src: ss.StreamTriples(s, o, need, st.batch)}
+		return st.source(ss.StreamTriples(s, o, need, st.batch))
 	}
 	rows := st.ex.src.ScanTriples(s, o, need)
 	st.ex.mem.alloc(relBytes(rows))
 	return &chunkIter{st: st, rel: rows, batch: st.batch, src: true}
-}
-
-// assembleIter maps physical (s, p, o) batches to the pattern's variable
-// columns — the per-batch form of evalAccess's assemble call (pure, no
-// charges in either executor).
-func assembleIter(in iter, slots []slot, vals func(row []uint64) [3]uint64) iter {
-	return &mapIter{in: in, f: func(b *rel.Rel) *rel.Rel {
-		out, _ := assemble(slots, b.Len(), func(i int) [3]uint64 { return vals(b.Row(i)) })
-		return out
-	}}
 }
 
 func (st *streamer) buildAccess(a *Access) (stream, error) {
@@ -537,11 +618,8 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 		if err != nil {
 			return stream{}, err
 		}
-		p := uint64(tp.P.Const)
 		cols := slotCols(slots)
-		out := assembleIter(it, slots, func(r []uint64) [3]uint64 {
-			return [3]uint64{r[0], p, r[1]}
-		})
+		out := st.gathered(it, compileAssembly(slots, 2), uint64(tp.P.Const))
 		sorted := ""
 		if ex.src.PropOrdered() {
 			switch {
@@ -560,15 +638,13 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 			props = ex.src.Cat().Interesting
 		}
 		cols := slotCols(slots)
+		asm := compileAssembly(slots, 2)
 		open := func(i int) (iter, error) {
 			it, err := st.propStream(props[i], tp.S.Const, tp.O.Const, needOf(slots))
 			if err != nil {
 				return nil, err
 			}
-			pv := uint64(props[i])
-			return assembleIter(it, slots, func(r []uint64) [3]uint64 {
-				return [3]uint64{r[0], pv, r[1]}
-			}), nil
+			return st.gathered(it, asm, uint64(props[i])), nil
 		}
 		return stream{it: st.fanout(open, len(props), len(cols)), cols: cols}, nil
 	}
@@ -587,14 +663,9 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 		// or hash build) is a constant the streaming path does not re-charge.
 		set := ex.src.Cat().interestingSet()
 		st.sops.StreamNode()
-		it = &filterIter{st: st, in: it, w: 3, restrict: true, pred: func(row []uint64) bool {
-			return set[row[1]]
-		}}
+		it = st.filtered(it, 3, true, func(row []uint64) bool { return set[row[1]] })
 	}
-	out := assembleIter(it, slots, func(r []uint64) [3]uint64 {
-		return [3]uint64{r[0], r[1], r[2]}
-	})
-	return stream{it: out, cols: slotCols(slots)}, nil
+	return stream{it: st.gathered(it, compileAssembly(slots, 3), 0), cols: slotCols(slots)}, nil
 }
 
 // fanout streams the per-property parts of a partitioned access in property
@@ -678,6 +749,7 @@ type parFanout struct {
 	stop    atomic.Bool
 	wg      sync.WaitGroup
 	cur     int
+	last    *rel.Rel // the clone handed out by the previous next()
 	started bool
 	closed  bool
 }
@@ -739,9 +811,12 @@ func (f *parFanout) runPart(i int) {
 		if b == nil {
 			return
 		}
-		// Prefetched batches waiting in the channel are live memory.
-		f.st.ex.mem.alloc(relBytes(b))
-		ch <- fanMsg{b: b}
+		// The part refills b while the consumer lags: send a copy. Prefetched
+		// batches waiting in the channel are live memory.
+		cp := f.st.take(b.W)
+		cp.Data = append(cp.Data, b.Data...)
+		f.st.ex.mem.alloc(relBytes(cp))
+		ch <- fanMsg{b: cp}
 	}
 }
 
@@ -749,6 +824,8 @@ func (f *parFanout) next() (*rel.Rel, error) {
 	if !f.started {
 		f.start()
 	}
+	f.st.give(f.last)
+	f.last = nil
 	for f.cur < f.n {
 		msg, ok := <-f.chans[f.cur]
 		if !ok {
@@ -760,6 +837,7 @@ func (f *parFanout) next() (*rel.Rel, error) {
 		}
 		f.st.ex.mem.free(relBytes(msg.b))
 		f.st.sops.StreamUnionRows(msg.b.Len(), f.w)
+		f.last = msg.b
 		return msg.b, nil
 	}
 	return nil, nil
@@ -790,6 +868,11 @@ type filterIter struct {
 	w        int
 	pred     func([]uint64) bool
 	restrict bool
+	out      *rel.Rel
+}
+
+func (st *streamer) filtered(in iter, w int, restrict bool, pred func([]uint64) bool) iter {
+	return &filterIter{st: st, in: in, w: w, pred: pred, restrict: restrict, out: st.take(w)}
 }
 
 func (f *filterIter) next() (*rel.Rel, error) {
@@ -804,20 +887,24 @@ func (f *filterIter) next() (*rel.Rel, error) {
 		} else {
 			f.st.sops.StreamFilterRows(n, f.w)
 		}
-		out := rel.New(b.W)
+		reuse(f.out)
 		for i := 0; i < n; i++ {
 			row := b.Row(i)
 			if f.pred(row) {
-				out.Data = append(out.Data, row...)
+				f.out.Data = append(f.out.Data, row...)
 			}
 		}
-		if out.Len() > 0 {
-			return out, nil
+		if f.out.Len() > 0 {
+			return f.out, nil
 		}
 	}
 }
 
-func (f *filterIter) close() { f.in.close() }
+func (f *filterIter) close() {
+	f.st.give(f.out)
+	f.out = nil
+	f.in.close()
+}
 
 func (st *streamer) buildFilter(in Node, mk func(stream) (func([]uint64) bool, error)) (stream, error) {
 	s, err := st.build(in)
@@ -831,7 +918,7 @@ func (st *streamer) buildFilter(in Node, mk func(stream) (func([]uint64) bool, e
 	}
 	st.sops.StreamNode()
 	return stream{
-		it:     &filterIter{st: st, in: s.it, w: len(s.cols), pred: pred},
+		it:     st.filtered(s.it, len(s.cols), false, pred),
 		cols:   s.cols,
 		sorted: s.sorted,
 	}, nil
@@ -921,9 +1008,9 @@ func (st *streamer) buildJoin(j *Join) (stream, error) {
 	st.sops.StreamNode()
 	var it iter
 	if merge {
-		it = &mergeJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols)}
+		it = &mergeJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols), out: st.take(len(cols))}
 	} else {
-		it = &hashJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols)}
+		it = &hashJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols), out: st.take(len(cols))}
 	}
 	sorted := ""
 	if merge {
@@ -947,13 +1034,18 @@ type hashJoinIter struct {
 	started bool
 	done    bool
 
-	ht       map[uint64][]int
+	ht       *rel.JoinIndex
 	build    *rel.Rel // build side rows in insertion order
 	buildIsL bool
-	probeRel *rel.Rel   // drained probe side (build-R case)
-	probeCur int        // chunk cursor into probeRel
-	replay   []*rel.Rel // buffered probe batches to re-emit (build-L case)
+	// The buffered probe side — the drained L, or the copied head of R —
+	// replays as views of one relation, cut where its batches ended (charges
+	// round per batch) or, past cuts, every st.batch rows.
+	probeRel *rel.Rel
+	probeCur int
+	cuts     []int
+	view     rel.Rel
 	bufBytes int64
+	out      *rel.Rel
 }
 
 func (h *hashJoinIter) start() error {
@@ -972,9 +1064,8 @@ func (h *hashJoinIter) start() error {
 		h.release()
 		return nil
 	}
-	var rbufs []*rel.Rel
-	rRows := 0
-	for rRows < nl {
+	rbuf := rel.New(h.rw)
+	for rbuf.Len() < nl {
 		b, err := h.r.next()
 		if err != nil {
 			return err
@@ -983,45 +1074,24 @@ func (h *hashJoinIter) start() error {
 			break
 		}
 		h.hold(relBytes(b))
-		rbufs = append(rbufs, b)
-		rRows += b.Len()
+		rbuf.Data = append(rbuf.Data, b.Data...)
+		h.cuts = append(h.cuts, rbuf.Len())
 	}
-	if rRows < nl {
-		// R is strictly smaller: build R (insertion order = R order), probe
-		// the drained L in its order.
-		h.buildIsL = false
-		bld := rel.New(h.rw)
-		for _, b := range rbufs {
-			bld.Data = append(bld.Data, b.Data...)
-		}
-		h.build = bld
-		h.buildTable(bld, h.rc)
-		h.probeRel = lrel
+	// R strictly smaller builds (insertion order = R order) and the drained L
+	// probes in its order; otherwise L builds and R probes, its buffered head
+	// first and then the live tail.
+	h.buildIsL = rbuf.Len() >= nl
+	if h.buildIsL {
+		h.build, h.probeRel = lrel, rbuf
+		h.ht = rel.NewJoinIndex(lrel, h.lc)
 	} else {
-		// L is no larger: build L, probe the buffered R batches then the
-		// live tail.
-		h.buildIsL = true
-		h.build = lrel
-		h.buildTable(lrel, h.lc)
-		h.replay = rbufs
-	}
-	return nil
-}
-
-func (h *hashJoinIter) buildTable(b *rel.Rel, c int) {
-	n := b.Len()
-	h.ht = make(map[uint64][]int, n)
-	for i := 0; i < n; i++ {
-		k := b.Row(i)[c]
-		h.ht[k] = append(h.ht[k], i)
+		h.build, h.probeRel, h.cuts = rbuf, lrel, nil
+		h.ht = rel.NewJoinIndex(rbuf, h.rc)
 	}
 	// The table's buckets are live alongside the buffered rows.
-	h.hold(int64(n) * 16)
-	if h.buildIsL {
-		h.st.sops.StreamHashBuildRows(n, h.lw)
-	} else {
-		h.st.sops.StreamHashBuildRows(n, h.rw)
-	}
+	h.hold(int64(h.build.Len()) * 16)
+	h.st.sops.StreamHashBuildRows(h.build.Len(), h.build.W)
+	return nil
 }
 
 func (h *hashJoinIter) hold(n int64) {
@@ -1032,33 +1102,24 @@ func (h *hashJoinIter) hold(n int64) {
 func (h *hashJoinIter) release() {
 	h.st.ex.mem.free(h.bufBytes)
 	h.bufBytes = 0
-	h.ht = nil
-	h.build = nil
-	h.probeRel = nil
-	h.replay = nil
+	h.ht, h.build, h.probeRel = nil, nil, nil
 }
 
 // nextProbe returns the next probe-side batch, or nil at exhaustion.
 func (h *hashJoinIter) nextProbe() (*rel.Rel, error) {
-	if h.probeRel != nil {
-		n := h.probeRel.Len()
-		if h.probeCur >= n {
-			return nil, nil
+	if p := h.probeRel; h.probeCur < p.Len() {
+		hi := min(h.probeCur+h.st.batch, p.Len())
+		if len(h.cuts) > 0 {
+			hi, h.cuts = h.cuts[0], h.cuts[1:]
 		}
-		hi := h.probeCur + h.st.batch
-		if hi > n {
-			hi = n
-		}
-		b := &rel.Rel{W: h.probeRel.W, Data: h.probeRel.Data[h.probeCur*h.probeRel.W : hi*h.probeRel.W]}
+		h.view = rel.Rel{W: p.W, Data: p.Data[h.probeCur*p.W : hi*p.W]}
 		h.probeCur = hi
-		return b, nil
+		return &h.view, nil
 	}
-	if len(h.replay) > 0 {
-		b := h.replay[0]
-		h.replay = h.replay[1:]
-		return b, nil
+	if h.buildIsL {
+		return h.r.next()
 	}
-	return h.r.next()
+	return nil, nil
 }
 
 func (h *hashJoinIter) next() (*rel.Rel, error) {
@@ -1070,10 +1131,9 @@ func (h *hashJoinIter) next() (*rel.Rel, error) {
 	if h.done {
 		return nil, nil
 	}
-	outW := h.lw + h.rw - 1
-	probeW := h.rw
+	pc := h.rc
 	if !h.buildIsL {
-		probeW = h.lw
+		pc = h.lc
 	}
 	for {
 		pb, err := h.nextProbe()
@@ -1086,28 +1146,24 @@ func (h *hashJoinIter) next() (*rel.Rel, error) {
 			return nil, nil
 		}
 		n := pb.Len()
-		h.st.sops.StreamHashProbeRows(n, probeW)
-		out := rel.New(outW)
-		pc := h.rc
-		if !h.buildIsL {
-			pc = h.lc
-		}
+		h.st.sops.StreamHashProbeRows(n, pb.W)
+		reuse(h.out)
 		for i := 0; i < n; i++ {
 			prow := pb.Row(i)
-			for _, bi := range h.ht[prow[pc]] {
+			for bi := h.ht.First(prow[pc]); bi >= 0; bi = h.ht.Next(bi) {
 				brow := h.build.Row(bi)
 				if h.buildIsL {
-					appendJoinRow(out, brow, prow, h.rc)
+					appendJoinRow(h.out, brow, prow, h.rc)
 				} else {
-					appendJoinRow(out, prow, brow, h.rc)
+					appendJoinRow(h.out, prow, brow, h.rc)
 				}
 			}
 		}
-		if out.Len() > 0 {
+		if h.out.Len() > 0 {
 			// Charged at the materializing join's pre-projection width; the
 			// streaming operator fuses the free projection.
-			h.st.sops.StreamJoinEmitRows(out.Len(), h.lw+h.rw)
-			return out, nil
+			h.st.sops.StreamJoinEmitRows(h.out.Len(), h.lw+h.rw)
+			return h.out, nil
 		}
 	}
 }
@@ -1126,6 +1182,8 @@ func appendJoinRow(out *rel.Rel, lrow, rrow []uint64, rc int) {
 func (h *hashJoinIter) close() {
 	h.done = true
 	h.release()
+	h.st.give(h.out)
+	h.out = nil
 	h.l.close()
 	h.r.close()
 }
@@ -1158,7 +1216,8 @@ func (st *streamer) buildLeftJoin(j *LeftJoin) (stream, error) {
 	}
 	cols := joinOutCols(l.cols, r.cols, rc)
 	st.sops.StreamNode()
-	it := &leftJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols)}
+	it := &leftJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols),
+		nulls: slices.Repeat([]uint64{uint64(rdf.NoID)}, len(r.cols)), out: st.take(len(cols))}
 	return stream{it: it, cols: cols, sorted: l.sorted}, nil
 }
 
@@ -1168,9 +1227,11 @@ type leftJoinIter struct {
 	lc, rc   int
 	lw, rw   int
 	started  bool
-	ht       map[uint64][]int
+	ht       *rel.JoinIndex
 	build    *rel.Rel
+	nulls    []uint64
 	bufBytes int64
+	out      *rel.Rel
 }
 
 func (j *leftJoinIter) start() error {
@@ -1182,13 +1243,8 @@ func (j *leftJoinIter) start() error {
 	j.build = rrel
 	j.bufBytes = relBytes(rrel) + int64(rrel.Len())*16
 	j.st.ex.mem.alloc(j.bufBytes)
-	n := rrel.Len()
-	j.ht = make(map[uint64][]int, n)
-	for i := 0; i < n; i++ {
-		k := rrel.Row(i)[j.rc]
-		j.ht[k] = append(j.ht[k], i)
-	}
-	j.st.sops.StreamHashBuildRows(n, j.rw)
+	j.ht = rel.NewJoinIndex(rrel, j.rc)
+	j.st.sops.StreamHashBuildRows(rrel.Len(), j.rw)
 	return nil
 }
 
@@ -1198,33 +1254,27 @@ func (j *leftJoinIter) next() (*rel.Rel, error) {
 			return nil, err
 		}
 	}
-	outW := j.lw + j.rw - 1
-	nulls := make([]uint64, j.rw)
-	for i := range nulls {
-		nulls[i] = uint64(rdf.NoID)
-	}
 	b, err := j.l.next()
 	if b == nil || err != nil {
 		return nil, err
 	}
 	n := b.Len()
 	j.st.sops.StreamHashProbeRows(n, j.lw)
-	out := rel.New(outW)
+	reuse(j.out)
 	for i := 0; i < n; i++ {
 		lrow := b.Row(i)
-		matches := j.ht[lrow[j.lc]]
-		if len(matches) == 0 {
-			appendJoinRow(out, lrow, nulls, j.rc)
-			continue
+		bi := j.ht.First(lrow[j.lc])
+		if bi < 0 {
+			appendJoinRow(j.out, lrow, j.nulls, j.rc)
 		}
-		for _, bi := range matches {
-			appendJoinRow(out, lrow, j.build.Row(bi), j.rc)
+		for ; bi >= 0; bi = j.ht.Next(bi) {
+			appendJoinRow(j.out, lrow, j.build.Row(bi), j.rc)
 		}
 	}
 	// Every left row emits at least once, so the batch is never empty.
 	// Charged at the materializing join's pre-projection width.
-	j.st.sops.StreamJoinEmitRows(out.Len(), j.lw+j.rw)
-	return out, nil
+	j.st.sops.StreamJoinEmitRows(j.out.Len(), j.lw+j.rw)
+	return j.out, nil
 }
 
 func (j *leftJoinIter) close() {
@@ -1232,6 +1282,8 @@ func (j *leftJoinIter) close() {
 	j.bufBytes = 0
 	j.ht = nil
 	j.build = nil
+	j.st.give(j.out)
+	j.out = nil
 	j.l.close()
 	j.r.close()
 }
@@ -1283,13 +1335,14 @@ type mergeJoinIter struct {
 	lw, rw int
 	lcur   *rowCur
 	rcur   *rowCur
-	// run is the buffered right-side equal run being crossed with the
-	// current left rows; runLeft is the pending left row mid-run.
-	run      [][]uint64
+	// run is the buffered right-side equal run (rw values a row) being
+	// crossed with the current left rows.
+	run      []uint64
 	runVal   uint64
 	inRun    bool
 	runBytes int64
 	done     bool
+	out      *rel.Rel
 }
 
 func (m *mergeJoinIter) init() {
@@ -1304,8 +1357,8 @@ func (m *mergeJoinIter) next() (*rel.Rel, error) {
 		return nil, nil
 	}
 	m.init()
-	outW := m.lw + m.rw - 1
-	out := rel.New(outW)
+	out := m.out
+	reuse(out)
 	for out.Len() < m.st.batch {
 		if m.inRun {
 			// Cross the current left row with the buffered right run, then
@@ -1318,8 +1371,8 @@ func (m *mergeJoinIter) next() (*rel.Rel, error) {
 				m.endRun()
 				continue
 			}
-			for _, rrow := range m.run {
-				appendJoinRow(out, lrow, rrow, m.rc)
+			for i := 0; i < len(m.run); i += m.rw {
+				appendJoinRow(out, lrow, m.run[i:i+m.rw], m.rc)
 			}
 			m.lcur.advance()
 			continue
@@ -1347,7 +1400,7 @@ func (m *mergeJoinIter) next() (*rel.Rel, error) {
 			m.runVal = lv
 			m.inRun = true
 			for {
-				m.run = append(m.run, append([]uint64(nil), rrow...))
+				m.run = append(m.run, rrow...)
 				m.runBytes += int64(m.rw) * 8
 				m.rcur.advance()
 				rrow, err = m.rcur.cur()
@@ -1382,6 +1435,8 @@ func (m *mergeJoinIter) close() {
 		m.st.ex.mem.free(m.runBytes)
 		m.runBytes = 0
 	}
+	m.st.give(m.out)
+	m.out = nil
 	m.l.close()
 	m.r.close()
 }
@@ -1448,11 +1503,8 @@ func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (
 		ex.mem.free(bufBytes)
 		return stream{it: emptyIter{}, cols: cols}, nil
 	}
-	ht := make(map[uint64][]int, orel.Len())
-	for i := 0; i < orel.Len(); i++ {
-		k := orel.Row(i)[oc]
-		ht[k] = append(ht[k], i)
-	}
+	ht := rel.NewJoinIndex(orel, oc)
+	asm := compileAssembly(slots, 2)
 	// Fused-step profiles: the access (and filter) never stream standalone,
 	// so count their per-part rows through atomics (prefetch workers pull
 	// the arms concurrently) and fold the totals in at finish().
@@ -1465,25 +1517,20 @@ func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (
 		if err != nil {
 			return nil, err
 		}
-		pv := uint64(props[i])
-		tagged := assembleIter(it, slots, func(r []uint64) [3]uint64 {
-			return [3]uint64{r[0], pv, r[1]}
-		})
+		tagged := st.gathered(it, asm, uint64(props[i]))
 		if ex.prof != nil {
 			tagged = &countIter{in: tagged, rows: &accRows, batches: &accBatches}
 		}
 		if fc >= 0 {
 			st.sops.StreamNode()
 			val := uint64(f.Value)
-			tagged = &filterIter{st: st, in: tagged, w: len(accCols), pred: func(row []uint64) bool {
-				return row[fc] != val
-			}}
+			tagged = st.filtered(tagged, len(accCols), false, func(row []uint64) bool { return row[fc] != val })
 			if ex.prof != nil {
 				tagged = &countIter{in: tagged, rows: &filtRows, batches: &filtBatches}
 			}
 		}
 		st.sops.StreamNode() // the per-table probe dispatch
-		return &partProbeIter{st: st, in: tagged, orel: orel, ht: ht, ac: ac, aw: len(accCols)}, nil
+		return &partProbeIter{st: st, in: tagged, orel: orel, ht: ht, ac: ac, aw: len(accCols), out: st.take(len(cols))}, nil
 	}
 	// Union movement is charged at the materializing fan-out's
 	// pre-projection width (the probe outputs before dropping the join col).
@@ -1500,13 +1547,13 @@ type partProbeIter struct {
 	st   *streamer
 	in   iter
 	orel *rel.Rel
-	ht   map[uint64][]int
+	ht   *rel.JoinIndex
 	ac   int
 	aw   int
+	out  *rel.Rel
 }
 
 func (p *partProbeIter) next() (*rel.Rel, error) {
-	outW := p.orel.W + p.aw - 1
 	for {
 		b, err := p.in.next()
 		if b == nil || err != nil {
@@ -1514,22 +1561,26 @@ func (p *partProbeIter) next() (*rel.Rel, error) {
 		}
 		n := b.Len()
 		p.st.sops.StreamHashProbeRows(n, p.aw)
-		out := rel.New(outW)
+		reuse(p.out)
 		for i := 0; i < n; i++ {
 			arow := b.Row(i)
-			for _, oi := range p.ht[arow[p.ac]] {
-				appendJoinRow(out, p.orel.Row(oi), arow, p.ac)
+			for oi := p.ht.First(arow[p.ac]); oi >= 0; oi = p.ht.Next(oi) {
+				appendJoinRow(p.out, p.orel.Row(oi), arow, p.ac)
 			}
 		}
-		if out.Len() > 0 {
+		if p.out.Len() > 0 {
 			// Charged at the materializing probe's pre-projection width.
-			p.st.sops.StreamJoinEmitRows(out.Len(), p.orel.W+p.aw)
-			return out, nil
+			p.st.sops.StreamJoinEmitRows(p.out.Len(), p.orel.W+p.aw)
+			return p.out, nil
 		}
 	}
 }
 
-func (p *partProbeIter) close() { p.in.close() }
+func (p *partProbeIter) close() {
+	p.st.give(p.out)
+	p.out = nil
+	p.in.close()
+}
 
 // releaseIter frees buffered operator state exactly once, at close or
 // exhaustion, whichever comes first.
@@ -1564,7 +1615,7 @@ func (st *streamer) buildDistinct(d *Distinct) (stream, error) {
 		return stream{}, err
 	}
 	st.sops.StreamNode()
-	it := &distinctIter{st: st, in: s.it, w: len(s.cols), seen: map[string]bool{}}
+	it := &distinctIter{st: st, in: s.it, w: len(s.cols), seen: map[string]bool{}, out: st.take(len(s.cols))}
 	return stream{it: it, cols: s.cols, sorted: s.sorted}, nil
 }
 
@@ -1576,10 +1627,11 @@ type distinctIter struct {
 	w        int
 	seen     map[string]bool
 	keyBytes int64
+	key      []byte
+	out      *rel.Rel
 }
 
 func (d *distinctIter) next() (*rel.Rel, error) {
-	buf := make([]byte, 0, d.w*8)
 	for {
 		b, err := d.in.next()
 		if b == nil || err != nil {
@@ -1587,25 +1639,25 @@ func (d *distinctIter) next() (*rel.Rel, error) {
 		}
 		n := b.Len()
 		d.st.sops.StreamDistinctRows(n, d.w)
-		out := rel.New(b.W)
+		reuse(d.out)
 		for i := 0; i < n; i++ {
 			row := b.Row(i)
-			buf = buf[:0]
+			buf := d.key[:0]
 			for _, v := range row {
-				buf = append(buf,
-					byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-					byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+				buf = binary.LittleEndian.AppendUint64(buf, v)
 			}
-			if k := string(buf); !d.seen[k] {
-				d.seen[k] = true
-				kb := int64(len(k)) + 16
+			d.key = buf
+			// Looked up without conversion: only a new key allocates.
+			if !d.seen[string(buf)] {
+				d.seen[string(buf)] = true
+				kb := int64(len(buf)) + 16
 				d.st.ex.mem.alloc(kb)
 				d.keyBytes += kb
-				out.Data = append(out.Data, row...)
+				d.out.Data = append(d.out.Data, row...)
 			}
 		}
-		if out.Len() > 0 {
-			return out, nil
+		if d.out.Len() > 0 {
+			return d.out, nil
 		}
 	}
 }
@@ -1614,6 +1666,8 @@ func (d *distinctIter) close() {
 	d.st.ex.mem.free(d.keyBytes)
 	d.keyBytes = 0
 	d.seen = nil
+	d.st.give(d.out)
+	d.out = nil
 	d.in.close()
 }
 
@@ -1633,7 +1687,6 @@ func (st *streamer) buildUnion(u *Union) (stream, error) {
 		return stream{}, fmt.Errorf("union of %v and %v", l.cols, r.cols)
 	}
 	perm := make([]int, len(l.cols))
-	identity := true
 	for i, c := range l.cols {
 		j, err := r.col(c)
 		if err != nil {
@@ -1642,25 +1695,18 @@ func (st *streamer) buildUnion(u *Union) (stream, error) {
 			return stream{}, fmt.Errorf("union of %v and %v", l.cols, r.cols)
 		}
 		perm[i] = j
-		if i != j {
-			identity = false
-		}
-	}
-	if identity {
-		perm = nil
 	}
 	st.sops.StreamNode()
-	it := &unionIter{st: st, l: l.it, r: r.it, w: len(l.cols), perm: perm}
+	// The right side's column order is aligned per batch when it differs.
+	it := &unionIter{st: st, l: l.it, r: st.gathered(r.it, newGather(perm, nil, len(perm)), 0), w: len(l.cols)}
 	return stream{it: it, cols: l.cols}, nil
 }
 
-// unionIter concatenates two inputs (left fully, then right), aligning the
-// right side's column order per batch when it differs.
+// unionIter concatenates two inputs: left fully, then right.
 type unionIter struct {
 	st      *streamer
 	l, r    iter
 	w       int
-	perm    []int
 	onRight bool
 }
 
@@ -1681,9 +1727,6 @@ func (u *unionIter) next() (*rel.Rel, error) {
 			b, err = u.r.next()
 			if b == nil || err != nil {
 				return nil, err
-			}
-			if u.perm != nil {
-				b = b.Project(u.perm...)
 			}
 		}
 		u.st.sops.StreamUnionRows(b.Len(), u.w)
@@ -1758,12 +1801,9 @@ func (g *groupIter) start() error {
 		}
 	}
 	g.in.close()
-	out := rel.New(len(g.keys) + 1)
+	out := rel.NewCap(len(g.keys)+1, len(counts))
 	for k, cnt := range counts {
-		vals := make([]uint64, 0, 3)
-		vals = append(vals, k[:len(g.keys)]...)
-		vals = append(vals, cnt)
-		out.Append(vals...)
+		out.Data = append(append(out.Data, k[:len(g.keys)]...), cnt)
 	}
 	out.Sort()
 	g.st.ex.mem.alloc(relBytes(out))
@@ -1814,7 +1854,7 @@ func (st *streamer) buildProject(p *Project) (stream, error) {
 			sorted = names[i]
 		}
 	}
-	it := &mapIter{in: s.it, f: func(b *rel.Rel) *rel.Rel { return b.Project(idx...) }}
+	it := st.gathered(s.it, newGather(idx, nil, len(s.cols)), 0)
 	return stream{it: it, cols: append([]string(nil), names...), sorted: sorted}, nil
 }
 
@@ -2007,43 +2047,32 @@ func (st *streamer) buildLimit(l *Limit) (stream, error) {
 
 // limitIter passes its input's first N rows through and then closes the
 // input — the early-termination signal that propagates all the way into the
-// physical scans. Truncation itself is free, exactly as in the materializing
-// evalLimit.
+// physical scans. Closing recycles the input's buffers, so the batch that
+// reaches the limit is copied out first. Truncation itself is free, exactly
+// as in the materializing evalLimit.
 type limitIter struct {
 	in        iter
 	remaining int
-	done      bool
 }
 
 func (l *limitIter) next() (*rel.Rel, error) {
-	if l.done {
-		return nil, nil
-	}
 	if l.remaining <= 0 {
-		l.done = true
 		l.in.close()
 		return nil, nil
 	}
 	b, err := l.in.next()
-	if err != nil {
+	if b == nil || err != nil {
+		l.remaining = 0
 		return nil, err
 	}
-	if b == nil {
-		l.done = true
-		return nil, nil
+	if b.Len() < l.remaining {
+		l.remaining -= b.Len()
+		return b, nil
 	}
-	if b.Len() > l.remaining {
-		b = &rel.Rel{W: b.W, Data: b.Data[:l.remaining*b.W]}
-	}
-	l.remaining -= b.Len()
-	if l.remaining == 0 {
-		l.done = true
-		l.in.close()
-	}
-	return b, nil
+	last := &rel.Rel{W: b.W, Data: slices.Clone(b.Data[:l.remaining*b.W])}
+	l.remaining = 0
+	l.in.close()
+	return last, nil
 }
 
-func (l *limitIter) close() {
-	l.done = true
-	l.in.close()
-}
+func (l *limitIter) close() { l.in.close() }

@@ -6,7 +6,6 @@ import (
 	"blackswan/internal/colstore"
 	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
-	"blackswan/internal/rowstore"
 )
 
 // This file implements StreamSource for the four storage schemes: each
@@ -16,36 +15,29 @@ import (
 // consumer that terminates early (LIMIT, TopN, an exhausted join build)
 // saves the simulated CPU and I/O of the unread tail.
 
-// rowScanIter adapts the row engine's ScanCursor to the executor's RelIter,
-// optionally projecting the tuple down to the pattern's (s, o) columns
-// (free, as rel.Project is for the materializing path).
-type rowScanIter struct {
-	cur  *rowstore.ScanCursor
-	proj []int
+// cursorIter adapts an engine's pull cursor (rowstore.ScanCursor,
+// colstore.ColScan) to the executor's RelIter. The cursor refills the one
+// buffer the adapter lends it: out, which the streaming executor supplies
+// from its free list and takes back at close (see streamer.source).
+type cursorIter struct {
+	cur interface{ Next(out *rel.Rel) bool }
+	out *rel.Rel
 }
 
-func (it *rowScanIter) Next() (*rel.Rel, error) {
-	b := it.cur.Next()
-	if b == nil {
+func (it *cursorIter) Next() (*rel.Rel, error) {
+	if it.out == nil {
+		it.out = new(rel.Rel)
+	}
+	reuse(it.out)
+	if !it.cur.Next(it.out) {
 		return nil, nil
 	}
-	if it.proj != nil {
-		b = b.Project(it.proj...)
-	}
-	return b, nil
+	return it.out, nil
 }
 
 // Close implements RelIter: an abandoned cursor holds no resources and
 // simply stops charging.
-func (it *rowScanIter) Close() {}
-
-// colScanIter adapts the column engine's ColScan to the executor's RelIter.
-type colScanIter struct {
-	s *colstore.ColScan
-}
-
-func (it *colScanIter) Next() (*rel.Rel, error) { return it.s.Next(), nil }
-func (it *colScanIter) Close()                  {}
+func (it *cursorIter) Close() {}
 
 // chunkRelIter is the materialize-then-chunk fallback for scheme paths the
 // streaming executor never exercises (Partitioned schemes answer unbound
@@ -54,6 +46,7 @@ type chunkRelIter struct {
 	rel   *rel.Rel
 	batch int
 	cur   int
+	view  rel.Rel
 }
 
 func (c *chunkRelIter) Next() (*rel.Rel, error) {
@@ -65,9 +58,9 @@ func (c *chunkRelIter) Next() (*rel.Rel, error) {
 	if hi > n {
 		hi = n
 	}
-	out := &rel.Rel{W: c.rel.W, Data: c.rel.Data[c.cur*c.rel.W : hi*c.rel.W]}
+	c.view = rel.Rel{W: c.rel.W, Data: c.rel.Data[c.cur*c.rel.W : hi*c.rel.W]}
 	c.cur = hi
-	return out, nil
+	return &c.view, nil
 }
 
 func (c *chunkRelIter) Close() {}
@@ -75,7 +68,7 @@ func (c *chunkRelIter) Close() {}
 // ---- RowTriple ----
 
 // StreamProp implements StreamSource: the pull form of ScanProp — the same
-// indexed range of the triples table, projected to (s, o) per batch.
+// indexed range of the triples table, emitting only (s, o).
 func (d *RowTriple) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIter, error) {
 	bound := map[int]uint64{colP: uint64(p)}
 	if s != rdf.NoID {
@@ -84,8 +77,7 @@ func (d *RowTriple) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIt
 	if o != rdf.NoID {
 		bound[colO] = uint64(o)
 	}
-	cur := d.eng.ScanEqStream(d.triples, bound, batchRows)
-	return &rowScanIter{cur: cur, proj: []int{colS, colO}}, nil
+	return &cursorIter{cur: d.eng.ScanEqStream(d.triples, bound, batchRows, colS, colO)}, nil
 }
 
 // StreamTriples implements StreamSource: the pull form of ScanTriples.
@@ -97,7 +89,7 @@ func (d *RowTriple) StreamTriples(s, o rdf.ID, _ ScanCols, batchRows int) RelIte
 	if o != rdf.NoID {
 		bound[colO] = uint64(o)
 	}
-	return &rowScanIter{cur: d.eng.ScanEqStream(d.triples, bound, batchRows)}
+	return &cursorIter{cur: d.eng.ScanEqStream(d.triples, bound, batchRows, colS, colP, colO)}
 }
 
 // ---- RowVert ----
@@ -117,7 +109,7 @@ func (d *RowVert) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIter
 	if o != rdf.NoID {
 		bound[vcO] = uint64(o)
 	}
-	return &rowScanIter{cur: d.eng.ScanEqStream(t, bound, batchRows)}, nil
+	return &cursorIter{cur: d.eng.ScanEqStream(t, bound, batchRows, vcS, vcO)}, nil
 }
 
 // StreamTriples implements StreamSource. The streaming executor answers
@@ -178,7 +170,7 @@ func (d *ColVert) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelI
 		streamCol(d.eng, sc, s, need.S),
 		streamCol(d.eng, oc, o, need.O),
 	}
-	return &colScanIter{s: d.eng.NewColScan(lo, hi, conds, out, batchRows)}, nil
+	return &cursorIter{cur: d.eng.NewColScan(lo, hi, conds, out, batchRows)}, nil
 }
 
 // StreamTriples implements StreamSource; interface-completing fallback, as
@@ -224,7 +216,7 @@ func (d *ColTriple) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (Re
 		streamCol(d.eng, d.colS(), s, need.S),
 		streamCol(d.eng, d.colO(), o, need.O),
 	}
-	return &colScanIter{s: d.eng.NewColScan(lo, hi, conds, out, batchRows)}, nil
+	return &cursorIter{cur: d.eng.NewColScan(lo, hi, conds, out, batchRows)}, nil
 }
 
 // StreamTriples implements StreamSource: the pull form of ScanTriples —
@@ -247,5 +239,5 @@ func (d *ColTriple) StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) Rel
 		streamCol(d.eng, d.colP(), rdf.NoID, need.P),
 		streamCol(d.eng, d.colO(), o, need.O),
 	}
-	return &colScanIter{s: d.eng.NewColScan(lo, hi, conds, out, batchRows)}
+	return &cursorIter{cur: d.eng.NewColScan(lo, hi, conds, out, batchRows)}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
 	"testing"
 
 	"blackswan/internal/datagen"
@@ -15,6 +16,16 @@ import (
 // row order), early termination reaches the physical scans, the bounded
 // heap charges n·ceil(log2 k) comparisons, and per-query peak memory stays
 // bounded by batches plus operator state rather than whole intermediates.
+
+// TestMain switches the recycled-buffer poison on for the whole package (a
+// race build has it on everywhere): every operator and cursor overwrites its
+// buffer with poisonWord before refilling it, so a consumer that retains a
+// batch past its iterator's next next()/close() breaks the byte-identity
+// corpora here instead of passing on rows that happen to be still intact.
+func TestMain(m *testing.M) {
+	poisonRecycled = true
+	os.Exit(m.Run())
+}
 
 // streamVariants are the option sets a result-identity test runs beyond the
 // materializing baseline: plain streaming, a deliberately awkward batch
@@ -273,5 +284,74 @@ func TestStreamingContextCancel(t *testing.T) {
 		t.Fatal("cancelled streaming plan returned no error")
 	} else if ctx.Err() == nil || err.Error() == "" {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestStreamingAllocsDoNotScaleWithBatches pins what batch recycling buys:
+// the executor allocates per query, not per batch. On every scheme, q1, q2,
+// q5 and q8 at BatchRows 64 pull sixteen times the batches they pull at 1024
+// yet may allocate at most four more objects per plan operator (a hash join's
+// batch-boundary list grows with the batches it buffers; nothing else does).
+func TestStreamingAllocsDoNotScaleWithBatches(t *testing.T) {
+	_, cat, dbs := streamGen(t)
+	for _, db := range dbs {
+		src := db.(PhysicalSource)
+		for _, id := range []QueryID{Q1, Q2, Q5, Q8} {
+			p, err := PlanFor(Query{ID: id}, cat.Consts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := 0
+			WalkPlan(p.Root, func(Node) { ops++ })
+			var allocs [2]float64
+			var batches [2]int
+			for i, rows := range []int{64, 1024} {
+				opt := ExecOptions{Streaming: true, BatchRows: rows}
+				_, _, tr, err := ExecutePlan(src, p.Root, opt)
+				if err != nil {
+					t.Fatalf("%s q%d: %v", db.Label(), id, err)
+				}
+				batches[i] = tr.SourceBatches
+				allocs[i] = testing.AllocsPerRun(3, func() { ExecutePlan(src, p.Root, opt) })
+			}
+			if batches[0] < 4*batches[1] {
+				t.Fatalf("%s q%d: %d source batches at 64 rows, %d at 1024 — fixture too small to tell",
+					db.Label(), id, batches[0], batches[1])
+			}
+			if allocs[0] > allocs[1]+float64(4*ops) {
+				t.Errorf("%s q%d: %v allocations over %d batches, %v over %d, %d operators — allocation scales with batch count",
+					db.Label(), id, allocs[0], batches[0], allocs[1], batches[1], ops)
+			}
+		}
+	}
+}
+
+// TestStreamingPointLookupAllocs guards the other side of recycling: buffers
+// grow to the rows produced, never to BatchRows, so a subject-bound
+// SELECT ?o WHERE { <s> <p> ?o } allocates no more objects per execution
+// than it did before any buffer was kept (the counts below, per scheme).
+func TestStreamingPointLookupAllocs(t *testing.T) {
+	before := map[string]float64{
+		"DBX/triple-SPO": 60, "DBX/triple-PSO": 60, "DBX/vert-SO": 57,
+		"MonetDB/triple-SPO": 80, "MonetDB/triple-PSO": 61, "MonetDB/vert-SO": 57,
+	}
+	ds, _, dbs := streamGen(t)
+	first := ds.Graph.Triples[0]
+	plan := &Project{In: &Access{Pattern: Pat(C(first.S), C(first.P), V("o"))}, Cols: []string{"o"}}
+	for _, db := range dbs {
+		src := db.(PhysicalSource)
+		out, _, _, err := ExecutePlan(src, plan, ExecOptions{Streaming: true})
+		if err != nil || out.Len() == 0 {
+			t.Fatalf("%s: lookup returned %v, %v", db.Label(), out, err)
+		}
+		max, ok := before[db.Label()]
+		if !ok {
+			t.Fatalf("no pinned allocation count for %s", db.Label())
+		}
+		got := testing.AllocsPerRun(20, func() { ExecutePlan(src, plan, ExecOptions{Streaming: true}) })
+		t.Logf("%s: %v allocations, %v before", db.Label(), got, max)
+		if got > max {
+			t.Errorf("%s: a subject-bound lookup allocates %v objects, %v before batch recycling", db.Label(), got, max)
+		}
 	}
 }

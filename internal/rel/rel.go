@@ -80,17 +80,18 @@ func (r *Rel) Project(cols ...int) *Rel {
 }
 
 // Sort orders rows lexicographically in place (all columns significant,
-// left to right). Used to canonicalize results for comparison.
-func (r *Rel) Sort() {
-	n := r.Len()
-	rows := make([][]uint64, n)
-	for i := 0; i < n; i++ {
-		rows[i] = append([]uint64(nil), r.Row(i)...)
-	}
-	sort.Slice(rows, func(i, j int) bool { return lessRow(rows[i], rows[j]) })
-	r.Data = r.Data[:0]
-	for _, row := range rows {
-		r.Data = append(r.Data, row...)
+// left to right). Used to canonicalize results for comparison. Equal keys
+// are equal rows, so the algorithm's stability cannot show in the bytes.
+func (r *Rel) Sort() { sort.Sort(byRow{r}) }
+
+type byRow struct{ r *Rel }
+
+func (s byRow) Len() int           { return s.r.Len() }
+func (s byRow) Less(i, j int) bool { return lessRow(s.r.Row(i), s.r.Row(j)) }
+func (s byRow) Swap(i, j int) {
+	a, b := s.r.Row(i), s.r.Row(j)
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
 	}
 }
 
@@ -221,6 +222,55 @@ type PreparedJoin interface {
 	// columns followed by r's.
 	Probe(r *Rel, rc int) *Rel
 }
+
+// JoinIndex is the hash table of every hash join in both engines and both
+// executors: open addressing on the uint64 key, with the build rows of one
+// key chained through int32 links in build-insertion order, so a probe
+// emits matches exactly as appending to a per-key slice would. Built from a
+// relation and a column in two allocations; read-only afterwards, so
+// concurrent probes are safe. Rows are stored +1: zero means none.
+type JoinIndex struct {
+	shift uint
+	slots []joinSlot
+	next  []int32
+}
+
+type joinSlot struct {
+	key  uint64
+	head int32
+}
+
+// NewJoinIndex indexes column c of r.
+func NewJoinIndex(r *Rel, c int) *JoinIndex {
+	n := r.Len()
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	x := &JoinIndex{shift: 64 - bits, slots: make([]joinSlot, 1<<bits), next: make([]int32, n)}
+	// Pushing rows at the chain head in reverse leaves each chain ascending.
+	for i := n - 1; i >= 0; i-- {
+		s := x.slot(r.Data[i*r.W+c])
+		s.key, x.next[i], s.head = r.Data[i*r.W+c], s.head, int32(i+1)
+	}
+	return x
+}
+
+// slot returns k's slot: the one holding it, or the empty one it would take
+// (load stays at or below one half, so an empty slot always ends the walk).
+func (x *JoinIndex) slot(k uint64) *joinSlot {
+	for i := k * 0x9E3779B97F4A7C15 >> x.shift; ; i = (i + 1) & uint64(len(x.slots)-1) {
+		if s := &x.slots[i]; s.head == 0 || s.key == k {
+			return s
+		}
+	}
+}
+
+// First returns the first build row whose key is k, or -1.
+func (x *JoinIndex) First(k uint64) int { return int(x.slot(k).head) - 1 }
+
+// Next returns the build row after i with the same key, or -1.
+func (x *JoinIndex) Next(i int) int { return int(x.next[i]) - 1 }
 
 // String renders a compact preview for debugging.
 func (r *Rel) String() string {

@@ -1,6 +1,9 @@
 package rel
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -159,5 +162,151 @@ func TestConcatParallelDeterministic(t *testing.T) {
 	}
 	if out := ConcatParallel(2, nil, 4); out.Len() != 0 || out.W != 2 {
 		t.Fatalf("empty concat = %v", out)
+	}
+}
+
+// sortByRowCopies is Sort as it was before it sorted in place: one slice
+// per row, sort.Slice over them, everything copied back. The reference
+// TestSortMatchesRowCopySort holds the in-place sort to.
+func sortByRowCopies(r *Rel) {
+	n := r.Len()
+	rows := make([][]uint64, n)
+	for i := 0; i < n; i++ {
+		rows[i] = append([]uint64(nil), r.Row(i)...)
+	}
+	sort.Slice(rows, func(i, j int) bool { return lessRow(rows[i], rows[j]) })
+	r.Data = r.Data[:0]
+	for _, row := range rows {
+		r.Data = append(r.Data, row...)
+	}
+}
+
+// TestSortMatchesRowCopySort: the order is lexicographic over all columns,
+// so equal keys are equal rows and any correct algorithm yields the same
+// bytes — checked against the old implementation on random relations of
+// width 1–4 drawn from few values, so duplicates abound.
+func TestSortMatchesRowCopySort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		w := 1 + trial%4
+		a := New(w)
+		for n := rng.Intn(200); n > 0; n-- {
+			for c := 0; c < w; c++ {
+				a.Data = append(a.Data, uint64(rng.Intn(4)))
+			}
+		}
+		b := &Rel{W: w, Data: append([]uint64(nil), a.Data...)}
+		a.Sort()
+		sortByRowCopies(b)
+		if !slices.Equal(a.Data, b.Data) {
+			t.Fatalf("trial %d (w=%d, n=%d): in-place sort differs from the row-copy sort", trial, w, b.Len())
+		}
+	}
+	unsorted := []uint64{3, 1, 1, 2, 1, 1}
+	r := &Rel{W: 2, Data: make([]uint64, len(unsorted))}
+	if allocs := testing.AllocsPerRun(10, func() {
+		copy(r.Data, unsorted)
+		r.Sort()
+	}); allocs != 0 {
+		t.Fatalf("Sort allocates %v objects, want none", allocs)
+	}
+}
+
+// joinRef is the per-key slice table JoinIndex replaced.
+func joinRef(r *Rel, c int) map[uint64][]int {
+	ref := map[uint64][]int{}
+	for i := 0; i < r.Len(); i++ {
+		ref[r.Row(i)[c]] = append(ref[r.Row(i)[c]], i)
+	}
+	return ref
+}
+
+func joinMatches(x *JoinIndex, k uint64) []int {
+	var out []int
+	for i := x.First(k); i >= 0; i = x.Next(i) {
+		out = append(out, i)
+	}
+	return out
+}
+
+func TestJoinIndex(t *testing.T) {
+	// Duplicate keys keep build-insertion order; key 0 is a key like any other.
+	r := New(2)
+	for _, k := range []uint64{7, 0, 7, 9, 0, 7} {
+		r.Append(uint64(r.Len()), k)
+	}
+	x := NewJoinIndex(r, 1)
+	for k, want := range map[uint64][]int{7: {0, 2, 5}, 0: {1, 4}, 9: {3}, 8: nil} {
+		if got := joinMatches(x, k); !slices.Equal(got, want) {
+			t.Errorf("key %d: rows %v, want %v", k, got, want)
+		}
+	}
+	// An empty build side answers every probe with no match.
+	empty := NewJoinIndex(New(3), 2)
+	for _, k := range []uint64{0, 1, ^uint64(0)} {
+		if i := empty.First(k); i != -1 {
+			t.Errorf("empty index: First(%d) = %d", k, i)
+		}
+	}
+	// Forced collision chains: sixteen distinct keys homed on the last slot
+	// of the 128-slot table their 40 rows get, so the walk wraps around, plus
+	// four keys homed on the first slots, where that chain has spilled.
+	var keys []uint64
+	for k := uint64(1); len(keys) < 16; k++ {
+		if k*0x9E3779B97F4A7C15>>57 == 127 {
+			keys = append(keys, k)
+		}
+	}
+	for k := uint64(1); len(keys) < 20; k++ {
+		if k*0x9E3779B97F4A7C15>>57 < 4 {
+			keys = append(keys, k)
+		}
+	}
+	c := New(1)
+	for rep := 0; rep < 2; rep++ {
+		for _, k := range keys {
+			c.Append(k)
+		}
+	}
+	cx, ref := NewJoinIndex(c, 0), joinRef(c, 0)
+	if len(cx.slots) != 128 {
+		t.Fatalf("collision fixture assumes a 128-slot table, got %d", len(cx.slots))
+	}
+	for _, k := range keys {
+		if got := joinMatches(cx, k); !slices.Equal(got, ref[k]) {
+			t.Errorf("colliding key %d: rows %v, want %v", k, got, ref[k])
+		}
+	}
+}
+
+// TestJoinIndexProperty probes random indexes a million times against the
+// per-key slice table: every key, present or absent, must list exactly the
+// reference's rows in the reference's order.
+func TestJoinIndexProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	probes := 0
+	for trial := 0; probes < 1_000_000; trial++ {
+		w, n := 1+rng.Intn(3), rng.Intn(3000)
+		span := uint64(1 + rng.Intn(2*n+1)) // few keys → long chains, many → mostly unique
+		r := New(w)
+		for i := 0; i < n*w; i++ {
+			r.Data = append(r.Data, rng.Uint64()%span)
+		}
+		c := rng.Intn(w)
+		x, ref := NewJoinIndex(r, c), joinRef(r, c)
+		for p := 0; p < 20_000; p++ {
+			k := rng.Uint64() % (span + span/2 + 1)
+			i := x.First(k)
+			for _, want := range ref[k] {
+				if i != want {
+					t.Fatalf("trial %d key %d: row %d, want %d (reference %v)", trial, k, i, want, ref[k])
+				}
+				i = x.Next(i)
+			}
+			if i != -1 {
+				t.Fatalf("trial %d key %d: extra row %d past reference %v", trial, k, i, ref[k])
+			}
+			probes++
+		}
 	}
 }

@@ -227,17 +227,14 @@ func (e *Engine) HashJoin(l, r *rel.Rel, lc, rc int) *rel.Rel {
 		return swapped.Project(cols...)
 	}
 	c := e.Costs
-	ht := make(map[uint64][]int, l.Len())
-	for i := 0; i < l.Len(); i++ {
-		ht[l.Row(i)[lc]] = append(ht[l.Row(i)[lc]], i)
-	}
+	ht := rel.NewJoinIndex(l, lc)
 	e.Store.ChargeCPU(int64(l.Len()) * c.HashBuild)
 	out := rel.New(l.W + r.W)
 	n := r.Len()
 	e.Store.ChargeCPU(int64(n) * c.HashProbe)
 	for j := 0; j < n; j++ {
 		rrow := r.Row(j)
-		for _, i := range ht[rrow[rc]] {
+		for i := ht.First(rrow[rc]); i >= 0; i = ht.Next(i) {
 			out.Data = append(out.Data, l.Row(i)...)
 			out.Data = append(out.Data, rrow...)
 		}
@@ -251,18 +248,14 @@ func (e *Engine) HashJoin(l, r *rel.Rel, lc, rc int) *rel.Rel {
 type preparedJoin struct {
 	e  *Engine
 	l  *rel.Rel
-	ht map[uint64][]int
+	ht *rel.JoinIndex
 }
 
 // PrepareHashJoin builds the hash side of a repeated join once.
 func (e *Engine) PrepareHashJoin(l *rel.Rel, lc int) rel.PreparedJoin {
 	e.node()
-	ht := make(map[uint64][]int, l.Len())
-	for i := 0; i < l.Len(); i++ {
-		ht[l.Row(i)[lc]] = append(ht[l.Row(i)[lc]], i)
-	}
 	e.Store.ChargeCPU(int64(l.Len()) * e.Costs.HashBuild)
-	return &preparedJoin{e: e, l: l, ht: ht}
+	return &preparedJoin{e: e, l: l, ht: rel.NewJoinIndex(l, lc)}
 }
 
 // Probe implements rel.PreparedJoin, charging one plan node per call — the
@@ -275,7 +268,7 @@ func (p *preparedJoin) Probe(r *rel.Rel, rc int) *rel.Rel {
 	p.e.Store.ChargeCPU(int64(n) * c.HashProbe)
 	for j := 0; j < n; j++ {
 		rrow := r.Row(j)
-		for _, i := range p.ht[rrow[rc]] {
+		for i := p.ht.First(rrow[rc]); i >= 0; i = p.ht.Next(i) {
 			out.Data = append(out.Data, p.l.Row(i)...)
 			out.Data = append(out.Data, rrow...)
 		}
@@ -290,10 +283,7 @@ func (p *preparedJoin) Probe(r *rel.Rel, rc int) *rel.Rel {
 func (e *Engine) LeftJoin(l, r *rel.Rel, lc, rc int, nullVal uint64) *rel.Rel {
 	e.node()
 	c := e.Costs
-	ht := make(map[uint64][]int, r.Len())
-	for i := 0; i < r.Len(); i++ {
-		ht[r.Row(i)[rc]] = append(ht[r.Row(i)[rc]], i)
-	}
+	ht := rel.NewJoinIndex(r, rc)
 	e.Store.ChargeCPU(int64(r.Len()) * c.HashBuild)
 	e.Store.ChargeCPU(int64(l.Len()) * c.HashProbe)
 	out := rel.NewCap(l.W+r.W, l.Len())
@@ -304,13 +294,12 @@ func (e *Engine) LeftJoin(l, r *rel.Rel, lc, rc int, nullVal uint64) *rel.Rel {
 	n := l.Len()
 	for i := 0; i < n; i++ {
 		lrow := l.Row(i)
-		matches := ht[lrow[lc]]
-		if len(matches) == 0 {
+		j := ht.First(lrow[lc])
+		if j < 0 {
 			out.Data = append(out.Data, lrow...)
 			out.Data = append(out.Data, nulls...)
-			continue
 		}
-		for _, j := range matches {
+		for ; j >= 0; j = ht.Next(j) {
 			out.Data = append(out.Data, lrow...)
 			out.Data = append(out.Data, r.Row(j)...)
 		}

@@ -62,21 +62,22 @@ func (e *Engine) StreamSortCompares(n int64) { e.Store.ChargeCPU(n * e.Costs.Sor
 // but charged batch by batch, so a consumer that stops early pays only for
 // the leaves and tuples it actually pulled.
 type ScanCursor struct {
-	e        *Engine
-	t        *Table
-	ix       *Index
-	cur      *btree.Cursor
-	bound    map[int]uint64
-	residual bool
-	batch    int
-	buf      []btree.Key
-	done     bool
+	e     *Engine
+	cur   *btree.Cursor
+	w     int                       // output width
+	emit  [btree.MaxWidth]int       // key field of output column i < w
+	resid [btree.MaxWidth][2]uint64 // (key field, value) of each bound column
+	nres  int                       // 0 unless the index prefix leaves a residual
+	batch int
+	done  bool
 }
 
-// ScanEqStream opens a streaming equality scan over t. The node-startup
-// charge and access-path choice happen here, exactly as in ScanEq; per-tuple
-// charges and leaf I/O follow the cursor.
-func (e *Engine) ScanEqStream(t *Table, bound map[int]uint64, batchRows int) *ScanCursor {
+// ScanEqStream opens a streaming equality scan over t emitting the logical
+// columns cols, in that order. The node-startup charge and access-path
+// choice happen here, exactly as in ScanEq; per-tuple charges and leaf I/O
+// follow the cursor. The index key → output row permutation and the
+// residual predicate are resolved here, once.
+func (e *Engine) ScanEqStream(t *Table, bound map[int]uint64, batchRows int, cols ...int) *ScanCursor {
 	e.node()
 	ix, plen := pickIndex(t, bound)
 	var prefix btree.Key
@@ -86,54 +87,55 @@ func (e *Engine) ScanEqStream(t *Table, bound map[int]uint64, batchRows int) *Sc
 	if batchRows <= 0 {
 		batchRows = 1024
 	}
-	return &ScanCursor{
-		e:        e,
-		t:        t,
-		ix:       ix,
-		cur:      ix.Tree.NewCursor(prefix, plen),
-		bound:    bound,
-		residual: len(bound) > plen,
-		batch:    batchRows,
+	c := &ScanCursor{e: e, cur: ix.Tree.NewCursor(prefix, plen), w: len(cols), batch: batchRows}
+	for j, col := range ix.Perm {
+		for i, want := range cols {
+			if col == want {
+				c.emit[i] = j
+			}
+		}
+		if v, ok := bound[col]; ok && len(bound) > plen {
+			c.resid[c.nres] = [2]uint64{uint64(j), v}
+			c.nres++
+		}
 	}
+	return c
 }
 
-// Next returns the next batch of matching rows in logical column order, or
-// nil when the scan is exhausted. Batches hold at most the configured row
-// count; residual filtering can make them smaller, never empty.
-func (c *ScanCursor) Next() *rel.Rel {
-	if c.done {
-		return nil
-	}
-	cst := c.e.Costs
-	w := c.ix.Tree.Width()
-	out := rel.New(c.t.Width)
-	row := make([]uint64, w)
-	for out.Len() == 0 {
-		c.buf = c.cur.Next(c.buf[:0], c.batch)
-		if len(c.buf) == 0 {
-			c.done = true
-			return nil
-		}
-		tuples := int64(len(c.buf))
-		cost := tuples * cst.ScanTuple
-		if c.residual {
-			cost += tuples * cst.FilterTuple
-		}
-		c.e.Store.ChargeCPU(cost)
-	keys:
-		for _, k := range c.buf {
-			for j := 0; j < w; j++ {
-				row[c.ix.Perm[j]] = k[j]
+// Next refills out, the caller's buffer, with the next batch of matching
+// rows, growing it only to the rows the batch holds, and reports whether
+// there was one. A batch covers at most the configured count of index
+// entries, read in place from the leaves; residual filtering can make it
+// smaller, never empty.
+func (c *ScanCursor) Next(out *rel.Rel) bool {
+	out.W, out.Data = c.w, out.Data[:0]
+	for !c.done && len(out.Data) == 0 {
+		tuples := 0
+		for tuples < c.batch {
+			run := c.cur.Next(c.batch - tuples)
+			if run == nil {
+				c.done = true
+				break
 			}
-			if c.residual {
-				for col, v := range c.bound {
-					if row[col] != v {
+			tuples += len(run)
+		keys:
+			for i := range run {
+				k := &run[i]
+				for _, r := range c.resid[:c.nres] {
+					if k[r[0]] != r[1] {
 						continue keys
 					}
 				}
+				for _, j := range c.emit[:c.w] {
+					out.Data = append(out.Data, k[j])
+				}
 			}
-			out.Data = append(out.Data, row...)
 		}
+		cost := int64(tuples) * c.e.Costs.ScanTuple
+		if c.nres > 0 {
+			cost += int64(tuples) * c.e.Costs.FilterTuple
+		}
+		c.e.Store.ChargeCPU(cost)
 	}
-	return out
+	return len(out.Data) > 0
 }
