@@ -9,10 +9,8 @@
 package blackswan_test
 
 import (
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"blackswan/internal/bench"
 	"blackswan/internal/core"
@@ -262,38 +260,6 @@ func BenchmarkQ8VertHot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkParallelPlanExecution measures the worker-pool execution mode
-// on the widest per-property fan-out (q2* on the column-store vertical
-// scheme), reporting the host-time speedup over sequential execution as a
-// custom metric. On a single-CPU host the speedup hovers around 1.0 — the
-// pool proves determinism, not parallelism.
-func BenchmarkParallelPlanExecution(b *testing.B) {
-	w := workload(b)
-	sys, err := bench.NewMonetVert(w, simio.MachineB())
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := core.Query{ID: core.Q2, Star: true}
-	run := func(workers int) time.Duration {
-		sys.SetParallel(workers)
-		defer sys.SetParallel(1)
-		start := time.Now()
-		if _, err := sys.DB.Run(q); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	run(1) // warm-up
-	b.ResetTimer()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		seq := run(1)
-		par := run(runtime.NumCPU())
-		speedup = float64(seq) / float64(par)
-	}
-	b.ReportMetric(speedup, "seq/par-hosttime")
 }
 
 // BenchmarkGenerate measures the data generator itself.

@@ -17,19 +17,18 @@
 //	table7   full grid, hot runs
 //	fig6      execution time vs number of aggregated properties
 //	fig7      scale-up experiment (property splitting, 222 → 1000)
-//	parallel  host-time speedup of the worker-pool execution mode
 //	workloads generated random-BGP workload through the query compiler
 //	load      bulk-ingest benchmark: sequential loader vs the parallel
 //	          pipeline (triples/sec, per-stage breakdown, deterministic
 //	          byte-identity and cross-build query equivalence)
-//	stream    streaming vs materializing executor: paper queries plus a
+//	stream    pipelined vs drained executor configuration: paper queries plus a
 //	          generated ORDER BY/LIMIT workload, reporting simulated time,
 //	          host time, physical I/O and peak per-query memory; fails when
-//	          the LIMIT workload's streaming peak exceeds a quarter of the
-//	          materializing peak
+//	          the LIMIT workload's pipelined peak exceeds a quarter of the
+//	          drained peak
 //	observe   the observation-only gate: -bgp-count generated queries run
-//	          hot through the serving layer on every scheme and both
-//	          executors, once with every sink off and once per sink
+//	          hot through the serving layer on every scheme, once with
+//	          every sink off and once per sink
 //	          (per-operator profiling, tracing at 100% sampling, the
 //	          workload registry, all three); fails unless every sink-on
 //	          execution is byte-identical to the baseline with identical
@@ -85,7 +84,6 @@ func main() {
 		fig7Max     = flag.Int("fig7-max", 1000, "maximum property count for fig7")
 		fig7Steps   = flag.Int("fig7-steps", 9, "measurement points for fig7")
 		fig6Steps   = flag.Int("fig6-steps", 8, "measurement points for fig6")
-		parallel    = flag.Int("parallel", 0, "worker count for the parallel experiment (defaults to NumCPU); the measured tables always run sequentially so their simulated timings stay deterministic")
 		bgpText     = flag.String("bgp", "", "compile and run this BGP query on all four schemes (see internal/bgp for the syntax), instead of an experiment")
 		bgpCount    = flag.Int("bgp-count", 12, "number of generated queries for the workloads and observe experiments")
 		bgpSeed     = flag.Int64("bgp-seed", 0, "workload-generator seed (defaults to -seed)")
@@ -105,7 +103,7 @@ func main() {
 		version     = flag.Bool("version", false, "print the build identity and exit")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: swanbench [flags] <experiment>\nexperiments: table1 fig1 table2 table4 table5 fig5 table6 table7 fig6 fig7 parallel workloads load stream observe mutate sql gen all\nflags:\n")
+		fmt.Fprintf(os.Stderr, "usage: swanbench [flags] <experiment>\nexperiments: table1 fig1 table2 table4 table5 fig5 table6 table7 fig6 fig7 workloads load stream observe mutate sql gen all\nflags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -200,15 +198,6 @@ func main() {
 			pts, err := bench.Fig7(w, *fig7Max, *fig7Steps, *seed+1)
 			fail(err)
 			fmt.Print(bench.FormatFig7(pts))
-		case "parallel":
-			workers := *parallel
-			if workers <= 1 {
-				workers = runtime.NumCPU()
-			}
-			section(fmt.Sprintf("Parallel execution: star queries, %d workers", workers))
-			pts, err := bench.ParallelSweep(w, workers)
-			fail(err)
-			fmt.Print(bench.FormatParallel(pts, workers))
 		case "workloads":
 			section(fmt.Sprintf("Workloads: %d generated BGP queries (seed %d) through the query compiler", *bgpCount, wseed))
 			systems, err := bench.BGPSystems(w)
@@ -233,7 +222,7 @@ func main() {
 			if *strHot {
 				mode = bench.Hot
 			}
-			section(fmt.Sprintf("Stream: streaming vs materializing executor, %d LIMIT queries (seed %d), %s runs", *strQueries, wseed, mode))
+			section(fmt.Sprintf("Stream: pipelined vs drained executor configuration, %d LIMIT queries (seed %d), %s runs", *strQueries, wseed, mode))
 			systems, err := bench.BGPSystems(w)
 			fail(err)
 			report, err := bench.RunStream(w, systems, bench.StreamOptions{
@@ -289,7 +278,7 @@ func main() {
 	}
 
 	if flag.Arg(0) == "all" {
-		for _, name := range []string{"table1", "fig1", "table2", "table4", "table5", "fig5", "table6", "table7", "fig6", "fig7", "parallel", "workloads", "load", "stream", "observe", "mutate"} {
+		for _, name := range []string{"table1", "fig1", "table2", "table4", "table5", "fig5", "table6", "table7", "fig6", "fig7", "workloads", "load", "stream", "observe", "mutate"} {
 			run(name)
 		}
 		return

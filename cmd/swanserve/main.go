@@ -104,7 +104,6 @@ func main() {
 		seed        = flag.Int64("seed", 42, "generator seed")
 		cacheSize   = flag.Int("cache", serve.DefaultCacheSize, "plan-cache capacity in entries (negative disables)")
 		maxConc     = flag.Int("max-concurrent", runtime.GOMAXPROCS(0), "admission bound: concurrently executing queries")
-		workers     = flag.Int("workers", 1, "core executor workers per admitted query")
 		ingestFile  = flag.String("ingest", "", "serve this N-Triples file (loaded through the parallel ingest pipeline) instead of generated data")
 		ingestWk    = flag.Int("ingest-workers", 0, "ingest pipeline workers (0 means one per CPU)")
 		slowThresh  = flag.Duration("slow-threshold", 0, "record served queries at or above this latency in the slow-query log (0 disables)")
@@ -148,7 +147,7 @@ func main() {
 	systems, err := bench.BGPSystems(w)
 	fail(err)
 	svc, err := bench.NewService(w, systems, serve.Config{
-		MaxConcurrent: *maxConc, ExecWorkers: *workers, CacheSize: *cacheSize,
+		MaxConcurrent: *maxConc, CacheSize: *cacheSize,
 		SlowQueryThreshold: *slowThresh, SlowLogSize: *slowSize,
 		Tracer: tracer, Logger: log,
 	})
@@ -224,7 +223,7 @@ func main() {
 
 	log.Info("serving",
 		"systems", fmt.Sprint(svc.Systems()), "addr", *addr,
-		"cache", *cacheSize, "admission", *maxConc, "workers", *workers,
+		"cache", *cacheSize, "admission", *maxConc,
 		"traceSample", *traceRate, "pprof", *pprofOn,
 		"writes", *writes, "compactEvery", *compactEvry)
 	fail(http.ListenAndServe(*addr, mux))

@@ -16,8 +16,9 @@
 // (core.PlanFor) and lowered onto all four storage schemes by one
 // executor through a small per-scheme physical-access interface
 // (core.PhysicalSource) — per-property scans, ordering hints that select
-// merge vs. hash joins, and partitioned-union fan-out that can run over a
-// worker pool (core.ExecOptions). Beyond the fixed twelve queries,
+// merge vs. hash joins, and partitioned-union fan-out — either drained
+// operator by operator, as the systems the paper measures run, or pipelined
+// in batches (core.ExecOptions). Beyond the fixed twelve queries,
 // internal/bgp compiles arbitrary basic-graph-pattern queries — stated in
 // a small text syntax that has grown toward SPARQL: OPTIONAL (left outer
 // join with NULL-bearing results), numeric range filters over typed
@@ -59,6 +60,5 @@
 //	go test -bench=. -benchmem
 //
 // to regenerate every experiment, or use cmd/swanbench for formatted,
-// full-scale output (and its -parallel flag for the worker-pool execution
-// mode).
+// full-scale output.
 package blackswan

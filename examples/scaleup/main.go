@@ -9,13 +9,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"runtime"
 
 	"blackswan/internal/bench"
 	"blackswan/internal/core"
 	"blackswan/internal/datagen"
 	"blackswan/internal/rdf"
-	"blackswan/internal/rel"
 	"blackswan/internal/simio"
 )
 
@@ -66,22 +64,4 @@ func main() {
 	fmt.Println("vertically-partitioned scheme pays per table and degrades as the")
 	fmt.Println("schema grows — the data-dependent logical schema the paper warns about.")
 
-	// Every query above ran through the shared declarative plan layer; the
-	// same plans can fan their per-property scans out over a worker pool.
-	// Results are byte-identical — only host time changes.
-	vert, err := bench.NewMonetVert(w, simio.MachineB())
-	if err != nil {
-		log.Fatal(err)
-	}
-	seq, err := vert.DB.Run(q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vert.SetParallel(runtime.NumCPU())
-	par, err := vert.DB.Run(q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nparallel plan execution (%d workers): %d rows, identical to sequential: %v\n",
-		runtime.NumCPU(), par.Len(), rel.Equal(seq, par))
 }

@@ -64,21 +64,6 @@ type System struct {
 	// Queries lists what the system can answer (C-Store runs only the
 	// original 7); nil means the full benchmark.
 	Queries []core.Query
-	// opt is the executor tuning applied by SetParallel, honored both by
-	// DB.Run (via Tunable) and by MeasurePlan's direct plan execution.
-	opt core.ExecOptions
-}
-
-// SetParallel switches the system's plan executor to a pool of n worker
-// goroutines for per-property scan fan-out (effective on the vertically-
-// partitioned schemes; n <= 1 restores sequential execution). Results are
-// deterministic either way; only host time changes — the simulated clock
-// still models the paper's single-threaded systems.
-func (s *System) SetParallel(n int) {
-	s.opt = core.ExecOptions{Workers: n}
-	if t, ok := s.DB.(core.Tunable); ok {
-		t.SetExecOptions(s.opt)
-	}
 }
 
 // Supports reports whether the system can run q.

@@ -20,7 +20,7 @@ import (
 
 // The observe experiment is the one gate on the serving layer's
 // observation-only contract. A generated BGP workload runs hot through the
-// serving layer on every scheme under both executors: once on a service
+// serving layer on every scheme: once on a service
 // with every observation sink off (the baseline) and once per row of the
 // sink table below — per-operator profiling, request tracing at 100% head
 // sampling, the workload registry, and all three at once. Three things
@@ -42,7 +42,7 @@ import (
 // the all-sinks-off baseline.
 const ObserveMaxOverhead = 1.10
 
-// Every (query, system, executor) item repeats at least observeMinReps
+// Every (query, system) item repeats at least observeMinReps
 // times and then until its baseline runs have taken observeItemBudget of
 // host time: interference from the host only ever adds time, so minima
 // converge from above, and short queries — where one scheduler hiccup is a
@@ -79,8 +79,7 @@ var observeSinks = []observeSink{
 }
 
 // ObserveSinkResult is one sink's verdict: its overhead ratio and its proof
-// of life, summed over both executors. Fields a sink does not exercise
-// stay zero.
+// of life. Fields a sink does not exercise stay zero.
 type ObserveSinkResult struct {
 	Sink string `json:"sink"`
 	// OverheadRatio is summed min host time with the sink on over the
@@ -107,15 +106,14 @@ type ObserveSinkResult struct {
 	sumLogQ float64 // Σ ln(mean q-error) over QErrorOps, for MeanQError
 }
 
-// ObserveCell is one (sink, system, executor) aggregate: summed per-query
-// minimum host times of the baseline and of the sink-on service.
+// ObserveCell is one (sink, system) aggregate: summed per-query minimum
+// host times of the baseline and of the sink-on service.
 type ObserveCell struct {
-	Sink     string  `json:"sink"`
-	System   string  `json:"system"`
-	Executor string  `json:"executor"` // "streaming" or "materializing"
-	BaseMs   float64 `json:"baseMs"`
-	SinkMs   float64 `json:"sinkMs"`
-	Ratio    float64 `json:"ratio"`
+	Sink   string  `json:"sink"`
+	System string  `json:"system"`
+	BaseMs float64 `json:"baseMs"`
+	SinkMs float64 `json:"sinkMs"`
+	Ratio  float64 `json:"ratio"`
 }
 
 // ObserveReport is the experiment's full result; swanbench serializes it
@@ -165,9 +163,9 @@ type observed struct {
 	exact map[string][]float64
 }
 
-func newObserved(w *Workload, targets []serve.Target, sink observeSink, materialize bool, seed int64) (*observed, error) {
+func newObserved(w *Workload, targets []serve.Target, sink observeSink, seed int64) (*observed, error) {
 	o := &observed{sink: sink, exact: map[string][]float64{}}
-	cfg := serve.Config{Materialize: materialize, WorkloadCapacity: -1}
+	cfg := serve.Config{WorkloadCapacity: -1}
 	if sink.registry {
 		cfg.WorkloadCapacity = 0
 	}
@@ -281,7 +279,7 @@ func checkRank(sorted []float64, q, v, eps float64) error {
 	return nil
 }
 
-// measureItem is one (query, system, executor) item: it warms every
+// measureItem is one (query, system) item: it warms every
 // service's plan cache and the buffer pool, so the measured runs compare
 // the sinks rather than first-touch compilation or I/O, then repeats the
 // query through all[0] (the baseline) and every sink service with the
@@ -348,47 +346,41 @@ func RunObserve(w *Workload, systems []*System, queries int, seed int64) (*Obser
 	sumBase := make([]time.Duration, len(observeSinks))
 	sumSink := make([]time.Duration, len(observeSinks))
 
-	for _, materialize := range []bool{false, true} {
-		executor := "streaming"
-		if materialize {
-			executor = "materializing"
+	// all[0] is the baseline; all[1+si] runs observeSinks[si].
+	var all []*observed
+	for _, sink := range append([]observeSink{{name: "off"}}, observeSinks...) {
+		o, err := newObserved(w, targets, sink, seed)
+		if err != nil {
+			return nil, err
 		}
-		// all[0] is the baseline; all[1+si] runs observeSinks[si].
-		var all []*observed
-		for _, sink := range append([]observeSink{{name: "off"}}, observeSinks...) {
-			o, err := newObserved(w, targets, sink, materialize, seed)
+		all = append(all, o)
+	}
+	for _, sys := range systems {
+		cells := make([]ObserveCell, len(observeSinks))
+		for _, text := range texts {
+			mins, reps, err := measureItem(ctx, all, sys, text)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("bench: observe: %s, query %q: %w", sys.Name, text, err)
 			}
-			all = append(all, o)
-		}
-		for _, sys := range systems {
-			cells := make([]ObserveCell, len(observeSinks))
-			for _, text := range texts {
-				mins, reps, err := measureItem(ctx, all, sys, text)
-				if err != nil {
-					return nil, fmt.Errorf("bench: observe: %s (%s), query %q: %w", sys.Name, executor, text, err)
-				}
-				report.Reps += reps
-				for si := range cells {
-					cells[si].BaseMs += float64(mins[0].Microseconds()) / 1e3
-					cells[si].SinkMs += float64(mins[1+si].Microseconds()) / 1e3
-					sumBase[si] += mins[0]
-					sumSink[si] += mins[1+si]
-				}
-			}
-			for si, c := range cells {
-				c.Sink, c.System, c.Executor = observeSinks[si].name, sys.Name, executor
-				if c.BaseMs > 0 {
-					c.Ratio = c.SinkMs / c.BaseMs
-				}
-				report.Cells = append(report.Cells, c)
+			report.Reps += reps
+			for si := range cells {
+				cells[si].BaseMs += float64(mins[0].Microseconds()) / 1e3
+				cells[si].SinkMs += float64(mins[1+si].Microseconds()) / 1e3
+				sumBase[si] += mins[0]
+				sumSink[si] += mins[1+si]
 			}
 		}
-		for si, o := range all[1:] {
-			if err := o.life(&report.Sinks[si]); err != nil {
-				return nil, fmt.Errorf("bench: observe: sink %s (%s): %w", o.sink.name, executor, err)
+		for si, c := range cells {
+			c.Sink, c.System = observeSinks[si].name, sys.Name
+			if c.BaseMs > 0 {
+				c.Ratio = c.SinkMs / c.BaseMs
 			}
+			report.Cells = append(report.Cells, c)
+		}
+	}
+	for si, o := range all[1:] {
+		if err := o.life(&report.Sinks[si]); err != nil {
+			return nil, fmt.Errorf("bench: observe: sink %s: %w", o.sink.name, err)
 		}
 	}
 
@@ -412,7 +404,7 @@ func RunObserve(w *Workload, systems []*System, queries int, seed int64) (*Obser
 }
 
 // FormatObserve renders the report for the console: one overhead ratio and
-// proof of life per sink, then the per-(system, executor) cells.
+// proof of life per sink, then the per-system cells.
 func FormatObserve(r *ObserveReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "observation overhead through the serving layer, %d generated queries (seed %d), hot, min host time over %d repetitions in all\n",
@@ -437,9 +429,9 @@ func FormatObserve(r *ObserveReport) string {
 		fmt.Fprintf(&b, "%-9s %8.3fx  %s\n", s.Sink, s.OverheadRatio, strings.Join(life, "; "))
 	}
 	fmt.Fprintf(&b, "(limit: %.2fx)\n\n", r.MaxOverhead)
-	fmt.Fprintf(&b, "%-9s %-18s %-13s %10s %10s %8s\n", "sink", "system", "executor", "base ms", "sink ms", "ratio")
+	fmt.Fprintf(&b, "%-9s %-18s %10s %10s %8s\n", "sink", "system", "base ms", "sink ms", "ratio")
 	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "%-9s %-18s %-13s %10.3f %10.3f %7.3fx\n", c.Sink, c.System, c.Executor, c.BaseMs, c.SinkMs, c.Ratio)
+		fmt.Fprintf(&b, "%-9s %-18s %10.3f %10.3f %7.3fx\n", c.Sink, c.System, c.BaseMs, c.SinkMs, c.Ratio)
 	}
 	return b.String()
 }

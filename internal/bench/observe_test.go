@@ -30,28 +30,26 @@ func TestRunObserve(t *testing.T) {
 	} else if err != nil {
 		t.Fatal(err)
 	}
-	items := 2 * len(systems) * queries // executors × systems × queries
+	items := len(systems) * queries // systems × queries
 	if report.Queries != queries || report.Reps < observeMinReps*items || report.MaxOverhead != ObserveMaxOverhead {
 		t.Fatalf("report header: %d queries, %d reps, limit %g", report.Queries, report.Reps, report.MaxOverhead)
 	}
 
-	cells := map[[3]string]ObserveCell{}
+	cells := map[[2]string]ObserveCell{}
 	for _, c := range report.Cells {
-		cells[[3]string{c.Sink, c.System, c.Executor}] = c
+		cells[[2]string{c.Sink, c.System}] = c
 	}
 	if len(cells) != len(report.Cells) {
 		t.Fatalf("duplicate cells: %d distinct of %d", len(cells), len(report.Cells))
 	}
 	for _, sink := range observeSinks {
 		for _, sys := range systems {
-			for _, executor := range []string{"streaming", "materializing"} {
-				c, ok := cells[[3]string{sink.name, sys.Name, executor}]
-				if !ok {
-					t.Fatalf("no cell for sink %s on %s (%s)", sink.name, sys.Name, executor)
-				}
-				if c.BaseMs <= 0 || c.SinkMs <= 0 || c.Ratio <= 0 {
-					t.Errorf("cell %s/%s/%s: base %f ms, sink %f ms, ratio %f", c.Sink, c.System, c.Executor, c.BaseMs, c.SinkMs, c.Ratio)
-				}
+			c, ok := cells[[2]string{sink.name, sys.Name}]
+			if !ok {
+				t.Fatalf("no cell for sink %s on %s", sink.name, sys.Name)
+			}
+			if c.BaseMs <= 0 || c.SinkMs <= 0 || c.Ratio <= 0 {
+				t.Errorf("cell %s/%s: base %f ms, sink %f ms, ratio %f", c.Sink, c.System, c.BaseMs, c.SinkMs, c.Ratio)
 			}
 		}
 	}
@@ -72,9 +70,9 @@ func TestRunObserve(t *testing.T) {
 		if sink.trace && (s.TracesKept != driven || s.Spans == 0) {
 			t.Errorf("%s: %d traces kept (%d spans), want %d", s.Sink, s.TracesKept, s.Spans, driven)
 		}
-		if sink.registry && (s.Fingerprints != 2*queries || s.Observations != driven || s.QuantileChecks != 3*s.Fingerprints) {
+		if sink.registry && (s.Fingerprints != queries || s.Observations != driven || s.QuantileChecks != 3*s.Fingerprints) {
 			t.Errorf("%s: %d fingerprints, %d observations, %d quantile checks; want %d, %d, %d",
-				s.Sink, s.Fingerprints, s.Observations, s.QuantileChecks, 2*queries, driven, 6*queries)
+				s.Sink, s.Fingerprints, s.Observations, s.QuantileChecks, queries, driven, 3*queries)
 		}
 		if sink.profile && sink.registry && (s.QErrorOps == 0 || s.MeanQError < 1 || s.MaxQError < s.MeanQError) {
 			t.Errorf("%s: %d q-error operators, mean %f, max %f", s.Sink, s.QErrorOps, s.MeanQError, s.MaxQError)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestRunStream smoke-tests the stream experiment end to end on the shared
-// workload: every scheme reports both executors' cells for every workload
+// workload: every scheme reports both configurations' cells for every workload
 // kind, the scan-LIMIT guard ratio clears the CI threshold, the bounded
 // heap shows up in the TopN workload, and the report round-trips through
 // JSON (the CI artifact format).
@@ -26,7 +26,7 @@ func TestRunStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !report.Identical {
-		t.Fatal("streaming results not byte-identical to materializing")
+		t.Fatal("report not marked identical across configurations")
 	}
 	checkStreamGolden(t, report)
 	if report.PaperQueries != 12 {
@@ -53,8 +53,8 @@ func TestRunStream(t *testing.T) {
 	if report.HeapTopNs == 0 {
 		t.Fatal("no streaming run used the bounded heap")
 	}
-	// The CI regression guard: on the scan-shaped LIMIT workload streaming
-	// peak memory must stay below a quarter of the materializing baseline.
+	// The CI regression guard: on the scan-shaped LIMIT workload pipelined
+	// peak memory must stay below a quarter of the drained baseline.
 	if report.MaxLimitPeakRatio <= 0 || report.MaxLimitPeakRatio > 0.25 {
 		t.Fatalf("max LIMIT peak ratio = %f, want in (0, 0.25]", report.MaxLimitPeakRatio)
 	}
@@ -72,7 +72,7 @@ func TestRunStream(t *testing.T) {
 			t.Fatalf("%s: speedup = %f", s.System, s.LimitSpeedup)
 		}
 		if s.LimitIOStream > s.LimitIOMat {
-			t.Fatalf("%s: streaming read more than materializing (%d > %d)",
+			t.Fatalf("%s: pipelined read more than drained (%d > %d)",
 				s.System, s.LimitIOStream, s.LimitIOMat)
 		}
 	}
@@ -100,7 +100,8 @@ func TestRunStream(t *testing.T) {
 const streamGolden = "testdata/stream.golden"
 
 // streamCells renders every (query, system) row RunStream measured as one
-// line: both executors' simulated real and user nanoseconds, physical I/O
+// line: both configurations' (mat = drained, stream = pipelined) simulated
+// real and user nanoseconds, physical I/O
 // bytes and tracked peak bytes, then the heap-TopN flag.
 func streamCells(r *StreamReport) []string {
 	ns := func(s float64) int64 { return int64(math.Round(s * 1e9)) }
@@ -116,7 +117,7 @@ func streamCells(r *StreamReport) []string {
 }
 
 // checkStreamGolden pins the stream experiment per cell, as checkGridGolden
-// pins the materializing grid: the simulated clock, the I/O volume and the
+// pins the paper grid: the simulated clock, the I/O volume and the
 // tracked (logical) peak are deterministic, so an executor change that moves
 // any of them has to show it in the diff of testdata/stream.golden (go test
 // ./internal/bench -run TestRunStream -update regenerates it).

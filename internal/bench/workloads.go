@@ -40,7 +40,7 @@ func (s *System) MeasurePlan(root core.Node, mode Mode) (Timing, *rel.Rel, error
 		return Timing{}, nil, fmt.Errorf("bench: %s cannot run compiled plans", s.Name)
 	}
 	t, res, err := s.measureRuns(func() (*rel.Rel, error) {
-		out, _, _, err := core.ExecutePlan(src, root, s.opt)
+		out, _, _, err := core.ExecutePlan(src, root, core.ExecOptions{})
 		return out, err
 	}, mode)
 	if err != nil {

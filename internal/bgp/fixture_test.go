@@ -1,6 +1,7 @@
 package bgp_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"blackswan/internal/core"
 	"blackswan/internal/datagen"
 	"blackswan/internal/rdf"
+	"blackswan/internal/rel"
 	"blackswan/internal/rowstore"
 	"blackswan/internal/simio"
 )
@@ -29,6 +31,46 @@ var (
 	fx     *fixture
 	fxErr  error
 )
+
+// configs is every executor configuration the oracle is held against: the
+// drain configuration, then the pipelined one at batch sizes that put a
+// batch boundary inside every operator (1, 2, 5) and inside none (1024).
+var configs = []core.ExecOptions{
+	{},
+	{Streaming: true, BatchRows: 1},
+	{Streaming: true, BatchRows: 2},
+	{Streaming: true, BatchRows: 5},
+	{Streaming: true, BatchRows: 1024},
+}
+
+// checkConfigs runs root on src in each of the given configurations and
+// fails unless each result is the oracle's — in row order under ORDER BY, as
+// a bag otherwise — and byte-identical, row order included, to the first
+// configuration's. It returns that first (drain) result.
+func checkConfigs(t *testing.T, what string, src core.PhysicalSource, root core.Node, cfgs []core.ExecOptions, oracle *rel.Rel, ordered bool) *rel.Rel {
+	t.Helper()
+	var first *rel.Rel
+	for _, opt := range cfgs {
+		got, _, _, err := core.ExecutePlan(src, root, opt)
+		if err != nil {
+			t.Fatalf("%s: %+v: %v", what, opt, err)
+		}
+		if ordered {
+			if got.W != oracle.W || !slices.Equal(got.Data, oracle.Data) {
+				t.Fatalf("%s: %+v: ordered result differs from the oracle (%d vs %d rows)", what, opt, got.Len(), oracle.Len())
+			}
+		} else if !rel.Equal(got, oracle) {
+			t.Fatalf("%s: %+v: result differs from the oracle (%d vs %d rows)", what, opt, got.Len(), oracle.Len())
+		}
+		if first == nil {
+			first = got
+		}
+		if got.W != first.W || !slices.Equal(got.Data, first.Data) {
+			t.Fatalf("%s: %+v: rows not byte-identical to the drain configuration's (%d vs %d rows)", what, opt, got.Len(), first.Len())
+		}
+	}
+	return first
+}
 
 func newStore() *simio.Store {
 	return simio.NewStore(simio.Config{Machine: simio.MachineB(), PoolBytes: 1 << 30})

@@ -68,22 +68,6 @@ func (e *Engine) FilterVecNe(vals []uint64, v uint64) []uint64 {
 	return out
 }
 
-// HavingGT keeps rows of r whose col value exceeds min — the HAVING clause
-// applied to a grouped result.
-func (e *Engine) HavingGT(r *rel.Rel, col int, min uint64) *rel.Rel {
-	e.node()
-	e.Store.ChargeCPU(int64(r.Len()) * e.Costs.SelectValue)
-	out := rel.New(r.W)
-	n := r.Len()
-	for i := 0; i < n; i++ {
-		row := r.Row(i)
-		if row[col] > min {
-			out.Data = append(out.Data, row...)
-		}
-	}
-	return out
-}
-
 // SelectEqAt refines a candidate list: positions in cand where c equals v.
 func (e *Engine) SelectEqAt(c *Column, v uint64, cand []int32) []int32 {
 	return e.selectAt(c, cand, func(x uint64) bool { return x == v })
@@ -219,45 +203,29 @@ func (e *Engine) BuildSet(vals []uint64) map[uint64]bool {
 // GroupCount groups parallel key vectors (1 or 2) and returns keys+count
 // rows, sorted for determinism.
 func (e *Engine) GroupCount(keys ...[]uint64) *rel.Rel {
-	return e.GroupCountPar(1, keys...)
-}
-
-// GroupCountPar is GroupCount with the counting chunked over workers
-// goroutines. The charges are identical — simulated times model the
-// paper's single-threaded systems — and the chunk tallies merge by
-// summation before the sort, so the output is byte-identical to the
-// sequential operator.
-func (e *Engine) GroupCountPar(workers int, keys ...[]uint64) *rel.Rel {
 	e.node()
-	switch len(keys) {
-	case 1:
-		e.Store.ChargeCPU(int64(len(keys[0])) * e.Costs.GroupValue)
-		counts := rel.CountGroups(len(keys[0]), workers, func(i int) [2]uint64 {
-			return [2]uint64{keys[0][i]}
-		})
-		out := rel.New(2)
-		for k, n := range counts {
-			out.Append(k[0], n)
-		}
-		out.Sort()
-		return out
-	case 2:
-		if len(keys[0]) != len(keys[1]) {
-			panic("colstore: GroupCount key vectors differ in length")
-		}
-		e.Store.ChargeCPU(int64(len(keys[0])) * 2 * e.Costs.GroupValue)
-		counts := rel.CountGroups(len(keys[0]), workers, func(i int) [2]uint64 {
-			return [2]uint64{keys[0][i], keys[1][i]}
-		})
-		out := rel.New(3)
-		for k, n := range counts {
-			out.Append(k[0], k[1], n)
-		}
-		out.Sort()
-		return out
-	default:
+	if len(keys) == 0 || len(keys) > 2 {
 		panic("colstore: GroupCount supports 1 or 2 key vectors")
 	}
+	n := len(keys[0])
+	if len(keys[len(keys)-1]) != n {
+		panic("colstore: GroupCount key vectors differ in length")
+	}
+	e.Store.ChargeCPU(int64(n) * int64(len(keys)) * e.Costs.GroupValue)
+	counts := make(map[[2]uint64]uint64, 64)
+	for i := 0; i < n; i++ {
+		var k [2]uint64
+		for j, v := range keys {
+			k[j] = v[i]
+		}
+		counts[k]++
+	}
+	out := rel.New(len(keys) + 1)
+	for k, cnt := range counts {
+		out.Data = append(append(out.Data, k[:len(keys)]...), cnt)
+	}
+	out.Sort()
+	return out
 }
 
 // Union concatenates value vectors, charging per moved value.

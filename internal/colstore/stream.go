@@ -6,21 +6,16 @@ import (
 	"blackswan/internal/rel"
 )
 
-// This file is the column store's side of the streaming executor contract
-// (core.StreamOps / core.StreamSource). The shared streaming operators in
+// This file is the column store's side of the executor contract
+// (core.PhysicalOps / core.PhysicalSource). The shared operators in
 // internal/core charge per-row rates through the Relational adapter, and
 // the scheme sources stream column ranges through ColReader, which issues
 // read-ahead-sized I/O requests so batch-at-a-time access does not
 // degenerate into page-at-a-time request overhead.
 
-// StreamNode charges one operator dispatch, as node() does for every
-// materializing operator.
+// StreamNode charges one operator dispatch, as node() does for every vector
+// primitive.
 func (r Relational) StreamNode() { r.E.node() }
-
-// StreamScanRows charges n selection tests.
-func (r Relational) StreamScanRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * r.E.Costs.SelectValue)
-}
 
 // StreamFilterRows charges n selection tests (the adapter's filters run one
 // test per row regardless of width).
@@ -51,8 +46,8 @@ func (r Relational) StreamUnionRows(n, w int) {
 }
 
 // StreamDistinctRows charges deduplicating n rows: narrow rows use the
-// vector engine's fixed-key path, wider rows hash value by value, matching
-// the materializing Distinct split.
+// vector engine's fixed-key path (DistinctRows), wider rows hash value by
+// value.
 func (r Relational) StreamDistinctRows(n, w int) {
 	if w <= 3 {
 		r.E.Store.ChargeCPU(int64(n) * r.E.Costs.DistinctValue)
@@ -62,20 +57,20 @@ func (r Relational) StreamDistinctRows(n, w int) {
 }
 
 // StreamRestrictRows charges the interesting-properties restriction: the
-// vector engine implements it as a set-membership filter (FilterIn).
+// vector engine implements it as a set-membership filter.
 func (r Relational) StreamRestrictRows(n, w int) {
 	r.E.Store.ChargeCPU(int64(n) * r.E.Costs.SelectValue)
 }
 
 // StreamGroupRows charges aggregating n rows under `keys` grouping columns:
-// one key extraction plus one group-table update per key value, matching the
-// adapter's key() + GroupCountPar decomposition.
+// one key extraction (a positional fetch) plus one group-table update per
+// key value.
 func (r Relational) StreamGroupRows(n, keys int) {
 	r.E.Store.ChargeCPU(int64(n) * int64(keys) * (r.E.Costs.FetchValue + r.E.Costs.GroupValue))
 }
 
-// StreamJoinEmitRows charges materializing n join output rows of width w,
-// one positional fetch per value — the adapter's materialize() rate.
+// StreamJoinEmitRows charges assembling n join output rows of width w, one
+// positional fetch per value — the adapter's materialize() rate.
 func (r Relational) StreamJoinEmitRows(n, w int) {
 	r.E.Store.ChargeCPU(int64(n) * int64(w) * r.E.Costs.FetchValue)
 }
@@ -95,9 +90,6 @@ func (r Relational) StreamSortCompares(n int64) {
 // openers assembled outside the package.
 func (e *Engine) ChargeNode() { e.node() }
 
-// ChargeBinarySearch exposes the sorted-column lookup charge.
-func (e *Engine) ChargeBinarySearch() { e.Store.ChargeCPU(e.Costs.BinarySearch) }
-
 // ChargeSelect charges n selection tests.
 func (e *Engine) ChargeSelect(n int) { e.Store.ChargeCPU(int64(n) * e.Costs.SelectValue) }
 
@@ -106,8 +98,8 @@ func (e *Engine) ChargeFetch(n int) { e.Store.ChargeCPU(int64(n) * e.Costs.Fetch
 
 // streamReadAheadBytes is how much of a column one streaming I/O request
 // covers. Batch-at-a-time pulls would otherwise issue near-page-sized
-// requests and pay per-request overhead hundreds of times where the
-// materializing path pays it once; a read-ahead window keeps streaming
+// requests and pay per-request overhead hundreds of times where a bulk
+// read pays it once; a read-ahead window keeps streaming
 // request counts within a small constant of the bulk read, mirroring the
 // row store's 32-leaf index read-ahead.
 const streamReadAheadBytes = 256 << 10
@@ -115,7 +107,7 @@ const streamReadAheadBytes = 256 << 10
 // ColReader streams the I/O of one contiguous value range [lo, hi) of a
 // column. Ensure extends the requested region monotonically in read-ahead
 // windows; a reader that is dropped early simply never requests the tail,
-// which is the streaming executor's I/O saving.
+// which is the pipelined executor's I/O saving.
 type ColReader struct {
 	c      *Column
 	hi     int
@@ -167,7 +159,7 @@ type EqCond struct {
 
 // StreamCol describes one output column of a streaming scan: a real column
 // to fetch, or a constant to fill (bound pattern positions cost nothing, as
-// in the materializing access path's constant fill). A zero StreamCol emits
+// in the bulk access path's constant fill). A zero StreamCol emits
 // the constant 0 (an un-needed position).
 type StreamCol struct {
 	C     *Column

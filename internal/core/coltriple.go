@@ -13,7 +13,6 @@ import (
 // the clustering is sorted and RLE-compressed. The file contains only the
 // physical access layer; all query logic lives in the shared plan executor.
 type ColTriple struct {
-	execMode
 	eng     *colstore.Engine
 	cat     Catalog
 	cluster rdf.Order
@@ -56,7 +55,7 @@ func (d *ColTriple) colO() *colstore.Column { return d.table.Cols[d.o] }
 
 // Run implements Database by executing the query's declarative plan.
 func (d *ColTriple) Run(q Query) (*rel.Rel, error) {
-	return ExecuteOpts(d, q, d.opt)
+	return Execute(d, q)
 }
 
 // selectPos computes the position list matching the bound positions, using
@@ -182,12 +181,6 @@ func (d *ColTriple) PropOrdered() bool { return false }
 
 // Partitioned implements PhysicalSource.
 func (d *ColTriple) Partitioned() bool { return false }
-
-// RestrictProps implements PhysicalSource: the interesting-property
-// selection applied to a scan's property column.
-func (d *ColTriple) RestrictProps(rows *rel.Rel, pCol int) *rel.Rel {
-	return colstore.Relational{E: d.eng}.FilterIn(rows, pCol, d.cat.interestingSet())
-}
 
 // Ops implements PhysicalSource.
 func (d *ColTriple) Ops() PhysicalOps { return colstore.Relational{E: d.eng} }

@@ -16,7 +16,6 @@ import (
 // contains only the physical access layer; all query logic lives in the
 // shared plan executor.
 type ColVert struct {
-	execMode
 	eng    *colstore.Engine
 	cat    Catalog
 	tables map[rdf.ID]*colstore.Table
@@ -92,7 +91,7 @@ func (d *ColVert) Label() string { return d.label }
 
 // Run implements Database by executing the query's declarative plan.
 func (d *ColVert) Run(q Query) (*rel.Rel, error) {
-	return ExecuteOpts(d, q, d.opt)
+	return Execute(d, q)
 }
 
 // Match implements TripleSource: one property table when p is bound (a
@@ -176,12 +175,6 @@ func (d *ColVert) PropOrdered() bool { return true }
 
 // Partitioned implements PhysicalSource.
 func (d *ColVert) Partitioned() bool { return true }
-
-// RestrictProps implements PhysicalSource; partitioned schemes restrict by
-// table selection instead, so this is only a fallback filter.
-func (d *ColVert) RestrictProps(rows *rel.Rel, pCol int) *rel.Rel {
-	return colstore.Relational{E: d.eng}.FilterIn(rows, pCol, d.cat.interestingSet())
-}
 
 // Ops implements PhysicalSource.
 func (d *ColVert) Ops() PhysicalOps { return colstore.Relational{E: d.eng} }

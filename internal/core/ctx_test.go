@@ -3,14 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
-
-	"blackswan/internal/colstore"
-	"blackswan/internal/rdf"
-	"blackswan/internal/rowstore"
-	"blackswan/internal/simio"
 )
 
 // TestExecutePlanCtxCancel asserts a cancelled context aborts execution on
@@ -37,84 +31,6 @@ func TestExecutePlanCtxCancel(t *testing.T) {
 		// A live context still executes normally through the same path.
 		if _, _, _, err := ExecutePlanCtx(context.Background(), src, p.Root, ExecOptions{}); err != nil {
 			t.Errorf("%s: background context failed: %v", name, err)
-		}
-	}
-}
-
-// TestGroupCountParByteIdentical asserts the chunked parallel GroupCount
-// tail produces byte-identical output and identical simulated charges on
-// every scheme: the aggregation queries run sequentially and with a worker
-// pool against stores whose clocks the test controls.
-func TestGroupCountParByteIdentical(t *testing.T) {
-	fx := newCrafted(t)
-	type sys struct {
-		name  string
-		store *simio.Store
-		src   PhysicalSource
-	}
-	var systems []sys
-	{
-		store := newStore()
-		db, err := LoadRowTriple(rowstore.NewEngine(store), fx.g, fx.cat, rdf.PSO, rdf.AllOrders())
-		if err != nil {
-			t.Fatal(err)
-		}
-		systems = append(systems, sys{"rowtriple", store, db})
-	}
-	{
-		store := newStore()
-		db, err := LoadRowVert(rowstore.NewEngine(store), fx.g, fx.cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		systems = append(systems, sys{"rowvert", store, db})
-	}
-	{
-		store := newStore()
-		db, err := LoadColTriple(colstore.NewEngine(store), fx.g, fx.cat, rdf.PSO)
-		if err != nil {
-			t.Fatal(err)
-		}
-		systems = append(systems, sys{"coltriple", store, db})
-	}
-	{
-		store := newStore()
-		db, err := LoadColVert(colstore.NewEngine(store), fx.g, fx.cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		systems = append(systems, sys{"colvert", store, db})
-	}
-	for _, q := range []Query{{ID: Q1}, {ID: Q2}, {ID: Q3}, {ID: Q3, Star: true}, {ID: Q6}} {
-		p, err := PlanFor(q, fx.cat.Consts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range systems {
-			// Hot runs: cold I/O accounting depends on scan interleaving
-			// under Workers > 1 (see ExecOptions), so the charge comparison
-			// warms the pool first; CPU charges are order-independent sums.
-			run := func(workers int) ([]uint64, time.Duration, time.Duration) {
-				s.store.DropCaches()
-				if _, _, _, err := ExecutePlan(s.src, p.Root, ExecOptions{}); err != nil {
-					t.Fatalf("%s %v warmup: %v", s.name, q, err)
-				}
-				s.store.Clock().Reset()
-				out, _, _, err := ExecutePlan(s.src, p.Root, ExecOptions{Workers: workers})
-				if err != nil {
-					t.Fatalf("%s %v workers=%d: %v", s.name, q, workers, err)
-				}
-				return out.Data, s.store.Clock().Real(), s.store.Clock().User()
-			}
-			seq, seqReal, seqUser := run(1)
-			par, parReal, parUser := run(4)
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("%s %v: parallel GroupCount output differs from sequential", s.name, q)
-			}
-			if seqReal != parReal || seqUser != parUser {
-				t.Errorf("%s %v: parallel charges differ: real %v vs %v, user %v vs %v",
-					s.name, q, seqReal, parReal, seqUser, parUser)
-			}
 		}
 	}
 }

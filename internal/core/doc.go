@@ -7,23 +7,23 @@
 // the SQL text generator that plays the role of the authors' Perl script.
 //
 // Queries execute through the declarative plan layer: PlanFor declares each
-// query once as a logical operator DAG and a shared executor lowers it onto
-// any scheme from its physical properties (PhysicalSource). Two executors
-// share that lowering:
+// query once as a logical operator DAG and the one executor (stream.go)
+// lowers it onto any scheme from its physical properties (PhysicalSource):
+// pull-based iterators exchanging row batches, with no barriers except hash
+// builds, grouping, sorts and shared subexpressions. It runs in two
+// configurations of two values, the batch size and the scan entry point:
 //
-//   - the materializing executor (exec.go) evaluates operator-at-a-time,
-//     one memoized relation per plan node — the reference for results and
-//     for fully-drained simulated charges;
-//   - the streaming executor (stream.go, ExecOptions{Streaming: true})
-//     pulls fixed-size row batches through iterator pipelines with no
-//     materialization barriers except hash builds, grouping and full
-//     sorts. LIMIT and the bounded-heap TopN (n·⌈log₂ k⌉ comparisons)
-//     propagate early termination into the physical scans, so bounded
-//     queries stop paying simulated I/O and hold only a few batches of
-//     intermediate state (Trace.PeakBytes).
+//   - drained (the zero ExecOptions): the batch is unbounded and scans are
+//     bulk, so every operator finishes before its consumer starts — the
+//     schedule of the systems the paper measures, and what Database.Run,
+//     the paper grid and the ledger's reference rows use;
+//   - pipelined (ExecOptions{Streaming: true}): fixed-size batches pulled
+//     through scan cursors. LIMIT and the bounded-heap TopN (n·⌈log₂ k⌉
+//     comparisons) propagate early termination into the physical scans, so
+//     bounded queries stop paying simulated I/O and hold only a few batches
+//     of intermediate state (Trace.PeakBytes). The serving layer's default.
 //
-// The two executors produce byte-identical results — including row order —
-// on every scheme; the serving layer streams by default. ExecutePlanCtx
-// checks cancellation at batch boundaries, and ExecOptions.Workers fans
-// partitioned scans over a worker pool with deterministic charge totals.
+// Results are byte-identical — including row order — in both, on every
+// scheme, and simulated CPU depends on the work charged, not on the batch
+// size. ExecutePlanCtx checks cancellation at batch boundaries.
 package core

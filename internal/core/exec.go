@@ -3,19 +3,18 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
 )
 
-// This file is the shared plan executor: it lowers the logical plans of
-// plan.go onto any storage scheme through the PhysicalSource interface.
-// The lowering decisions the four hand-written query matrices used to make
-// implicitly are made here, once, from declared physical properties:
+// This file is the plan executor's surface: the interfaces a storage scheme
+// implements, the options and trace of one execution, and the plan analysis
+// (projection pushdown, shared subexpressions, access assembly) the lowering
+// in stream.go builds on. The lowering decisions are made once, from
+// declared physical properties:
 //
 //   - an Access with a bound property becomes one per-property scan;
 //   - an Access with an unbound property becomes a union of per-property
@@ -28,51 +27,61 @@ import (
 //     access layer: partitioned schemes visit only those tables, triple
 //     stores apply the properties-table restriction to one big scan.
 
-// PhysicalOps is the relational operator vocabulary the executor needs
-// from an engine. The row-store engine implements it directly; the
-// column-store engine provides it through colstore.Relational, which
-// decomposes each operator into vector primitives.
+// PhysicalOps is what the executor needs from an engine: the per-row charge
+// vocabulary. The operators themselves live once in stream.go,
+// engine-agnostic; each call charges n rows (of width w, where the engine's
+// cost model cares) at the engine's own rate for that operator class. The
+// row-store engine implements it directly; the column-store engine provides
+// it through colstore.Relational, which prices each operator as its
+// decomposition into vector primitives.
 type PhysicalOps interface {
+	// StreamNode charges one operator dispatch (plan-node startup).
+	StreamNode()
+	// StreamFilterRows charges n predicate evaluations over width-w rows.
+	StreamFilterRows(n, w int)
+	// StreamHashBuildRows charges inserting n rows into a join hash table.
+	StreamHashBuildRows(n, w int)
+	// StreamHashProbeRows charges probing n rows against a hash table.
+	StreamHashProbeRows(n, w int)
+	// StreamMergeRows charges advancing n rows through a merge join.
+	StreamMergeRows(n, w int)
+	// StreamUnionRows charges moving n rows of width w through a union.
+	StreamUnionRows(n, w int)
+	// StreamDistinctRows charges deduplicating n rows of width w.
+	StreamDistinctRows(n, w int)
+	// StreamRestrictRows charges testing n rows against the interesting-
+	// properties restriction (a hash semijoin probe on the row engine, a set
+	// filter on the column engine).
+	StreamRestrictRows(n, w int)
+	// StreamGroupRows charges aggregating n rows under keys grouping columns.
+	StreamGroupRows(n, keys int)
+	// StreamJoinEmitRows charges materializing n join output rows of width w.
+	StreamJoinEmitRows(n, w int)
+	// StreamEmitRows charges moving n finished rows into an output buffer.
+	StreamEmitRows(n, w int)
+	// StreamSortCompares charges n sort comparisons (ORDER BY / heap TopN).
+	StreamSortCompares(n int64)
+	// HashJoin is the engine's standalone hash join of two relations; the
+	// executor does not call it — the performance ledger's physical-layer
+	// probe times it.
 	HashJoin(l, r *rel.Rel, lc, rc int) *rel.Rel
-	MergeJoin(l, r *rel.Rel, lc, rc int) *rel.Rel
-	// LeftJoin is the left outer hash join: every left row survives, and
-	// unmatched rows carry nullVal in the right side's columns. Left input
-	// order is preserved, so ordering properties survive the operator.
-	LeftJoin(l, r *rel.Rel, lc, rc int, nullVal uint64) *rel.Rel
-	FilterEq(r *rel.Rel, col int, v uint64) *rel.Rel
-	FilterNe(r *rel.Rel, col int, v uint64) *rel.Rel
-	FilterIn(r *rel.Rel, col int, set map[uint64]bool) *rel.Rel
-	// FilterEqCol keeps rows whose columns a and b are equal — the residual
-	// predicate of cyclic basic graph patterns.
-	FilterEqCol(r *rel.Rel, a, b int) *rel.Rel
-	// FilterPred keeps rows whose col value satisfies pred — the engine
-	// charges per evaluated tuple/value, the predicate itself (numeric
-	// range over dictionary values) comes resolved from the plan layer.
-	FilterPred(r *rel.Rel, col int, pred func(uint64) bool) *rel.Rel
-	// TopN sorts r under less (a total order supplied by the plan layer)
-	// and keeps the first limit rows; limit < 0 keeps all.
-	TopN(r *rel.Rel, limit int, less func(a, b []uint64) bool) *rel.Rel
-	GroupCount(r *rel.Rel, keyCols ...int) *rel.Rel
-	// GroupCountPar is GroupCount with the counting chunked over workers
-	// (per-chunk local tallies, merged, then sorted); charges and output
-	// are identical to GroupCount, only host time changes.
-	GroupCountPar(r *rel.Rel, workers int, keyCols ...int) *rel.Rel
-	HavingGT(r *rel.Rel, col int, min uint64) *rel.Rel
-	Union(a, b *rel.Rel) *rel.Rel
-	UnionAll(w int, parts []*rel.Rel) *rel.Rel
-	// UnionAllPar is UnionAll with the tuple movement fanned over workers;
-	// charges and output are identical to UnionAll, only host time changes.
-	UnionAllPar(w int, parts []*rel.Rel, workers int) *rel.Rel
-	Distinct(r *rel.Rel) *rel.Rel
-	// PrepareHashJoin hashes a build side once for repeated probing — the
-	// partitioned joins probe every property table against one build.
-	PrepareHashJoin(l *rel.Rel, lc int) rel.PreparedJoin
+}
+
+// RelIter is the pull contract of a streaming physical scan: Next returns
+// the next non-empty batch or nil when exhausted; Close releases the scan
+// early (abandoning it is the early-termination protocol — an engine scan
+// holds no resources, it simply stops charging). The batch is the scan's own
+// buffer, valid until the next Next or Close: callers copy what they keep.
+type RelIter interface {
+	Next() (*rel.Rel, error)
+	Close()
 }
 
 // PhysicalSource is the per-scheme physical access layer the executor
 // lowers plans onto. It extends the pattern-level TripleSource with the
-// property-partitioned scan path and the physical-design facts (ordering,
-// partitioning) that drive operator selection.
+// property-partitioned scan path, in a bulk and a pull form, and the
+// physical-design facts (ordering, partitioning) that drive operator
+// selection.
 type PhysicalSource interface {
 	TripleSource
 
@@ -95,6 +104,13 @@ type PhysicalSource interface {
 	// triple-stores, honouring the same projection pushdown as ScanProp so
 	// column stores keep their late materialization.
 	ScanTriples(s, o rdf.ID, need ScanCols) *rel.Rel
+	// StreamProp is the pull form of ScanProp: the same rows in the same
+	// order as width-2 batches of at most batchRows rows, charged as they
+	// are pulled, so a consumer that stops early saves the tail's simulated
+	// CPU and I/O.
+	StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelIter, error)
+	// StreamTriples is the pull form of ScanTriples (width-3 batches).
+	StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter
 	// PropOrdered reports whether ScanProp results arrive ordered by their
 	// first unbound position (subject-ascending for the common case) — true
 	// for the SO-clustered vertical tables, enabling merge joins.
@@ -103,11 +119,7 @@ type PhysicalSource interface {
 	// property; the executor then lowers unbound-property accesses to
 	// per-property unions, reproducing the paper's plan shapes.
 	Partitioned() bool
-	// RestrictProps applies the interesting-property restriction to the
-	// pCol column of a scan result — the "properties table" semijoin of
-	// the restricted queries on non-partitioned schemes.
-	RestrictProps(rows *rel.Rel, pCol int) *rel.Rel
-	// Ops returns the engine's physical operator set.
+	// Ops returns the engine's charge vocabulary.
 	Ops() PhysicalOps
 }
 
@@ -122,53 +134,34 @@ type ScanCols struct {
 // behaviour).
 func AllScanCols() ScanCols { return ScanCols{S: true, P: true, O: true} }
 
-// ExecOptions tunes plan execution.
+// ExecOptions selects the executor's configuration. There is one executor —
+// the pull-based operators of stream.go — and two ways to schedule it.
 type ExecOptions struct {
-	// Workers > 1 fans per-property scans out over a worker pool on
-	// partitioned schemes. Results are merged in property order, so the
-	// output is byte-identical to sequential execution, and charge
-	// accounting is interleaving-independent: CPU charges are order-
-	// independent sums, and the store's seek detection is per file, so
-	// fully-drained plans produce the same simulated cold timings under
-	// any scheduling. The one exception is a streaming plan that
-	// terminates a parallel fan-out early: how far the prefetch workers
-	// got is scheduling-dependent, so charges of abandoned work can vary —
-	// results never do. Use Workers <= 1 when regenerating timing tables
-	// for LIMIT plans.
+	// Workers is accepted and ignored: the executor runs every plan on the
+	// calling goroutine. The field remains because the performance ledger
+	// (benchmark/) passes 1, the only meaning it ever relied on.
 	Workers int
-	// Streaming selects the pull-based batched executor: operators
-	// exchange fixed-size row batches, pipelines run without
-	// materialization barriers, and TopN/LIMIT terminate their inputs
-	// early. Results are byte-identical to the materializing executor on
-	// every scheme; simulated charges may differ where the execution
-	// strategy genuinely differs (heap TopN, early-terminated scans,
-	// batch-granular I/O requests). Ignored when the engine's operator set
-	// does not implement StreamOps.
+	// Streaming selects the pipelined configuration: operators exchange
+	// batches of BatchRows rows, scans are pulled through StreamProp and
+	// StreamTriples, and TopN/LIMIT terminate their inputs early. The zero
+	// value is the drain configuration — the schedule of the systems the
+	// paper measures, which finish every operator before the next starts:
+	// the batch is unbounded, so each operator sees its whole input in one
+	// pull, and scans enter through the bulk ScanProp and ScanTriples.
+	// Results are byte-identical in both; simulated CPU charges agree
+	// wherever both configurations do the same work, and differ only by
+	// strategy (a scan abandoned early, read-ahead windows against one bulk
+	// range, how far a merge join over-pulls its longer input).
 	Streaming bool
-	// BatchRows is the streaming batch size in rows; 0 means
-	// DefaultBatchRows.
+	// BatchRows is the pipelined batch size in rows; 0 means
+	// DefaultBatchRows. The drain configuration ignores it.
 	BatchRows int
 	// Profile turns on the per-operator collector: Trace.Profile carries
 	// an OpProfile tree recording rows, batches, simulated CPU/IO, host
 	// time and peak live bytes per plan node. Observation-only — results
-	// and simulated charges are byte-identical with or without it. See
-	// profile.go for the attribution contract under parallelism.
+	// and simulated charges are byte-identical with or without it.
 	Profile bool
 }
-
-// Tunable is implemented by every storage scheme: it carries the executor
-// options its Database.Run uses.
-type Tunable interface {
-	SetExecOptions(ExecOptions)
-}
-
-// execMode is embedded by the four schemes to satisfy Tunable.
-type execMode struct {
-	opt ExecOptions
-}
-
-// SetExecOptions implements Tunable.
-func (m *execMode) SetExecOptions(o ExecOptions) { m.opt = o }
 
 // JoinChoice records one lowering decision for tests and diagnostics.
 type JoinChoice struct {
@@ -179,31 +172,25 @@ type JoinChoice struct {
 // Trace records how a plan was lowered: which join algorithms ran, and how
 // wide the per-property fan-out was.
 type Trace struct {
-	// Joins lists the executed joins in completion order.
+	// Joins lists the joins in lowering order.
 	Joins []JoinChoice
 	// PartitionScans counts per-property scans issued by unbound-property
 	// accesses on partitioned schemes.
 	PartitionScans int
 	// UnionParts counts relations merged by access-level unions.
 	UnionParts int
-	// Parallel reports whether any operator actually fanned work over the
-	// worker pool (per-property scans, union merges, group counting).
-	Parallel bool
-	// Streamed reports that the pull-based streaming executor ran the plan.
-	Streamed bool
-	// PeakBytes is the tracked peak of live intermediate-result bytes. The
-	// materializing executor keeps every operator output live in its memo,
-	// so its peak is the sum of all intermediate results; the streaming
-	// executor counts in-flight batches plus buffered operator state
-	// (hash-join builds, group tables, TopN heaps).
+	// PeakBytes is the tracked peak of live intermediate-result bytes:
+	// in-flight batches plus buffered operator state (hash-join builds,
+	// group tables, TopN heaps, drained shared subexpressions) plus the
+	// accumulating result.
 	PeakBytes int64
-	// SourceBatches counts scan batches pulled from the physical sources
-	// (streaming executor only) — early-termination tests assert a LIMIT-n
-	// plan pulls O(n) rows' worth of batches, not the whole input.
+	// SourceBatches counts scan batches pulled from the physical sources —
+	// early-termination tests assert a LIMIT-n plan pulls O(n) rows' worth
+	// of batches, not the whole input.
 	SourceBatches int
 	// TopNs records each executed TopN: input rows, limit, and the
-	// comparisons charged. The materializing full sort charges
-	// n·ceil(log2 n); the streaming bounded heap charges n·ceil(log2 k).
+	// comparisons charged — n·ceil(log2 k) for the bounded heap of a
+	// limit k, n·ceil(log2 n) for the full sort of a plain ORDER BY.
 	TopNs []TopNStat
 	// Profile is the per-operator EXPLAIN ANALYZE tree, present only when
 	// ExecOptions.Profile was set.
@@ -215,16 +202,17 @@ type TopNStat struct {
 	Input    int
 	Limit    int
 	Compares int64
-	// Heap reports the streaming bounded-heap strategy (vs. a full sort).
+	// Heap reports the bounded-heap strategy (vs. a full sort).
 	Heap bool
 }
 
-// Execute runs one benchmark query through the declarative plan layer.
+// Execute runs one benchmark query through the declarative plan layer, in
+// the drain configuration.
 func Execute(src PhysicalSource, q Query) (*rel.Rel, error) {
 	return ExecuteOpts(src, q, ExecOptions{})
 }
 
-// ExecuteOpts is Execute with tuning.
+// ExecuteOpts is Execute with an explicit configuration.
 func ExecuteOpts(src PhysicalSource, q Query, opt ExecOptions) (*rel.Rel, error) {
 	out, _, err := ExecuteTraced(src, q, opt)
 	return out, err
@@ -256,86 +244,52 @@ func ExecutePlan(src PhysicalSource, root Node, opt ExecOptions) (*rel.Rel, []st
 }
 
 // ExecutePlanCtx is ExecutePlan with cancellation: the executor checks ctx
-// before every operator and between the per-property scans of a fan-out, so
-// a cancelled or expired context aborts the plan at the next operator
-// boundary and returns ctx.Err(). This is the entry point of the serving
-// layer, which threads each client's request context through here.
+// while lowering each operator and at every batch a scan or buffered input
+// hands on, so a cancelled or expired context aborts the plan there and
+// returns ctx.Err(). This is the entry point of the serving layer, which
+// threads each client's request context through here.
 func ExecutePlanCtx(ctx context.Context, src PhysicalSource, root Node, opt ExecOptions) (*rel.Rel, []string, *Trace, error) {
-	ex := &executor{
-		ctx:  ctx,
-		src:  src,
-		ops:  src.Ops(),
-		opt:  opt,
-		tr:   &Trace{},
-		memo: make(map[Node]batch),
-		req:  requiredVars(root),
-		uses: useCounts(root),
-		mem:  &memTracker{},
+	st := &streamer{
+		ctx:   ctx,
+		src:   src,
+		ops:   src.Ops(),
+		tr:    &Trace{},
+		memo:  make(map[Node]shared),
+		req:   requiredVars(root),
+		uses:  useCounts(root),
+		mem:   &memTracker{},
+		batch: opt.BatchRows,
+	}
+	if st.batch <= 0 {
+		st.batch = DefaultBatchRows
+	}
+	if !opt.Streaming {
+		// The drain configuration, whole: one unbounded batch per operator,
+		// bulk scans. No operator knows which configuration it runs in.
+		st.batch, st.bulk = math.MaxInt, true
 	}
 	if opt.Profile {
-		ex.prof = newProfiler(ex.ops, ex.mem)
+		st.prof = newProfiler(st.ops, st.mem)
 	}
-	if opt.Streaming {
-		if sops, ok := ex.ops.(StreamOps); ok {
-			out, cols, tr, err := ex.runStream(root, sops)
-			if err == nil && ex.prof != nil {
-				tr.Profile = ex.prof.finish()
-			}
-			return out, cols, tr, err
-		}
-	}
-	b, err := ex.eval(root)
+	s, err := st.build(root)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ex.tr.PeakBytes = ex.mem.peakBytes()
-	if ex.prof != nil {
-		ex.tr.Profile = ex.prof.finish()
+	out, err := st.drain(s.it, len(s.cols), true)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return b.rel, b.cols, ex.tr, nil
+	st.tr.PeakBytes = st.mem.peak
+	st.tr.Profile = st.prof.finish()
+	return out, s.cols, st.tr, nil
 }
 
-// batch is an intermediate result: a relation, its column names (variable
-// names from the plan), and the column its rows are known to ascend on
-// ("" when unordered) — the property that licenses merge joins.
-type batch struct {
+// shared is a drained shared subexpression: its rows, column names and the
+// column they are known to ascend on ("" when unordered).
+type shared struct {
 	rel    *rel.Rel
 	cols   []string
 	sorted string
-}
-
-func (b batch) col(name string) (int, error) {
-	for i, c := range b.cols {
-		if c == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("no column %q in %v", name, b.cols)
-}
-
-type executor struct {
-	ctx  context.Context
-	src  PhysicalSource
-	ops  PhysicalOps
-	opt  ExecOptions
-	tr   *Trace
-	memo map[Node]batch
-	req  map[Node]map[string]bool
-	uses map[Node]int
-	mem  *memTracker
-	// prof is the EXPLAIN ANALYZE collector, nil unless opt.Profile.
-	prof *profiler
-}
-
-// unionAll merges fan-out parts, parallelizing the tuple movement when the
-// worker-pool mode is on (the previously sequential tail of the parallel
-// per-property scans). Output and charges are identical either way.
-func (ex *executor) unionAll(w int, parts []*rel.Rel) *rel.Rel {
-	if ex.opt.Workers > 1 && len(parts) > 1 {
-		ex.tr.Parallel = true
-		return ex.ops.UnionAllPar(w, parts, ex.opt.Workers)
-	}
-	return ex.ops.UnionAll(w, parts)
 }
 
 // useCounts returns how many parents reference each node — shared
@@ -500,69 +454,6 @@ func requiredVars(root Node) map[Node]map[string]bool {
 	return req
 }
 
-func (ex *executor) eval(n Node) (batch, error) {
-	if err := ex.ctx.Err(); err != nil {
-		return batch{}, err
-	}
-	if b, ok := ex.memo[n]; ok {
-		return b, nil
-	}
-	if ex.prof != nil {
-		prof := ex.prof.enter(n)
-		c0 := ex.prof.charges()
-		t0 := time.Now()
-		defer func() {
-			prof.add(ex.prof.charges().sub(c0), time.Since(t0))
-			prof.observe(ex.mem)
-			if b, ok := ex.memo[n]; ok {
-				prof.Rows = b.rel.Len()
-				prof.Batches = 1
-			}
-			ex.prof.exit()
-		}()
-	}
-	var b batch
-	var err error
-	switch x := n.(type) {
-	case *Access:
-		b, err = ex.evalAccess(x)
-	case *Join:
-		b, err = ex.evalJoin(x)
-	case *LeftJoin:
-		b, err = ex.evalLeftJoin(x)
-	case *FilterNe:
-		b, err = ex.evalFilterNe(x)
-	case *FilterEqCols:
-		b, err = ex.evalFilterEqCols(x)
-	case *FilterRange:
-		b, err = ex.evalFilterRange(x)
-	case *Distinct:
-		b, err = ex.evalDistinct(x)
-	case *Union:
-		b, err = ex.evalUnion(x)
-	case *Group:
-		b, err = ex.evalGroup(x)
-	case *Having:
-		b, err = ex.evalHaving(x)
-	case *Project:
-		b, err = ex.evalProject(x)
-	case *TopN:
-		b, err = ex.evalTopN(x)
-	case *Limit:
-		b, err = ex.evalLimit(x)
-	default:
-		err = fmt.Errorf("unknown plan node %T", n)
-	}
-	if err != nil {
-		return batch{}, err
-	}
-	// Every materializing intermediate stays live in the memo until the
-	// plan finishes, so peak memory is the running sum of operator outputs.
-	ex.mem.alloc(relBytes(b.rel))
-	ex.memo[n] = b
-	return b, nil
-}
-
 // slot is one unbound, named position of a triple pattern.
 type slot struct {
 	name string
@@ -597,8 +488,7 @@ func slotCols(slots []slot) []string {
 // column src[i], or the constant handed to run where src[i] < 0, and a row
 // survives only if every eq pair of inputs agrees. The one form serves
 // access assembly (slot → variable column, the property as the constant,
-// a repeated variable as an eq pair), projection and union alignment, in
-// both executors.
+// a repeated variable as an eq pair), projection and union alignment.
 type gather struct {
 	src  []int
 	eq   [][2]int
@@ -674,9 +564,9 @@ rows:
 // within the pattern (the repetition is an equality filter that must still
 // apply). Pruning never empties the slot list: a benchmark access always
 // feeds at least one demanded variable.
-func (ex *executor) keptSlots(a *Access) []slot {
+func (st *streamer) keptSlots(a *Access) []slot {
 	slots := patternSlots(a.Pattern)
-	req := ex.req[a]
+	req := st.req[a]
 	if req == nil {
 		return slots
 	}
@@ -712,475 +602,45 @@ func needOf(slots []slot) ScanCols {
 	return need
 }
 
-func (ex *executor) evalAccess(a *Access) (batch, error) {
-	tp := a.Pattern
-	restricted := a.Restrict
-	slots := ex.keptSlots(a)
-
-	if tp.P.Bound() {
-		// Single-property access: the per-property scan path on every
-		// scheme (an indexed range on the triples table, or one vertical
-		// table).
-		rows, err := ex.src.ScanProp(tp.P.Const, tp.S.Const, tp.O.Const, needOf(slots))
-		if err != nil {
-			return batch{}, err
-		}
-		cols := slotCols(slots)
-		out := compileAssembly(slots, 2).run(rel.New(len(cols)), rows, uint64(tp.P.Const))
-		sorted := ""
-		if ex.src.PropOrdered() {
-			// SO-clustered vertical tables return the first unbound
-			// position ascending: subjects in general, objects within one
-			// bound subject.
-			switch {
-			case !tp.S.Bound() && tp.S.Var != "":
-				sorted = tp.S.Var
-			case !tp.O.Bound() && tp.O.Var != "":
-				sorted = tp.O.Var
-			}
-		}
-		return batch{rel: out, cols: cols, sorted: sorted}, nil
-	}
-
-	if ex.src.Partitioned() {
-		// Unbound property over per-property tables: scan each table and
-		// union — the plans with "more than two hundred unions and joins"
-		// the paper attributes to the vertical scheme. The restricted
-		// queries visit only the interesting tables.
-		props := ex.src.Cat().AllProps
-		if restricted {
-			props = ex.src.Cat().Interesting
-		}
-		cols := slotCols(slots)
-		asm := compileAssembly(slots, 2)
-		tag := func(p rdf.ID, part *rel.Rel) *rel.Rel {
-			return asm.run(rel.New(len(cols)), part, uint64(p))
-		}
-		tagged, err := ex.scanProps(props, tp.S.Const, tp.O.Const, needOf(slots), tag)
-		if err != nil {
-			return batch{}, err
-		}
-		ex.tr.UnionParts += len(tagged)
-		out := ex.unionAll(len(cols), tagged)
-		return batch{rel: out, cols: cols}, nil
-	}
-
-	// Unbound property on a triple-store: one scan of the triples table,
-	// with the property restriction applied as the properties-table
-	// semijoin of the paper's restricted queries (which reads the property
-	// column, so the mask must include it).
-	need := needOf(slots)
-	if restricted {
-		need.P = true
-	}
-	rows := ex.src.ScanTriples(tp.S.Const, tp.O.Const, need)
-	if restricted {
-		rows = ex.src.RestrictProps(rows, 1)
-	}
-	cols := slotCols(slots)
-	out := compileAssembly(slots, 3).run(rel.New(len(cols)), rows, 0)
-	return batch{rel: out, cols: cols}, nil
-}
-
-// scanProps runs the per-property scans of one partitioned access,
-// sequentially or over the worker pool, applying tag (scan → tagged
-// relation) in the worker so materialization parallelizes too. Results are
-// indexed by property, so the merge order — and therefore the output — is
-// deterministic either way.
-func (ex *executor) scanProps(props []rdf.ID, s, o rdf.ID, need ScanCols, tag func(p rdf.ID, part *rel.Rel) *rel.Rel) ([]*rel.Rel, error) {
-	parts := make([]*rel.Rel, len(props))
-	errs := make([]error, len(props))
-	one := func(i int) {
-		// Wide fan-outs are the long-running part of a plan: checking the
-		// context per scan lets cancellation land between property tables
-		// rather than only between operators.
-		if err := ex.ctx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		part, err := ex.src.ScanProp(props[i], s, o, need)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		parts[i] = tag(props[i], part)
-	}
-	workers := ex.opt.Workers
-	if workers > len(props) {
-		workers = len(props)
-	}
-	if workers > 1 {
-		ex.tr.Parallel = true
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					one(i)
-				}
-			}()
-		}
-		for i := range props {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i := range props {
-			one(i)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	ex.tr.PartitionScans += len(props)
-	return parts, nil
-}
-
 // partitionedJoinSide recognizes a join input that is an unbound-property
 // access on a partitioned scheme (optionally behind a FilterNe), the shape
 // eligible for join pushdown into the per-property fan-out.
-func (ex *executor) partitionedJoinSide(n Node) (*Access, *FilterNe) {
+func (st *streamer) partitionedJoinSide(n Node) (*Access, *FilterNe) {
 	var f *FilterNe
 	if x, ok := n.(*FilterNe); ok {
-		if ex.uses[x] > 1 {
+		if st.uses[x] > 1 {
 			return nil, nil
 		}
 		f = x
 		n = x.In
 	}
 	a, ok := n.(*Access)
-	if !ok || a.Pattern.P.Bound() || !ex.src.Partitioned() {
+	if !ok || a.Pattern.P.Bound() || !st.src.Partitioned() {
 		return nil, nil
 	}
-	// A shared subexpression must be evaluated exactly once through the
-	// memo, never consumed by pushdown (which bypasses memoization).
-	if ex.uses[a] > 1 {
-		return nil, nil
-	}
-	if _, seen := ex.memo[a]; seen {
+	// A shared subexpression must be drained exactly once through the memo,
+	// never consumed by pushdown (which bypasses it).
+	if st.uses[a] > 1 {
 		return nil, nil
 	}
 	return a, f
 }
 
-// evalPartitionedJoin distributes a join over the per-property union:
-// instead of materializing the full union and joining once, each property
-// table is scanned, tagged, filtered and joined in its own step — the
-// vertically-partitioned plans of the paper, with "more than two hundred
-// unions and joins", and the unit of work the parallel mode fans out.
-// Join distributes over union, so the result is the same bag.
-func (ex *executor) evalPartitionedJoin(other batch, a *Access, f *FilterNe) (batch, error) {
-	tp := a.Pattern
-	restricted := a.Restrict
-	slots := ex.keptSlots(a)
-	accCols := slotCols(slots)
-	var shared []string
-	accSet := map[string]bool{}
-	for _, c := range accCols {
-		accSet[c] = true
-	}
-	for _, c := range other.cols {
-		if accSet[c] {
-			shared = append(shared, c)
-		}
-	}
-	if len(shared) != 1 {
-		return batch{}, fmt.Errorf("join of %v and %v shares %d variables, want 1", other.cols, accCols, len(shared))
-	}
-	v := shared[0]
-	oc, _ := other.col(v)
-	ac := 0
-	for i, c := range accCols {
-		if c == v {
-			ac = i
-		}
-	}
-	fc := -1
+// profileFused opens the profile frames of a partitioned join's fused access
+// (and optional filter) under the join being built. Neither runs standalone
+// — their work is charged to the join — so the frames carry only the rows
+// and batches that flow through each fused step, which countIter tallies as
+// the per-property arms are pulled.
+func (st *streamer) profileFused(a *Access, f *FilterNe) (ap, fp *OpProfile) {
 	if f != nil {
-		for i, c := range accCols {
-			if c == f.Col {
-				fc = i
-			}
-		}
-		if fc < 0 {
-			return batch{}, fmt.Errorf("filter column %q not in %v", f.Col, accCols)
-		}
-	}
-	props := ex.src.Cat().AllProps
-	if restricted {
-		props = ex.src.Cat().Interesting
-	}
-	prep := ex.ops.PrepareHashJoin(other.rel, oc)
-	// Atomics: the parallel fan-out runs step concurrently. Touched only
-	// when profiling, so the unprofiled path stays zero-cost.
-	var accRows, filtRows atomic.Int64
-	asm := compileAssembly(slots, 2)
-	step := func(p rdf.ID, part *rel.Rel) *rel.Rel {
-		tagged := asm.run(rel.New(len(accCols)), part, uint64(p))
-		if ex.prof != nil {
-			accRows.Add(int64(tagged.Len()))
-		}
-		if fc >= 0 {
-			tagged = ex.ops.FilterNe(tagged, fc, uint64(f.Value))
-			if ex.prof != nil {
-				filtRows.Add(int64(tagged.Len()))
-			}
-		}
-		return prep.Probe(tagged, ac)
-	}
-	parts, err := ex.scanProps(props, tp.S.Const, tp.O.Const, needOf(slots), step)
-	if err != nil {
-		return batch{}, err
-	}
-	if ex.prof != nil {
-		// The fused access (and filter) never evaluate standalone, so give
-		// them zero-charge frames under the join recording the rows that
-		// flowed through each fused step; their work is charged to the join.
-		ex.profileFused(a, f, len(parts), int(accRows.Load()), int(filtRows.Load()))
-	}
-	ex.tr.UnionParts += len(parts)
-	ex.tr.Joins = append(ex.tr.Joins, JoinChoice{Var: v, Merge: false})
-	joined := ex.unionAll(other.rel.W+len(accCols), parts)
-	// Drop the access side's copy of the join column.
-	keep := make([]int, 0, other.rel.W+len(accCols)-1)
-	cols := make([]string, 0, other.rel.W+len(accCols)-1)
-	for i, c := range other.cols {
-		keep = append(keep, i)
-		cols = append(cols, c)
-	}
-	for i, c := range accCols {
-		if i == ac {
-			continue
-		}
-		keep = append(keep, other.rel.W+i)
-		cols = append(cols, c)
-	}
-	return batch{rel: joined.Project(keep...), cols: cols}, nil
-}
-
-// profileFused records zero-charge child frames for a partitioned join's
-// fused access (and optional filter) steps — the caller holds the join's
-// profile frame, so the nesting lands under it.
-func (ex *executor) profileFused(a *Access, f *FilterNe, parts, accRows, filtRows int) {
-	if f != nil {
-		fp := ex.prof.enter(f)
+		fp = st.prof.enter(f)
 		fp.Note = "fused"
-		fp.Rows, fp.Batches = filtRows, parts
-		defer ex.prof.exit()
+		defer st.prof.exit()
 	}
-	ap := ex.prof.enter(a)
+	ap = st.prof.enter(a)
 	ap.Note = "fused"
-	ap.Rows, ap.Batches = accRows, parts
-	ex.prof.exit()
-}
-
-// profileFusedStream is profileFused's streaming counterpart: the frames
-// open now, under the join being built, but the per-part arms only run —
-// possibly on prefetch workers — once the pipeline is pulled, so row
-// totals land through the atomics at finish().
-func (ex *executor) profileFusedStream(a *Access, f *FilterNe, accRows, accBatches, filtRows, filtBatches *atomic.Int64) {
-	fill := func(p *OpProfile, rows, batches *atomic.Int64) {
-		ex.prof.onFinish = append(ex.prof.onFinish, func() {
-			p.Rows = int(rows.Load())
-			p.Batches = int(batches.Load())
-		})
-	}
-	if f != nil {
-		fp := ex.prof.enter(f)
-		fp.Note = "fused"
-		fill(fp, filtRows, filtBatches)
-		defer ex.prof.exit()
-	}
-	ap := ex.prof.enter(a)
-	ap.Note = "fused"
-	fill(ap, accRows, accBatches)
-	ex.prof.exit()
-}
-
-func (ex *executor) evalJoin(j *Join) (batch, error) {
-	// Join pushdown: a partitioned unbound-property access joins per
-	// property table, inside the fan-out.
-	if a, f := ex.partitionedJoinSide(j.R); a != nil {
-		other, err := ex.eval(j.L)
-		if err != nil {
-			return batch{}, err
-		}
-		if ex.prof != nil {
-			ex.prof.note(j, "partitioned hash")
-		}
-		return ex.evalPartitionedJoin(other, a, f)
-	}
-	if a, f := ex.partitionedJoinSide(j.L); a != nil {
-		other, err := ex.eval(j.R)
-		if err != nil {
-			return batch{}, err
-		}
-		if ex.prof != nil {
-			ex.prof.note(j, "partitioned hash")
-		}
-		return ex.evalPartitionedJoin(other, a, f)
-	}
-	l, err := ex.eval(j.L)
-	if err != nil {
-		return batch{}, err
-	}
-	r, err := ex.eval(j.R)
-	if err != nil {
-		return batch{}, err
-	}
-	var shared []string
-	rSet := map[string]bool{}
-	for _, c := range r.cols {
-		rSet[c] = true
-	}
-	for _, c := range l.cols {
-		if rSet[c] {
-			shared = append(shared, c)
-		}
-	}
-	if len(shared) != 1 {
-		return batch{}, fmt.Errorf("join of %v and %v shares %d variables, want 1", l.cols, r.cols, len(shared))
-	}
-	v := shared[0]
-	lc, _ := l.col(v)
-	rc, _ := r.col(v)
-	merge := l.sorted == v && r.sorted == v
-	var joined *rel.Rel
-	if merge {
-		joined = ex.ops.MergeJoin(l.rel, r.rel, lc, rc)
-	} else {
-		joined = ex.ops.HashJoin(l.rel, r.rel, lc, rc)
-	}
-	ex.tr.Joins = append(ex.tr.Joins, JoinChoice{Var: v, Merge: merge})
-	if ex.prof != nil {
-		if merge {
-			ex.prof.note(j, "merge")
-		} else {
-			ex.prof.note(j, "hash")
-		}
-	}
-	// Drop the right side's copy of the join column.
-	keep := make([]int, 0, l.rel.W+r.rel.W-1)
-	cols := make([]string, 0, l.rel.W+r.rel.W-1)
-	for i, c := range l.cols {
-		keep = append(keep, i)
-		cols = append(cols, c)
-	}
-	for i, c := range r.cols {
-		if i == rc {
-			continue
-		}
-		keep = append(keep, l.rel.W+i)
-		cols = append(cols, c)
-	}
-	sorted := ""
-	if merge {
-		sorted = v
-	}
-	return batch{rel: joined.Project(keep...), cols: cols, sorted: sorted}, nil
-}
-
-// evalLeftJoin is the outer counterpart of evalJoin: a hash left join on
-// the single shared variable. There is no partitioned pushdown — the
-// optional side must see the complete left input to know which rows lack a
-// match, so the OPTIONAL boundary is also a fan-out boundary.
-func (ex *executor) evalLeftJoin(j *LeftJoin) (batch, error) {
-	l, err := ex.eval(j.L)
-	if err != nil {
-		return batch{}, err
-	}
-	r, err := ex.eval(j.R)
-	if err != nil {
-		return batch{}, err
-	}
-	var shared []string
-	rSet := map[string]bool{}
-	for _, c := range r.cols {
-		rSet[c] = true
-	}
-	for _, c := range l.cols {
-		if rSet[c] {
-			shared = append(shared, c)
-		}
-	}
-	if len(shared) != 1 {
-		return batch{}, fmt.Errorf("left join of %v and %v shares %d variables, want 1", l.cols, r.cols, len(shared))
-	}
-	v := shared[0]
-	lc, _ := l.col(v)
-	rc, _ := r.col(v)
-	joined := ex.ops.LeftJoin(l.rel, r.rel, lc, rc, uint64(rdf.NoID))
-	ex.tr.Joins = append(ex.tr.Joins, JoinChoice{Var: v, Merge: false})
-	if ex.prof != nil {
-		ex.prof.note(j, "hash")
-	}
-	// Drop the right side's copy of the join column (NoID on unmatched
-	// rows, never the left value — the left copy is the surviving one).
-	keep := make([]int, 0, l.rel.W+r.rel.W-1)
-	cols := make([]string, 0, l.rel.W+r.rel.W-1)
-	for i, c := range l.cols {
-		keep = append(keep, i)
-		cols = append(cols, c)
-	}
-	for i, c := range r.cols {
-		if i == rc {
-			continue
-		}
-		keep = append(keep, l.rel.W+i)
-		cols = append(cols, c)
-	}
-	// The operator preserves left input order, so the left ordering
-	// property survives (a matched left row may repeat, which keeps the
-	// column non-strictly ascending — what merge joins require).
-	return batch{rel: joined.Project(keep...), cols: cols, sorted: l.sorted}, nil
-}
-
-func (ex *executor) evalFilterNe(f *FilterNe) (batch, error) {
-	in, err := ex.eval(f.In)
-	if err != nil {
-		return batch{}, err
-	}
-	c, err := in.col(f.Col)
-	if err != nil {
-		return batch{}, err
-	}
-	out := ex.ops.FilterNe(in.rel, c, uint64(f.Value))
-	return batch{rel: out, cols: in.cols, sorted: in.sorted}, nil
-}
-
-func (ex *executor) evalFilterEqCols(f *FilterEqCols) (batch, error) {
-	in, err := ex.eval(f.In)
-	if err != nil {
-		return batch{}, err
-	}
-	a, err := in.col(f.A)
-	if err != nil {
-		return batch{}, err
-	}
-	b, err := in.col(f.B)
-	if err != nil {
-		return batch{}, err
-	}
-	out := ex.ops.FilterEqCol(in.rel, a, b)
-	return batch{rel: out, cols: in.cols, sorted: in.sorted}, nil
-}
-
-func (ex *executor) evalFilterRange(f *FilterRange) (batch, error) {
-	in, err := ex.eval(f.In)
-	if err != nil {
-		return batch{}, err
-	}
-	c, err := in.col(f.Col)
-	if err != nil {
-		return batch{}, err
-	}
-	out := ex.ops.FilterPred(in.rel, c, RangePred(f))
-	return batch{rel: out, cols: in.cols, sorted: in.sorted}, nil
+	st.prof.exit()
+	return ap, fp
 }
 
 // RangePred builds the per-value predicate of a FilterRange node: true for
@@ -1201,28 +661,6 @@ func RangePred(f *FilterRange) func(uint64) bool {
 		}
 		return true
 	}
-}
-
-func (ex *executor) evalTopN(t *TopN) (batch, error) {
-	in, err := ex.eval(t.In)
-	if err != nil {
-		return batch{}, err
-	}
-	less, err := SortLess(t.Keys, in.cols, t.Ord)
-	if err != nil {
-		return batch{}, err
-	}
-	n := in.rel.Len()
-	ex.tr.TopNs = append(ex.tr.TopNs, TopNStat{
-		Input: n, Limit: t.Limit, Compares: sortCompares(n),
-	})
-	if ex.prof != nil {
-		ex.prof.note(t, "sort")
-	}
-	out := ex.ops.TopN(in.rel, t.Limit, less)
-	// Value order is not identifier order, so the merge-join licence
-	// ("sorted") does not survive a TopN.
-	return batch{rel: out, cols: in.cols, sorted: ""}, nil
 }
 
 // SortLess builds the total row order of a TopN node over the given column
@@ -1330,132 +768,4 @@ func SortLess(keys []SortKey, cols []string, ord ValueSource) (func(a, b []uint6
 		}
 		return false
 	}, nil
-}
-
-// evalLimit truncates the input to its first N rows in pipeline order. The
-// prefix of an ordered input stays ordered, and truncation is a plan-level
-// copy — neither engine charges for it — so the streaming executor's Limit
-// matches this result exactly while additionally closing its input early.
-func (ex *executor) evalLimit(l *Limit) (batch, error) {
-	in, err := ex.eval(l.In)
-	if err != nil {
-		return batch{}, err
-	}
-	n := l.N
-	if n < 0 {
-		n = 0
-	}
-	if n >= in.rel.Len() {
-		return in, nil
-	}
-	out := rel.New(in.rel.W)
-	out.Data = append(out.Data, in.rel.Data[:n*in.rel.W]...)
-	return batch{rel: out, cols: in.cols, sorted: in.sorted}, nil
-}
-
-func (ex *executor) evalDistinct(d *Distinct) (batch, error) {
-	in, err := ex.eval(d.In)
-	if err != nil {
-		return batch{}, err
-	}
-	// Both engines' Distinct keeps the first occurrence in input order, so
-	// ordering survives.
-	return batch{rel: ex.ops.Distinct(in.rel), cols: in.cols, sorted: in.sorted}, nil
-}
-
-func (ex *executor) evalUnion(u *Union) (batch, error) {
-	l, err := ex.eval(u.L)
-	if err != nil {
-		return batch{}, err
-	}
-	r, err := ex.eval(u.R)
-	if err != nil {
-		return batch{}, err
-	}
-	if len(l.cols) != len(r.cols) {
-		return batch{}, fmt.Errorf("union of %v and %v", l.cols, r.cols)
-	}
-	// Align the right side's column order with the left's.
-	perm := make([]int, len(l.cols))
-	for i, c := range l.cols {
-		j, err := r.col(c)
-		if err != nil {
-			return batch{}, fmt.Errorf("union of %v and %v", l.cols, r.cols)
-		}
-		perm[i] = j
-	}
-	rr := r.rel
-	for i, j := range perm {
-		if i != j {
-			rr = r.rel.Project(perm...)
-			break
-		}
-	}
-	return batch{rel: ex.ops.Union(l.rel, rr), cols: l.cols}, nil
-}
-
-func (ex *executor) evalGroup(g *Group) (batch, error) {
-	in, err := ex.eval(g.In)
-	if err != nil {
-		return batch{}, err
-	}
-	keys := make([]int, len(g.Keys))
-	for i, k := range g.Keys {
-		if keys[i], err = in.col(k); err != nil {
-			return batch{}, err
-		}
-	}
-	// The chunked count only parallelizes with more than one row (the
-	// engines clamp workers to the row count); below that it is the
-	// sequential operator and the trace must say so.
-	var out *rel.Rel
-	if ex.opt.Workers > 1 && in.rel.Len() > 1 {
-		ex.tr.Parallel = true
-		out = ex.ops.GroupCountPar(in.rel, ex.opt.Workers, keys...)
-	} else {
-		out = ex.ops.GroupCount(in.rel, keys...)
-	}
-	cols := append(append([]string(nil), g.Keys...), CountCol)
-	// GroupCount sorts its output lexicographically on all columns.
-	return batch{rel: out, cols: cols, sorted: g.Keys[0]}, nil
-}
-
-func (ex *executor) evalHaving(h *Having) (batch, error) {
-	in, err := ex.eval(h.In)
-	if err != nil {
-		return batch{}, err
-	}
-	c, err := in.col(h.Col)
-	if err != nil {
-		return batch{}, err
-	}
-	out := ex.ops.HavingGT(in.rel, c, h.Min)
-	return batch{rel: out, cols: in.cols, sorted: in.sorted}, nil
-}
-
-func (ex *executor) evalProject(p *Project) (batch, error) {
-	in, err := ex.eval(p.In)
-	if err != nil {
-		return batch{}, err
-	}
-	idx := make([]int, len(p.Cols))
-	for i, c := range p.Cols {
-		if idx[i], err = in.col(c); err != nil {
-			return batch{}, err
-		}
-	}
-	names := p.Cols
-	if p.As != nil {
-		if len(p.As) != len(p.Cols) {
-			return batch{}, fmt.Errorf("project renames %d of %d columns", len(p.As), len(p.Cols))
-		}
-		names = p.As
-	}
-	sorted := ""
-	for i, c := range p.Cols {
-		if c == in.sorted {
-			sorted = names[i]
-		}
-	}
-	return batch{rel: in.rel.Project(idx...), cols: append([]string(nil), names...), sorted: sorted}, nil
 }

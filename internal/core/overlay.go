@@ -143,10 +143,9 @@ func maskModeOf(src PhysicalSource) maskMode {
 	}
 }
 
-// DeltaOverlay layers a Delta over a loaded scheme, implementing the same
-// physical interfaces (PhysicalSource and StreamSource) so the executor —
-// and the serving layer's snapshot targets — cannot tell an overlay from a
-// rebuilt scheme. Reads are wait-free: both halves are immutable.
+// DeltaOverlay layers a Delta over a loaded scheme behind the same
+// PhysicalSource interface, so the executor — and the serving layer's
+// snapshot targets — cannot tell an overlay from a rebuilt scheme. Reads are wait-free: both halves are immutable.
 type DeltaOverlay struct {
 	base PhysicalSource
 	d    *Delta
@@ -187,12 +186,6 @@ func (o *DeltaOverlay) PropOrdered() bool { return o.base.PropOrdered() }
 
 // Partitioned implements PhysicalSource.
 func (o *DeltaOverlay) Partitioned() bool { return o.base.Partitioned() }
-
-// RestrictProps implements PhysicalSource. The interesting selection is
-// fixed across mutation, so the base's filter is the merged filter.
-func (o *DeltaOverlay) RestrictProps(rows *rel.Rel, pCol int) *rel.Rel {
-	return o.base.RestrictProps(rows, pCol)
-}
 
 // Ops implements PhysicalSource.
 func (o *DeltaOverlay) Ops() PhysicalOps { return o.base.Ops() }
@@ -351,21 +344,7 @@ func (o *DeltaOverlay) Match(s, p, obj rdf.ID) *rel.Rel {
 
 // ---- streaming ----
 
-// baseStreamProp returns the base's pull iterator for p with all columns
-// real, falling back to a materialize-then-chunk wrapper when the base
-// does not implement StreamSource.
-func (o *DeltaOverlay) baseStreamProp(p, s, obj rdf.ID, batch int) (RelIter, error) {
-	if ss, ok := o.base.(StreamSource); ok {
-		return ss.StreamProp(p, s, obj, AllScanCols(), batch)
-	}
-	r, err := o.base.ScanProp(p, s, obj, AllScanCols())
-	if err != nil {
-		return nil, err
-	}
-	return &chunkRelIter{rel: r, batch: batch}, nil
-}
-
-// StreamProp implements StreamSource: the same merged, masked rows as
+// StreamProp implements PhysicalSource: the same merged, masked rows as
 // ScanProp, delivered batch by batch. The base iterator is pulled lazily,
 // so early termination (TopN, LIMIT) stops the underlying scan.
 func (o *DeltaOverlay) StreamProp(p, s, obj rdf.ID, need ScanCols, batchRows int) (RelIter, error) {
@@ -376,25 +355,20 @@ func (o *DeltaOverlay) StreamProp(p, s, obj rdf.ID, need ScanCols, batchRows int
 		return nil, fmt.Errorf("core: property %d not loaded in %s", p, o.Label())
 	}
 	adds := o.addsForProp(p, s, obj)
-	base, err := o.baseStreamProp(p, s, obj, batchRows)
+	base, err := o.base.StreamProp(p, s, obj, AllScanCols(), batchRows)
 	if err != nil {
 		base = &chunkRelIter{rel: rel.New(2), batch: batchRows}
 	}
 	return &overlayPropIter{o: o, p: p, base: base, adds: adds, need: need, batch: batchRows, out: rel.Rel{W: 2}}, nil
 }
 
-// StreamTriples implements StreamSource: the base stream minus tombstones,
+// StreamTriples implements PhysicalSource: the base stream minus tombstones,
 // then the additions, masked per the base's mode.
 func (o *DeltaOverlay) StreamTriples(s, obj rdf.ID, need ScanCols, batchRows int) RelIter {
 	if batchRows <= 0 {
 		batchRows = DefaultBatchRows
 	}
-	var base RelIter
-	if ss, ok := o.base.(StreamSource); ok {
-		base = ss.StreamTriples(s, obj, AllScanCols(), batchRows)
-	} else {
-		base = &chunkRelIter{rel: o.base.ScanTriples(s, obj, AllScanCols()), batch: batchRows}
-	}
+	base := o.base.StreamTriples(s, obj, AllScanCols(), batchRows)
 	// The matching additions are this scan's own rows: masked once here,
 	// they replay as views after the base.
 	adds := rel.New(3)

@@ -108,8 +108,7 @@ func drain(t *testing.T, it RelIter, w int) *rel.Rel {
 // the same scan over a from-scratch rebuild of (base ∪ adds ∖ dels) on the
 // same dictionary — byte-identical for the ordered per-property scans,
 // bag-identical for the unordered whole-table scans — for all four
-// schemes, every projection mask, and both access forms (materializing and
-// streaming).
+// schemes, every projection mask, and both access forms (bulk and pull).
 func TestOverlayScanEquivalence(t *testing.T) {
 	masks := []ScanCols{
 		AllScanCols(),

@@ -148,9 +148,9 @@ type TopN struct {
 // Limit keeps the first N rows of its input, in the input's own order —
 // SPARQL's bare LIMIT (no ORDER BY). Which rows form the prefix is the
 // engine pipeline's evaluation order: deterministic for a given scheme and
-// identical between the materializing and streaming executors, but not
-// canonical across schemes. Under the streaming executor, Limit closes its
-// input after N rows, so upstream scans stop pulling batches.
+// identical in every executor configuration, but not canonical across
+// schemes. Limit closes its input after N rows, so upstream scans stop
+// pulling batches.
 type Limit struct {
 	In Node
 	N  int

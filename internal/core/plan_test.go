@@ -147,38 +147,6 @@ func TestLoweringPartitionFanout(t *testing.T) {
 	}
 }
 
-// TestParallelExecutionDeterministic asserts the worker-pool mode returns
-// byte-identical relations (same rows, same order) as sequential execution
-// on every scheme and query — the merge order is fixed by property order,
-// not scheduling.
-func TestParallelExecutionDeterministic(t *testing.T) {
-	_, srcs := planFixture(t)
-	for name, src := range srcs {
-		for _, q := range BenchmarkQueries() {
-			seq, err := Execute(src, q)
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, q, err)
-			}
-			par, tr, err := ExecuteTraced(src, q, ExecOptions{Workers: 8})
-			if err != nil {
-				t.Fatalf("%s %v parallel: %v", name, q, err)
-			}
-			if seq.W != par.W || len(seq.Data) != len(par.Data) {
-				t.Fatalf("%s %v: parallel shape (%d,%d) != sequential (%d,%d)",
-					name, q, par.W, len(par.Data), seq.W, len(seq.Data))
-			}
-			for i := range seq.Data {
-				if seq.Data[i] != par.Data[i] {
-					t.Fatalf("%s %v: parallel result diverges at value %d", name, q, i)
-				}
-			}
-			if tr.PartitionScans > 1 && !tr.Parallel {
-				t.Errorf("%s %v: fan-out did not use the worker pool", name, q)
-			}
-		}
-	}
-}
-
 // TestProjectionPushdown asserts the demand analysis: q1 needs only the
 // object column of its single access, q2 needs subject and property but
 // not the object.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"blackswan/internal/rdf"
@@ -11,26 +10,22 @@ import (
 )
 
 // This file is the per-operator profile collector behind EXPLAIN ANALYZE:
-// with ExecOptions.Profile set, both executors record, for every plan node
-// they evaluate, the rows and batches it emitted, the simulated CPU and
-// I/O it charged, its host wall time, and the live intermediate-result
-// bytes observed at its batch boundaries. Collection is observation-only —
-// no operator output, row order, or simulated charge changes when
-// profiling is on — and costs nothing when it is off (a nil pointer check
-// per operator).
+// with ExecOptions.Profile set, the executor records, for every plan node
+// it lowers, the rows and batches it emitted, the simulated CPU and I/O it
+// charged, its host wall time, and the live intermediate-result bytes
+// observed at its batch boundaries. Collection is observation-only — no
+// operator output, row order, or simulated charge changes when profiling
+// is on — and costs nothing when it is off (a nil pointer check per
+// operator).
 //
 // Charge attribution works by differencing the engine's charge meter
-// around each operator frame (the recursive eval call in the materializing
-// executor, each next()/close() of the wrapping iterator in the streaming
-// one). Frames nest, so the recorded figures are inclusive of children;
-// finish() derives per-node self figures by subtracting each child once.
-// Attribution is exact when the plan runs single-goroutine (Workers <= 1,
-// the serving default); under the parallel fan-out, prefetch workers
-// charge the shared store concurrently, so per-node simulated columns
-// become approximate while rows, batches and totals stay exact. The same
-// caveat applies to concurrent queries sharing one store: the meter is
-// store-global, so a profile taken under concurrent traffic soaks up
-// neighbours' charges.
+// around each operator frame: the node's build phase and each
+// next()/close() of the iterator wrapping its output edge. Frames nest, so
+// the recorded figures are inclusive of children; finish() derives per-node
+// self figures by subtracting each child once. A plan runs on one
+// goroutine, so attribution within it is exact; the meter is store-global,
+// though, so a profile taken while concurrent queries share the store soaks
+// up the neighbours' charges.
 
 // ChargeMeter is the optional engine extension the profiler snapshots:
 // cumulative simulated CPU and I/O nanoseconds plus physical bytes read,
@@ -53,13 +48,13 @@ type OpProfile struct {
 	// Note records a lowering decision the plan tree alone cannot show:
 	// "hash", "merge", "heap", "sort", "fused", "partitioned".
 	Note string
-	// Rows and Batches count the node's emitted output (Batches is 1 per
-	// materialized result, one per non-empty batch when streaming).
+	// Rows and Batches count the node's emitted output, one batch per
+	// non-empty batch handed on (in the drain configuration an operator
+	// emits its whole output as one).
 	Rows    int
 	Batches int
 	// Start is the host-clock instant the executor opened this node's
-	// frame: the eval call in the materializing executor, the pipeline
-	// build in the streaming one (work then accrues at next() windows).
+	// frame, at pipeline build (work then accrues at next() windows).
 	// With Host it lets the tracing layer bridge the profile tree into
 	// request-scoped spans without re-timing anything.
 	Start time.Time
@@ -91,20 +86,13 @@ func (c charge) sub(o charge) charge {
 	return charge{c.cpuNs - o.cpuNs, c.ioNs - o.ioNs, c.bytes - o.bytes}
 }
 
-// profiler threads the collector through one execution. enter/exit calls
-// happen only on the evaluating goroutine (eval recursion and streaming
-// build/next), so the stack needs no lock; only the meter itself is
-// shared with charge-producing workers, and it locks internally.
+// profiler threads the collector through one execution.
 type profiler struct {
 	meter ChargeMeter
 	mem   *memTracker
 	root  *OpProfile
 	stack []*OpProfile
 	nodes map[Node]*OpProfile
-	// onFinish hooks run at finish(): the streaming partitioned join
-	// counts fused-step rows on worker goroutines through atomics and
-	// folds them into the (single-goroutine) profile tree here.
-	onFinish []func()
 }
 
 func newProfiler(ops PhysicalOps, mem *memTracker) *profiler {
@@ -158,9 +146,7 @@ func (prof *OpProfile) add(d charge, host time.Duration) {
 
 // observe updates the node's live-bytes high-water mark.
 func (prof *OpProfile) observe(mem *memTracker) {
-	if cur := mem.current(); cur > prof.PeakBytes {
-		prof.PeakBytes = cur
-	}
+	prof.PeakBytes = max(prof.PeakBytes, mem.cur)
 }
 
 // finish derives the self figures (inclusive minus children, each child
@@ -169,9 +155,6 @@ func (prof *OpProfile) observe(mem *memTracker) {
 func (p *profiler) finish() *OpProfile {
 	if p == nil || p.root == nil {
 		return nil
-	}
-	for _, fn := range p.onFinish {
-		fn()
 	}
 	var walk func(prof *OpProfile)
 	walk = func(prof *OpProfile) {
@@ -203,11 +186,9 @@ func maxDur(d, floor time.Duration) time.Duration {
 	return d
 }
 
-// profIter wraps one streaming operator's finished edge: every
-// next()/close() window is measured inclusively (parents wrap children, so
-// nesting matches the eval recursion) and emitted batches are tallied.
-// Pulled only by the consuming goroutine — prefetch workers run the
-// unwrapped per-part iterators, whose charges surface through the meter.
+// profIter wraps one operator's finished edge: every next()/close() window
+// is measured inclusively (parents wrap children, so nesting matches the
+// plan tree) and emitted batches are tallied.
 type profIter struct {
 	p    *profiler
 	prof *OpProfile
@@ -234,19 +215,18 @@ func (pi *profIter) close() {
 	pi.prof.add(pi.p.charges().sub(c0), time.Since(t0))
 }
 
-// countIter tallies rows/batches flowing through one per-part pipeline arm
-// into shared atomics — safe under the parallel fan-out's workers.
+// countIter tallies the rows and batches flowing through one per-property
+// arm of a partitioned join into the fused step's profile frame.
 type countIter struct {
-	in      iter
-	rows    *atomic.Int64
-	batches *atomic.Int64
+	in   iter
+	prof *OpProfile
 }
 
 func (c *countIter) next() (*rel.Rel, error) {
 	b, err := c.in.next()
 	if b != nil {
-		c.rows.Add(int64(b.Len()))
-		c.batches.Add(1)
+		c.prof.Rows += b.Len()
+		c.prof.Batches++
 	}
 	return b, err
 }

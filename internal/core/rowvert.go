@@ -21,7 +21,6 @@ const (
 // executor, which lowers unbound-property accesses to the per-table unions
 // the paper warns about.
 type RowVert struct {
-	execMode
 	eng    *rowstore.Engine
 	cat    Catalog
 	tables map[rdf.ID]*rowstore.Table
@@ -87,7 +86,7 @@ func (d *RowVert) Label() string { return "DBX/vert-SO" }
 
 // Run implements Database by executing the query's declarative plan.
 func (d *RowVert) Run(q Query) (*rel.Rel, error) {
-	return ExecuteOpts(d, q, d.opt)
+	return Execute(d, q)
 }
 
 // Match implements TripleSource as a union of per-property scans. An
@@ -150,12 +149,6 @@ func (d *RowVert) PropOrdered() bool { return true }
 
 // Partitioned implements PhysicalSource.
 func (d *RowVert) Partitioned() bool { return true }
-
-// RestrictProps implements PhysicalSource; partitioned schemes restrict by
-// table selection instead, so this is only a fallback filter.
-func (d *RowVert) RestrictProps(rows *rel.Rel, pCol int) *rel.Rel {
-	return d.eng.FilterIn(rows, pCol, d.cat.interestingSet())
-}
 
 // Ops implements PhysicalSource.
 func (d *RowVert) Ops() PhysicalOps { return d.eng }

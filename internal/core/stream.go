@@ -1,25 +1,33 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
 )
 
-// This file is the streaming executor: the same logical plans as exec.go,
-// lowered onto pull-based batched iterators instead of operator-at-a-time
-// materialization. Operators exchange fixed-size row batches, pipelines run
-// without materialization barriers (only hash builds, grouping and full
-// sorts buffer), and TopN/LIMIT propagate early termination upstream by
-// closing their inputs — which reaches all the way into the physical scans,
-// so a LIMIT-10 plan stops paying simulated I/O after ten rows.
+// This file is the executor: every logical plan is lowered, by build, onto
+// the pull-based batched iterators below, and there is no other operator
+// set. Operators exchange row batches, pipelines run without
+// materialization barriers (only hash builds, grouping, sorts and shared
+// subexpressions buffer), and TopN/LIMIT propagate early termination
+// upstream by closing their inputs — which reaches all the way into the
+// physical scans, so a pipelined LIMIT-10 plan stops paying simulated I/O
+// after ten rows.
+//
+// Two values configure a run (ExecOptions.Streaming): the batch size and the
+// scan entry point. Pipelined, batches hold BatchRows rows and scans are
+// pulled through StreamProp/StreamTriples. Drained — the schedule of the
+// systems the paper measures — the batch is unbounded, so every operator
+// consumes its whole input in one pull before its consumer runs, and scans
+// enter through the bulk ScanProp/ScanTriples. No operator tests which
+// configuration it is in.
 //
 // Batch ownership: a batch belongs to the iterator that returned it and is
 // valid until the next next()/close() on that iterator, which refills the
@@ -28,115 +36,38 @@ import (
 // the rows actually produced, so the executor allocates per query, not per
 // batch, and a one-row lookup never pays for a BatchRows-sized buffer.
 //
-// The contract with the materializing executor is result byte-identity:
-// every streaming operator replicates the materializing operator's output
-// row order exactly, so the concatenation of the emitted batches equals the
-// materializing result on every scheme. Simulated charges agree when a plan
-// is fully drained (the per-row rates below are the engines' own), and
-// deliberately diverge where the execution strategy genuinely differs: a
-// bounded-heap TopN charges n·ceil(log2 k) comparisons instead of a full
-// sort's n·ceil(log2 n), an early-terminated scan never pays for the leaves
-// and column ranges it did not read, and column I/O is requested in
-// read-ahead windows instead of one bulk range.
+// Results are byte-identical at every batch size on every scheme: each
+// operator's output row order is a function of its input order alone.
+// Simulated CPU is a function of the work charged, not of how batches split
+// it (simio.Clock scales the summed charges once, at read), so two
+// configurations disagree only where they do different work: a scan
+// abandoned early never pays for the leaves and column ranges it did not
+// read, pulled column I/O is requested in read-ahead windows instead of one
+// bulk range, and a merge join charges the batch it pulled past the end of
+// its shorter input.
 
-// DefaultBatchRows is the streaming batch size when ExecOptions.BatchRows
+// DefaultBatchRows is the pipelined batch size when ExecOptions.BatchRows
 // is zero: large enough to amortize per-batch dispatch, small enough that a
 // pipeline's in-flight state stays a few tens of kilobytes per edge.
 const DefaultBatchRows = 1024
 
-// StreamOps is the per-row charge vocabulary an engine supplies to the
-// streaming operators. The operators themselves live here, engine-agnostic;
-// each call charges n rows (of width w, where the engine's cost model cares)
-// at the engine's own rate for that operator class, so a fully drained
-// streaming plan charges what the materializing operators would. An engine
-// whose PhysicalOps does not implement StreamOps silently falls back to the
-// materializing executor.
-type StreamOps interface {
-	// StreamNode charges one operator dispatch (plan-node startup).
-	StreamNode()
-	// StreamScanRows charges emitting n scanned rows of width w.
-	StreamScanRows(n, w int)
-	// StreamFilterRows charges n predicate evaluations over width-w rows.
-	StreamFilterRows(n, w int)
-	// StreamHashBuildRows charges inserting n rows into a join hash table.
-	StreamHashBuildRows(n, w int)
-	// StreamHashProbeRows charges probing n rows against a hash table.
-	StreamHashProbeRows(n, w int)
-	// StreamMergeRows charges advancing n rows through a merge join.
-	StreamMergeRows(n, w int)
-	// StreamUnionRows charges moving n rows of width w through a union.
-	StreamUnionRows(n, w int)
-	// StreamDistinctRows charges deduplicating n rows of width w.
-	StreamDistinctRows(n, w int)
-	// StreamRestrictRows charges testing n rows against the interesting-
-	// properties restriction (a hash semijoin on the row engine, a set
-	// filter on the column engine — each engine supplies its materializing
-	// operator's rate).
-	StreamRestrictRows(n, w int)
-	// StreamGroupRows charges aggregating n rows under keys grouping columns.
-	StreamGroupRows(n, keys int)
-	// StreamJoinEmitRows charges materializing n join output rows of width w.
-	StreamJoinEmitRows(n, w int)
-	// StreamEmitRows charges moving n finished rows into an output buffer.
-	StreamEmitRows(n, w int)
-	// StreamSortCompares charges n sort comparisons (ORDER BY / heap TopN).
-	StreamSortCompares(n int64)
-}
-
-// RelIter is the pull contract of a streaming physical scan: Next returns
-// the next non-empty batch or nil when exhausted; Close releases the scan
-// early (abandoning it is the early-termination protocol — an engine scan
-// holds no resources, it simply stops charging). The batch is the scan's own
-// buffer, valid until the next Next or Close: callers copy what they keep.
-type RelIter interface {
-	Next() (*rel.Rel, error)
-	Close()
-}
-
-// StreamSource is the optional scheme extension the streaming executor
-// prefers over ScanProp/ScanTriples: the same rows in the same order,
-// delivered batch by batch so consumers that stop early save the tail's
-// simulated I/O. Schemes that do not implement it still stream — their
-// scans materialize first and are re-chunked.
-type StreamSource interface {
-	// StreamProp is the pull form of ScanProp (width-2 batches).
-	StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelIter, error)
-	// StreamTriples is the pull form of ScanTriples (width-3 batches).
-	StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter
-}
-
-// memTracker tracks live intermediate-result bytes. Atomics, not a plain
-// counter: the parallel fan-out's prefetch workers allocate batches
-// concurrently with the consuming pipeline.
+// memTracker tracks live intermediate-result bytes and their peak.
 type memTracker struct {
-	cur  atomic.Int64
-	peak atomic.Int64
+	cur, peak int64
 }
 
 func (m *memTracker) alloc(n int64) {
-	if n <= 0 {
-		return
-	}
-	c := m.cur.Add(n)
-	for {
-		p := m.peak.Load()
-		if c <= p || m.peak.CompareAndSwap(p, c) {
-			return
-		}
+	if n > 0 {
+		m.cur += n
+		m.peak = max(m.peak, m.cur)
 	}
 }
 
 func (m *memTracker) free(n int64) {
 	if n > 0 {
-		m.cur.Add(-n)
+		m.cur -= n
 	}
 }
-
-func (m *memTracker) peakBytes() int64 { return m.peak.Load() }
-
-// current returns the live bytes right now — the profiler samples it at
-// operator boundaries for per-node peak attribution.
-func (m *memTracker) current() int64 { return m.cur.Load() }
 
 // relBytes is the tracked size of a relation: its row data.
 func relBytes(r *rel.Rel) int64 {
@@ -167,7 +98,7 @@ func sortCompares(n int) int64 {
 	return int64(n) * ceilLog2(n)
 }
 
-// iter is one streaming operator: next returns the next non-empty batch or
+// iter is one operator: next returns the next non-empty batch or
 // nil at exhaustion; close terminates early and must propagate upstream.
 // A batch is valid until the next next() or close() on the iterator that
 // returned it — consumers copy what they retain, and never mutate.
@@ -177,7 +108,8 @@ type iter interface {
 }
 
 // stream is one pipeline edge: the iterator plus the schema bookkeeping the
-// build phase threads exactly as the materializing executor's batch struct.
+// build phase threads — column names, and the column the rows are known to
+// ascend on ("" when unordered), the property that licenses merge joins.
 type stream struct {
 	it     iter
 	cols   []string
@@ -193,23 +125,28 @@ func (s stream) col(name string) (int, error) {
 	return 0, fmt.Errorf("no column %q in %v", name, s.cols)
 }
 
-// streamer orchestrates one streaming execution. The counters are atomics
-// because prefetch workers update them concurrently with the main pipeline;
-// they fold into the Trace once the plan finishes.
+// streamer is one plan execution: the plan analysis the lowering consults,
+// the configuration, and the state the operators share.
 type streamer struct {
-	ex         *executor
-	sops       StreamOps
-	batch      int
-	srcBatches atomic.Int64
-	partScans  atomic.Int64
-	unionParts atomic.Int64
-	parallel   atomic.Bool
+	ctx  context.Context
+	src  PhysicalSource
+	ops  PhysicalOps
+	tr   *Trace
+	req  map[Node]map[string]bool
+	uses map[Node]int
+	// memo holds each shared subexpression drained so far; see build.
+	memo map[Node]shared
+	mem  *memTracker
+	// prof is the EXPLAIN ANALYZE collector, nil unless ExecOptions.Profile.
+	prof *profiler
+	// batch is the most rows an operator hands on at once; bulk selects the
+	// scan entry point. Together they are the configuration.
+	batch int
+	bulk  bool
 	// free holds the output buffers of closed operators for the operators
 	// opened next — a partitioned access opens one scan → assemble → filter →
-	// probe chain per property, up to 222 a query. Locked: with Workers > 1
-	// the chains open and close on the prefetch workers.
-	freeMu sync.Mutex
-	free   []*rel.Rel
+	// probe chain per property, up to 222 a query.
+	free []*rel.Rel
 }
 
 // poisonWord is what a recycled buffer is overwritten with while
@@ -232,8 +169,6 @@ func reuse(r *rel.Rel) {
 
 // take returns an empty width-w output buffer, off the free list if it can.
 func (st *streamer) take(w int) *rel.Rel {
-	st.freeMu.Lock()
-	defer st.freeMu.Unlock()
 	n := len(st.free)
 	if n == 0 {
 		return rel.New(w)
@@ -250,72 +185,19 @@ func (st *streamer) give(r *rel.Rel) {
 		return
 	}
 	reuse(r)
-	st.freeMu.Lock()
 	st.free = append(st.free, r)
-	st.freeMu.Unlock()
 }
 
-// runStream executes root through the streaming operator set. The result is
-// the concatenation of the root iterator's batches — byte-identical to the
-// materializing executor's output.
-func (ex *executor) runStream(root Node, sops StreamOps) (*rel.Rel, []string, *Trace, error) {
-	batch := ex.opt.BatchRows
-	if batch <= 0 {
-		batch = DefaultBatchRows
-	}
-	st := &streamer{ex: ex, sops: sops, batch: batch}
-	s, err := st.build(root)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	out := rel.New(len(s.cols))
-	for {
-		b, err := s.it.next()
-		if err != nil {
-			s.it.close()
-			return nil, nil, nil, err
-		}
-		if b == nil {
-			break
-		}
-		out.Data = append(out.Data, b.Data...)
-		// The accumulating result is live memory, as the root memo entry is
-		// for the materializing executor.
-		ex.mem.alloc(relBytes(b))
-	}
-	s.it.close()
-	ex.tr.Streamed = true
-	ex.tr.SourceBatches += int(st.srcBatches.Load())
-	ex.tr.PartitionScans += int(st.partScans.Load())
-	ex.tr.UnionParts += int(st.unionParts.Load())
-	if st.parallel.Load() {
-		ex.tr.Parallel = true
-	}
-	ex.tr.PeakBytes = ex.mem.peakBytes()
-	return out, s.cols, ex.tr, nil
-}
-
-// build lowers one plan node to a streaming pipeline, mirroring eval's
-// operator selection decision for decision.
+// build lowers one plan node to a pipeline of iterators.
 func (st *streamer) build(n Node) (stream, error) {
-	ex := st.ex
-	if err := ex.ctx.Err(); err != nil {
+	if err := st.ctx.Err(); err != nil {
 		return stream{}, err
 	}
 	// A pull iterator has exactly one consumer, so a shared subexpression
-	// (q6's reused access) is evaluated once through the memoizing
-	// materializing path and re-chunked per consumer — shared nodes are
-	// barriers in both executors.
-	if ex.uses[n] > 1 {
-		b, err := ex.eval(n)
-		if err != nil {
-			return stream{}, err
-		}
-		return stream{
-			it:     &chunkIter{st: st, rel: b.rel, batch: st.batch},
-			cols:   b.cols,
-			sorted: b.sorted,
-		}, nil
+	// (q6's reused access) is a barrier: its first consumer's build drains it
+	// into the memo, and every consumer reads the memo re-chunked.
+	if m, ok := st.memo[n]; ok {
+		return stream{it: &chunkIter{st: st, rel: m.rel}, cols: m.cols, sorted: m.sorted}, nil
 	}
 	// Open the node's profile frame across the build phase (pipeline
 	// breakers like the partitioned join's hash build charge here) and
@@ -323,9 +205,9 @@ func (st *streamer) build(n Node) (stream, error) {
 	var prof *OpProfile
 	var c0 charge
 	var t0 time.Time
-	if ex.prof != nil {
-		prof = ex.prof.enter(n)
-		c0 = ex.prof.charges()
+	if st.prof != nil {
+		prof = st.prof.enter(n)
+		c0 = st.prof.charges()
 		t0 = time.Now()
 	}
 	var s stream
@@ -391,16 +273,24 @@ func (st *streamer) build(n Node) (stream, error) {
 		err = fmt.Errorf("unknown plan node %T", n)
 	}
 	if prof != nil {
-		prof.add(ex.prof.charges().sub(c0), time.Since(t0))
-		ex.prof.exit()
+		prof.add(st.prof.charges().sub(c0), time.Since(t0))
+		st.prof.exit()
 	}
 	if err != nil {
 		return stream{}, err
 	}
 	// Every edge's in-flight batch counts toward peak memory.
-	s.it = &edge{mem: ex.mem, in: s.it}
+	s.it = &edge{mem: st.mem, in: s.it}
 	if prof != nil {
-		s.it = &profIter{p: ex.prof, prof: prof, in: s.it}
+		s.it = &profIter{p: st.prof, prof: prof, in: s.it}
+	}
+	if st.uses[n] > 1 {
+		rows, err := st.drain(s.it, len(s.cols), true)
+		if err != nil {
+			return stream{}, err
+		}
+		st.memo[n] = shared{rel: rows, cols: s.cols, sorted: s.sorted}
+		return st.build(n)
 	}
 	return s, nil
 }
@@ -439,35 +329,31 @@ func (e *edge) close() {
 	e.in.close()
 }
 
-// chunkIter slices an already-materialized relation into batches. The views
+// chunkIter hands an already-materialized relation on in batches. The views
 // alias the backing array (which is already tracked), so no charges and no
-// fresh allocation happen — exactly what memo reuse costs the materializing
-// executor.
+// fresh allocation happen. src marks a bulk scan's rows, whose batches count
+// as source batches.
 type chunkIter struct {
-	st    *streamer
-	rel   *rel.Rel
-	batch int
-	cur   int
-	src   bool
-	view  rel.Rel
+	st   *streamer
+	rel  *rel.Rel
+	cur  int
+	src  bool
+	view rel.Rel
 }
 
 func (c *chunkIter) next() (*rel.Rel, error) {
-	if err := c.st.ex.ctx.Err(); err != nil {
+	if err := c.st.ctx.Err(); err != nil {
 		return nil, err
 	}
 	n := c.rel.Len()
 	if c.cur >= n {
 		return nil, nil
 	}
-	hi := c.cur + c.batch
-	if hi > n {
-		hi = n
-	}
+	hi := c.cur + min(c.st.batch, n-c.cur)
 	c.view = rel.Rel{W: c.rel.W, Data: c.rel.Data[c.cur*c.rel.W : hi*c.rel.W]}
 	c.cur = hi
 	if c.src {
-		c.st.srcBatches.Add(1)
+		c.st.tr.SourceBatches++
 	}
 	return &c.view, nil
 }
@@ -483,7 +369,7 @@ type srcIter struct {
 
 func (s *srcIter) next() (*rel.Rel, error) {
 	for {
-		if err := s.st.ex.ctx.Err(); err != nil {
+		if err := s.st.ctx.Err(); err != nil {
 			return nil, err
 		}
 		b, err := s.src.Next()
@@ -496,7 +382,7 @@ func (s *srcIter) next() (*rel.Rel, error) {
 		if b.Len() == 0 {
 			continue
 		}
-		s.st.srcBatches.Add(1)
+		s.st.tr.SourceBatches++
 		return b, nil
 	}
 }
@@ -561,9 +447,12 @@ type emptyIter struct{}
 func (emptyIter) next() (*rel.Rel, error) { return nil, nil }
 func (emptyIter) close()                  {}
 
-// drainAll pulls an input to exhaustion into one relation and closes it —
-// the pipeline breakers' buffering step.
-func drainAll(it iter, w int) (*rel.Rel, error) {
+// drain pulls an input to exhaustion into one relation and closes it — the
+// pipeline breakers' buffering step. A live relation is one that stays
+// until the plan finishes (the result, a shared subexpression): it is
+// counted as it grows; a breaker accounts for its own buffer once it knows
+// what it keeps.
+func (st *streamer) drain(it iter, w int, live bool) (*rel.Rel, error) {
 	out := rel.New(w)
 	for {
 		b, err := it.next()
@@ -575,43 +464,43 @@ func drainAll(it iter, w int) (*rel.Rel, error) {
 			break
 		}
 		out.Data = append(out.Data, b.Data...)
+		if live {
+			st.mem.alloc(relBytes(b))
+		}
 	}
 	it.close()
 	return out, nil
 }
 
-// propStream opens a streaming per-property scan, falling back to a chunked
-// materializing scan on schemes without StreamSource.
+// propStream opens one per-property scan through the configured entry
+// point: the scheme's pull cursor, or its bulk scan handed on in batches.
 func (st *streamer) propStream(p, s, o rdf.ID, need ScanCols) (iter, error) {
-	if ss, ok := st.ex.src.(StreamSource); ok {
-		ri, err := ss.StreamProp(p, s, o, need, st.batch)
+	if !st.bulk {
+		ri, err := st.src.StreamProp(p, s, o, need, st.batch)
 		if err != nil {
 			return nil, err
 		}
 		return st.source(ri), nil
 	}
-	rows, err := st.ex.src.ScanProp(p, s, o, need)
+	rows, err := st.src.ScanProp(p, s, o, need)
 	if err != nil {
 		return nil, err
 	}
-	st.ex.mem.alloc(relBytes(rows))
-	return &chunkIter{st: st, rel: rows, batch: st.batch, src: true}, nil
+	return &chunkIter{st: st, rel: rows, src: true}, nil
 }
 
 // triplesStream is propStream's unbound-property counterpart.
 func (st *streamer) triplesStream(s, o rdf.ID, need ScanCols) iter {
-	if ss, ok := st.ex.src.(StreamSource); ok {
-		return st.source(ss.StreamTriples(s, o, need, st.batch))
+	if !st.bulk {
+		return st.source(st.src.StreamTriples(s, o, need, st.batch))
 	}
-	rows := st.ex.src.ScanTriples(s, o, need)
-	st.ex.mem.alloc(relBytes(rows))
-	return &chunkIter{st: st, rel: rows, batch: st.batch, src: true}
+	rows := st.src.ScanTriples(s, o, need)
+	return &chunkIter{st: st, rel: rows, src: true}
 }
 
 func (st *streamer) buildAccess(a *Access) (stream, error) {
-	ex := st.ex
 	tp := a.Pattern
-	slots := ex.keptSlots(a)
+	slots := st.keptSlots(a)
 
 	if tp.P.Bound() {
 		it, err := st.propStream(tp.P.Const, tp.S.Const, tp.O.Const, needOf(slots))
@@ -621,7 +510,7 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 		cols := slotCols(slots)
 		out := st.gathered(it, compileAssembly(slots, 2), uint64(tp.P.Const))
 		sorted := ""
-		if ex.src.PropOrdered() {
+		if st.src.PropOrdered() {
 			switch {
 			case !tp.S.Bound() && tp.S.Var != "":
 				sorted = tp.S.Var
@@ -632,10 +521,10 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 		return stream{it: out, cols: cols, sorted: sorted}, nil
 	}
 
-	if ex.src.Partitioned() {
-		props := ex.src.Cat().AllProps
+	if st.src.Partitioned() {
+		props := st.src.Cat().AllProps
 		if a.Restrict {
-			props = ex.src.Cat().Interesting
+			props = st.src.Cat().Interesting
 		}
 		cols := slotCols(slots)
 		asm := compileAssembly(slots, 2)
@@ -646,7 +535,7 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 			}
 			return st.gathered(it, asm, uint64(props[i])), nil
 		}
-		return stream{it: st.fanout(open, len(props), len(cols)), cols: cols}, nil
+		return stream{it: &fanout{st: st, open: open, n: len(props), w: len(cols)}, cols: cols}, nil
 	}
 
 	// Unbound property on a triple-store: one streamed scan, with the
@@ -658,33 +547,23 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 	}
 	it := st.triplesStream(tp.S.Const, tp.O.Const, need)
 	if a.Restrict {
-		// The restriction set comes from the catalog; the materializing
-		// path's one-time set construction (a 28-row properties-table scan
-		// or hash build) is a constant the streaming path does not re-charge.
-		set := ex.src.Cat().interestingSet()
-		st.sops.StreamNode()
+		// The restriction set comes from the catalog: building it (28 rows)
+		// is a constant the executor does not charge, testing each row is.
+		set := st.src.Cat().interestingSet()
+		st.ops.StreamNode()
 		it = st.filtered(it, 3, true, func(row []uint64) bool { return set[row[1]] })
 	}
 	return stream{it: st.gathered(it, compileAssembly(slots, 3), 0), cols: slotCols(slots)}, nil
 }
 
 // fanout streams the per-property parts of a partitioned access in property
-// order — sequentially, or with a prefetching worker pool when the parallel
-// mode is on. Union movement is charged as each batch passes downstream, and
-// closing the fan-out early stops parts that were never reached (the
-// streaming executor's saving on LIMIT plans; with workers the abandoned
-// prefetch depth is scheduling-dependent, see ExecOptions.Workers).
-// The w parameter is the width the union movement is charged at — the
-// materializing fan-out unions before projecting, so it can exceed the
-// emitted batch width (partitioned joins fuse the projection).
-func (st *streamer) fanout(open func(i int) (iter, error), n, w int) iter {
-	if st.ex.opt.Workers > 1 && n > 1 {
-		return &parFanout{st: st, open: open, n: n, w: w}
-	}
-	return &seqFanout{st: st, open: open, n: n, w: w}
-}
-
-type seqFanout struct {
+// order. Union movement is charged as each batch passes downstream, and
+// closing the fan-out early stops parts that were never reached (the saving
+// of a LIMIT over a fan-out). The w parameter is the width the union
+// movement is charged at — the union precedes the projection in the paper's
+// plans, so it can exceed the emitted batch width (partitioned joins fuse
+// the projection).
+type fanout struct {
 	st   *streamer
 	open func(i int) (iter, error)
 	n, w int
@@ -692,7 +571,7 @@ type seqFanout struct {
 	it   iter
 }
 
-func (f *seqFanout) next() (*rel.Rel, error) {
+func (f *fanout) next() (*rel.Rel, error) {
 	for {
 		if f.it == nil {
 			if f.cur >= f.n {
@@ -703,9 +582,9 @@ func (f *seqFanout) next() (*rel.Rel, error) {
 				return nil, err
 			}
 			// The union-all charges one operator dispatch per merged part.
-			f.st.sops.StreamNode()
-			f.st.partScans.Add(1)
-			f.st.unionParts.Add(1)
+			f.st.ops.StreamNode()
+			f.st.tr.PartitionScans++
+			f.st.tr.UnionParts++
 			f.cur++
 			f.it = it
 		}
@@ -718,146 +597,17 @@ func (f *seqFanout) next() (*rel.Rel, error) {
 			f.it = nil
 			continue
 		}
-		f.st.sops.StreamUnionRows(b.Len(), f.w)
+		f.st.ops.StreamUnionRows(b.Len(), f.w)
 		return b, nil
 	}
 }
 
-func (f *seqFanout) close() {
+func (f *fanout) close() {
 	if f.it != nil {
 		f.it.close()
 		f.it = nil
 	}
 	f.cur = f.n
-}
-
-// parFanout prefetches the per-property parts over the worker pool while the
-// consumer drains them in property order, so output stays byte-identical to
-// the sequential fan-out. Each part gets a small buffered channel; closing
-// the fan-out sets the stop flag, drains every channel (unblocking workers
-// mid-send), and waits for the pool — the deadlock-free shutdown protocol.
-type fanMsg struct {
-	b   *rel.Rel
-	err error
-}
-
-type parFanout struct {
-	st      *streamer
-	open    func(i int) (iter, error)
-	n, w    int
-	chans   []chan fanMsg
-	stop    atomic.Bool
-	wg      sync.WaitGroup
-	cur     int
-	last    *rel.Rel // the clone handed out by the previous next()
-	started bool
-	closed  bool
-}
-
-func (f *parFanout) start() {
-	f.started = true
-	f.st.parallel.Store(true)
-	f.chans = make([]chan fanMsg, f.n)
-	for i := range f.chans {
-		f.chans[i] = make(chan fanMsg, 2)
-	}
-	workers := f.st.ex.opt.Workers
-	if workers > f.n {
-		workers = f.n
-	}
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			for i := range idx {
-				f.runPart(i)
-			}
-		}()
-	}
-	go func() {
-		for i := 0; i < f.n; i++ {
-			idx <- i
-		}
-		close(idx)
-	}()
-}
-
-func (f *parFanout) runPart(i int) {
-	ch := f.chans[i]
-	defer close(ch)
-	if f.stop.Load() {
-		return
-	}
-	it, err := f.open(i)
-	if err != nil {
-		ch <- fanMsg{err: err}
-		return
-	}
-	defer it.close()
-	// The union-all charges one operator dispatch per merged part.
-	f.st.sops.StreamNode()
-	f.st.partScans.Add(1)
-	f.st.unionParts.Add(1)
-	for {
-		if f.stop.Load() {
-			return
-		}
-		b, err := it.next()
-		if err != nil {
-			ch <- fanMsg{err: err}
-			return
-		}
-		if b == nil {
-			return
-		}
-		// The part refills b while the consumer lags: send a copy. Prefetched
-		// batches waiting in the channel are live memory.
-		cp := f.st.take(b.W)
-		cp.Data = append(cp.Data, b.Data...)
-		f.st.ex.mem.alloc(relBytes(cp))
-		ch <- fanMsg{b: cp}
-	}
-}
-
-func (f *parFanout) next() (*rel.Rel, error) {
-	if !f.started {
-		f.start()
-	}
-	f.st.give(f.last)
-	f.last = nil
-	for f.cur < f.n {
-		msg, ok := <-f.chans[f.cur]
-		if !ok {
-			f.cur++
-			continue
-		}
-		if msg.err != nil {
-			return nil, msg.err
-		}
-		f.st.ex.mem.free(relBytes(msg.b))
-		f.st.sops.StreamUnionRows(msg.b.Len(), f.w)
-		f.last = msg.b
-		return msg.b, nil
-	}
-	return nil, nil
-}
-
-func (f *parFanout) close() {
-	if f.closed {
-		return
-	}
-	f.closed = true
-	if !f.started {
-		return
-	}
-	f.stop.Store(true)
-	for _, ch := range f.chans {
-		for msg := range ch {
-			f.st.ex.mem.free(relBytes(msg.b))
-		}
-	}
-	f.wg.Wait()
 }
 
 // filterIter drops rows failing pred, charging per evaluated row (restrict
@@ -883,9 +633,9 @@ func (f *filterIter) next() (*rel.Rel, error) {
 		}
 		n := b.Len()
 		if f.restrict {
-			f.st.sops.StreamRestrictRows(n, f.w)
+			f.st.ops.StreamRestrictRows(n, f.w)
 		} else {
-			f.st.sops.StreamFilterRows(n, f.w)
+			f.st.ops.StreamFilterRows(n, f.w)
 		}
 		reuse(f.out)
 		for i := 0; i < n; i++ {
@@ -916,7 +666,7 @@ func (st *streamer) buildFilter(in Node, mk func(stream) (func([]uint64) bool, e
 		s.it.close()
 		return stream{}, err
 	}
-	st.sops.StreamNode()
+	st.ops.StreamNode()
 	return stream{
 		it:     st.filtered(s.it, len(s.cols), false, pred),
 		cols:   s.cols,
@@ -924,8 +674,7 @@ func (st *streamer) buildFilter(in Node, mk func(stream) (func([]uint64) bool, e
 	}, nil
 }
 
-// sharedVar finds the single join variable of two schemas, as the
-// materializing join lowering does.
+// sharedVar finds the single join variable of two schemas.
 func sharedVar(lcols, rcols []string) (string, error) {
 	rSet := map[string]bool{}
 	for _, c := range rcols {
@@ -957,24 +706,23 @@ func joinOutCols(lcols, rcols []string, rc int) []string {
 }
 
 func (st *streamer) buildJoin(j *Join) (stream, error) {
-	ex := st.ex
-	if a, f := ex.partitionedJoinSide(j.R); a != nil {
+	if a, f := st.partitionedJoinSide(j.R); a != nil {
 		other, err := st.build(j.L)
 		if err != nil {
 			return stream{}, err
 		}
-		if ex.prof != nil {
-			ex.prof.note(j, "partitioned hash")
+		if st.prof != nil {
+			st.prof.note(j, "partitioned hash")
 		}
 		return st.buildPartitionedJoin(other, a, f)
 	}
-	if a, f := ex.partitionedJoinSide(j.L); a != nil {
+	if a, f := st.partitionedJoinSide(j.L); a != nil {
 		other, err := st.build(j.R)
 		if err != nil {
 			return stream{}, err
 		}
-		if ex.prof != nil {
-			ex.prof.note(j, "partitioned hash")
+		if st.prof != nil {
+			st.prof.note(j, "partitioned hash")
 		}
 		return st.buildPartitionedJoin(other, a, f)
 	}
@@ -996,16 +744,16 @@ func (st *streamer) buildJoin(j *Join) (stream, error) {
 	lc, _ := l.col(v)
 	rc, _ := r.col(v)
 	merge := l.sorted == v && r.sorted == v
-	ex.tr.Joins = append(ex.tr.Joins, JoinChoice{Var: v, Merge: merge})
-	if ex.prof != nil {
+	st.tr.Joins = append(st.tr.Joins, JoinChoice{Var: v, Merge: merge})
+	if st.prof != nil {
 		if merge {
-			ex.prof.note(j, "merge")
+			st.prof.note(j, "merge")
 		} else {
-			ex.prof.note(j, "hash")
+			st.prof.note(j, "hash")
 		}
 	}
 	cols := joinOutCols(l.cols, r.cols, rc)
-	st.sops.StreamNode()
+	st.ops.StreamNode()
 	var it iter
 	if merge {
 		it = &mergeJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols), out: st.take(len(cols))}
@@ -1019,13 +767,13 @@ func (st *streamer) buildJoin(j *Join) (stream, error) {
 	return stream{it: it, cols: cols, sorted: sorted}, nil
 }
 
-// hashJoinIter replicates the materializing hash join's build-side choice
-// and output order without knowing |R| in advance: it drains L (the build
-// side's size is always known to an optimizer), then buffers R only until R
-// proves at least as large as L — from then on R streams straight through
-// the probe. When R exhausts smaller, the buffered R builds and the drained
-// L probes in order. Either way the emitted order is probe-major with
-// matches in build-insertion order: exactly the materializing operator's.
+// hashJoinIter builds on the smaller input, as any optimizer would arrange,
+// without knowing |R| in advance: it drains L (the build side's size is
+// always known to an optimizer), then buffers R only until R proves at least
+// as large as L — from then on R streams straight through the probe. When R
+// exhausts smaller, the buffered R builds and the drained L probes in order.
+// Either way the emitted order is probe-major with matches in
+// build-insertion order, whatever the batch size.
 type hashJoinIter struct {
 	st      *streamer
 	l, r    iter
@@ -1038,11 +786,9 @@ type hashJoinIter struct {
 	build    *rel.Rel // build side rows in insertion order
 	buildIsL bool
 	// The buffered probe side — the drained L, or the copied head of R —
-	// replays as views of one relation, cut where its batches ended (charges
-	// round per batch) or, past cuts, every st.batch rows.
+	// replays as views of one relation, st.batch rows at a time.
 	probeRel *rel.Rel
 	probeCur int
-	cuts     []int
 	view     rel.Rel
 	bufBytes int64
 	out      *rel.Rel
@@ -1050,15 +796,14 @@ type hashJoinIter struct {
 
 func (h *hashJoinIter) start() error {
 	h.started = true
-	lrel, err := drainAll(h.l, h.lw)
+	lrel, err := h.st.drain(h.l, h.lw, false)
 	if err != nil {
 		return err
 	}
 	h.hold(relBytes(lrel))
 	nl := lrel.Len()
 	if nl == 0 {
-		// No row can join; the streaming executor closes R unread (the
-		// materializing one still scans it — an allowed charge divergence).
+		// No row can join: R is closed unread.
 		h.r.close()
 		h.done = true
 		h.release()
@@ -1075,7 +820,6 @@ func (h *hashJoinIter) start() error {
 		}
 		h.hold(relBytes(b))
 		rbuf.Data = append(rbuf.Data, b.Data...)
-		h.cuts = append(h.cuts, rbuf.Len())
 	}
 	// R strictly smaller builds (insertion order = R order) and the drained L
 	// probes in its order; otherwise L builds and R probes, its buffered head
@@ -1085,22 +829,22 @@ func (h *hashJoinIter) start() error {
 		h.build, h.probeRel = lrel, rbuf
 		h.ht = rel.NewJoinIndex(lrel, h.lc)
 	} else {
-		h.build, h.probeRel, h.cuts = rbuf, lrel, nil
+		h.build, h.probeRel = rbuf, lrel
 		h.ht = rel.NewJoinIndex(rbuf, h.rc)
 	}
 	// The table's buckets are live alongside the buffered rows.
 	h.hold(int64(h.build.Len()) * 16)
-	h.st.sops.StreamHashBuildRows(h.build.Len(), h.build.W)
+	h.st.ops.StreamHashBuildRows(h.build.Len(), h.build.W)
 	return nil
 }
 
 func (h *hashJoinIter) hold(n int64) {
-	h.st.ex.mem.alloc(n)
+	h.st.mem.alloc(n)
 	h.bufBytes += n
 }
 
 func (h *hashJoinIter) release() {
-	h.st.ex.mem.free(h.bufBytes)
+	h.st.mem.free(h.bufBytes)
 	h.bufBytes = 0
 	h.ht, h.build, h.probeRel = nil, nil, nil
 }
@@ -1108,10 +852,7 @@ func (h *hashJoinIter) release() {
 // nextProbe returns the next probe-side batch, or nil at exhaustion.
 func (h *hashJoinIter) nextProbe() (*rel.Rel, error) {
 	if p := h.probeRel; h.probeCur < p.Len() {
-		hi := min(h.probeCur+h.st.batch, p.Len())
-		if len(h.cuts) > 0 {
-			hi, h.cuts = h.cuts[0], h.cuts[1:]
-		}
+		hi := h.probeCur + min(h.st.batch, p.Len()-h.probeCur)
 		h.view = rel.Rel{W: p.W, Data: p.Data[h.probeCur*p.W : hi*p.W]}
 		h.probeCur = hi
 		return &h.view, nil
@@ -1146,7 +887,7 @@ func (h *hashJoinIter) next() (*rel.Rel, error) {
 			return nil, nil
 		}
 		n := pb.Len()
-		h.st.sops.StreamHashProbeRows(n, pb.W)
+		h.st.ops.StreamHashProbeRows(n, pb.W)
 		reuse(h.out)
 		for i := 0; i < n; i++ {
 			prow := pb.Row(i)
@@ -1160,9 +901,9 @@ func (h *hashJoinIter) next() (*rel.Rel, error) {
 			}
 		}
 		if h.out.Len() > 0 {
-			// Charged at the materializing join's pre-projection width; the
-			// streaming operator fuses the free projection.
-			h.st.sops.StreamJoinEmitRows(h.out.Len(), h.lw+h.rw)
+			// Charged at the join's pre-projection width; the operator fuses
+			// the free projection that drops the duplicate join column.
+			h.st.ops.StreamJoinEmitRows(h.out.Len(), h.lw+h.rw)
 			return h.out, nil
 		}
 	}
@@ -1188,10 +929,11 @@ func (h *hashJoinIter) close() {
 	h.r.close()
 }
 
-// buildLeftJoin streams SPARQL's OPTIONAL: the optional (right) side builds
-// — it must be complete before any left row can be declared unmatched — and
-// the required (left) side streams through the probe in order, so left
-// ordering survives, as in the materializing operator.
+// buildLeftJoin is SPARQL's OPTIONAL: the optional (right) side builds — it
+// must be complete before any left row can be declared unmatched — and the
+// required (left) side streams through the probe in order, so left ordering
+// survives. There is no partitioned pushdown for the same reason: the
+// OPTIONAL boundary is also a fan-out boundary.
 func (st *streamer) buildLeftJoin(j *LeftJoin) (stream, error) {
 	l, err := st.build(j.L)
 	if err != nil {
@@ -1210,12 +952,12 @@ func (st *streamer) buildLeftJoin(j *LeftJoin) (stream, error) {
 	}
 	lc, _ := l.col(v)
 	rc, _ := r.col(v)
-	st.ex.tr.Joins = append(st.ex.tr.Joins, JoinChoice{Var: v, Merge: false})
-	if st.ex.prof != nil {
-		st.ex.prof.note(j, "hash")
+	st.tr.Joins = append(st.tr.Joins, JoinChoice{Var: v, Merge: false})
+	if st.prof != nil {
+		st.prof.note(j, "hash")
 	}
 	cols := joinOutCols(l.cols, r.cols, rc)
-	st.sops.StreamNode()
+	st.ops.StreamNode()
 	it := &leftJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols),
 		nulls: slices.Repeat([]uint64{uint64(rdf.NoID)}, len(r.cols)), out: st.take(len(cols))}
 	return stream{it: it, cols: cols, sorted: l.sorted}, nil
@@ -1236,15 +978,15 @@ type leftJoinIter struct {
 
 func (j *leftJoinIter) start() error {
 	j.started = true
-	rrel, err := drainAll(j.r, j.rw)
+	rrel, err := j.st.drain(j.r, j.rw, false)
 	if err != nil {
 		return err
 	}
 	j.build = rrel
 	j.bufBytes = relBytes(rrel) + int64(rrel.Len())*16
-	j.st.ex.mem.alloc(j.bufBytes)
+	j.st.mem.alloc(j.bufBytes)
 	j.ht = rel.NewJoinIndex(rrel, j.rc)
-	j.st.sops.StreamHashBuildRows(rrel.Len(), j.rw)
+	j.st.ops.StreamHashBuildRows(rrel.Len(), j.rw)
 	return nil
 }
 
@@ -1259,7 +1001,7 @@ func (j *leftJoinIter) next() (*rel.Rel, error) {
 		return nil, err
 	}
 	n := b.Len()
-	j.st.sops.StreamHashProbeRows(n, j.lw)
+	j.st.ops.StreamHashProbeRows(n, j.lw)
 	reuse(j.out)
 	for i := 0; i < n; i++ {
 		lrow := b.Row(i)
@@ -1272,13 +1014,13 @@ func (j *leftJoinIter) next() (*rel.Rel, error) {
 		}
 	}
 	// Every left row emits at least once, so the batch is never empty.
-	// Charged at the materializing join's pre-projection width.
-	j.st.sops.StreamJoinEmitRows(j.out.Len(), j.lw+j.rw)
+	// Charged at the join's pre-projection width.
+	j.st.ops.StreamJoinEmitRows(j.out.Len(), j.lw+j.rw)
 	return j.out, nil
 }
 
 func (j *leftJoinIter) close() {
-	j.st.ex.mem.free(j.bufBytes)
+	j.st.mem.free(j.bufBytes)
 	j.bufBytes = 0
 	j.ht = nil
 	j.build = nil
@@ -1317,17 +1059,18 @@ func (c *rowCur) cur() ([]uint64, error) {
 			c.done = true
 			return nil, nil
 		}
-		c.st.sops.StreamMergeRows(b.Len(), c.w)
+		c.st.ops.StreamMergeRows(b.Len(), c.w)
 		c.b, c.i = b, 0
 	}
 }
 
 func (c *rowCur) advance() { c.i++ }
 
-// mergeJoinIter is the streaming linear merge join over two inputs sorted on
-// their join columns. Equal runs cross-product left-outer, matching the
-// materializing operator's emission order; only the current right-side run
-// is buffered, so memory stays bounded by the largest run.
+// mergeJoinIter is the linear merge join over two inputs sorted on their
+// join columns — the "simple, fast (linear) merge join" the vertically-
+// partitioned scheme gets on subject-subject joins of SO-clustered tables.
+// Equal runs cross-product left-outer; only the current right-side run is
+// buffered, so memory stays bounded by the largest run.
 type mergeJoinIter struct {
 	st     *streamer
 	l, r   iter
@@ -1411,28 +1154,28 @@ func (m *mergeJoinIter) next() (*rel.Rel, error) {
 					break
 				}
 			}
-			m.st.ex.mem.alloc(m.runBytes)
+			m.st.mem.alloc(m.runBytes)
 		}
 	}
 	if out.Len() == 0 {
 		return nil, nil
 	}
-	// Charged at the materializing join's pre-projection width.
-	m.st.sops.StreamJoinEmitRows(out.Len(), m.lw+m.rw)
+	// Charged at the join's pre-projection width.
+	m.st.ops.StreamJoinEmitRows(out.Len(), m.lw+m.rw)
 	return out, nil
 }
 
 func (m *mergeJoinIter) endRun() {
 	m.inRun = false
 	m.run = m.run[:0]
-	m.st.ex.mem.free(m.runBytes)
+	m.st.mem.free(m.runBytes)
 	m.runBytes = 0
 }
 
 func (m *mergeJoinIter) close() {
 	m.done = true
 	if m.runBytes > 0 {
-		m.st.ex.mem.free(m.runBytes)
+		m.st.mem.free(m.runBytes)
 		m.runBytes = 0
 	}
 	m.st.give(m.out)
@@ -1441,15 +1184,15 @@ func (m *mergeJoinIter) close() {
 	m.r.close()
 }
 
-// buildPartitionedJoin streams the join pushdown into a partitioned fan-out:
-// the non-access side drains once into a hash build (as PrepareHashJoin
-// does), and every per-property scan streams through tag → filter → probe in
-// property order, so the union of the per-table joins is emitted without
-// ever materializing it.
+// buildPartitionedJoin distributes a join over the per-property union of a
+// partitioned access — the vertically-partitioned plans of the paper, with
+// "more than two hundred unions and joins". The non-access side drains once
+// into a hash build, and every per-property scan streams through tag →
+// filter → probe in property order. Join distributes over union, so the
+// result is the same bag, emitted without ever materializing the union.
 func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (stream, error) {
-	ex := st.ex
 	tp := a.Pattern
-	slots := ex.keptSlots(a)
+	slots := st.keptSlots(a)
 	accCols := slotCols(slots)
 	closeOther := func() { other.it.close() }
 	v, err := sharedVar(other.cols, accCols)
@@ -1476,20 +1219,20 @@ func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (
 			return stream{}, fmt.Errorf("filter column %q not in %v", f.Col, accCols)
 		}
 	}
-	props := ex.src.Cat().AllProps
+	props := st.src.Cat().AllProps
 	if a.Restrict {
-		props = ex.src.Cat().Interesting
+		props = st.src.Cat().Interesting
 	}
-	// Build once over the drained non-access side, as PrepareHashJoin does.
-	orel, err := drainAll(other.it, len(other.cols))
+	// Build once over the drained non-access side.
+	orel, err := st.drain(other.it, len(other.cols), false)
 	if err != nil {
 		return stream{}, err
 	}
 	bufBytes := relBytes(orel) + int64(orel.Len())*16
-	ex.mem.alloc(bufBytes)
-	st.sops.StreamNode()
-	st.sops.StreamHashBuildRows(orel.Len(), len(other.cols))
-	ex.tr.Joins = append(ex.tr.Joins, JoinChoice{Var: v, Merge: false})
+	st.mem.alloc(bufBytes)
+	st.ops.StreamNode()
+	st.ops.StreamHashBuildRows(orel.Len(), len(other.cols))
+	st.tr.Joins = append(st.tr.Joins, JoinChoice{Var: v, Merge: false})
 	cols := make([]string, 0, len(other.cols)+len(accCols)-1)
 	cols = append(cols, other.cols...)
 	for i, c := range accCols {
@@ -1498,19 +1241,15 @@ func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (
 		}
 	}
 	if orel.Len() == 0 {
-		// Nothing can join; skip the fan-out entirely (the materializing
-		// executor still scans every table — an allowed charge divergence).
-		ex.mem.free(bufBytes)
+		// Nothing can join: skip the fan-out entirely.
+		st.mem.free(bufBytes)
 		return stream{it: emptyIter{}, cols: cols}, nil
 	}
 	ht := rel.NewJoinIndex(orel, oc)
 	asm := compileAssembly(slots, 2)
-	// Fused-step profiles: the access (and filter) never stream standalone,
-	// so count their per-part rows through atomics (prefetch workers pull
-	// the arms concurrently) and fold the totals in at finish().
-	var accRows, accBatches, filtRows, filtBatches atomic.Int64
-	if ex.prof != nil {
-		ex.profileFusedStream(a, f, &accRows, &accBatches, &filtRows, &filtBatches)
+	var accProf, filtProf *OpProfile
+	if st.prof != nil {
+		accProf, filtProf = st.profileFused(a, f)
 	}
 	open := func(i int) (iter, error) {
 		it, err := st.propStream(props[i], tp.S.Const, tp.O.Const, needOf(slots))
@@ -1518,31 +1257,31 @@ func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (
 			return nil, err
 		}
 		tagged := st.gathered(it, asm, uint64(props[i]))
-		if ex.prof != nil {
-			tagged = &countIter{in: tagged, rows: &accRows, batches: &accBatches}
+		if st.prof != nil {
+			tagged = &countIter{in: tagged, prof: accProf}
 		}
 		if fc >= 0 {
-			st.sops.StreamNode()
+			st.ops.StreamNode()
 			val := uint64(f.Value)
 			tagged = st.filtered(tagged, len(accCols), false, func(row []uint64) bool { return row[fc] != val })
-			if ex.prof != nil {
-				tagged = &countIter{in: tagged, rows: &filtRows, batches: &filtBatches}
+			if st.prof != nil {
+				tagged = &countIter{in: tagged, prof: filtProf}
 			}
 		}
-		st.sops.StreamNode() // the per-table probe dispatch
+		st.ops.StreamNode() // the per-table probe dispatch
 		return &partProbeIter{st: st, in: tagged, orel: orel, ht: ht, ac: ac, aw: len(accCols), out: st.take(len(cols))}, nil
 	}
-	// Union movement is charged at the materializing fan-out's
-	// pre-projection width (the probe outputs before dropping the join col).
-	fo := st.fanout(open, len(props), len(other.cols)+len(accCols))
+	// Union movement is charged at the pre-projection width (the probe
+	// outputs before dropping the join column).
+	fo := &fanout{st: st, open: open, n: len(props), w: len(other.cols) + len(accCols)}
 	return stream{it: &releaseIter{in: fo, free: func() {
-		ex.mem.free(bufBytes)
+		st.mem.free(bufBytes)
 	}}, cols: cols}, nil
 }
 
 // partProbeIter probes tagged per-property batches against the shared build
 // side, emitting build-row ++ probe-row (minus the access's join column) in
-// probe-major order — Probe's order, with the executor's projection fused.
+// probe-major order, with the post-join projection fused.
 type partProbeIter struct {
 	st   *streamer
 	in   iter
@@ -1560,7 +1299,7 @@ func (p *partProbeIter) next() (*rel.Rel, error) {
 			return nil, err
 		}
 		n := b.Len()
-		p.st.sops.StreamHashProbeRows(n, p.aw)
+		p.st.ops.StreamHashProbeRows(n, p.aw)
 		reuse(p.out)
 		for i := 0; i < n; i++ {
 			arow := b.Row(i)
@@ -1569,8 +1308,8 @@ func (p *partProbeIter) next() (*rel.Rel, error) {
 			}
 		}
 		if p.out.Len() > 0 {
-			// Charged at the materializing probe's pre-projection width.
-			p.st.sops.StreamJoinEmitRows(p.out.Len(), p.orel.W+p.aw)
+			// Charged at the probe's pre-projection width.
+			p.st.ops.StreamJoinEmitRows(p.out.Len(), p.orel.W+p.aw)
 			return p.out, nil
 		}
 	}
@@ -1614,7 +1353,7 @@ func (st *streamer) buildDistinct(d *Distinct) (stream, error) {
 	if err != nil {
 		return stream{}, err
 	}
-	st.sops.StreamNode()
+	st.ops.StreamNode()
 	it := &distinctIter{st: st, in: s.it, w: len(s.cols), seen: map[string]bool{}, out: st.take(len(s.cols))}
 	return stream{it: it, cols: s.cols, sorted: s.sorted}, nil
 }
@@ -1638,7 +1377,7 @@ func (d *distinctIter) next() (*rel.Rel, error) {
 			return nil, err
 		}
 		n := b.Len()
-		d.st.sops.StreamDistinctRows(n, d.w)
+		d.st.ops.StreamDistinctRows(n, d.w)
 		reuse(d.out)
 		for i := 0; i < n; i++ {
 			row := b.Row(i)
@@ -1651,7 +1390,7 @@ func (d *distinctIter) next() (*rel.Rel, error) {
 			if !d.seen[string(buf)] {
 				d.seen[string(buf)] = true
 				kb := int64(len(buf)) + 16
-				d.st.ex.mem.alloc(kb)
+				d.st.mem.alloc(kb)
 				d.keyBytes += kb
 				d.out.Data = append(d.out.Data, row...)
 			}
@@ -1663,7 +1402,7 @@ func (d *distinctIter) next() (*rel.Rel, error) {
 }
 
 func (d *distinctIter) close() {
-	d.st.ex.mem.free(d.keyBytes)
+	d.st.mem.free(d.keyBytes)
 	d.keyBytes = 0
 	d.seen = nil
 	d.st.give(d.out)
@@ -1696,7 +1435,7 @@ func (st *streamer) buildUnion(u *Union) (stream, error) {
 		}
 		perm[i] = j
 	}
-	st.sops.StreamNode()
+	st.ops.StreamNode()
 	// The right side's column order is aligned per batch when it differs.
 	it := &unionIter{st: st, l: l.it, r: st.gathered(r.it, newGather(perm, nil, len(perm)), 0), w: len(l.cols)}
 	return stream{it: it, cols: l.cols}, nil
@@ -1729,7 +1468,7 @@ func (u *unionIter) next() (*rel.Rel, error) {
 				return nil, err
 			}
 		}
-		u.st.sops.StreamUnionRows(b.Len(), u.w)
+		u.st.ops.StreamUnionRows(b.Len(), u.w)
 		return b, nil
 	}
 }
@@ -1755,7 +1494,7 @@ func (st *streamer) buildGroup(g *Group) (stream, error) {
 			return stream{}, err
 		}
 	}
-	st.sops.StreamNode()
+	st.ops.StreamNode()
 	cols := append(append([]string(nil), g.Keys...), CountCol)
 	it := &groupIter{st: st, in: s.it, keys: keys, w: len(s.cols)}
 	return stream{it: it, cols: cols, sorted: g.Keys[0]}, nil
@@ -1786,7 +1525,7 @@ func (g *groupIter) start() error {
 			break
 		}
 		n := b.Len()
-		g.st.sops.StreamGroupRows(n, len(g.keys))
+		g.st.ops.StreamGroupRows(n, len(g.keys))
 		for i := 0; i < n; i++ {
 			row := b.Row(i)
 			var k [2]uint64
@@ -1794,7 +1533,7 @@ func (g *groupIter) start() error {
 				k[j] = row[c]
 			}
 			if _, ok := counts[k]; !ok {
-				g.st.ex.mem.alloc(40)
+				g.st.mem.alloc(40)
 				g.tabBytes += 40
 			}
 			counts[k]++
@@ -1806,9 +1545,9 @@ func (g *groupIter) start() error {
 		out.Data = append(append(out.Data, k[:len(g.keys)]...), cnt)
 	}
 	out.Sort()
-	g.st.ex.mem.alloc(relBytes(out))
+	g.st.mem.alloc(relBytes(out))
 	g.tabBytes += relBytes(out)
-	g.out = &chunkIter{st: g.st, rel: out, batch: g.st.batch}
+	g.out = &chunkIter{st: g.st, rel: out}
 	return nil
 }
 
@@ -1822,7 +1561,7 @@ func (g *groupIter) next() (*rel.Rel, error) {
 }
 
 func (g *groupIter) close() {
-	g.st.ex.mem.free(g.tabBytes)
+	g.st.mem.free(g.tabBytes)
 	g.tabBytes = 0
 	g.out = nil
 	g.in.close()
@@ -1868,24 +1607,26 @@ func (st *streamer) buildTopN(t *TopN) (stream, error) {
 		s.it.close()
 		return stream{}, err
 	}
-	st.sops.StreamNode()
-	if st.ex.prof != nil {
+	st.ops.StreamNode()
+	if st.prof != nil {
 		if t.Limit >= 0 {
-			st.ex.prof.note(t, "heap")
+			st.prof.note(t, "heap")
 		} else {
-			st.ex.prof.note(t, "sort")
+			st.prof.note(t, "sort")
 		}
 	}
 	it := &topNIter{st: st, in: s.it, less: less, limit: t.Limit, w: len(s.cols)}
 	return stream{it: it, cols: s.cols, sorted: ""}, nil
 }
 
-// topNIter is ORDER BY / LIMIT as a bounded heap: for limit k ≥ 0 it keeps
-// the k least rows under less in a max-heap (worst at the root), charging
-// exactly ceil(log2 k) comparisons per input row; the survivors sort at the
-// end, which under the plan layer's total order reproduces the materializing
-// full sort's first k rows byte for byte. A negative limit is plain ORDER BY
-// — a full-sort breaker delegated to the engine's materializing TopN.
+// topNIter is ORDER BY with an optional LIMIT, under one rule in every
+// configuration. For a limit k ≥ 0 it keeps the k least rows under less in
+// a max-heap (worst at the root), charging exactly ceil(log2 k) comparisons
+// per input row, and sorts the survivors at the end — under the plan
+// layer's total order that is the first k rows of the full sort, byte for
+// byte. A negative limit is plain ORDER BY: nothing can terminate early, so
+// the input drains and sorts whole at n·ceil(log2 n) comparisons. Either way
+// the finished rows are charged as one output pass.
 type topNIter struct {
 	st      *streamer
 	in      iter
@@ -1894,75 +1635,67 @@ type topNIter struct {
 	w       int
 	started bool
 	out     *chunkIter
-	bufRel  *rel.Rel
 	heap    [][]uint64
 	bytes   int64
 }
 
+func (t *topNIter) hold(n int64) {
+	t.st.mem.alloc(n)
+	t.bytes += n
+}
+
 func (t *topNIter) start() error {
 	t.started = true
-	if t.limit < 0 {
-		// Plain ORDER BY: nothing to terminate early, so drain and run the
-		// engine's own sort (identical charges to the materializing path).
-		in, err := drainAll(t.in, t.w)
-		if err != nil {
-			return err
-		}
-		t.bytes = relBytes(in)
-		t.st.ex.mem.alloc(t.bytes)
-		n := in.Len()
-		t.st.ex.tr.TopNs = append(t.st.ex.tr.TopNs, TopNStat{
-			Input: n, Limit: t.limit, Compares: sortCompares(n),
-		})
-		out := t.st.ex.ops.TopN(in, t.limit, t.less)
-		t.bufRel = out
-		t.st.ex.mem.alloc(relBytes(out))
-		t.bytes += relBytes(out)
-		t.out = &chunkIter{st: t.st, rel: out, batch: t.st.batch}
-		return nil
-	}
-	if t.limit == 0 {
+	stat := TopNStat{Limit: t.limit, Heap: t.limit >= 0}
+	var rows [][]uint64
+	switch k := t.limit; {
+	case k == 0:
 		// LIMIT 0 pulls nothing: close the input before it does any work.
 		t.in.close()
-		t.st.ex.tr.TopNs = append(t.st.ex.tr.TopNs, TopNStat{Limit: 0, Heap: true})
-		t.out = &chunkIter{st: t.st, rel: rel.New(t.w), batch: t.st.batch}
-		return nil
-	}
-	k := t.limit
-	perRow := ceilLog2(k)
-	input := 0
-	for {
-		b, err := t.in.next()
+	case k < 0:
+		in, err := t.st.drain(t.in, t.w, false)
 		if err != nil {
-			t.in.close()
 			return err
 		}
-		if b == nil {
-			break
+		t.hold(relBytes(in))
+		stat.Input = in.Len()
+		stat.Compares = sortCompares(stat.Input)
+		t.st.ops.StreamSortCompares(stat.Compares)
+		rows = make([][]uint64, stat.Input)
+		for i := range rows {
+			rows[i] = in.Row(i)
 		}
-		n := b.Len()
-		input += n
-		t.st.sops.StreamSortCompares(int64(n) * perRow)
-		for i := 0; i < n; i++ {
-			t.push(b.Row(i), k)
+	default:
+		perRow := ceilLog2(k)
+		for {
+			b, err := t.in.next()
+			if err != nil {
+				t.in.close()
+				return err
+			}
+			if b == nil {
+				break
+			}
+			n := b.Len()
+			stat.Input += n
+			t.st.ops.StreamSortCompares(int64(n) * perRow)
+			for i := 0; i < n; i++ {
+				t.push(b.Row(i), k)
+			}
 		}
+		t.in.close()
+		stat.Compares = int64(stat.Input) * perRow
+		rows, t.heap = t.heap, nil
 	}
-	t.in.close()
-	rows := t.heap
 	sort.Slice(rows, func(i, j int) bool { return t.less(rows[i], rows[j]) })
 	out := rel.NewCap(t.w, len(rows))
 	for _, row := range rows {
 		out.Data = append(out.Data, row...)
 	}
-	t.st.sops.StreamEmitRows(out.Len(), t.w)
-	t.st.ex.tr.TopNs = append(t.st.ex.tr.TopNs, TopNStat{
-		Input: input, Limit: k, Compares: int64(input) * perRow, Heap: true,
-	})
-	t.bufRel = out
-	t.st.ex.mem.alloc(relBytes(out))
-	t.bytes += relBytes(out)
-	t.out = &chunkIter{st: t.st, rel: out, batch: t.st.batch}
-	t.heap = nil
+	t.st.ops.StreamEmitRows(out.Len(), t.w)
+	t.st.tr.TopNs = append(t.st.tr.TopNs, stat)
+	t.hold(relBytes(out))
+	t.out = &chunkIter{st: t.st, rel: out}
 	return nil
 }
 
@@ -1972,7 +1705,7 @@ func (t *topNIter) push(row []uint64, k int) {
 	if len(h) < k {
 		cp := append([]uint64(nil), row...)
 		h = append(h, cp)
-		t.st.ex.mem.alloc(int64(t.w) * 8)
+		t.st.mem.alloc(int64(t.w) * 8)
 		t.bytes += int64(t.w) * 8
 		// Sift up: parents hold the greater row.
 		i := len(h) - 1
@@ -2024,10 +1757,9 @@ func (t *topNIter) next() (*rel.Rel, error) {
 }
 
 func (t *topNIter) close() {
-	t.st.ex.mem.free(t.bytes)
+	t.st.mem.free(t.bytes)
 	t.bytes = 0
 	t.heap = nil
-	t.bufRel = nil
 	t.out = nil
 	t.in.close()
 }
@@ -2048,8 +1780,8 @@ func (st *streamer) buildLimit(l *Limit) (stream, error) {
 // limitIter passes its input's first N rows through and then closes the
 // input — the early-termination signal that propagates all the way into the
 // physical scans. Closing recycles the input's buffers, so the batch that
-// reaches the limit is copied out first. Truncation itself is free, exactly
-// as in the materializing evalLimit.
+// reaches the limit is copied out first. Truncation itself is free: neither
+// engine charges for a plan-level prefix.
 type limitIter struct {
 	in        iter
 	remaining int

@@ -8,8 +8,8 @@ import (
 	"blackswan/internal/rel"
 )
 
-// This file implements StreamSource for the four storage schemes: each
-// scheme's materializing ScanProp/ScanTriples is re-expressed as a pull
+// This file implements the pull half of PhysicalSource for the four storage
+// schemes: each scheme's bulk ScanProp/ScanTriples is re-expressed as a pull
 // iterator that delivers the same rows in the same order with the same
 // access-path charges, paid batch by batch instead of up front — so a
 // consumer that terminates early (LIMIT, TopN, an exhausted join build)
@@ -17,7 +17,7 @@ import (
 
 // cursorIter adapts an engine's pull cursor (rowstore.ScanCursor,
 // colstore.ColScan) to the executor's RelIter. The cursor refills the one
-// buffer the adapter lends it: out, which the streaming executor supplies
+// buffer the adapter lends it: out, which the executor supplies
 // from its free list and takes back at close (see streamer.source).
 type cursorIter struct {
 	cur interface{ Next(out *rel.Rel) bool }
@@ -39,9 +39,9 @@ func (it *cursorIter) Next() (*rel.Rel, error) {
 // simply stops charging.
 func (it *cursorIter) Close() {}
 
-// chunkRelIter is the materialize-then-chunk fallback for scheme paths the
-// streaming executor never exercises (Partitioned schemes answer unbound
-// properties through the per-property fan-out, not ScanTriples).
+// chunkRelIter is the scan-then-chunk fallback for scheme paths the
+// executor never exercises (Partitioned schemes answer unbound properties
+// through the per-property fan-out, not StreamTriples).
 type chunkRelIter struct {
 	rel   *rel.Rel
 	batch int
@@ -67,7 +67,7 @@ func (c *chunkRelIter) Close() {}
 
 // ---- RowTriple ----
 
-// StreamProp implements StreamSource: the pull form of ScanProp — the same
+// StreamProp implements PhysicalSource: the pull form of ScanProp — the same
 // indexed range of the triples table, emitting only (s, o).
 func (d *RowTriple) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIter, error) {
 	bound := map[int]uint64{colP: uint64(p)}
@@ -80,7 +80,7 @@ func (d *RowTriple) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIt
 	return &cursorIter{cur: d.eng.ScanEqStream(d.triples, bound, batchRows, colS, colO)}, nil
 }
 
-// StreamTriples implements StreamSource: the pull form of ScanTriples.
+// StreamTriples implements PhysicalSource: the pull form of ScanTriples.
 func (d *RowTriple) StreamTriples(s, o rdf.ID, _ ScanCols, batchRows int) RelIter {
 	bound := map[int]uint64{}
 	if s != rdf.NoID {
@@ -94,9 +94,9 @@ func (d *RowTriple) StreamTriples(s, o rdf.ID, _ ScanCols, batchRows int) RelIte
 
 // ---- RowVert ----
 
-// StreamProp implements StreamSource: a pull cursor over one property
+// StreamProp implements PhysicalSource: a pull cursor over one property
 // table (clustered SO for subject bounds, the OS index for object bounds —
-// pickIndex decides, as in the materializing scan).
+// pickIndex decides, as in the bulk scan).
 func (d *RowVert) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIter, error) {
 	t, ok := d.tables[p]
 	if !ok {
@@ -112,7 +112,7 @@ func (d *RowVert) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIter
 	return &cursorIter{cur: d.eng.ScanEqStream(t, bound, batchRows, vcS, vcO)}, nil
 }
 
-// StreamTriples implements StreamSource. The streaming executor answers
+// StreamTriples implements PhysicalSource. The executor answers
 // unbound properties on partitioned schemes through the per-property
 // fan-out, so this is only the interface-completing fallback.
 func (d *RowVert) StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter {
@@ -132,14 +132,14 @@ func streamCol(eng *colstore.Engine, c *colstore.Column, bound rdf.ID, needed bo
 	if bound != rdf.NoID {
 		return colstore.StreamCol{Const: uint64(bound)}
 	}
-	// One Fetch call per demanded column in the materializing path.
+	// One Fetch call per demanded column in the bulk path.
 	eng.ChargeNode()
 	return colstore.StreamCol{C: c}
 }
 
 // ---- ColVert ----
 
-// StreamProp implements StreamSource: the pull form of the vertical table
+// StreamProp implements PhysicalSource: the pull form of the vertical table
 // scan. A bound subject binary-searches the sorted subject column to a
 // position range (SelectEq's sorted path); a bound object scans the full
 // table (SelectEq's unsorted path); the per-candidate selection tests and
@@ -157,7 +157,7 @@ func (d *ColVert) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelI
 		lo, hi = d.eng.SelectRange(sc, uint64(s))
 		conds = append(conds, colstore.EqCond{C: sc, V: uint64(s)})
 		if o != rdf.NoID {
-			// The materializing path's SelectEqAt dispatch.
+			// The bulk path's SelectEqAt dispatch.
 			d.eng.ChargeNode()
 			conds = append(conds, colstore.EqCond{C: oc, V: uint64(o)})
 		}
@@ -173,7 +173,7 @@ func (d *ColVert) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelI
 	return &cursorIter{cur: d.eng.NewColScan(lo, hi, conds, out, batchRows)}, nil
 }
 
-// StreamTriples implements StreamSource; interface-completing fallback, as
+// StreamTriples implements PhysicalSource; interface-completing fallback, as
 // for RowVert.
 func (d *ColVert) StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter {
 	return &chunkRelIter{rel: d.ScanTriples(s, o, need), batch: batchRows}
@@ -194,13 +194,13 @@ func (d *ColTriple) streamSelect(lead *colstore.Column, leadV uint64, rest ...co
 	}
 	conds := append([]colstore.EqCond{{C: lead, V: leadV}}, rest...)
 	for range rest {
-		// One SelectEqAt dispatch per refinement in the materializing path.
+		// One SelectEqAt dispatch per refinement in the bulk path.
 		d.eng.ChargeNode()
 	}
 	return lo, hi, conds
 }
 
-// StreamProp implements StreamSource: the pull form of ScanProp on the
+// StreamProp implements PhysicalSource: the pull form of ScanProp on the
 // clustered triples table, selecting on p (then s, then o) and fetching
 // only the demanded columns.
 func (d *ColTriple) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelIter, error) {
@@ -219,7 +219,7 @@ func (d *ColTriple) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (Re
 	return &cursorIter{cur: d.eng.NewColScan(lo, hi, conds, out, batchRows)}, nil
 }
 
-// StreamTriples implements StreamSource: the pull form of ScanTriples —
+// StreamTriples implements PhysicalSource: the pull form of ScanTriples —
 // width-3 batches with only the demanded columns fetched.
 func (d *ColTriple) StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter {
 	lo, hi := 0, d.table.Rows()

@@ -4,17 +4,23 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
+	"time"
 
+	"blackswan/internal/colstore"
 	"blackswan/internal/datagen"
+	"blackswan/internal/rdf"
+	"blackswan/internal/rel"
 	"blackswan/internal/rowstore"
 	"blackswan/internal/simio"
 )
 
-// This file tests the streaming executor against its contract: results are
-// byte-identical to the materializing executor on every scheme (including
-// row order), early termination reaches the physical scans, the bounded
-// heap charges n·ceil(log2 k) comparisons, and per-query peak memory stays
+// This file tests the executor against its contract: results are
+// byte-identical in every configuration on every scheme (including row
+// order), the simulated CPU clock does not depend on the batch size, early
+// termination reaches the physical scans, the bounded heap charges
+// n·ceil(log2 k) comparisons, and pipelined per-query peak memory stays
 // bounded by batches plus operator state rather than whole intermediates.
 
 // TestMain switches the recycled-buffer poison on for the whole package (a
@@ -27,54 +33,109 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// streamVariants are the option sets a result-identity test runs beyond the
-// materializing baseline: plain streaming, a deliberately awkward batch
-// size (exercises batch-boundary logic), and the worker-pool fan-out.
-var streamVariants = []ExecOptions{
-	{Streaming: true},
-	{Streaming: true, BatchRows: 7},
-	{Streaming: true, Workers: 3},
+// configs is every executor configuration a result-identity test runs: the
+// drain configuration, then the pipelined one at batch sizes that put a
+// batch boundary inside every operator (1, 2, 5) and inside none (1024).
+var configs = []ExecOptions{
+	{},
+	{Streaming: true, BatchRows: 1},
+	{Streaming: true, BatchRows: 2},
+	{Streaming: true, BatchRows: 5},
+	{Streaming: true, BatchRows: 1024},
 }
 
 // TestStreamingByteIdenticalPaperQueries runs the twelve benchmark queries
-// on every engine × scheme × clustering combination, comparing the
-// streaming executor's raw output — width, row order, bytes — against the
-// materializing executor's.
+// on every engine × scheme × clustering combination in every configuration.
+// On the crafted graph each result must be the hand-computed answer of
+// core_test.go; everywhere, each configuration's raw output — width, row
+// order, bytes — must be the drain configuration's.
 func TestStreamingByteIdenticalPaperQueries(t *testing.T) {
 	type fixture struct {
-		name string
-		dbs  []Database
+		name   string
+		dbs    []Database
+		expect map[string]*rel.Rel
 	}
 	var fixtures []fixture
 	cf := newCrafted(t)
-	fixtures = append(fixtures, fixture{"crafted", allDatabases(t, cf.g, cf.cat)})
+	fixtures = append(fixtures, fixture{"crafted", allDatabases(t, cf.g, cf.cat), cf.expect})
 	for _, seed := range []int64{100, 101} {
 		g, cat := randomFixture(t, seed)
-		fixtures = append(fixtures, fixture{fmt.Sprintf("random-%d", seed), allDatabases(t, g, cat)})
+		fixtures = append(fixtures, fixture{fmt.Sprintf("random-%d", seed), allDatabases(t, g, cat), nil})
 	}
 	for _, fx := range fixtures {
 		for _, db := range fx.dbs {
 			src := db.(PhysicalSource)
 			for _, q := range BenchmarkQueries() {
-				want, wtr, err := ExecuteTraced(src, q, ExecOptions{})
-				if err != nil {
-					t.Fatalf("%s %s %v: materializing: %v", fx.name, db.Label(), q, err)
-				}
-				if wtr.Streamed {
-					t.Fatalf("%s %s %v: materializing trace claims Streamed", fx.name, db.Label(), q)
-				}
-				for _, opt := range streamVariants {
-					got, gtr, err := ExecuteTraced(src, q, opt)
+				var first *rel.Rel
+				for _, opt := range configs {
+					got, _, err := ExecuteTraced(src, q, opt)
 					if err != nil {
 						t.Fatalf("%s %s %v %+v: %v", fx.name, db.Label(), q, opt, err)
 					}
-					if !gtr.Streamed {
-						t.Fatalf("%s %s %v %+v: trace not marked Streamed", fx.name, db.Label(), q, opt)
+					if want := fx.expect[q.String()]; want != nil && !rel.Equal(got, want) {
+						t.Fatalf("%s %s %v %+v:\n got  %v\n want %v", fx.name, db.Label(), q, opt, got, want)
 					}
-					if got.W != want.W || fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
-						t.Fatalf("%s %s %v %+v: streaming result differs\n got  %d rows %v\n want %d rows %v",
-							fx.name, db.Label(), q, opt, got.Len(), got.Data, want.Len(), want.Data)
+					if first == nil {
+						first = got
 					}
+					if got.W != first.W || !slices.Equal(got.Data, first.Data) {
+						t.Fatalf("%s %s %v %+v: result differs from the drain configuration's\n got  %d rows %v\n want %d rows %v",
+							fx.name, db.Label(), q, opt, got.Len(), got.Data, first.Len(), first.Data)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClockIndependentOfBatchSize pins what the simulated CPU clock
+// guarantees: user time depends on the work charged, not on how batches
+// split it. On the two triple-store schemes — hash joins only, so every
+// batch size does the same work — the twelve paper queries charge identical
+// user nanoseconds at 1, 7 and 1024 rows a batch. (The vertical schemes are
+// excluded because a merge join charges the batch it pulled past the end of
+// its shorter input, and I/O because read-ahead windows depend on the pull
+// size: both are strategy, not rounding.)
+func TestClockIndependentOfBatchSize(t *testing.T) {
+	ds, cat, _ := streamGen(t)
+	type sys struct {
+		store *simio.Store
+		db    Database
+	}
+	var systems []sys
+	{
+		store := newStore()
+		db, err := LoadRowTriple(rowstore.NewEngine(store), ds.Graph, cat, rdf.PSO, rdf.AllOrders())
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, sys{store, db})
+	}
+	{
+		store := newStore()
+		db, err := LoadColTriple(colstore.NewEngine(store), ds.Graph, cat, rdf.PSO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, sys{store, db})
+	}
+	for _, s := range systems {
+		for _, q := range BenchmarkQueries() {
+			var first time.Duration
+			for _, rows := range []int{1, 7, 1024} {
+				s.store.Clock().Reset()
+				if _, err := ExecuteOpts(s.db.(PhysicalSource), q, ExecOptions{Streaming: true, BatchRows: rows}); err != nil {
+					t.Fatalf("%s %v: %v", s.db.Label(), q, err)
+				}
+				user := s.store.Clock().User()
+				if user == 0 {
+					t.Fatalf("%s %v: no CPU charged", s.db.Label(), q)
+				}
+				if rows == 1 {
+					first = user
+				} else if user != first {
+					t.Errorf("%s %v: %d-row batches charge %d user ns, 1-row batches %d",
+						s.db.Label(), q, rows, user, first)
 				}
 			}
 		}
@@ -143,69 +204,58 @@ func TestStreamingEarlyTermination(t *testing.T) {
 	}
 }
 
-// TestStreamingTopNHeapCompares pins the bounded-heap cost model: a TopN
-// with limit k over n input rows charges n·ceil(log2 k) comparisons and is
-// marked Heap in the trace, while the materializing executor's full sort
-// charges n·ceil(log2 n).
+// TestStreamingTopNHeapCompares pins the one TopN rule, in every
+// configuration: a limit k ≥ 0 over n input rows runs the bounded heap,
+// charges n·ceil(log2 k) comparisons and is marked Heap in the trace; plain
+// ORDER BY (a negative limit) cannot bound its heap, sorts in full at
+// n·ceil(log2 n) and is not. The rows are the first k of the full sort.
 func TestStreamingTopNHeapCompares(t *testing.T) {
 	cf := newCrafted(t)
 	ord := DictValues{Dict: cf.g.Dict}
 	access := &Access{Pattern: Pat(V("s"), C(cf.cat.Consts.Type), V("o"))}
+	keys := []SortKey{{Col: "o"}, {Col: "s"}}
 	for _, db := range allDatabases(t, cf.g, cf.cat) {
 		src := db.(PhysicalSource)
-		for _, k := range []int{1, 2, 3} {
-			topn := &TopN{In: access, Keys: []SortKey{{Col: "o"}, {Col: "s"}}, Limit: k, Ord: ord}
-			want, _, mtr, err := ExecutePlan(src, topn, ExecOptions{})
+		for _, opt := range configs {
+			sorted, _, tr, err := ExecutePlan(src, &TopN{In: access, Keys: keys, Limit: -1, Ord: ord}, opt)
 			if err != nil {
-				t.Fatalf("%s: materializing TopN: %v", db.Label(), err)
+				t.Fatalf("%s %+v: ORDER BY: %v", db.Label(), opt, err)
 			}
-			got, _, str, err := ExecutePlan(src, topn, ExecOptions{Streaming: true, BatchRows: 3})
-			if err != nil {
-				t.Fatalf("%s: streaming TopN: %v", db.Label(), err)
+			n := sorted.Len()
+			if len(tr.TopNs) != 1 || tr.TopNs[0].Heap || tr.TopNs[0].Input != n || tr.TopNs[0].Compares != sortCompares(n) {
+				t.Errorf("%s %+v: ORDER BY over %d rows should sort in full at %d compares: %+v",
+					db.Label(), opt, n, sortCompares(n), tr.TopNs)
 			}
-			if fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
-				t.Fatalf("%s: TopN limit %d: streaming %v, materializing %v", db.Label(), k, got.Data, want.Data)
+			for _, k := range []int{0, 1, 2, 3} {
+				got, _, tr, err := ExecutePlan(src, &TopN{In: access, Keys: keys, Limit: k, Ord: ord}, opt)
+				if err != nil {
+					t.Fatalf("%s %+v: TopN limit %d: %v", db.Label(), opt, k, err)
+				}
+				if want := sorted.Data[:min(k, n)*sorted.W]; !slices.Equal(got.Data, want) {
+					t.Fatalf("%s %+v: TopN limit %d: %v, full sort's prefix %v", db.Label(), opt, k, got.Data, want)
+				}
+				if len(tr.TopNs) != 1 || !tr.TopNs[0].Heap {
+					t.Fatalf("%s %+v: TopN limit %d not marked Heap: %+v", db.Label(), opt, k, tr.TopNs)
+				}
+				// LIMIT 0 closes its input unread.
+				wantIn := n
+				if k == 0 {
+					wantIn = 0
+				}
+				s := tr.TopNs[0]
+				if s.Input != wantIn || s.Compares != int64(wantIn)*ceilLog2(k) {
+					t.Errorf("%s %+v: heap TopN(n=%d, k=%d) saw %d rows and charged %d compares, want %d and n·ceil(log2 k) = %d",
+						db.Label(), opt, n, k, s.Input, s.Compares, wantIn, int64(wantIn)*ceilLog2(k))
+				}
 			}
-			if len(mtr.TopNs) != 1 || len(str.TopNs) != 1 {
-				t.Fatalf("%s: TopN stats: materializing %d, streaming %d", db.Label(), len(mtr.TopNs), len(str.TopNs))
-			}
-			m, s := mtr.TopNs[0], str.TopNs[0]
-			if m.Heap {
-				t.Errorf("%s: materializing TopN marked Heap", db.Label())
-			}
-			if !s.Heap {
-				t.Errorf("%s: streaming TopN limit %d not marked Heap", db.Label(), k)
-			}
-			if s.Input != m.Input {
-				t.Errorf("%s: TopN input rows: streaming %d, materializing %d", db.Label(), s.Input, m.Input)
-			}
-			n := int64(s.Input)
-			if wantCmp := n * ceilLog2(k); s.Compares != wantCmp {
-				t.Errorf("%s: heap TopN(n=%d, k=%d) charged %d compares, want n·ceil(log2 k) = %d",
-					db.Label(), n, k, s.Compares, wantCmp)
-			}
-			if wantCmp := sortCompares(s.Input); m.Compares != wantCmp {
-				t.Errorf("%s: full-sort TopN(n=%d) charged %d compares, want %d",
-					db.Label(), n, m.Compares, wantCmp)
-			}
-		}
-		// Plain ORDER BY (limit < 0) cannot bound its heap: the streaming
-		// executor falls back to a full sort and says so in the trace.
-		all := &TopN{In: access, Keys: []SortKey{{Col: "o"}, {Col: "s"}}, Limit: -1, Ord: ord}
-		_, _, str, err := ExecutePlan(src, all, ExecOptions{Streaming: true})
-		if err != nil {
-			t.Fatalf("%s: streaming ORDER BY: %v", db.Label(), err)
-		}
-		if len(str.TopNs) != 1 || str.TopNs[0].Heap {
-			t.Errorf("%s: unbounded ORDER BY should not use the heap: %+v", db.Label(), str.TopNs)
 		}
 	}
 }
 
 // TestStreamingPeakMemoryBounded asserts the headline memory claim: a
-// LIMIT-10 plan's tracked peak bytes under the streaming executor are at
-// least 10× below the materializing executor's, which holds every
-// intermediate live.
+// LIMIT-10 plan's tracked peak bytes in the pipelined configuration are at
+// least 10× below the drain configuration's, whose bulk scan holds the
+// whole table.
 func TestStreamingPeakMemoryBounded(t *testing.T) {
 	_, _, dbs := streamGen(t)
 	plan := &Limit{In: &Access{Pattern: Pat(V("s"), V("p"), V("o"))}, N: 10}
@@ -213,58 +263,23 @@ func TestStreamingPeakMemoryBounded(t *testing.T) {
 		src := db.(PhysicalSource)
 		want, _, mtr, err := ExecutePlan(src, plan, ExecOptions{})
 		if err != nil {
-			t.Fatalf("%s: materializing: %v", db.Label(), err)
+			t.Fatalf("%s: drained: %v", db.Label(), err)
 		}
 		got, _, str, err := ExecutePlan(src, plan, ExecOptions{Streaming: true, BatchRows: 64})
 		if err != nil {
-			t.Fatalf("%s: streaming: %v", db.Label(), err)
+			t.Fatalf("%s: pipelined: %v", db.Label(), err)
 		}
 		if fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
-			t.Fatalf("%s: LIMIT 10 results differ between modes", db.Label())
+			t.Fatalf("%s: LIMIT 10 results differ between configurations", db.Label())
 		}
 		if str.PeakBytes <= 0 || mtr.PeakBytes <= 0 {
-			t.Fatalf("%s: missing peak-memory accounting: streaming %d, materializing %d",
+			t.Fatalf("%s: missing peak-memory accounting: pipelined %d, drained %d",
 				db.Label(), str.PeakBytes, mtr.PeakBytes)
 		}
 		if str.PeakBytes*10 > mtr.PeakBytes {
-			t.Errorf("%s: streaming peak %d bytes, materializing %d — want ≥10× reduction",
+			t.Errorf("%s: pipelined peak %d bytes, drained %d — want ≥10× reduction",
 				db.Label(), str.PeakBytes, mtr.PeakBytes)
 		}
-	}
-}
-
-// TestStreamingWorkerChargeDeterminism pins satellite (2): with the worker
-// pool on and the clock in overlapped mode, a fully drained streaming query
-// charges the same simulated CPU and I/O on every run, regardless of how
-// the fan-out's goroutines interleave.
-func TestStreamingWorkerChargeDeterminism(t *testing.T) {
-	ds, cat, _ := streamGen(t)
-	store := simio.NewStore(simio.Config{Machine: simio.MachineB(), PoolBytes: 1 << 30})
-	db, err := LoadRowVert(rowstore.NewEngine(store), ds.Graph, cat)
-	if err != nil {
-		t.Fatalf("LoadRowVert: %v", err)
-	}
-	store.Clock().SetOverlapped(true)
-	opt := ExecOptions{Streaming: true, Workers: 4}
-	q := Query{ID: Q2} // unbound-property fan-out over every table
-	run := func() (user, io int64) {
-		u0, i0 := store.Clock().User(), store.Clock().IO()
-		if _, err := ExecuteOpts(db, q, opt); err != nil {
-			t.Fatalf("q2: %v", err)
-		}
-		return int64(store.Clock().User() - u0), int64(store.Clock().IO() - i0)
-	}
-	run() // warm the buffer pool so repeated runs are hot and comparable
-	u1, io1 := run()
-	for i := 0; i < 3; i++ {
-		u, io := run()
-		if u != u1 || io != io1 {
-			t.Fatalf("run %d charged (cpu %d, io %d), first hot run (cpu %d, io %d) — nondeterministic worker accounting",
-				i+2, u, io, u1, io1)
-		}
-	}
-	if !store.Clock().Overlapped() {
-		t.Fatal("clock lost its overlapped mode")
 	}
 }
 
@@ -290,8 +305,7 @@ func TestStreamingContextCancel(t *testing.T) {
 // TestStreamingAllocsDoNotScaleWithBatches pins what batch recycling buys:
 // the executor allocates per query, not per batch. On every scheme, q1, q2,
 // q5 and q8 at BatchRows 64 pull sixteen times the batches they pull at 1024
-// yet may allocate at most four more objects per plan operator (a hash join's
-// batch-boundary list grows with the batches it buffers; nothing else does).
+// yet may allocate at most four more objects per plan operator.
 func TestStreamingAllocsDoNotScaleWithBatches(t *testing.T) {
 	_, cat, dbs := streamGen(t)
 	for _, db := range dbs {

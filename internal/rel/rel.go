@@ -8,7 +8,6 @@ package rel
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Rel is a fixed-width relation of uint64 attributes. Row i occupies
@@ -122,109 +121,8 @@ func Equal(a, b *Rel) bool {
 	return true
 }
 
-// ConcatParallel concatenates same-width relations into one, copying the
-// parts with up to workers goroutines. Each part lands at a precomputed
-// offset, so the output is byte-identical to sequential concatenation
-// regardless of scheduling — the merge tail of the executor's per-property
-// fan-out, parallelized without losing determinism.
-func ConcatParallel(w int, parts []*Rel, workers int) *Rel {
-	out := New(w)
-	offs := make([]int, len(parts)+1)
-	for i, p := range parts {
-		if p.W != w {
-			panic(fmt.Sprintf("rel: concat of widths %d and %d", w, p.W))
-		}
-		offs[i+1] = offs[i] + len(p.Data)
-	}
-	if offs[len(parts)] == 0 {
-		return out
-	}
-	out.Data = make([]uint64, offs[len(parts)])
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	if workers <= 1 {
-		for i, p := range parts {
-			copy(out.Data[offs[i]:offs[i+1]], p.Data)
-		}
-		return out
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				copy(out.Data[offs[i]:offs[i+1]], parts[i].Data)
-			}
-		}()
-	}
-	for i := range parts {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return out
-}
-
-// CountGroups tallies group sizes over rows 0..n-1, keyed by up to two
-// uint64s per row (unused key slots stay zero), chunking the scan over
-// workers goroutines when workers > 1. Each chunk counts into a private
-// map and the maps are merged by summation, so the result is identical to
-// a sequential count regardless of scheduling — callers that sort their
-// emitted rows stay byte-identical to the sequential operator. This is the
-// counting core both engines' GroupCountPar share.
-func CountGroups(n, workers int, keyAt func(i int) [2]uint64) map[[2]uint64]uint64 {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		counts := make(map[[2]uint64]uint64, 64)
-		for i := 0; i < n; i++ {
-			counts[keyAt(i)]++
-		}
-		return counts
-	}
-	locals := make([]map[[2]uint64]uint64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			m := make(map[[2]uint64]uint64, 64)
-			for i := lo; i < hi; i++ {
-				m[keyAt(i)]++
-			}
-			locals[w] = m
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	merged := locals[0]
-	for _, m := range locals[1:] {
-		for k, c := range m {
-			merged[k] += c
-		}
-	}
-	return merged
-}
-
-// PreparedJoin is a hash join whose build side is hashed once for repeated
-// probing — the primitive behind the plan executor's partitioned joins,
-// where one build side meets every per-property table. Implementations are
-// safe for concurrent Probe calls: the hash table is read-only after
-// construction. The interface lives here (the tuple layer both engines
-// share) so the engines can implement it without importing the executor.
-type PreparedJoin interface {
-	// Probe joins r against the build side, returning the build side's
-	// columns followed by r's.
-	Probe(r *Rel, rc int) *Rel
-}
-
-// JoinIndex is the hash table of every hash join in both engines and both
-// executors: open addressing on the uint64 key, with the build rows of one
+// JoinIndex is the hash table of every hash join in both engines and the
+// executor: open addressing on the uint64 key, with the build rows of one
 // key chained through int32 links in build-insertion order, so a probe
 // emits matches exactly as appending to a per-key slice would. Built from a
 // relation and a column in two allocations; read-only afterwards, so

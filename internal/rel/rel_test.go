@@ -133,38 +133,6 @@ func TestNewCapAndString(t *testing.T) {
 	}
 }
 
-func TestConcatParallelDeterministic(t *testing.T) {
-	// Parts of uneven sizes, including empties; every worker count must
-	// produce the exact sequential concatenation.
-	var parts []*Rel
-	want := New(3)
-	v := uint64(1)
-	for i, n := range []int{0, 5, 1, 0, 17, 3, 8} {
-		p := New(3)
-		for j := 0; j < n; j++ {
-			p.Append(v, v+1, uint64(i))
-			want.Append(v, v+1, uint64(i))
-			v += 2
-		}
-		parts = append(parts, p)
-	}
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		got := ConcatParallel(3, parts, workers)
-		if got.W != want.W || len(got.Data) != len(want.Data) {
-			t.Fatalf("workers=%d: shape (%d,%d), want (%d,%d)",
-				workers, got.W, len(got.Data), want.W, len(want.Data))
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("workers=%d: value %d is %d, want %d", workers, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-	if out := ConcatParallel(2, nil, 4); out.Len() != 0 || out.W != 2 {
-		t.Fatalf("empty concat = %v", out)
-	}
-}
-
 // sortByRowCopies is Sort as it was before it sorted in place: one slice
 // per row, sort.Slice over them, everything copied back. The reference
 // TestSortMatchesRowCopySort holds the in-place sort to.

@@ -1,9 +1,6 @@
 package rowstore
 
 import (
-	"fmt"
-	"sort"
-
 	"blackswan/internal/btree"
 	"blackswan/internal/rel"
 )
@@ -174,41 +171,6 @@ func (e *Engine) Exists(t *Table, bound map[int]uint64) bool {
 	return found
 }
 
-// FilterEq keeps rows with row[col] == v.
-func (e *Engine) FilterEq(r *rel.Rel, col int, v uint64) *rel.Rel {
-	return e.filter(r, func(row []uint64) bool { return row[col] == v })
-}
-
-// FilterNe keeps rows with row[col] != v.
-func (e *Engine) FilterNe(r *rel.Rel, col int, v uint64) *rel.Rel {
-	return e.filter(r, func(row []uint64) bool { return row[col] != v })
-}
-
-// FilterIn keeps rows whose col value is in set.
-func (e *Engine) FilterIn(r *rel.Rel, col int, set map[uint64]bool) *rel.Rel {
-	return e.filter(r, func(row []uint64) bool { return set[row[col]] })
-}
-
-// FilterEqCol keeps rows whose columns a and b hold equal values — the
-// residual equality predicate of cyclic basic graph patterns.
-func (e *Engine) FilterEqCol(r *rel.Rel, a, b int) *rel.Rel {
-	return e.filter(r, func(row []uint64) bool { return row[a] == row[b] })
-}
-
-func (e *Engine) filter(r *rel.Rel, pred func([]uint64) bool) *rel.Rel {
-	e.node()
-	out := rel.New(r.W)
-	n := r.Len()
-	e.Store.ChargeCPU(int64(n) * e.Costs.FilterTuple)
-	for i := 0; i < n; i++ {
-		row := r.Row(i)
-		if pred(row) {
-			out.Data = append(out.Data, row...)
-		}
-	}
-	return out
-}
-
 // HashJoin joins l and r on l[lc] == r[rc], returning l's columns followed
 // by r's. The smaller input builds the hash table, as any optimizer would
 // arrange.
@@ -237,274 +199,6 @@ func (e *Engine) HashJoin(l, r *rel.Rel, lc, rc int) *rel.Rel {
 		for i := ht.First(rrow[rc]); i >= 0; i = ht.Next(i) {
 			out.Data = append(out.Data, l.Row(i)...)
 			out.Data = append(out.Data, rrow...)
-		}
-	}
-	return out
-}
-
-// preparedJoin is the engine's rel.PreparedJoin: a hash table built once,
-// probed per partition. The table is read-only after construction, so
-// concurrent probes are safe; cost charges go through the store's lock.
-type preparedJoin struct {
-	e  *Engine
-	l  *rel.Rel
-	ht *rel.JoinIndex
-}
-
-// PrepareHashJoin builds the hash side of a repeated join once.
-func (e *Engine) PrepareHashJoin(l *rel.Rel, lc int) rel.PreparedJoin {
-	e.node()
-	e.Store.ChargeCPU(int64(l.Len()) * e.Costs.HashBuild)
-	return &preparedJoin{e: e, l: l, ht: rel.NewJoinIndex(l, lc)}
-}
-
-// Probe implements rel.PreparedJoin, charging one plan node per call — the
-// per-table joins of the vertically-partitioned plans.
-func (p *preparedJoin) Probe(r *rel.Rel, rc int) *rel.Rel {
-	p.e.node()
-	c := p.e.Costs
-	out := rel.New(p.l.W + r.W)
-	n := r.Len()
-	p.e.Store.ChargeCPU(int64(n) * c.HashProbe)
-	for j := 0; j < n; j++ {
-		rrow := r.Row(j)
-		for i := p.ht.First(rrow[rc]); i >= 0; i = p.ht.Next(i) {
-			out.Data = append(out.Data, p.l.Row(i)...)
-			out.Data = append(out.Data, rrow...)
-		}
-	}
-	return out
-}
-
-// LeftJoin is the left outer hash join: every row of l survives, extended
-// with the matching rows of r, or with nullVal in every r column when no
-// match exists. Left input order is preserved (the probe iterates l), so
-// ordering properties survive the operator.
-func (e *Engine) LeftJoin(l, r *rel.Rel, lc, rc int, nullVal uint64) *rel.Rel {
-	e.node()
-	c := e.Costs
-	ht := rel.NewJoinIndex(r, rc)
-	e.Store.ChargeCPU(int64(r.Len()) * c.HashBuild)
-	e.Store.ChargeCPU(int64(l.Len()) * c.HashProbe)
-	out := rel.NewCap(l.W+r.W, l.Len())
-	nulls := make([]uint64, r.W)
-	for i := range nulls {
-		nulls[i] = nullVal
-	}
-	n := l.Len()
-	for i := 0; i < n; i++ {
-		lrow := l.Row(i)
-		j := ht.First(lrow[lc])
-		if j < 0 {
-			out.Data = append(out.Data, lrow...)
-			out.Data = append(out.Data, nulls...)
-		}
-		for ; j >= 0; j = ht.Next(j) {
-			out.Data = append(out.Data, lrow...)
-			out.Data = append(out.Data, r.Row(j)...)
-		}
-	}
-	return out
-}
-
-// FilterPred keeps rows whose col value satisfies pred — the engine-side
-// half of the plan layer's value-resolved predicates (numeric ranges).
-func (e *Engine) FilterPred(r *rel.Rel, col int, pred func(uint64) bool) *rel.Rel {
-	return e.filter(r, func(row []uint64) bool { return pred(row[col]) })
-}
-
-// TopN sorts r under less and keeps the first limit rows (limit < 0 keeps
-// all) — ORDER BY with LIMIT, as one tuple-at-a-time sort. The comparator
-// comes from the plan layer (it resolves dictionary values); the engine
-// charges one SortTuple per comparison of an n·log₂n sort plus the moves.
-func (e *Engine) TopN(r *rel.Rel, limit int, less func(a, b []uint64) bool) *rel.Rel {
-	e.node()
-	n := r.Len()
-	e.Store.ChargeCPU(sortCharge(n) * e.Costs.SortTuple)
-	rows := make([][]uint64, n)
-	for i := 0; i < n; i++ {
-		rows[i] = r.Row(i)
-	}
-	sort.Slice(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
-	if limit >= 0 && n > limit {
-		rows = rows[:limit]
-	}
-	// Moving the surviving tuples is a scan-like pass of its own, mirroring
-	// the column store's materialization charge.
-	e.Store.ChargeCPU(int64(len(rows)) * e.Costs.ScanTuple)
-	out := rel.NewCap(r.W, len(rows))
-	for _, row := range rows {
-		out.Data = append(out.Data, row...)
-	}
-	return out
-}
-
-// sortCharge approximates the comparison count of sorting n rows: n·⌈log₂n⌉.
-func sortCharge(n int) int64 {
-	if n < 2 {
-		return int64(n)
-	}
-	lg := int64(0)
-	for m := n - 1; m > 0; m >>= 1 {
-		lg++
-	}
-	return int64(n) * lg
-}
-
-// MergeJoin joins two inputs already sorted on their join columns. It is the
-// "simple, fast (linear) merge join" the vertically-partitioned scheme gets
-// on subject-subject joins of SO-clustered tables.
-func (e *Engine) MergeJoin(l, r *rel.Rel, lc, rc int) *rel.Rel {
-	e.node()
-	c := e.Costs
-	out := rel.New(l.W + r.W)
-	i, j := 0, 0
-	nl, nr := l.Len(), r.Len()
-	e.Store.ChargeCPU(int64(nl+nr) * c.MergeTuple)
-	for i < nl && j < nr {
-		lv, rv := l.Row(i)[lc], r.Row(j)[rc]
-		switch {
-		case lv < rv:
-			i++
-		case lv > rv:
-			j++
-		default:
-			// Emit the cross product of the equal runs.
-			je := j
-			for je < nr && r.Row(je)[rc] == lv {
-				je++
-			}
-			for ; i < nl && l.Row(i)[lc] == lv; i++ {
-				for k := j; k < je; k++ {
-					out.Data = append(out.Data, l.Row(i)...)
-					out.Data = append(out.Data, r.Row(k)...)
-				}
-			}
-			j = je
-		}
-	}
-	return out
-}
-
-// SemiJoinIn keeps rows of r whose col value appears in keys (a hash
-// semijoin, used for the "properties" filtering joins of q2/q3/q4/q6).
-func (e *Engine) SemiJoinIn(r *rel.Rel, col int, keys *rel.Rel, keyCol int) *rel.Rel {
-	e.node()
-	set := make(map[uint64]bool, keys.Len())
-	for i := 0; i < keys.Len(); i++ {
-		set[keys.Row(i)[keyCol]] = true
-	}
-	e.Store.ChargeCPU(int64(keys.Len()) * e.Costs.HashBuild)
-	e.Store.ChargeCPU(int64(r.Len()) * e.Costs.HashProbe)
-	out := rel.New(r.W)
-	for i := 0; i < r.Len(); i++ {
-		row := r.Row(i)
-		if set[row[col]] {
-			out.Data = append(out.Data, row...)
-		}
-	}
-	return out
-}
-
-// GroupCount groups r by keyCols and appends a count column.
-func (e *Engine) GroupCount(r *rel.Rel, keyCols ...int) *rel.Rel {
-	return e.GroupCountPar(r, 1, keyCols...)
-}
-
-// GroupCountPar is GroupCount with the counting chunked over workers
-// goroutines. The charges are identical — simulated times model the
-// paper's single-threaded systems — and the chunk tallies merge by
-// summation before the sort, so the output is byte-identical to the
-// sequential operator.
-func (e *Engine) GroupCountPar(r *rel.Rel, workers int, keyCols ...int) *rel.Rel {
-	e.node()
-	if len(keyCols) == 0 || len(keyCols) > 2 {
-		panic(fmt.Sprintf("rowstore: GroupCount on %d keys", len(keyCols)))
-	}
-	e.Store.ChargeCPU(int64(r.Len()) * e.Costs.GroupTuple)
-	counts := rel.CountGroups(r.Len(), workers, func(i int) [2]uint64 {
-		row := r.Row(i)
-		var k [2]uint64
-		for j, c := range keyCols {
-			k[j] = row[c]
-		}
-		return k
-	})
-	out := rel.New(len(keyCols) + 1)
-	for k, cnt := range counts {
-		vals := make([]uint64, 0, 3)
-		vals = append(vals, k[:len(keyCols)]...)
-		vals = append(vals, cnt)
-		out.Append(vals...)
-	}
-	out.Sort() // deterministic output order
-	return out
-}
-
-// HavingGT keeps rows with row[col] > min — the HAVING count(*) > 1 clause.
-func (e *Engine) HavingGT(r *rel.Rel, col int, min uint64) *rel.Rel {
-	return e.filter(r, func(row []uint64) bool { return row[col] > min })
-}
-
-// Union concatenates two same-width relations (bag semantics; apply
-// Distinct for set semantics, as SQL UNION does).
-func (e *Engine) Union(a, b *rel.Rel) *rel.Rel {
-	e.node()
-	if a.W != b.W {
-		panic(fmt.Sprintf("rowstore: union of widths %d and %d", a.W, b.W))
-	}
-	e.Store.ChargeCPU(int64(a.Len()+b.Len()) * e.Costs.UnionTuple)
-	out := rel.NewCap(a.W, a.Len()+b.Len())
-	out.Data = append(out.Data, a.Data...)
-	out.Data = append(out.Data, b.Data...)
-	return out
-}
-
-// UnionAll concatenates any number of same-width relations, charging one
-// plan node per input — the explicit per-table unions of the vertically-
-// partitioned plans ("each query contains more than two hundred unions and
-// joins"). Each tuple is moved once, unlike a left fold of binary unions.
-func (e *Engine) UnionAll(w int, parts []*rel.Rel) *rel.Rel {
-	return e.UnionAllPar(w, parts, 1)
-}
-
-// UnionAllPar is UnionAll with the data movement fanned over a pool of
-// workers. The charges are identical — simulated times model the paper's
-// single-threaded systems — and each part copies to a precomputed offset,
-// so the output is byte-identical to the sequential merge.
-func (e *Engine) UnionAllPar(w int, parts []*rel.Rel, workers int) *rel.Rel {
-	var total int64
-	for _, p := range parts {
-		e.node()
-		if p.W != w {
-			panic(fmt.Sprintf("rowstore: union-all of widths %d and %d", w, p.W))
-		}
-		total += int64(p.Len())
-	}
-	e.Store.ChargeCPU(total * e.Costs.UnionTuple)
-	return rel.ConcatParallel(w, parts, workers)
-}
-
-// Distinct removes duplicate rows.
-func (e *Engine) Distinct(r *rel.Rel) *rel.Rel {
-	e.node()
-	e.Store.ChargeCPU(int64(r.Len()) * e.Costs.DistinctTuple)
-	seen := make(map[string]bool, r.Len())
-	out := rel.New(r.W)
-	buf := make([]byte, 0, r.W*8)
-	n := r.Len()
-	for i := 0; i < n; i++ {
-		row := r.Row(i)
-		buf = buf[:0]
-		for _, v := range row {
-			buf = append(buf,
-				byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-				byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-		}
-		k := string(buf)
-		if !seen[k] {
-			seen[k] = true
-			out.Data = append(out.Data, row...)
 		}
 	}
 	return out

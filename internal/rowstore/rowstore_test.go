@@ -3,6 +3,7 @@ package rowstore
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"blackswan/internal/rel"
 	"blackswan/internal/simio"
@@ -197,23 +198,6 @@ func TestExists(t *testing.T) {
 	}
 }
 
-func TestFilters(t *testing.T) {
-	e := newEngine()
-	r := rel.New(2)
-	r.Append(1, 10)
-	r.Append(2, 20)
-	r.Append(3, 10)
-	if got := e.FilterEq(r, 1, 10); got.Len() != 2 {
-		t.Fatalf("FilterEq: %d rows", got.Len())
-	}
-	if got := e.FilterNe(r, 0, 2); got.Len() != 2 {
-		t.Fatalf("FilterNe: %d rows", got.Len())
-	}
-	if got := e.FilterIn(r, 0, map[uint64]bool{1: true, 3: true}); got.Len() != 2 {
-		t.Fatalf("FilterIn: %d rows", got.Len())
-	}
-}
-
 func TestHashJoinCorrect(t *testing.T) {
 	e := newEngine()
 	l := rel.New(2)
@@ -247,100 +231,6 @@ func TestHashJoinCorrect(t *testing.T) {
 	}
 }
 
-func TestMergeJoinMatchesHashJoin(t *testing.T) {
-	e := newEngine()
-	rng := rand.New(rand.NewSource(6))
-	l := rel.New(2)
-	r := rel.New(2)
-	for i := 0; i < 500; i++ {
-		l.Append(uint64(rng.Intn(50)), uint64(i))
-		r.Append(uint64(rng.Intn(50)), uint64(i+1000))
-	}
-	l.Sort()
-	r.Sort()
-	mj := e.MergeJoin(l, r, 0, 0)
-	hj := e.HashJoin(l, r, 0, 0)
-	if !rel.Equal(mj, hj) {
-		t.Fatalf("merge join disagrees with hash join: %d vs %d rows", mj.Len(), hj.Len())
-	}
-}
-
-func TestSemiJoinIn(t *testing.T) {
-	e := newEngine()
-	r := rel.New(2)
-	r.Append(1, 1)
-	r.Append(2, 2)
-	r.Append(3, 3)
-	keys := rel.New(1)
-	keys.Append(1)
-	keys.Append(3)
-	got := e.SemiJoinIn(r, 0, keys, 0)
-	if got.Len() != 2 {
-		t.Fatalf("SemiJoinIn: %d rows", got.Len())
-	}
-}
-
-func TestGroupCountAndHaving(t *testing.T) {
-	e := newEngine()
-	r := rel.New(2)
-	r.Append(1, 7)
-	r.Append(1, 8)
-	r.Append(2, 7)
-	g1 := e.GroupCount(r, 0)
-	want1 := rel.New(2)
-	want1.Append(1, 2)
-	want1.Append(2, 1)
-	if !rel.Equal(g1, want1) {
-		t.Fatalf("GroupCount(0) = %v", g1)
-	}
-	g2 := e.GroupCount(r, 0, 1)
-	if g2.Len() != 3 || g2.W != 3 {
-		t.Fatalf("GroupCount(0,1) shape: %v", g2)
-	}
-	h := e.HavingGT(g1, 1, 1)
-	if h.Len() != 1 || h.Row(0)[0] != 1 {
-		t.Fatalf("HavingGT = %v", h)
-	}
-}
-
-func TestGroupCountPanicsOnBadKeys(t *testing.T) {
-	e := newEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	e.GroupCount(rel.New(2))
-}
-
-func TestUnionDistinct(t *testing.T) {
-	e := newEngine()
-	a := rel.New(1)
-	a.Append(1)
-	a.Append(2)
-	b := rel.New(1)
-	b.Append(2)
-	b.Append(3)
-	u := e.Union(a, b)
-	if u.Len() != 4 {
-		t.Fatalf("Union len = %d", u.Len())
-	}
-	d := e.Distinct(u)
-	if d.Len() != 3 {
-		t.Fatalf("Distinct len = %d", d.Len())
-	}
-}
-
-func TestUnionPanicsOnWidthMismatch(t *testing.T) {
-	e := newEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	e.Union(rel.New(1), rel.New(2))
-}
-
 func TestOperatorsChargeCPU(t *testing.T) {
 	e := newEngine()
 	rows := tripleRows(10_000, 7)
@@ -350,10 +240,35 @@ func TestOperatorsChargeCPU(t *testing.T) {
 	if e.Store.Clock().User() == 0 {
 		t.Fatal("scan charged no CPU")
 	}
-	before := e.Store.Clock().User()
-	e.GroupCount(all, 1)
-	if e.Store.Clock().User() <= before {
-		t.Fatal("group charged no CPU")
+	// The charge vocabulary prices n rows at the engine's per-tuple rate for
+	// the operator class, on top of whatever the clock already holds.
+	scale := e.Store.Machine().CPUScale
+	for _, c := range []struct {
+		name   string
+		charge func(n int)
+		rate   int64
+	}{
+		{"filter", func(n int) { e.StreamFilterRows(n, 3) }, e.Costs.FilterTuple},
+		{"hash build", func(n int) { e.StreamHashBuildRows(n, 3) }, e.Costs.HashBuild},
+		{"hash probe", func(n int) { e.StreamHashProbeRows(n, 3) }, e.Costs.HashProbe},
+		{"merge", func(n int) { e.StreamMergeRows(n, 3) }, e.Costs.MergeTuple},
+		{"group", func(n int) { e.StreamGroupRows(n, 1) }, e.Costs.GroupTuple},
+		{"union", func(n int) { e.StreamUnionRows(n, 3) }, e.Costs.UnionTuple},
+		{"distinct", func(n int) { e.StreamDistinctRows(n, 3) }, e.Costs.DistinctTuple},
+		{"restrict", func(n int) { e.StreamRestrictRows(n, 3) }, e.Costs.HashProbe},
+		{"emit", func(n int) { e.StreamEmitRows(n, 3) }, e.Costs.ScanTuple},
+	} {
+		e.Store.Clock().Reset()
+		c.charge(all.Len())
+		want := time.Duration(float64(int64(all.Len())*c.rate) * scale)
+		if got := e.Store.Clock().User(); got != want {
+			t.Errorf("%s: %d rows charged %v, want %v", c.name, all.Len(), got, want)
+		}
+	}
+	e.Store.Clock().Reset()
+	e.StreamNode()
+	if got, want := e.Store.Clock().User(), time.Duration(float64(e.Costs.NodeStartup)*scale); got != want {
+		t.Errorf("node startup charged %v, want %v", got, want)
 	}
 }
 

@@ -5,19 +5,15 @@ import (
 	"blackswan/internal/rel"
 )
 
-// This file is the row store's side of the streaming executor contract
-// (core.StreamOps / core.StreamSource). The streaming operators themselves
-// live once in internal/core and are engine-agnostic; what the engine
-// supplies is (a) per-row charge rates matching its tuple-at-a-time cost
-// model, and (b) a pull-based scan whose simulated charges replicate ScanEq
-// batch by batch, so early termination translates into real saved I/O.
+// This file is the row store's side of the executor contract
+// (core.PhysicalOps / core.PhysicalSource). The operators themselves live
+// once in internal/core and are engine-agnostic; what the engine supplies is
+// (a) per-row charge rates matching its tuple-at-a-time cost model, and (b)
+// a pull-based scan whose simulated charges replicate ScanEq batch by batch,
+// so early termination translates into real saved I/O.
 
-// StreamNode charges one plan-node startup, as node() does for every
-// materializing operator.
+// StreamNode charges one plan-node startup, as node() does for a scan.
 func (e *Engine) StreamNode() { e.Store.ChargeCPU(e.Costs.NodeStartup) }
-
-// StreamScanRows charges emitting n scanned tuples.
-func (e *Engine) StreamScanRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.ScanTuple) }
 
 // StreamFilterRows charges n residual predicate evaluations.
 func (e *Engine) StreamFilterRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.FilterTuple) }
@@ -42,16 +38,16 @@ func (e *Engine) StreamDistinctRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.C
 func (e *Engine) StreamGroupRows(n, keys int) { e.Store.ChargeCPU(int64(n) * e.Costs.GroupTuple) }
 
 // StreamRestrictRows charges the interesting-properties restriction: the
-// row engine implements it as a hash semijoin probe (SemiJoinIn).
+// row engine implements it as a hash semijoin probe.
 func (e *Engine) StreamRestrictRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.HashProbe) }
 
-// StreamJoinEmitRows charges materializing n join output rows. Free in the
+// StreamJoinEmitRows charges assembling n join output rows. Free in the
 // row model: a row store hands the already-assembled tuple pair upward, and
 // the per-tuple work was charged on the probe.
 func (e *Engine) StreamJoinEmitRows(n, w int) {}
 
-// StreamEmitRows charges moving n finished rows into an output buffer
-// (TopN's result copy in the materializing path charges the same rate).
+// StreamEmitRows charges moving n finished rows into an output buffer (a
+// scan-like pass of its own, mirroring the column store's gather charge).
 func (e *Engine) StreamEmitRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.ScanTuple) }
 
 // StreamSortCompares charges n sort comparisons (ORDER BY / heap TopN).

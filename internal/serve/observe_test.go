@@ -16,71 +16,69 @@ import (
 	"blackswan/internal/serve"
 )
 
-// TestProfileByteIdentity is the PR's acceptance check: on every scheme and
-// on both executors, a profiled execution returns byte-identical rows to an
+// TestProfileByteIdentity is the profiler's acceptance check: on every
+// scheme, a profiled execution returns byte-identical rows to an
 // unprofiled one and carries a per-operator tree with the planner's
 // estimates annotated.
 func TestProfileByteIdentity(t *testing.T) {
 	_, sys, _ := fixture(t)
 	texts := queryTexts(t, 4)
 	ctx := context.Background()
-	for _, materialize := range []bool{false, true} {
-		svc := newService(t, serve.Config{Materialize: materialize})
-		for _, s := range sys {
-			for _, text := range texts {
-				plain, err := svc.ExecText(ctx, text, s.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if plain.Profile != nil {
-					t.Fatalf("%s: unprofiled execution carries a profile", s.Name)
-				}
-				prof, err := svc.ExecTextOpts(ctx, text, s.Name, serve.ExecOpts{Profile: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if prof.Rows.W != plain.Rows.W || len(prof.Rows.Data) != len(plain.Rows.Data) {
-					t.Fatalf("%s (materialize=%v): profiled result shape differs", s.Name, materialize)
-				}
-				for i := range plain.Rows.Data {
-					if prof.Rows.Data[i] != plain.Rows.Data[i] {
-						t.Fatalf("%s (materialize=%v): profiled result not byte-identical", s.Name, materialize)
-					}
-				}
-				p := prof.Profile
-				if p == nil {
-					t.Fatalf("%s: profiled execution returned no profile", s.Name)
-				}
-				if p.Rows != prof.Rows.Len() {
-					t.Fatalf("%s: root profile rows=%d, result rows=%d", s.Name, p.Rows, prof.Rows.Len())
-				}
-				var nodes, estimated int
-				p.Walk(func(op *core.OpProfile) {
-					nodes++
-					if op.EstRows >= 0 {
-						estimated++
-					}
-					if op.Rows < 0 || op.Host < 0 || op.CPU < 0 || op.IO < 0 {
-						t.Errorf("%s: negative actuals in profile node: %+v", s.Name, op)
-					}
-				})
-				if nodes < 1 {
-					t.Fatalf("%s: empty profile tree", s.Name)
-				}
-				if estimated == 0 {
-					t.Fatalf("%s: no node carries a cardinality estimate", s.Name)
-				}
-				// The renderer must produce the est= annotations.
-				analyze := core.FormatAnalyze(p, nil)
-				if !strings.Contains(analyze, "rows=") || !strings.Contains(analyze, "est=") {
-					t.Fatalf("%s: EXPLAIN ANALYZE rendering lacks actuals or estimates:\n%s", s.Name, analyze)
+	svc := newService(t, serve.Config{})
+	for _, s := range sys {
+		for _, text := range texts {
+			plain, err := svc.ExecText(ctx, text, s.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Profile != nil {
+				t.Fatalf("%s: unprofiled execution carries a profile", s.Name)
+			}
+			prof, err := svc.ExecTextOpts(ctx, text, s.Name, serve.ExecOpts{Profile: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prof.Rows.W != plain.Rows.W || len(prof.Rows.Data) != len(plain.Rows.Data) {
+				t.Fatalf("%s: profiled result shape differs", s.Name)
+			}
+			for i := range plain.Rows.Data {
+				if prof.Rows.Data[i] != plain.Rows.Data[i] {
+					t.Fatalf("%s: profiled result not byte-identical", s.Name)
 				}
 			}
+			p := prof.Profile
+			if p == nil {
+				t.Fatalf("%s: profiled execution returned no profile", s.Name)
+			}
+			if p.Rows != prof.Rows.Len() {
+				t.Fatalf("%s: root profile rows=%d, result rows=%d", s.Name, p.Rows, prof.Rows.Len())
+			}
+			var nodes, estimated int
+			p.Walk(func(op *core.OpProfile) {
+				nodes++
+				if op.EstRows >= 0 {
+					estimated++
+				}
+				if op.Rows < 0 || op.Host < 0 || op.CPU < 0 || op.IO < 0 {
+					t.Errorf("%s: negative actuals in profile node: %+v", s.Name, op)
+				}
+			})
+			if nodes < 1 {
+				t.Fatalf("%s: empty profile tree", s.Name)
+			}
+			if estimated == 0 {
+				t.Fatalf("%s: no node carries a cardinality estimate", s.Name)
+			}
+			// The renderer must produce the est= annotations.
+			analyze := core.FormatAnalyze(p, nil)
+			if !strings.Contains(analyze, "rows=") || !strings.Contains(analyze, "est=") {
+				t.Fatalf("%s: EXPLAIN ANALYZE rendering lacks actuals or estimates:\n%s", s.Name, analyze)
+			}
 		}
-		st := svc.Stats()
-		if want := int64(len(sys) * len(texts)); st.Profiled != want {
-			t.Fatalf("profiled counter = %d, want %d", st.Profiled, want)
-		}
+	}
+	st := svc.Stats()
+	if want := int64(len(sys) * len(texts)); st.Profiled != want {
+		t.Fatalf("profiled counter = %d, want %d", st.Profiled, want)
 	}
 }
 

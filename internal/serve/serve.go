@@ -2,7 +2,7 @@
 // loaded storage schemes behind a concurrent Prepare/Exec interface, the
 // step from batch benchmark to system under live query traffic.
 //
-// Three mechanisms make serving cheap and bounded:
+// Four mechanisms make serving cheap and bounded:
 //
 //   - a plan cache: compiled plans are immutable and scheme-independent
 //     (the compiler resolves terms against the workload dictionary and
@@ -13,17 +13,16 @@
 //     the same query coalesce onto a single compilation (singleflight),
 //     so a thundering herd compiles once, not once per client;
 //   - admission control: a bounded slot pool admits at most MaxConcurrent
-//     executions, each running with core.ExecOptions{Workers: ExecWorkers},
-//     so N clients never oversubscribe the host with N×Workers goroutines;
-//     waiting clients honour context cancellation;
-//   - streaming execution: admitted queries run on the pull-based batched
-//     executor by default (Config.Materialize opts out), so each in-flight
-//     query holds batches plus operator state rather than every
-//     intermediate result, and LIMIT/TopN requests release their admission
-//     slot as soon as their prefix is complete;
+//     executions, each on its caller's goroutine, so N clients never
+//     oversubscribe the host; waiting clients honour context cancellation;
+//   - pipelined execution: admitted queries run the executor's pipelined
+//     configuration (core.ExecOptions{Streaming: true}), so each in-flight
+//     query holds batches plus operator state rather than whole operator
+//     outputs, and LIMIT/TopN requests release their admission slot as soon
+//     as their prefix is complete;
 //   - request contexts: the client's context threads through
 //     core.ExecutePlanCtx, so a cancelled or expired request aborts at the
-//     next operator (or per-property scan) boundary.
+//     next batch boundary.
 //
 // The dataset behind the service is a swappable snapshot: dictionary,
 // estimator, targets and plan cache travel together behind one atomic
@@ -83,26 +82,29 @@ type Target struct {
 }
 
 // Config tunes a Service. The zero value is usable: GOMAXPROCS admission
-// slots, single-worker executions, a 256-entry plan cache.
+// slots, a 256-entry plan cache.
 type Config struct {
 	// MaxConcurrent bounds concurrently admitted executions; further Exec
 	// calls wait (admission control) until a slot frees or their context
 	// ends. Defaults to GOMAXPROCS.
 	MaxConcurrent int
-	// ExecWorkers is the core.ExecOptions worker count each admitted
-	// execution runs with. MaxConcurrent×ExecWorkers bounds the service's
-	// worst-case execution goroutines, so the two together size the host.
-	// Defaults to 1.
+	// ExecWorkers is accepted and ignored: every admitted execution runs on
+	// its caller's goroutine, so MaxConcurrent alone sizes the host. The
+	// field remains because the performance ledger (benchmark/) sets it to
+	// 1, the only meaning it ever relied on.
 	ExecWorkers int
 	// CacheSize bounds the plan cache in entries. 0 defaults to 256; a
 	// negative value disables caching (every execution compiles — the
 	// cold baseline the benchmark compares against).
 	CacheSize int
-	// Materialize switches executions back to the materializing executor.
-	// The default is the streaming executor — results are byte-identical,
-	// but per-query memory stays bounded by batches plus operator state and
-	// LIMIT/TopN queries terminate their scans early, which is what matters
-	// most under concurrent traffic.
+	// Materialize runs executions in the executor's drain configuration
+	// (core.ExecOptions{Streaming: false}: one unbounded batch per operator,
+	// bulk scans) instead of the pipelined default. Results are
+	// byte-identical; pipelined, per-query memory stays bounded by batches
+	// plus operator state and LIMIT/TopN queries terminate their scans
+	// early, which is what matters under concurrent traffic. The performance
+	// ledger sets it for its reference service, so that a response is checked
+	// against rows another configuration computed on another scheme.
 	Materialize bool
 	// SlowQueryThreshold enables the slow-query log: served queries whose
 	// latency (admission wait included) reaches the threshold are recorded
@@ -216,9 +218,6 @@ type Service struct {
 func New(dict rdf.Dict, est *bgp.Estimator, cfg Config, targets ...Target) (*Service, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ExecWorkers <= 0 {
-		cfg.ExecWorkers = 1
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = DefaultCacheSize
@@ -694,7 +693,6 @@ func (s *Service) exec(ctx context.Context, sn *snapshot, p *Prepared, ti int, c
 	execSpan.SetAttr(trace.String("system", t.Name), trace.Bool("streaming", !s.cfg.Materialize),
 		trace.Int("version", int64(sn.version)))
 	out, _, tr, err := core.ExecutePlanCtx(execCtx, t.Src, p.Compiled.Root, core.ExecOptions{
-		Workers:   s.cfg.ExecWorkers,
 		Streaming: !s.cfg.Materialize,
 		Profile:   opt.Profile,
 	})

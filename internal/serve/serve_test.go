@@ -220,6 +220,14 @@ func (g *gatedSource) ScanProp(p, s, o rdf.ID, need core.ScanCols) (*rel.Rel, er
 	return g.PhysicalSource.ScanProp(p, s, o, need)
 }
 
+// StreamProp gates the pull form of the same scan, the entry the serving
+// layer's pipelined executions use.
+func (g *gatedSource) StreamProp(p, s, o rdf.ID, need core.ScanCols, batchRows int) (core.RelIter, error) {
+	g.once.Do(func() { close(g.started) })
+	<-g.gate
+	return g.PhysicalSource.StreamProp(p, s, o, need, batchRows)
+}
+
 // TestAdmissionAndCancellation drives the admission pool and both
 // cancellation paths: a client abandoning the admission queue, a client
 // cancelled mid-execution, and a pre-cancelled context.

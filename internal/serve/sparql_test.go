@@ -13,7 +13,6 @@ import (
 	"blackswan/internal/core"
 	"blackswan/internal/datagen"
 	"blackswan/internal/rdf"
-	"blackswan/internal/rel"
 	"blackswan/internal/serve"
 )
 
@@ -145,10 +144,10 @@ type topNGate struct {
 	gate    chan struct{}
 }
 
-func (g *topNGate) ScanProp(p, s, o rdf.ID, need core.ScanCols) (*rel.Rel, error) {
+func (g *topNGate) StreamProp(p, s, o rdf.ID, need core.ScanCols, batchRows int) (core.RelIter, error) {
 	g.once.Do(func() { close(g.started) })
 	<-g.gate
-	return g.PhysicalSource.ScanProp(p, s, o, need)
+	return g.PhysicalSource.StreamProp(p, s, o, need, batchRows)
 }
 
 // TestCtxCancellationInsideTopN cancels a request whose plan ends in TopN

@@ -12,15 +12,16 @@ import (
 	"blackswan/internal/serve"
 )
 
-// TestStreamingHammer drives many concurrent clients through a streaming
-// service — the default configuration — against every scheme at once, with
+// TestStreamingHammer drives many concurrent clients through a service in
+// its default, pipelined configuration against every scheme at once, with
 // plain and LIMIT-bearing queries mixed, and checks every response byte-for-
-// byte against a single-threaded materializing baseline. Run under -race
-// (CI does) this is the concurrency-safety proof for the shared stores, the
-// plan cache, and the streaming executor's per-query state.
+// byte against a single-threaded baseline computed in the drain
+// configuration. Run under -race (CI does) this is the concurrency-safety
+// proof for the shared stores, the plan cache, and the executor's per-query
+// state.
 func TestStreamingHammer(t *testing.T) {
 	w, sys, est := fixture(t)
-	svc := newService(t, serve.Config{MaxConcurrent: 8, ExecWorkers: 2})
+	svc := newService(t, serve.Config{MaxConcurrent: 8})
 	texts := queryTexts(t, 8)
 	// Guarantee early-termination traffic: ORDER BY + LIMIT queries over the
 	// vocabulary every generated workload carries.
@@ -28,7 +29,7 @@ func TestStreamingHammer(t *testing.T) {
 		`SELECT * WHERE { ?s <barton/type> ?t } ORDER BY ?t ?s LIMIT 3`,
 		`SELECT ?t (COUNT AS ?n) WHERE { ?s <barton/type> ?t } GROUP BY ?t ORDER BY ?n DESC LIMIT 2`,
 	)
-	// Materializing single-threaded baseline per (text, system).
+	// Drained single-threaded baseline per (text, system).
 	type key struct{ text, system string }
 	want := map[key]*rel.Rel{}
 	for _, text := range texts {

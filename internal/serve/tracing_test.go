@@ -23,73 +23,70 @@ import (
 // TestTraceByteIdentity is this PR's acceptance check: with sampling at
 // 100%, a traced execution (plain and profiled) returns byte-identical
 // rows and charges the simulated clock identically to an untraced one, on
-// every scheme and both executors. Tracing must observe, never perturb.
+// every scheme. Tracing must observe, never perturb.
 func TestTraceByteIdentity(t *testing.T) {
 	w, sys, _ := fixture(t)
 	_ = w
 	texts := queryTexts(t, 3)
 	ctx := context.Background()
-	for _, materialize := range []bool{false, true} {
-		plainSvc := newService(t, serve.Config{Materialize: materialize})
-		traced := newService(t, serve.Config{
-			Materialize: materialize,
-			Tracer:      trace.New(trace.Config{SampleRate: 1, Seed: 99}),
-		})
-		for _, s := range sys {
-			for _, text := range texts {
-				run := func(svc *serve.Service, opt serve.ExecOpts, traceIt bool) (*serve.Result, int64, int64) {
-					t.Helper()
-					s.Store.Clock().Reset()
-					ectx := ctx
-					finish := func(error) {}
-					if traceIt {
-						ectx, _, finish = svc.TraceStart(ctx, "query", "")
-					}
-					res, err := svc.ExecTextOpts(ectx, text, s.Name, opt)
-					finish(err)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res, int64(s.Store.Clock().User()), int64(s.Store.Clock().IO())
+	plainSvc := newService(t, serve.Config{})
+	traced := newService(t, serve.Config{
+		Tracer: trace.New(trace.Config{SampleRate: 1, Seed: 99}),
+	})
+	for _, s := range sys {
+		for _, text := range texts {
+			run := func(svc *serve.Service, opt serve.ExecOpts, traceIt bool) (*serve.Result, int64, int64) {
+				t.Helper()
+				s.Store.Clock().Reset()
+				ectx := ctx
+				finish := func(error) {}
+				if traceIt {
+					ectx, _, finish = svc.TraceStart(ctx, "query", "")
 				}
-				// Warm the buffer pool first so every measured run is hot
-				// and the simulated I/O comparable (cold first touches pay
-				// page reads later runs serve from the pool).
-				run(plainSvc, serve.ExecOpts{}, false)
-				base, cpu0, io0 := run(plainSvc, serve.ExecOpts{}, false)
-				if base.TraceID != "" {
-					t.Fatalf("%s: untraced execution carries a trace ID", s.Name)
+				res, err := svc.ExecTextOpts(ectx, text, s.Name, opt)
+				finish(err)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, profile := range []bool{false, true} {
-					res, cpu, io := run(traced, serve.ExecOpts{Profile: profile}, true)
-					if res.TraceID == "" {
-						t.Fatalf("%s: traced execution lacks a trace ID", s.Name)
+				return res, int64(s.Store.Clock().User()), int64(s.Store.Clock().IO())
+			}
+			// Warm the buffer pool first so every measured run is hot
+			// and the simulated I/O comparable (cold first touches pay
+			// page reads later runs serve from the pool).
+			run(plainSvc, serve.ExecOpts{}, false)
+			base, cpu0, io0 := run(plainSvc, serve.ExecOpts{}, false)
+			if base.TraceID != "" {
+				t.Fatalf("%s: untraced execution carries a trace ID", s.Name)
+			}
+			for _, profile := range []bool{false, true} {
+				res, cpu, io := run(traced, serve.ExecOpts{Profile: profile}, true)
+				if res.TraceID == "" {
+					t.Fatalf("%s: traced execution lacks a trace ID", s.Name)
+				}
+				if res.Rows.W != base.Rows.W || len(res.Rows.Data) != len(base.Rows.Data) {
+					t.Fatalf("%s (profile=%v): traced result shape differs",
+						s.Name, profile)
+				}
+				for i := range base.Rows.Data {
+					if res.Rows.Data[i] != base.Rows.Data[i] {
+						t.Fatalf("%s (profile=%v): traced result not byte-identical",
+							s.Name, profile)
 					}
-					if res.Rows.W != base.Rows.W || len(res.Rows.Data) != len(base.Rows.Data) {
-						t.Fatalf("%s (materialize=%v, profile=%v): traced result shape differs",
-							s.Name, materialize, profile)
-					}
-					for i := range base.Rows.Data {
-						if res.Rows.Data[i] != base.Rows.Data[i] {
-							t.Fatalf("%s (materialize=%v, profile=%v): traced result not byte-identical",
-								s.Name, materialize, profile)
-						}
-					}
-					if cpu != cpu0 || io != io0 {
-						t.Fatalf("%s (materialize=%v, profile=%v): traced charges (cpu %d, io %d) differ from untraced (cpu %d, io %d)",
-							s.Name, materialize, profile, cpu, io, cpu0, io0)
-					}
+				}
+				if cpu != cpu0 || io != io0 {
+					t.Fatalf("%s (profile=%v): traced charges (cpu %d, io %d) differ from untraced (cpu %d, io %d)",
+						s.Name, profile, cpu, io, cpu0, io0)
 				}
 			}
 		}
-		// Every traced request landed in the ring at rate 1.0.
-		st := traced.Tracer().Stats()
-		if want := int64(len(sys) * len(texts) * 2); st.Started != want || st.Kept != want {
-			t.Fatalf("tracer counters started=%d kept=%d, want %d each", st.Started, st.Kept, want)
-		}
-		if st.Forced != 0 || st.Dropped != 0 {
-			t.Fatalf("unexpected forced=%d dropped=%d at rate 1.0", st.Forced, st.Dropped)
-		}
+	}
+	// Every traced request landed in the ring at rate 1.0.
+	st := traced.Tracer().Stats()
+	if want := int64(len(sys) * len(texts) * 2); st.Started != want || st.Kept != want {
+		t.Fatalf("tracer counters started=%d kept=%d, want %d each", st.Started, st.Kept, want)
+	}
+	if st.Forced != 0 || st.Dropped != 0 {
+		t.Fatalf("unexpected forced=%d dropped=%d at rate 1.0", st.Forced, st.Dropped)
 	}
 }
 
@@ -257,6 +254,10 @@ type failingSource struct {
 }
 
 func (f failingSource) ScanProp(p, s, o rdf.ID, need core.ScanCols) (*rel.Rel, error) {
+	return nil, errors.New("simulated disk failure")
+}
+
+func (f failingSource) StreamProp(p, s, o rdf.ID, need core.ScanCols, batchRows int) (core.RelIter, error) {
 	return nil, errors.New("simulated disk failure")
 }
 

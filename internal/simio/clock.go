@@ -23,21 +23,27 @@ import (
 // The clock has two composition modes. In the default (synchronous) mode,
 // real time is cpu+io: the paper's engines issue blocking reads, so every
 // I/O stall adds to the wall clock. In overlapped mode, real time is
-// max(cpu, io): the streaming executor pulls fixed-size batches through a
+// max(cpu, io): the pipelined executor pulls fixed-size batches through a
 // pipeline, so the device can read ahead under the CPU work of earlier
 // batches and only the longer of the two resources bounds the run. The mode
 // is a property of the measurement (the harness sets it per run), not of
 // the engines — charges themselves are identical in both modes.
+//
+// CPU charges accumulate as whole baseline nanoseconds and the machine's
+// CPUScale is applied once, when the clock is read. User time therefore
+// depends on the work charged, never on how the charging calls were split:
+// one charge of n·k ns reads the same as n charges of k ns on every machine.
 type Clock struct {
-	cpu        time.Duration
+	cpu        time.Duration // baseline (unscaled) nanoseconds
+	cpuScale   float64
 	io         time.Duration
 	overlapped bool
 }
 
-// NewClock returns a clock at zero.
-func NewClock() *Clock { return &Clock{} }
+// NewClock returns a clock at zero that reads CPU charges unscaled.
+func NewClock() *Clock { return &Clock{cpuScale: 1} }
 
-// ChargeCPU advances the CPU component.
+// ChargeCPU advances the CPU component by d baseline nanoseconds.
 func (c *Clock) ChargeCPU(d time.Duration) {
 	if d > 0 {
 		c.cpu += d
@@ -51,8 +57,12 @@ func (c *Clock) ChargeIO(d time.Duration) {
 	}
 }
 
-// User returns the simulated user (CPU) time, per the paper's "User Time".
-func (c *Clock) User() time.Duration { return c.cpu }
+// User returns the simulated user (CPU) time, per the paper's "User Time":
+// the accumulated baseline nanoseconds scaled by the machine's CPU speed,
+// truncated to whole nanoseconds.
+func (c *Clock) User() time.Duration {
+	return time.Duration(float64(c.cpu) * c.cpuScale)
+}
 
 // IO returns the simulated I/O stall time.
 func (c *Clock) IO() time.Duration { return c.io }
@@ -62,12 +72,9 @@ func (c *Clock) IO() time.Duration { return c.io }
 // mode (see SetOverlapped).
 func (c *Clock) Real() time.Duration {
 	if c.overlapped {
-		if c.cpu > c.io {
-			return c.cpu
-		}
-		return c.io
+		return max(c.User(), c.io)
 	}
-	return c.cpu + c.io
+	return c.User() + c.io
 }
 
 // SetOverlapped switches the real-time composition rule: false (default)

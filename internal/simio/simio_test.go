@@ -242,6 +242,44 @@ func TestChargeCPUScales(t *testing.T) {
 	}
 }
 
+// TestCPUClockIndependentOfChargeSplit pins the clock's two guarantees. On
+// machine A (CPUScale 1.0) user time is exactly the baseline nanoseconds
+// charged. On machine B (CPUScale 1.05) one charge of n·k ns reads the same
+// as n charges of k ns — scaling each call and truncating would lose up to
+// a nanosecond per call — and Reset clears the accumulated baseline.
+func TestCPUClockIndependentOfChargeSplit(t *testing.T) {
+	a := NewStore(Config{Machine: MachineA()})
+	for _, ns := range []int64{1, 7, 25_000, 333} {
+		a.ChargeCPU(ns)
+	}
+	if got := a.Clock().User(); got != 25_341 {
+		t.Fatalf("machine A charged %v for 25341 baseline ns", got)
+	}
+
+	const n, k = 1000, 7
+	whole := NewStore(Config{Machine: MachineB()})
+	whole.ChargeCPU(n * k)
+	split := NewStore(Config{Machine: MachineB()})
+	for i := 0; i < n; i++ {
+		split.ChargeCPU(k)
+	}
+	if whole.Clock().User() != split.Clock().User() {
+		t.Fatalf("one charge of %d ns reads %v, %d charges of %d ns read %v",
+			n*k, whole.Clock().User(), n, k, split.Clock().User())
+	}
+	if want := time.Duration(float64(n*k) * MachineB().CPUScale); whole.Clock().User() != want {
+		t.Fatalf("machine B charged %v for %d baseline ns, want %v", whole.Clock().User(), n*k, want)
+	}
+	if cpu, _, _ := split.Charges(); cpu != int64(whole.Clock().User()) {
+		t.Fatalf("Charges reports %d cpu ns, clock reads %v", cpu, whole.Clock().User())
+	}
+	split.Clock().Reset()
+	split.ChargeCPU(k)
+	if want := time.Duration(float64(k) * MachineB().CPUScale); split.Clock().User() != want {
+		t.Fatalf("after Reset, %d ns reads %v, want %v", k, split.Clock().User(), want)
+	}
+}
+
 func TestTotalBytes(t *testing.T) {
 	s := newTestStore(1 << 20)
 	f1 := s.CreateFile("a")

@@ -45,10 +45,10 @@ type Stats struct {
 // profile or resizing the pool changes the timing of every engine uniformly.
 //
 // A mutex serializes the accounting paths (ChargeCPU, ReadRange and the
-// catalog methods), so the plan executor's parallel per-property scans can
-// share one store. Charges model the paper's single-threaded systems —
-// costs are summed regardless of host parallelism, which only shortens host
-// time. Whether CPU and I/O charges overlap in *reported* real time is the
+// catalog methods), so the serving layer's concurrent executions can share
+// one store. Charges model the paper's single-threaded systems — costs are
+// summed regardless of host parallelism, which only shortens host time.
+// Whether CPU and I/O charges overlap in *reported* real time is the
 // clock's composition mode (Clock.SetOverlapped), a per-measurement choice.
 type Store struct {
 	mu       sync.Mutex
@@ -70,9 +70,8 @@ type Store struct {
 	// tracked per file: a read is seek-free iff it continues directly after
 	// the previous physical read of the *same* file. This models per-file
 	// OS read-ahead streams and, crucially, makes seek accounting
-	// independent of how concurrent scans interleave — the charge total for
-	// a set of scans is the same under any scheduling, so cold-run timings
-	// stay deterministic under the executor's worker pool.
+	// independent of how scans of different files interleave — the charge
+	// total for a set of scans is the same in any order.
 	lastPhys map[FileID]int64
 
 	stats Stats
@@ -103,7 +102,7 @@ func NewStore(cfg Config) *Store {
 	}
 	return &Store{
 		machine:  cfg.Machine,
-		clock:    NewClock(),
+		clock:    &Clock{cpuScale: cfg.Machine.CPUScale},
 		trace:    NewTrace(),
 		pageSize: cfg.PageSize,
 		files:    make(map[FileID]*fileMeta),
@@ -321,14 +320,15 @@ func (s *Store) install(k pageKey) {
 	s.used += s.pageSize
 }
 
-// ChargeCPU forwards a CPU cost to the clock after scaling by the machine's
-// CPU speed. Engines express work in baseline nanoseconds; the machine
-// profile makes the same plan faster or slower across simulated hardware.
+// ChargeCPU forwards a CPU cost to the clock. Engines express work in
+// baseline nanoseconds; the clock scales the total by the machine's CPU
+// speed when it is read, which makes the same plan faster or slower across
+// simulated hardware.
 func (s *Store) ChargeCPU(baselineNs int64) {
 	if baselineNs <= 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.clock.ChargeCPU(time.Duration(float64(baselineNs) * s.machine.CPUScale))
+	s.clock.ChargeCPU(time.Duration(baselineNs))
 }
