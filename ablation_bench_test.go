@@ -5,6 +5,7 @@
 package blackswan_test
 
 import (
+	"math"
 	"testing"
 
 	"blackswan/internal/colstore"
@@ -45,7 +46,9 @@ func BenchmarkAblationPrefixCompression(b *testing.B) {
 	coldScanIO := func(eng *rowstore.Engine, t *rowstore.Table) float64 {
 		eng.Store.DropCaches()
 		eng.Store.Clock().Reset()
-		eng.ScanAll(t)
+		var batch rel.Rel
+		for c := eng.ScanEqStream(t, nil, math.MaxInt, 0, 1, 2); c.Next(&batch); {
+		}
 		return eng.Store.Clock().IO().Seconds()
 	}
 	b.ResetTimer()
@@ -84,7 +87,12 @@ func BenchmarkAblationRLE(b *testing.B) {
 	coldSelectIO := func(eng *colstore.Engine, t *colstore.Table) float64 {
 		eng.Store.DropCaches()
 		eng.Store.Clock().Reset()
-		eng.SelectEq(t.Cols[0], uint64(w.Cat.Consts.Type))
+		p := t.Cols[0]
+		lo, hi := eng.SelectRange(p, uint64(w.Cat.Consts.Type))
+		scan := eng.NewColScan(lo, hi, []colstore.EqCond{{C: p, V: uint64(w.Cat.Consts.Type)}}, []colstore.StreamCol{{C: p}}, math.MaxInt)
+		var batch rel.Rel
+		for scan.Next(&batch) {
+		}
 		return eng.Store.Clock().IO().Seconds()
 	}
 	b.ResetTimer()

@@ -13,7 +13,7 @@ import (
 
 // The stream experiment measures the executor's two configurations against
 // each other on every scheme — drained (core.ExecOptions{}: one unbounded
-// batch per operator, bulk scans; the "materializing" cells) and pipelined
+// batch per operator, scans included; the "materializing" cells) and pipelined
 // (Streaming: true; the "streaming" cells): the twelve paper queries (where
 // both drain everything and the comparison is charge parity) and a
 // generated ORDER BY/LIMIT workload (where early termination is supposed to
@@ -227,8 +227,8 @@ func RunStream(w *Workload, systems []*System, opt StreamOptions) (*StreamReport
 	// The LIMIT workload — the regression-guard numbers: LIMIT 10 over the
 	// full triple scan and the most frequent property scans, the shape a
 	// paged serving client produces. These plans are fully pipelineable, so
-	// the pipelined peak is a couple of batches while the drained bulk scan
-	// holds the entire table — the bounded-memory claim in its purest form. (The BGP surface language ties LIMIT to ORDER BY; the
+	// the pipelined peak is a couple of batches while the drained scan's one
+	// batch holds the entire table — the bounded-memory claim in its purest form. (The BGP surface language ties LIMIT to ORDER BY; the
 	// plan vocabulary has the bare prefix LIMIT, so this workload is built
 	// at the plan level.)
 	jobs = append(jobs, job{name: "SELECT * WHERE { ?s ?p ?o } LIMIT 10", kind: "limit",
@@ -305,7 +305,7 @@ func RunStream(w *Workload, systems []*System, opt StreamOptions) (*StreamReport
 		var oracle *rel.Rel
 		if j.query != nil {
 			var err error
-			if oracle, _, err = bgp.EvalBGP(j.query, systems[0].DB.(core.PhysicalSource), w.DS.Graph.Dict, w.Cat.Interesting); err != nil {
+			if oracle, _, err = bgp.EvalBGP(j.query, core.GraphSource{G: w.DS.Graph}, w.DS.Graph.Dict, w.Cat.Interesting); err != nil {
 				return nil, fmt.Errorf("bench: stream %s: oracle: %w", j.name, err)
 			}
 		}

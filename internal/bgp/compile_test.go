@@ -161,7 +161,7 @@ func TestRandomBGPsCrossScheme(t *testing.T) {
 		}
 		// Every generated query — including OPTIONAL, range-filter and
 		// ORDER BY shapes — must match the full-language oracle.
-		oracle, vars, err := bgp.EvalBGP(q, f.srcs[f.names[0]], dict, f.cat.Interesting)
+		oracle, vars, err := bgp.EvalBGP(q, core.GraphSource{G: f.ds.Graph}, dict, f.cat.Interesting)
 		if err != nil {
 			t.Fatalf("query %d (%v) oracle: %v\n%s", i, shape, err, q.Text())
 		}
@@ -266,7 +266,7 @@ func TestCyclicBGP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, _ := core.EvalBGP(srcs[names[0]], resolvePatterns(t, q, g.Dict))
+	oracle, _ := core.EvalBGP(core.GraphSource{G: g}, resolvePatterns(t, q, g.Dict))
 	oracleProj := oracle.Project(0, 1, 2)
 	if oracleProj.Len() != 3 {
 		t.Fatalf("oracle found %d triangle rows, want 3 (rotations)", oracleProj.Len())

@@ -213,7 +213,7 @@ func TestPropertyOverlayMatchesRebuild(t *testing.T) {
 		if byteExact {
 			exact++
 		}
-		oracle, _, err := bgp.EvalBGP(q, f.built[f.names[0]], f.merged.Dict, f.cat.Interesting)
+		oracle, _, err := bgp.EvalBGP(q, core.GraphSource{G: f.merged}, f.merged.Dict, f.cat.Interesting)
 		if err != nil {
 			t.Fatalf("oracle %q: %v", q.Text(), err)
 		}

@@ -80,7 +80,7 @@ func checkQuery(t *testing.T, f *fixture, q *bgp.Query) int {
 				name, q.Text(), f.names[0], got.Len(), ref.Len())
 		}
 	}
-	oracle, vars, err := bgp.EvalBGP(q, f.srcs[f.names[0]], dict, f.cat.Interesting)
+	oracle, vars, err := bgp.EvalBGP(q, core.GraphSource{G: f.ds.Graph}, dict, f.cat.Interesting)
 	if err != nil {
 		t.Fatalf("oracle %q: %v", q.Text(), err)
 	}
@@ -147,7 +147,7 @@ func TestPropertyOptional(t *testing.T) {
 		}
 		// Re-run the oracle to count NULL-bearing rows (the unmatched-row
 		// path of the left join).
-		res, _, err := bgp.EvalBGP(q, f.srcs[f.names[0]], f.ds.Graph.Dict, f.cat.Interesting)
+		res, _, err := bgp.EvalBGP(q, core.GraphSource{G: f.ds.Graph}, f.ds.Graph.Dict, f.cat.Interesting)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestOracleRejectsInvalid(t *testing.T) {
 		`SELECT (COUNT AS ?n) WHERE { ?s ?p ?o }`,
 	} {
 		q := bgp.MustParse(text)
-		if _, _, err := bgp.EvalBGP(q, f.srcs[f.names[0]], f.ds.Graph.Dict, nil); err == nil {
+		if _, _, err := bgp.EvalBGP(q, core.GraphSource{G: f.ds.Graph}, f.ds.Graph.Dict, nil); err == nil {
 			t.Errorf("oracle accepted %q", text)
 		}
 	}

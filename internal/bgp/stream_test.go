@@ -42,7 +42,7 @@ func TestStreamingGeneratedWorkload(t *testing.T) {
 				construct["limit"]++
 			}
 		}
-		oracle, _, err := bgp.EvalBGP(q, f.srcs[f.names[0]], dict, f.cat.Interesting)
+		oracle, _, err := bgp.EvalBGP(q, core.GraphSource{G: f.ds.Graph}, dict, f.cat.Interesting)
 		if err != nil {
 			t.Fatalf("oracle %q: %v", q.Text(), err)
 		}
@@ -127,7 +127,7 @@ func FuzzStreamDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compile %q: %v", q.Text(), err)
 		}
-		oracle, _, err := bgp.EvalBGP(q, fx.srcs[fx.names[0]], dict, fx.cat.Interesting)
+		oracle, _, err := bgp.EvalBGP(q, core.GraphSource{G: fx.ds.Graph}, dict, fx.cat.Interesting)
 		if err != nil {
 			t.Fatalf("oracle %q: %v", q.Text(), err)
 		}

@@ -244,75 +244,10 @@ func (t *Tree) findLeaf(key Key, w int) int {
 	return lo - 1
 }
 
-// Scan visits every entry in key order, charging sequential leaf I/O. The
-// callback returns false to stop early.
-func (t *Tree) Scan(yield func(Key) bool) {
-	if len(t.leaves) == 0 {
-		return
-	}
-	t.chargeDescent(0)
-	for i, leaf := range t.leaves {
-		if i%readAheadLeaves == 0 {
-			t.readLeaf(i, len(t.leaves))
-		}
-		for _, k := range leaf {
-			if !yield(k) {
-				return
-			}
-		}
-	}
-}
-
-// ScanPrefix visits all entries whose first plen fields equal prefix, in key
-// order. It descends once and then reads the qualifying leaves sequentially.
-func (t *Tree) ScanPrefix(prefix Key, plen int, yield func(Key) bool) {
-	if plen < 0 || plen > t.width {
-		panic(fmt.Sprintf("btree %q: prefix length %d out of range", t.name, plen))
-	}
-	if plen == 0 {
-		t.Scan(yield)
-		return
-	}
-	if len(t.leaves) == 0 {
-		return
-	}
-	start := t.findLeaf(prefix, plen)
-	t.chargeDescent(start)
-	// Bound read-ahead by the end of the qualifying range (first leaf whose
-	// separator exceeds the prefix), so selective probes read one leaf, not
-	// a full read-ahead window.
-	limit := start + 1
-	for limit < len(t.leaves) && Compare(t.sep[limit], prefix, plen) <= 0 {
-		limit++
-	}
-	for i := start; i < limit; i++ {
-		if (i-start)%readAheadLeaves == 0 {
-			t.readLeaf(i, limit)
-		}
-		for _, k := range t.leaves[i] {
-			c := Compare(k, prefix, plen)
-			if c < 0 {
-				continue
-			}
-			if c > 0 {
-				return
-			}
-			if !yield(k) {
-				return
-			}
-		}
-	}
-}
-
 // Contains reports whether an entry with exactly key (on all width fields)
 // exists — the point-query pattern p1 of the paper's query space.
 func (t *Tree) Contains(key Key) bool {
-	found := false
-	t.ScanPrefix(key, t.width, func(Key) bool {
-		found = true
-		return false
-	})
-	return found
+	return t.NewCursor(key, t.width).Next(1) != nil
 }
 
 // EstimatePrefixFraction estimates, from leaf separators only (catalog
@@ -347,14 +282,4 @@ func (t *Tree) EstimatePrefixFraction(prefix Key, plen int) float64 {
 	}
 	leaves := lo - start + 1 // the run may spill into the preceding leaf
 	return float64(leaves) / float64(len(t.sep))
-}
-
-// CountPrefix returns the number of entries matching the prefix.
-func (t *Tree) CountPrefix(prefix Key, plen int) int {
-	n := 0
-	t.ScanPrefix(prefix, plen, func(Key) bool {
-		n++
-		return true
-	})
-	return n
 }

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -34,6 +35,19 @@ func mustLoad(t *testing.T, s *simio.Store, cfg Config, keys []Key) *Tree {
 	return tr
 }
 
+// scan drains a cursor over the prefix, pulling runs of at most step entries.
+func scan(tr *Tree, prefix Key, plen, step int) []Key {
+	var out []Key
+	c := tr.NewCursor(prefix, plen)
+	for run := c.Next(step); run != nil; run = c.Next(step) {
+		out = append(out, run...)
+	}
+	return out
+}
+
+// scanAll drains a full-tree cursor in one unbounded pull per leaf.
+func scanAll(tr *Tree) []Key { return scan(tr, Key{}, 0, math.MaxInt) }
+
 func TestBulkLoadRejectsUnsorted(t *testing.T) {
 	s := newStore()
 	keys := []Key{{2, 1, 1}, {1, 1, 1}}
@@ -55,8 +69,7 @@ func TestScanReturnsAllInOrder(t *testing.T) {
 	if tr.Len() != len(keys) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	var got []Key
-	tr.Scan(func(k Key) bool { got = append(got, k); return true })
+	got := scanAll(tr)
 	if len(got) != len(keys) {
 		t.Fatalf("Scan returned %d of %d", len(got), len(keys))
 	}
@@ -68,12 +81,25 @@ func TestScanReturnsAllInOrder(t *testing.T) {
 }
 
 func TestScanEarlyStop(t *testing.T) {
+	// An abandoned cursor yields exactly what was asked of it and never pays
+	// for the leaves it did not visit.
 	s := newStore()
-	tr := mustLoad(t, s, Config{Name: "t", Width: 2}, sortedKeys(1000, 2, 2))
-	n := 0
-	tr.Scan(func(Key) bool { n++; return n < 10 })
+	tr := mustLoad(t, s, Config{Name: "t", Width: 3}, sortedKeys(20000, 3, 2))
+	s.DropCaches()
+	s.ResetStats()
+	c, n := tr.NewCursor(Key{}, 0), 0
+	for n < 10 {
+		n += len(c.Next(10 - n))
+	}
 	if n != 10 {
 		t.Fatalf("early stop visited %d", n)
+	}
+	early := s.Stats().BytesRead
+	s.DropCaches()
+	s.ResetStats()
+	scanAll(tr)
+	if full := s.Stats().BytesRead; early == 0 || early*2 > full {
+		t.Fatalf("abandoned scan read %d bytes, full scan %d", early, full)
 	}
 }
 
@@ -89,8 +115,7 @@ func TestScanPrefixMatchesLinearFilter(t *testing.T) {
 				want = append(want, k)
 			}
 		}
-		var got []Key
-		tr.ScanPrefix(prefix, plen, func(k Key) bool { got = append(got, k); return true })
+		got := scan(tr, prefix, plen, 7)
 		if len(got) != len(want) {
 			t.Fatalf("plen %d: got %d, want %d", plen, len(got), len(want))
 		}
@@ -106,15 +131,11 @@ func TestScanPrefixAbsent(t *testing.T) {
 	s := newStore()
 	keys := []Key{{1, 1, 1}, {3, 1, 1}}
 	tr := mustLoad(t, s, Config{Name: "t", Width: 3}, keys)
-	n := 0
-	tr.ScanPrefix(Key{2}, 1, func(Key) bool { n++; return true })
-	if n != 0 {
+	if n := len(scan(tr, Key{2}, 1, 4)); n != 0 {
 		t.Fatalf("absent prefix matched %d entries", n)
 	}
 	// Prefix below the minimum and above the maximum.
-	tr.ScanPrefix(Key{0}, 1, func(Key) bool { n++; return true })
-	tr.ScanPrefix(Key{9}, 1, func(Key) bool { n++; return true })
-	if n != 0 {
+	if n := len(scan(tr, Key{0}, 1, 4)) + len(scan(tr, Key{9}, 1, 4)); n != 0 {
 		t.Fatalf("out-of-range prefixes matched %d entries", n)
 	}
 }
@@ -123,9 +144,7 @@ func TestScanPrefixZeroLenIsFullScan(t *testing.T) {
 	s := newStore()
 	keys := sortedKeys(100, 2, 4)
 	tr := mustLoad(t, s, Config{Name: "t", Width: 2}, keys)
-	n := 0
-	tr.ScanPrefix(Key{}, 0, func(Key) bool { n++; return true })
-	if n != len(keys) {
+	if n := len(scan(tr, Key{}, 0, 9)); n != len(keys) {
 		t.Fatalf("plen 0 visited %d of %d", n, len(keys))
 	}
 }
@@ -146,11 +165,11 @@ func TestCountPrefix(t *testing.T) {
 	s := newStore()
 	keys := []Key{{1, 1, 1}, {1, 2, 1}, {1, 2, 2}, {2, 1, 1}}
 	tr := mustLoad(t, s, Config{Name: "t", Width: 3}, keys)
-	if got := tr.CountPrefix(Key{1}, 1); got != 3 {
-		t.Fatalf("CountPrefix(1) = %d", got)
+	if got := len(scan(tr, Key{1}, 1, 2)); got != 3 {
+		t.Fatalf("prefix (1) holds %d entries", got)
 	}
-	if got := tr.CountPrefix(Key{1, 2}, 2); got != 2 {
-		t.Fatalf("CountPrefix(1,2) = %d", got)
+	if got := len(scan(tr, Key{1, 2}, 2, 2)); got != 2 {
+		t.Fatalf("prefix (1,2) holds %d entries", got)
 	}
 }
 
@@ -160,8 +179,9 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 || tr.Leaves() != 0 {
 		t.Fatal("empty tree has entries")
 	}
-	tr.Scan(func(Key) bool { t.Fatal("scan of empty tree yielded"); return true })
-	tr.ScanPrefix(Key{1}, 1, func(Key) bool { t.Fatal("prefix scan yielded"); return true })
+	if len(scanAll(tr)) != 0 || len(scan(tr, Key{1}, 1, 4)) != 0 {
+		t.Fatal("scan of empty tree yielded")
+	}
 	if tr.Contains(Key{1, 1, 1}) {
 		t.Fatal("empty tree contains a key")
 	}
@@ -189,9 +209,7 @@ func TestPrefixCompressionShrinksRepetitiveKeys(t *testing.T) {
 		t.Fatalf("compression ratio only %.2f", ratio)
 	}
 	// Content must be identical.
-	var a, b int
-	plain.Scan(func(Key) bool { a++; return true })
-	comp.Scan(func(Key) bool { b++; return true })
+	a, b := len(scanAll(plain)), len(scanAll(comp))
 	if a != b || a != len(keys) {
 		t.Fatalf("scan counts differ: %d vs %d", a, b)
 	}
@@ -202,7 +220,7 @@ func TestScanChargesIO(t *testing.T) {
 	tr := mustLoad(t, s, Config{Name: "t", Width: 3}, sortedKeys(20000, 3, 5))
 	s.Clock().Reset()
 	s.ResetStats()
-	tr.Scan(func(Key) bool { return true })
+	scanAll(tr)
 	if s.Stats().BytesRead == 0 {
 		t.Fatal("cold scan read no bytes")
 	}
@@ -212,7 +230,7 @@ func TestScanChargesIO(t *testing.T) {
 	cold := s.Clock().IO()
 	// Hot scan: no physical I/O.
 	s.Clock().Reset()
-	tr.Scan(func(Key) bool { return true })
+	scanAll(tr)
 	if s.Clock().IO() >= cold/10 {
 		t.Fatalf("hot scan too expensive: %v vs cold %v", s.Clock().IO(), cold)
 	}
@@ -229,11 +247,11 @@ func TestPrefixScanReadsFewerBytesThanFullScan(t *testing.T) {
 	tr := mustLoad(t, s, Config{Name: "t", Width: 3}, keys)
 	s.DropCaches()
 	s.ResetStats()
-	tr.ScanPrefix(Key{50}, 1, func(Key) bool { return true })
+	scan(tr, Key{50}, 1, math.MaxInt)
 	prefixBytes := s.Stats().BytesRead
 	s.DropCaches()
 	s.ResetStats()
-	tr.Scan(func(Key) bool { return true })
+	scanAll(tr)
 	fullBytes := s.Stats().BytesRead
 	if prefixBytes*10 > fullBytes {
 		t.Fatalf("prefix scan read %d bytes, full scan %d — expected ≪", prefixBytes, fullBytes)
@@ -262,12 +280,12 @@ func TestScanPrefixPanicsOnBadPlen(t *testing.T) {
 			t.Fatal("plen > width did not panic")
 		}
 	}()
-	tr.ScanPrefix(Key{1, 1, 1}, 3, func(Key) bool { return true })
+	tr.NewCursor(Key{1, 1, 1}, 3)
 }
 
 func TestPropertyScanPrefixCompleteAndSound(t *testing.T) {
-	// For random data sets, ScanPrefix(k,1) returns exactly the linear
-	// filter result, with compression on and off.
+	// For random data sets, a cursor over the prefix (k) returns exactly the
+	// linear filter result, with compression on and off.
 	f := func(seed int64, compress bool) bool {
 		n := 500
 		keys := sortedKeys(n, 3, seed)
@@ -283,15 +301,13 @@ func TestPropertyScanPrefixCompleteAndSound(t *testing.T) {
 				want++
 			}
 		}
-		got := 0
-		tr.ScanPrefix(Key{probe[0]}, 1, func(k Key) bool {
+		got := scan(tr, Key{probe[0]}, 1, 16)
+		for _, k := range got {
 			if k[0] != probe[0] {
 				return false
 			}
-			got++
-			return true
-		})
-		return got == want
+		}
+		return len(got) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -2,13 +2,13 @@ package btree
 
 import "fmt"
 
-// Cursor is the pull-based form of ScanPrefix: it yields the same entries
-// in the same order with the same simulated charges, but in caller-bounded
-// steps, so a consumer that stops early never pays for the leaves it does
-// not visit. The descent is charged on the first Next call; leaf read-ahead
-// I/O is charged exactly when the scan enters a leaf at a read-ahead
-// boundary, as in ScanPrefix. A cursor holds no resources — abandoning one
-// is the early-termination protocol.
+// Cursor is the tree's one walk: it yields the entries under a key prefix in
+// key order, in caller-bounded steps, so a consumer that stops early never
+// pays for the leaves it does not visit. It descends once — charged on the
+// first Next call — and then reads the qualifying leaves sequentially; leaf
+// read-ahead I/O is charged exactly when the scan enters a leaf at a
+// read-ahead boundary. A cursor holds no resources — abandoning one is the
+// early-termination protocol.
 type Cursor struct {
 	t       *Tree
 	prefix  Key
@@ -32,7 +32,9 @@ func (t *Tree) NewCursor(prefix Key, plen int) *Cursor {
 }
 
 // open charges the root-to-leaf descent and computes the qualifying leaf
-// range, mirroring the head of ScanPrefix (and of Scan for plen == 0).
+// range. Read-ahead is bounded by the end of that range (the first leaf
+// whose separator exceeds the prefix), so selective probes read one leaf,
+// not a full read-ahead window.
 func (c *Cursor) open() {
 	c.started = true
 	t := c.t

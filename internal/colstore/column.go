@@ -19,7 +19,6 @@
 package colstore
 
 import (
-	"fmt"
 	"sort"
 
 	"blackswan/internal/simio"
@@ -115,25 +114,10 @@ func (c *Column) touch(from, to int) {
 	}
 }
 
-// touchAll charges the I/O for a full-column access.
-func (c *Column) touchAll() { c.touch(0, len(c.vals)) }
-
 // bounds binary-searches the [lo, hi) index range holding v in a sorted
 // column.
 func (c *Column) bounds(v uint64) (int, int) {
 	lo := sort.Search(len(c.vals), func(i int) bool { return c.vals[i] >= v })
 	hi := sort.Search(len(c.vals), func(i int) bool { return c.vals[i] > v })
 	return lo, hi
-}
-
-// Values exposes the raw vector for read-only use by operators in this
-// package and by tests. Callers must not mutate it.
-func (c *Column) Values() []uint64 { return c.vals }
-
-// check panics if position p is out of range; positions come from other
-// columns of the same table, so a violation is an engine bug.
-func (c *Column) check(p int32) {
-	if int(p) >= len(c.vals) || p < 0 {
-		panic(fmt.Sprintf("colstore: position %d out of range on %s (len %d)", p, c.Name, len(c.vals)))
-	}
 }

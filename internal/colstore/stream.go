@@ -96,58 +96,50 @@ func (e *Engine) ChargeSelect(n int) { e.Store.ChargeCPU(int64(n) * e.Costs.Sele
 // ChargeFetch charges n positional fetches.
 func (e *Engine) ChargeFetch(n int) { e.Store.ChargeCPU(int64(n) * e.Costs.FetchValue) }
 
-// streamReadAheadBytes is how much of a column one streaming I/O request
+// streamReadAheadBytes is how much of a column one read-ahead I/O request
 // covers. Batch-at-a-time pulls would otherwise issue near-page-sized
-// requests and pay per-request overhead hundreds of times where a bulk
-// read pays it once; a read-ahead window keeps streaming
-// request counts within a small constant of the bulk read, mirroring the
-// row store's 32-leaf index read-ahead.
+// requests and pay per-request overhead hundreds of times where one range
+// pays it once; a read-ahead window keeps the request count of a batched
+// scan within a small constant of that, like the row store's 32-leaf index
+// read-ahead.
 const streamReadAheadBytes = 256 << 10
 
-// ColReader streams the I/O of one contiguous value range [lo, hi) of a
-// column. Ensure extends the requested region monotonically in read-ahead
-// windows; a reader that is dropped early simply never requests the tail,
-// which is the pipelined executor's I/O saving.
+// ColReader streams the I/O of one column of a scan. A request begins at the
+// first position needed — the first one asked for, then wherever the last
+// request ended — and is extended to a read-ahead window only while the scan
+// has a further batch to pull: read-ahead is a bet on the next pull, so a
+// scan that hands on its whole range in one batch requests exactly the range
+// each column needs, once. A reader that is dropped early simply never
+// requests the tail, which is the pipelined executor's I/O saving.
 type ColReader struct {
-	c      *Column
-	hi     int
-	ioNext int
+	c    *Column
+	hi   int
+	next int // first value not yet requested; -1 before the first request
 }
 
-// NewColReader positions a reader over values [lo, hi) of c. No I/O happens
-// until Ensure.
-func (e *Engine) NewColReader(c *Column, lo, hi int) *ColReader {
-	n := c.Len()
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n {
-		hi = n
-	}
-	return &ColReader{c: c, hi: hi, ioNext: lo}
+// NewColReader positions a reader over the values of c below hi. No I/O
+// happens until Ensure.
+func (e *Engine) NewColReader(c *Column, hi int) *ColReader {
+	return &ColReader{c: c, hi: min(hi, c.Len()), next: -1}
 }
 
-// Ensure requests the pages covering values up to index `to` (exclusive),
-// extended to a full read-ahead window.
-func (r *ColReader) Ensure(to int) {
-	if to > r.hi {
-		to = r.hi
+// Ensure requests the pages covering the values [from, to) not requested
+// yet; more says the scan has a further batch to pull after this one.
+func (r *ColReader) Ensure(from, to int, more bool) {
+	if r.next < 0 {
+		r.next = from
 	}
-	if to <= r.ioNext {
+	to = min(to, r.hi)
+	if to <= r.next {
 		return
 	}
-	// A window holds the value count whose uncompressed image spans the
-	// read-ahead size; at least one value so progress is guaranteed.
-	window := streamReadAheadBytes / 8
-	next := r.ioNext + window
-	if next < to {
-		next = to
+	if more {
+		// A window holds the value count whose uncompressed image spans the
+		// read-ahead size.
+		to = min(max(to, r.next+streamReadAheadBytes/8), r.hi)
 	}
-	if next > r.hi {
-		next = r.hi
-	}
-	r.c.touch(r.ioNext, next)
-	r.ioNext = next
+	r.c.touch(r.next, to)
+	r.next = to
 }
 
 // EqCond is one equality predicate a streaming column scan applies, in
@@ -157,24 +149,23 @@ type EqCond struct {
 	V uint64
 }
 
-// StreamCol describes one output column of a streaming scan: a real column
-// to fetch, or a constant to fill (bound pattern positions cost nothing, as
-// in the bulk access path's constant fill). A zero StreamCol emits
-// the constant 0 (an un-needed position).
+// StreamCol describes one output column of a scan: a real column to fetch,
+// or a constant to fill (bound pattern positions cost nothing: the value is
+// already known from the predicate). A zero StreamCol emits the constant 0
+// (an un-needed position).
 type StreamCol struct {
 	C     *Column
 	Const uint64
 }
 
-// ColScan streams a position range [lo, hi) of a vertical table: per batch
-// it applies the equality conditions in order (charging one selection test
-// per surviving candidate, as SelectEq/SelectEqAt do) and fetches the
-// output columns at the surviving positions (one positional fetch each, as
-// Fetch does). I/O flows through per-column ColReaders, so a scan dropped
-// early never requests the unread tail.
+// ColScan scans a position range [lo, hi) of a table: per batch it applies
+// the equality conditions in order (charging one selection test per
+// surviving candidate) and fetches the output columns at the surviving
+// positions (one positional fetch each). I/O flows through per-column
+// ColReaders, so a scan dropped early never requests the unread tail.
 type ColScan struct {
 	e      *Engine
-	lo, hi int
+	hi     int
 	cur    int
 	batch  int
 	conds  []EqCond
@@ -191,13 +182,13 @@ func (e *Engine) NewColScan(lo, hi int, conds []EqCond, out []StreamCol, batchRo
 	if batchRows <= 0 {
 		batchRows = 1024
 	}
-	s := &ColScan{e: e, lo: lo, hi: hi, cur: lo, batch: batchRows, conds: conds, out: out}
+	s := &ColScan{e: e, hi: hi, cur: lo, batch: batchRows, conds: conds, out: out}
 	for _, c := range conds {
-		s.condRd = append(s.condRd, e.NewColReader(c.C, lo, hi))
+		s.condRd = append(s.condRd, e.NewColReader(c.C, hi))
 	}
 	for _, c := range out {
 		if c.C != nil {
-			s.outRd = append(s.outRd, e.NewColReader(c.C, lo, hi))
+			s.outRd = append(s.outRd, e.NewColReader(c.C, hi))
 		} else {
 			s.outRd = append(s.outRd, nil)
 		}
@@ -212,14 +203,16 @@ func (e *Engine) NewColScan(lo, hi int, conds []EqCond, out []StreamCol, batchRo
 func (s *ColScan) Next(out *rel.Rel) bool {
 	w := len(s.out)
 	for s.cur < s.hi {
-		lo, end := s.cur, min(s.cur+s.batch, s.hi)
+		lo, end := s.cur, s.cur+min(s.batch, s.hi-s.cur)
 		s.cur = end
+		more := end < s.hi
 		// Without conditions the candidates are the range itself; otherwise
 		// they start as the whole batch range and shrink through the
 		// conditions in order.
 		n, pos := end-lo, s.pos[:0]
 		for i, cond := range s.conds {
 			if i == 0 {
+				pos = slices.Grow(pos, end-lo)
 				for p := lo; p < end; p++ {
 					pos = append(pos, int32(p))
 				}
@@ -227,7 +220,7 @@ func (s *ColScan) Next(out *rel.Rel) bool {
 			if len(pos) == 0 {
 				break
 			}
-			s.condRd[i].Ensure(int(pos[len(pos)-1]) + 1)
+			s.condRd[i].Ensure(int(pos[0]), int(pos[len(pos)-1])+1, more)
 			s.e.ChargeSelect(len(pos))
 			kept := pos[:0]
 			for _, p := range pos {
@@ -242,7 +235,7 @@ func (s *ColScan) Next(out *rel.Rel) bool {
 			if n = len(pos); n == 0 {
 				continue
 			}
-			end = int(pos[n-1]) + 1
+			lo, end = int(pos[0]), int(pos[n-1])+1
 		}
 		d := slices.Grow(out.Data[:0], n*w)[:n*w]
 		for i, c := range s.out {
@@ -252,7 +245,7 @@ func (s *ColScan) Next(out *rel.Rel) bool {
 				}
 				continue
 			}
-			s.outRd[i].Ensure(end)
+			s.outRd[i].Ensure(lo, end, more)
 			s.e.ChargeFetch(n)
 			if len(s.conds) == 0 {
 				for r, v := range c.C.vals[lo:end] {

@@ -94,72 +94,12 @@ func (d *ColVert) Run(q Query) (*rel.Rel, error) {
 	return Execute(d, q)
 }
 
-// Match implements TripleSource: one property table when p is bound (a
-// property without a table matches nothing), the full loaded union via
-// ScanTriples otherwise.
-func (d *ColVert) Match(s, p, o rdf.ID) *rel.Rel {
-	if p == rdf.NoID {
-		return d.ScanTriples(s, o, AllScanCols())
-	}
-	out := rel.New(3)
-	part, err := d.ScanProp(p, s, o, AllScanCols())
-	if err != nil {
-		return out
-	}
-	for i := 0; i < part.Len(); i++ {
-		row := part.Row(i)
-		out.Append(row[0], uint64(p), row[1])
-	}
-	return out
-}
+// Match implements TripleSource: the pull scan, collected.
+func (d *ColVert) Match(s, p, o rdf.ID) *rel.Rel { return collectMatch(d, s, p, o) }
 
-// ScanProp implements PhysicalSource: positional selection on one property
-// table (a binary search on the sorted subject column when the subject is
-// bound), materializing only the columns the plan demands. It fails for
-// properties the restricted C-Store load did not materialize, exactly as
-// the original code base could not answer the full-roster queries.
+// ScanProp implements PhysicalSource: StreamProp, collected.
 func (d *ColVert) ScanProp(p, s, o rdf.ID, need ScanCols) (*rel.Rel, error) {
-	t, ok := d.tables[p]
-	if !ok {
-		return nil, fmt.Errorf("core: property %d not loaded in %s", p, d.label)
-	}
-	sc, oc := t.Cols[0], t.Cols[1]
-	var pos []int32
-	switch {
-	case s != rdf.NoID:
-		pos = d.eng.SelectEq(sc, uint64(s))
-		if o != rdf.NoID {
-			pos = d.eng.SelectEqAt(oc, uint64(o), pos)
-		}
-	case o != rdf.NoID:
-		pos = d.eng.SelectEq(oc, uint64(o))
-	default:
-		pos = make([]int32, t.Rows())
-		for i := range pos {
-			pos[i] = int32(i)
-		}
-	}
-	sv := fetchIfNeeded(d.eng, sc, pos, s, need.S)
-	ov := fetchIfNeeded(d.eng, oc, pos, o, need.O)
-	return zipSO(sv, ov, len(pos)), nil
-}
-
-// ScanTriples implements PhysicalSource; the executor prefers the
-// partitioned fan-out on this scheme, so this only backs the generic
-// TripleSource shape, with masked per-table fetches.
-func (d *ColVert) ScanTriples(s, o rdf.ID, need ScanCols) *rel.Rel {
-	out := rel.New(3)
-	for _, prop := range d.loaded {
-		part, err := d.ScanProp(prop, s, o, need)
-		if err != nil {
-			continue
-		}
-		for i := 0; i < part.Len(); i++ {
-			row := part.Row(i)
-			out.Append(row[0], uint64(prop), row[1])
-		}
-	}
-	return out
+	return collectProp(d, p, s, o, need)
 }
 
 // Cat implements PhysicalSource.

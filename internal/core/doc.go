@@ -11,14 +11,14 @@
 // lowers it onto any scheme from its physical properties (PhysicalSource):
 // pull-based iterators exchanging row batches, with no barriers except hash
 // builds, grouping, sorts and shared subexpressions. It runs in two
-// configurations of two values, the batch size and the scan entry point:
+// configurations of one value, the batch size:
 //
-//   - drained (the zero ExecOptions): the batch is unbounded and scans are
-//     bulk, so every operator finishes before its consumer starts — the
+//   - drained (the zero ExecOptions): the batch is unbounded, so every
+//     operator, scans included, finishes before its consumer starts — the
 //     schedule of the systems the paper measures, and what Database.Run,
 //     the paper grid and the ledger's reference rows use;
-//   - pipelined (ExecOptions{Streaming: true}): fixed-size batches pulled
-//     through scan cursors. LIMIT and the bounded-heap TopN (n·⌈log₂ k⌉
+//   - pipelined (ExecOptions{Streaming: true}): fixed-size batches. LIMIT
+//     and the bounded-heap TopN (n·⌈log₂ k⌉
 //     comparisons) propagate early termination into the physical scans, so
 //     bounded queries stop paying simulated I/O and hold only a few batches
 //     of intermediate state (Trace.PeakBytes). The serving layer's default.

@@ -79,9 +79,10 @@ type RelIter interface {
 
 // PhysicalSource is the per-scheme physical access layer the executor
 // lowers plans onto. It extends the pattern-level TripleSource with the
-// property-partitioned scan path, in a bulk and a pull form, and the
-// physical-design facts (ordering, partitioning) that drive operator
-// selection.
+// property-partitioned scan path and the physical-design facts (ordering,
+// partitioning) that drive operator selection. There is one physical scan
+// form, the pull scan; a materialized scan is the pull scan opened with an
+// unbounded batch and collected (stream_source.go).
 type PhysicalSource interface {
 	TripleSource
 
@@ -90,28 +91,27 @@ type PhysicalSource interface {
 	// Props returns the property roster physically available (all
 	// properties, except for the restricted C-Store load).
 	Props() []rdf.ID
-	// ScanProp returns the (subject, object) rows carrying property p,
-	// with s and/or o optionally bound (rdf.NoID = unbound), as a width-2
-	// relation. need is the executor's projection pushdown: column stores
-	// materialize only the needed columns (unneeded ones read as zero),
-	// row stores read whole tuples regardless — the paper's structural
-	// I/O difference between the engines. It fails when p has no physical
-	// representation — the restricted C-Store load answering a
-	// full-roster query.
-	ScanProp(p, s, o rdf.ID, need ScanCols) (*rel.Rel, error)
-	// ScanTriples returns the (s, p, o) rows with s and/or o optionally
-	// bound and the property unbound — the whole-table access of the
-	// triple-stores, honouring the same projection pushdown as ScanProp so
-	// column stores keep their late materialization.
-	ScanTriples(s, o rdf.ID, need ScanCols) *rel.Rel
-	// StreamProp is the pull form of ScanProp: the same rows in the same
-	// order as width-2 batches of at most batchRows rows, charged as they
-	// are pulled, so a consumer that stops early saves the tail's simulated
-	// CPU and I/O.
+	// StreamProp scans the (subject, object) rows carrying property p, with
+	// s and/or o optionally bound (rdf.NoID = unbound), as width-2 batches
+	// of at most batchRows rows, charged as they are pulled — so a consumer
+	// that stops early saves the tail's simulated CPU and I/O. need is the
+	// executor's projection pushdown: column stores materialize only the
+	// needed columns (unneeded ones read as zero), row stores read whole
+	// tuples regardless — the paper's structural I/O difference between the
+	// engines. It fails when p has no physical representation — the
+	// restricted C-Store load answering a full-roster query.
 	StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelIter, error)
-	// StreamTriples is the pull form of ScanTriples (width-3 batches).
+	// StreamTriples scans the (s, p, o) rows with s and/or o optionally
+	// bound and the property unbound, as width-3 batches — the whole-table
+	// access of the triple-stores, honouring the same projection pushdown
+	// as StreamProp so column stores keep their late materialization.
 	StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter
-	// PropOrdered reports whether ScanProp results arrive ordered by their
+	// ScanProp is StreamProp collected into one relation. The executor does
+	// not call it; it remains, like ExecOptions.Workers, because the
+	// performance ledger's physical-layer probes (benchmark/) time it
+	// through this interface, and is the ledger PR's to remove.
+	ScanProp(p, s, o rdf.ID, need ScanCols) (*rel.Rel, error)
+	// PropOrdered reports whether StreamProp rows arrive ordered by their
 	// first unbound position (subject-ascending for the common case) — true
 	// for the SO-clustered vertical tables, enabling merge joins.
 	PropOrdered() bool
@@ -124,8 +124,8 @@ type PhysicalSource interface {
 }
 
 // ScanCols is the projection-pushdown mask of a scan: which physical
-// columns must be materialized. ScanProp ignores P (the property is the
-// scan key); ScanTriples honours all three.
+// columns must be materialized. StreamProp ignores P (the property is the
+// scan key); StreamTriples honours all three.
 type ScanCols struct {
 	S, P, O bool
 }
@@ -142,16 +142,15 @@ type ExecOptions struct {
 	// (benchmark/) passes 1, the only meaning it ever relied on.
 	Workers int
 	// Streaming selects the pipelined configuration: operators exchange
-	// batches of BatchRows rows, scans are pulled through StreamProp and
-	// StreamTriples, and TopN/LIMIT terminate their inputs early. The zero
-	// value is the drain configuration — the schedule of the systems the
-	// paper measures, which finish every operator before the next starts:
-	// the batch is unbounded, so each operator sees its whole input in one
-	// pull, and scans enter through the bulk ScanProp and ScanTriples.
-	// Results are byte-identical in both; simulated CPU charges agree
-	// wherever both configurations do the same work, and differ only by
-	// strategy (a scan abandoned early, read-ahead windows against one bulk
-	// range, how far a merge join over-pulls its longer input).
+	// batches of BatchRows rows, and TopN/LIMIT terminate their inputs
+	// early. The zero value is the drain configuration — the schedule of
+	// the systems the paper measures, which finish every operator before the
+	// next starts: the batch is unbounded, so each operator, scans included,
+	// hands on its whole output in one pull. Results are byte-identical in
+	// both; simulated CPU charges agree wherever both configurations do the
+	// same work, and differ only by strategy (a scan abandoned early, column
+	// read-ahead while further batches remain, how far a merge join
+	// over-pulls its longer input).
 	Streaming bool
 	// BatchRows is the pipelined batch size in rows; 0 means
 	// DefaultBatchRows. The drain configuration ignores it.
@@ -264,9 +263,9 @@ func ExecutePlanCtx(ctx context.Context, src PhysicalSource, root Node, opt Exec
 		st.batch = DefaultBatchRows
 	}
 	if !opt.Streaming {
-		// The drain configuration, whole: one unbounded batch per operator,
-		// bulk scans. No operator knows which configuration it runs in.
-		st.batch, st.bulk = math.MaxInt, true
+		// The drain configuration, whole: one unbounded batch per operator.
+		// No operator, cursor or reader knows which configuration it runs in.
+		st.batch = math.MaxInt
 	}
 	if opt.Profile {
 		st.prof = newProfiler(st.ops, st.mem)

@@ -206,67 +206,6 @@ func (o *DeltaOverlay) addsForProp(p, s, obj rdf.ID) [][2]uint64 {
 	return out
 }
 
-// scanPropMerged returns the real-valued (s, o) rows under p: base rows
-// minus tombstones, linearly merged with the additions so a base whose
-// ScanProp arrives (s, o)-ordered (all four schemes, under every bound
-// combination) stays ordered — the invariant merge joins rely on.
-func (o *DeltaOverlay) scanPropMerged(p, s, obj rdf.ID) (*rel.Rel, error) {
-	if !o.d.live[p] && o.base.Partitioned() {
-		// A property with no surviving triples has no table in a rebuilt
-		// partitioned scheme; answer the same way.
-		return nil, fmt.Errorf("core: property %d not loaded in %s", p, o.Label())
-	}
-	adds := o.addsForProp(p, s, obj)
-	base, err := o.base.ScanProp(p, s, obj, AllScanCols())
-	if err != nil {
-		// Delta-only property: the base has no table yet. The additions
-		// alone are the scan.
-		base = rel.New(2)
-	}
-	out := rel.NewCap(2, base.Len()+len(adds))
-	bi, ai, bn := 0, 0, base.Len()
-	for bi < bn || ai < len(adds) {
-		if bi < bn {
-			row := base.Row(bi)
-			if o.d.deleted(rdf.Triple{S: rdf.ID(row[0]), P: p, O: rdf.ID(row[1])}) {
-				bi++
-				continue
-			}
-			if ai >= len(adds) || row[0] < adds[ai][0] ||
-				(row[0] == adds[ai][0] && row[1] < adds[ai][1]) {
-				out.Data = append(out.Data, row[0], row[1])
-				bi++
-				continue
-			}
-		}
-		out.Data = append(out.Data, adds[ai][0], adds[ai][1])
-		ai++
-	}
-	return out, nil
-}
-
-// scanTriplesMerged returns the real-valued (s, p, o) rows matching the
-// bounds: base minus tombstones with the additions appended. No consumer
-// depends on ScanTriples order (PropOrdered speaks only for ScanProp), so
-// a plain concatenation suffices.
-func (o *DeltaOverlay) scanTriplesMerged(s, obj rdf.ID) *rel.Rel {
-	base := o.base.ScanTriples(s, obj, AllScanCols())
-	out := rel.NewCap(3, base.Len()+len(o.d.adds))
-	for i, n := 0, base.Len(); i < n; i++ {
-		row := base.Row(i)
-		if o.d.deleted(rdf.Triple{S: rdf.ID(row[0]), P: rdf.ID(row[1]), O: rdf.ID(row[2])}) {
-			continue
-		}
-		out.Data = append(out.Data, row[0], row[1], row[2])
-	}
-	for _, t := range o.d.adds {
-		if (s == rdf.NoID || t.S == s) && (obj == rdf.NoID || t.O == obj) {
-			out.Data = append(out.Data, uint64(t.S), uint64(t.P), uint64(t.O))
-		}
-	}
-	return out
-}
-
 // maskSORows zeroes the undemanded columns of a width-2 (s, o) relation in
 // place, matching what a rebuilt column scheme would have materialized.
 func (o *DeltaOverlay) maskSORows(r *rel.Rel, need ScanCols) *rel.Rel {
@@ -310,60 +249,44 @@ func (o *DeltaOverlay) maskTripleRows(r *rel.Rel, need ScanCols) *rel.Rel {
 	return r
 }
 
-// ScanProp implements PhysicalSource over the merged data, honouring the
-// base engine's projection-pushdown behaviour.
+// ScanProp implements PhysicalSource: StreamProp, collected.
 func (o *DeltaOverlay) ScanProp(p, s, obj rdf.ID, need ScanCols) (*rel.Rel, error) {
-	r, err := o.scanPropMerged(p, s, obj)
-	if err != nil {
-		return nil, err
-	}
-	return o.maskSORows(r, need), nil
+	return collectProp(o, p, s, obj, need)
 }
 
-// ScanTriples implements PhysicalSource over the merged data.
-func (o *DeltaOverlay) ScanTriples(s, obj rdf.ID, need ScanCols) *rel.Rel {
-	return o.maskTripleRows(o.scanTriplesMerged(s, obj), need)
-}
+// Match implements TripleSource: the pull scan, collected.
+func (o *DeltaOverlay) Match(s, p, obj rdf.ID) *rel.Rel { return collectMatch(o, s, p, obj) }
 
-// Match implements TripleSource with fully materialized values.
-func (o *DeltaOverlay) Match(s, p, obj rdf.ID) *rel.Rel {
-	if p == rdf.NoID {
-		return o.scanTriplesMerged(s, obj)
-	}
-	so, err := o.scanPropMerged(p, s, obj)
-	if err != nil {
-		return rel.New(3)
-	}
-	out := rel.NewCap(3, so.Len())
-	for i, n := 0, so.Len(); i < n; i++ {
-		row := so.Row(i)
-		out.Data = append(out.Data, row[0], uint64(p), row[1])
-	}
-	return out
-}
-
-// ---- streaming ----
-
-// StreamProp implements PhysicalSource: the same merged, masked rows as
-// ScanProp, delivered batch by batch. The base iterator is pulled lazily,
-// so early termination (TopN, LIMIT) stops the underlying scan.
+// StreamProp implements PhysicalSource over the merged data: base rows
+// minus tombstones, linearly merged with the additions — so a base whose
+// rows arrive (s, o)-ordered (all four schemes, under every bound
+// combination) stays ordered, the invariant merge joins rely on — then
+// masked as the base engine's projection pushdown would. The base iterator
+// is pulled lazily, so early termination (TopN, LIMIT) stops the underlying
+// scan.
 func (o *DeltaOverlay) StreamProp(p, s, obj rdf.ID, need ScanCols, batchRows int) (RelIter, error) {
 	if batchRows <= 0 {
 		batchRows = DefaultBatchRows
 	}
 	if !o.d.live[p] && o.base.Partitioned() {
+		// A property with no surviving triples has no table in a rebuilt
+		// partitioned scheme; answer the same way.
 		return nil, fmt.Errorf("core: property %d not loaded in %s", p, o.Label())
 	}
 	adds := o.addsForProp(p, s, obj)
 	base, err := o.base.StreamProp(p, s, obj, AllScanCols(), batchRows)
 	if err != nil {
+		// Delta-only property: the base has no table yet. The additions
+		// alone are the scan.
 		base = &chunkRelIter{rel: rel.New(2), batch: batchRows}
 	}
 	return &overlayPropIter{o: o, p: p, base: base, adds: adds, need: need, batch: batchRows, out: rel.Rel{W: 2}}, nil
 }
 
 // StreamTriples implements PhysicalSource: the base stream minus tombstones,
-// then the additions, masked per the base's mode.
+// then the additions, masked per the base's mode. No consumer depends on
+// unbound-property order (PropOrdered speaks only for StreamProp), so a
+// plain concatenation suffices.
 func (o *DeltaOverlay) StreamTriples(s, obj rdf.ID, need ScanCols, batchRows int) RelIter {
 	if batchRows <= 0 {
 		batchRows = DefaultBatchRows
@@ -387,7 +310,7 @@ type overlayPropIter struct {
 	o     *DeltaOverlay
 	p     rdf.ID
 	base  RelIter
-	buf   *rel.Rel // current base batch (real values)
+	buf   *rel.Rel // current base batch (real values), read from bi on
 	bi    int
 	done  bool // base exhausted
 	adds  [][2]uint64
@@ -397,66 +320,37 @@ type overlayPropIter struct {
 	out   rel.Rel
 }
 
-// nextBase returns the next live (non-tombstoned) base row, pulling new
-// batches as needed; ok is false once the base is exhausted.
-func (it *overlayPropIter) nextBase() (row [2]uint64, ok bool, err error) {
-	for {
-		if it.buf == nil || it.bi >= it.buf.Len() {
-			if it.done {
-				return row, false, nil
-			}
-			b, err := it.base.Next()
-			if err != nil {
-				return row, false, err
-			}
-			if b == nil || b.Len() == 0 {
-				it.done = b == nil
-				if b == nil {
-					return row, false, nil
-				}
-				continue
-			}
-			it.buf, it.bi = b, 0
-		}
-		r := it.buf.Row(it.bi)
-		it.bi++
-		if !it.o.d.deleted(rdf.Triple{S: rdf.ID(r[0]), P: it.p, O: rdf.ID(r[1])}) {
-			return [2]uint64{r[0], r[1]}, true, nil
-		}
-	}
-}
-
 func (it *overlayPropIter) Next() (*rel.Rel, error) {
 	out := &it.out
 	reuse(out)
-	// peeked holds a base row pulled but not yet emitted across the
-	// batch-fill loop.
-	var peeked *[2]uint64
 	for out.Len() < it.batch {
-		if peeked == nil {
-			r, ok, err := it.nextBase()
+		if !it.done && (it.buf == nil || it.bi == it.buf.Len()) {
+			b, err := it.base.Next()
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				peeked = &r
+			it.buf, it.bi, it.done = b, 0, b == nil
+			continue
+		}
+		add := it.ai < len(it.adds)
+		if !it.done {
+			row := it.buf.Row(it.bi)
+			if it.o.d.deleted(rdf.Triple{S: rdf.ID(row[0]), P: it.p, O: rdf.ID(row[1])}) {
+				it.bi++
+				continue
+			}
+			if !add || row[0] < it.adds[it.ai][0] ||
+				(row[0] == it.adds[it.ai][0] && row[1] < it.adds[it.ai][1]) {
+				out.Data = append(out.Data, row[0], row[1])
+				it.bi++
+				continue
 			}
 		}
-		if peeked == nil && it.ai >= len(it.adds) {
+		if !add {
 			break
-		}
-		if peeked != nil && (it.ai >= len(it.adds) || peeked[0] < it.adds[it.ai][0] ||
-			(peeked[0] == it.adds[it.ai][0] && peeked[1] < it.adds[it.ai][1])) {
-			out.Data = append(out.Data, peeked[0], peeked[1])
-			peeked = nil
-			continue
 		}
 		out.Data = append(out.Data, it.adds[it.ai][0], it.adds[it.ai][1])
 		it.ai++
-	}
-	if peeked != nil {
-		// The unconsumed row is the last one read from buf: step back onto it.
-		it.bi--
 	}
 	if out.Len() == 0 {
 		return nil, nil

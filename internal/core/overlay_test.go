@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"blackswan/internal/colstore"
@@ -85,30 +87,24 @@ func randomEdit(rng *rand.Rand, g *rdf.Graph, cat Catalog) (adds, dels []rdf.Tri
 	return adds, dels
 }
 
-// drain concatenates every batch of an iterator.
+// drain collects a pull scan, failing the test if it does.
 func drain(t *testing.T, it RelIter, w int) *rel.Rel {
 	t.Helper()
-	out := rel.New(w)
-	for {
-		b, err := it.Next()
-		if err != nil {
-			t.Fatalf("stream: %v", err)
-		}
-		if b == nil {
-			break
-		}
-		out.Data = append(out.Data, b.Data...)
+	out, err := collect(it, w)
+	if err != nil {
+		t.Fatalf("stream: %v", err)
 	}
-	it.Close()
 	return out
 }
 
 // TestOverlayScanEquivalence is the physical-layer contract of live
 // mutation: every scan of (base + delta) through a DeltaOverlay matches
 // the same scan over a from-scratch rebuild of (base ∪ adds ∖ dels) on the
-// same dictionary — byte-identical for the ordered per-property scans,
-// bag-identical for the unordered whole-table scans — for all four
-// schemes, every projection mask, and both access forms (bulk and pull).
+// same dictionary — byte-identical (rows, order and masking) for the
+// ordered per-property scans, bag-identical for the unordered whole-table
+// scans — for all four schemes, every bound combination, every projection
+// mask and every batch size, unbounded included; and Match agrees with a
+// linear filter over the merged graph, which shares no code with either.
 func TestOverlayScanEquivalence(t *testing.T) {
 	masks := []ScanCols{
 		AllScanCols(),
@@ -166,51 +162,49 @@ func TestOverlayScanEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(ov.Props(), rebuilt.Props()) {
 				t.Fatalf("seed %d %s: props %v, rebuilt %v", seed, b.name, ov.Props(), rebuilt.Props())
 			}
+			batches := []int{2, 3, 5, math.MaxInt}
 			for _, p := range props {
 				for _, bd := range bounds {
 					for _, need := range masks {
-						want, werr := rebuilt.ScanProp(p, bd.s, bd.o, need)
-						got, gerr := ov.ScanProp(p, bd.s, bd.o, need)
-						if (werr == nil) != (gerr == nil) {
-							t.Fatalf("seed %d %s: ScanProp(%d,%d,%d) err %v vs %v", seed, b.name, p, bd.s, bd.o, gerr, werr)
+						var want *rel.Rel
+						wIt, werr := rebuilt.StreamProp(p, bd.s, bd.o, need, math.MaxInt)
+						if werr == nil {
+							want = drain(t, wIt, 2)
 						}
-						if werr != nil {
-							continue
-						}
-						if !reflect.DeepEqual(got.Data, want.Data) && (len(got.Data) > 0 || len(want.Data) > 0) {
-							t.Fatalf("seed %d %s: ScanProp(%d,%d,%d,%+v) diverges:\n got %v\nwant %v",
-								seed, b.name, p, bd.s, bd.o, need, got, want)
-						}
-						sIt, serr := ov.StreamProp(p, bd.s, bd.o, need, 3)
-						if serr != nil {
-							t.Fatalf("seed %d %s: StreamProp: %v", seed, b.name, serr)
-						}
-						if streamed := drain(t, sIt, 2); !reflect.DeepEqual(streamed.Data, want.Data) &&
-							(len(streamed.Data) > 0 || len(want.Data) > 0) {
-							t.Fatalf("seed %d %s: StreamProp(%d,%d,%d,%+v) diverges:\n got %v\nwant %v",
-								seed, b.name, p, bd.s, bd.o, need, streamed, want)
+						for _, batch := range batches {
+							gIt, gerr := ov.StreamProp(p, bd.s, bd.o, need, batch)
+							if (werr == nil) != (gerr == nil) {
+								t.Fatalf("seed %d %s: StreamProp(%d,%d,%d) err %v vs %v", seed, b.name, p, bd.s, bd.o, gerr, werr)
+							}
+							if werr != nil {
+								continue
+							}
+							if got := drain(t, gIt, 2); !slices.Equal(got.Data, want.Data) {
+								t.Fatalf("seed %d %s: StreamProp(%d,%d,%d,%+v) at batch %d diverges:\n got %v\nwant %v",
+									seed, b.name, p, bd.s, bd.o, need, batch, got, want)
+							}
 						}
 					}
 				}
 			}
+			ref := GraphSource{G: merged}
 			for _, bd := range bounds {
 				for _, need := range masks {
-					want := rebuilt.ScanTriples(bd.s, bd.o, need)
-					if got := ov.ScanTriples(bd.s, bd.o, need); !rel.Equal(got, want) {
-						t.Fatalf("seed %d %s: ScanTriples(%d,%d,%+v): %d rows vs %d",
-							seed, b.name, bd.s, bd.o, need, got.Len(), want.Len())
-					}
-					if streamed := drain(t, ov.StreamTriples(bd.s, bd.o, need, 5), 3); !rel.Equal(streamed, want) {
-						t.Fatalf("seed %d %s: StreamTriples(%d,%d,%+v): %d rows vs %d",
-							seed, b.name, bd.s, bd.o, need, streamed.Len(), want.Len())
+					want := drain(t, rebuilt.StreamTriples(bd.s, bd.o, need, math.MaxInt), 3)
+					for _, batch := range batches {
+						if got := drain(t, ov.StreamTriples(bd.s, bd.o, need, batch), 3); !rel.Equal(got, want) {
+							t.Fatalf("seed %d %s: StreamTriples(%d,%d,%+v) at batch %d: %d rows vs %d",
+								seed, b.name, bd.s, bd.o, need, batch, got.Len(), want.Len())
+						}
 					}
 				}
-				if got, want := ov.Match(bd.s, rdf.NoID, bd.o), rebuilt.Match(bd.s, rdf.NoID, bd.o); !rel.Equal(got, want) {
-					t.Fatalf("seed %d %s: Match(%d,*,%d): %d rows vs %d", seed, b.name, bd.s, bd.o, got.Len(), want.Len())
-				}
-				for _, p := range []rdf.ID{props[0], props[len(props)-1]} {
-					if got, want := ov.Match(bd.s, p, bd.o), rebuilt.Match(bd.s, p, bd.o); !rel.Equal(got, want) {
-						t.Fatalf("seed %d %s: Match(%d,%d,%d): %d rows vs %d", seed, b.name, bd.s, p, bd.o, got.Len(), want.Len())
+				for _, p := range []rdf.ID{rdf.NoID, props[0], props[len(props)-1]} {
+					want := ref.Match(bd.s, p, bd.o)
+					for _, src := range []PhysicalSource{ov, rebuilt} {
+						if got := src.Match(bd.s, p, bd.o); !rel.Equal(got, want) {
+							t.Fatalf("seed %d %s: %T.Match(%d,%d,%d): %d rows, the merged graph holds %d",
+								seed, b.name, src, bd.s, p, bd.o, got.Len(), want.Len())
+						}
 					}
 				}
 			}
@@ -343,7 +337,7 @@ func TestOverlayMutationSemantics(t *testing.T) {
 		if r := ov.Match(del.S, del.P, del.O); r.Len() != 0 {
 			t.Fatalf("%s: deleted triple still matched %d times", b.name, r.Len())
 		}
-		if n, want := ov.ScanTriples(rdf.NoID, rdf.NoID, AllScanCols()).Len(), len(g.Triples); n != want {
+		if n, want := ov.Match(rdf.NoID, rdf.NoID, rdf.NoID).Len(), len(g.Triples); n != want {
 			t.Fatalf("%s: merged scan %d rows, want %d", b.name, n, want)
 		}
 	}

@@ -192,6 +192,22 @@ type TripleSource interface {
 	Match(s, p, o rdf.ID) *rel.Rel
 }
 
+// GraphSource is the reference TripleSource: Match as a linear filter over
+// the graph's triples — no engine, no index, no charges. The oracles read
+// through it, so what they say shares no code with the scans under test.
+type GraphSource struct{ G *rdf.Graph }
+
+// Match implements TripleSource.
+func (g GraphSource) Match(s, p, o rdf.ID) *rel.Rel {
+	out := rel.New(3)
+	for _, t := range g.G.Triples {
+		if (s == rdf.NoID || t.S == s) && (p == rdf.NoID || t.P == p) && (o == rdf.NoID || t.O == o) {
+			out.Append(uint64(t.S), uint64(t.P), uint64(t.O))
+		}
+	}
+	return out
+}
+
 // EvalBGP evaluates a conjunctive basic graph pattern over any storage
 // scheme, returning one row per solution with columns in order of first
 // variable appearance (and that variable order as the second result).

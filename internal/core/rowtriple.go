@@ -92,34 +92,12 @@ func (d *RowTriple) Run(q Query) (*rel.Rel, error) {
 	return Execute(d, q)
 }
 
-// Match implements TripleSource: an indexed scan of the triples table with
-// the bound positions as equality predicates.
-func (d *RowTriple) Match(s, p, o rdf.ID) *rel.Rel {
-	bound := map[int]uint64{}
-	if s != rdf.NoID {
-		bound[colS] = uint64(s)
-	}
-	if p != rdf.NoID {
-		bound[colP] = uint64(p)
-	}
-	if o != rdf.NoID {
-		bound[colO] = uint64(o)
-	}
-	return d.eng.ScanEq(d.triples, bound)
-}
+// Match implements TripleSource: the pull scan, collected.
+func (d *RowTriple) Match(s, p, o rdf.ID) *rel.Rel { return collectMatch(d, s, p, o) }
 
-// ScanProp implements PhysicalSource: a bound-property range of the
-// triples table, via whichever index prefix the optimizer picks. The need
-// mask is ignored: a row store always reads whole tuples.
-func (d *RowTriple) ScanProp(p, s, o rdf.ID, _ ScanCols) (*rel.Rel, error) {
-	return d.Match(s, p, o).Project(colS, colO), nil
-}
-
-// ScanTriples implements PhysicalSource: the unbound-property scan of the
-// triples table. The need mask is ignored: a row store always reads whole
-// tuples.
-func (d *RowTriple) ScanTriples(s, o rdf.ID, _ ScanCols) *rel.Rel {
-	return d.Match(s, rdf.NoID, o)
+// ScanProp implements PhysicalSource: StreamProp, collected.
+func (d *RowTriple) ScanProp(p, s, o rdf.ID, need ScanCols) (*rel.Rel, error) {
+	return collectProp(d, p, s, o, need)
 }
 
 // Cat implements PhysicalSource.

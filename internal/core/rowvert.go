@@ -89,51 +89,12 @@ func (d *RowVert) Run(q Query) (*rel.Rel, error) {
 	return Execute(d, q)
 }
 
-// Match implements TripleSource as a union of per-property scans. An
-// unbound property iterates every table — the union proliferation the
-// paper warns about.
-func (d *RowVert) Match(s, p, o rdf.ID) *rel.Rel {
-	props := d.cat.AllProps
-	if p != rdf.NoID {
-		props = []rdf.ID{p}
-	}
-	out := rel.New(3)
-	for _, prop := range props {
-		part, err := d.ScanProp(prop, s, o, AllScanCols())
-		if err != nil {
-			continue // property without a table matches nothing
-		}
-		for i := 0; i < part.Len(); i++ {
-			row := part.Row(i)
-			out.Append(row[vcS], uint64(prop), row[vcO])
-		}
-	}
-	return out
-}
+// Match implements TripleSource: the pull scan, collected.
+func (d *RowVert) Match(s, p, o rdf.ID) *rel.Rel { return collectMatch(d, s, p, o) }
 
-// ScanProp implements PhysicalSource: an indexed scan of one property
-// table (clustered SO for subject bounds, the unclustered OS index for
-// object bounds). The need mask is ignored: a row store always reads whole
-// tuples.
-func (d *RowVert) ScanProp(p, s, o rdf.ID, _ ScanCols) (*rel.Rel, error) {
-	t, ok := d.tables[p]
-	if !ok {
-		return nil, fmt.Errorf("core: property %d not loaded in %s", p, d.Label())
-	}
-	bound := map[int]uint64{}
-	if s != rdf.NoID {
-		bound[vcS] = uint64(s)
-	}
-	if o != rdf.NoID {
-		bound[vcO] = uint64(o)
-	}
-	return d.eng.ScanEq(t, bound), nil
-}
-
-// ScanTriples implements PhysicalSource; the executor prefers the
-// partitioned fan-out on this scheme, so this is only the Match fallback.
-func (d *RowVert) ScanTriples(s, o rdf.ID, _ ScanCols) *rel.Rel {
-	return d.Match(s, rdf.NoID, o)
+// ScanProp implements PhysicalSource: StreamProp, collected.
+func (d *RowVert) ScanProp(p, s, o rdf.ID, need ScanCols) (*rel.Rel, error) {
+	return collectProp(d, p, s, o, need)
 }
 
 // Cat implements PhysicalSource.

@@ -21,13 +21,11 @@ import (
 // physical scans, so a pipelined LIMIT-10 plan stops paying simulated I/O
 // after ten rows.
 //
-// Two values configure a run (ExecOptions.Streaming): the batch size and the
-// scan entry point. Pipelined, batches hold BatchRows rows and scans are
-// pulled through StreamProp/StreamTriples. Drained — the schedule of the
-// systems the paper measures — the batch is unbounded, so every operator
-// consumes its whole input in one pull before its consumer runs, and scans
-// enter through the bulk ScanProp/ScanTriples. No operator tests which
-// configuration it is in.
+// One value configures a run (ExecOptions.Streaming): the batch size.
+// Pipelined, batches hold BatchRows rows. Drained — the schedule of the
+// systems the paper measures — the batch is unbounded, so every operator,
+// scans included, hands on its whole output in one pull before its consumer
+// runs. No operator tests which configuration it is in.
 //
 // Batch ownership: a batch belongs to the iterator that returned it and is
 // valid until the next next()/close() on that iterator, which refills the
@@ -42,9 +40,9 @@ import (
 // it (simio.Clock scales the summed charges once, at read), so two
 // configurations disagree only where they do different work: a scan
 // abandoned early never pays for the leaves and column ranges it did not
-// read, pulled column I/O is requested in read-ahead windows instead of one
-// bulk range, and a merge join charges the batch it pulled past the end of
-// its shorter input.
+// read, a column request is extended to a read-ahead window only while its
+// scan has a further batch to pull, and a merge join charges the batch it
+// pulled past the end of its shorter input.
 
 // DefaultBatchRows is the pipelined batch size when ExecOptions.BatchRows
 // is zero: large enough to amortize per-batch dispatch, small enough that a
@@ -139,10 +137,9 @@ type streamer struct {
 	mem  *memTracker
 	// prof is the EXPLAIN ANALYZE collector, nil unless ExecOptions.Profile.
 	prof *profiler
-	// batch is the most rows an operator hands on at once; bulk selects the
-	// scan entry point. Together they are the configuration.
+	// batch is the most rows an operator hands on at once — the
+	// configuration.
 	batch int
-	bulk  bool
 	// free holds the output buffers of closed operators for the operators
 	// opened next — a partitioned access opens one scan → assemble → filter →
 	// probe chain per property, up to 222 a query.
@@ -331,13 +328,11 @@ func (e *edge) close() {
 
 // chunkIter hands an already-materialized relation on in batches. The views
 // alias the backing array (which is already tracked), so no charges and no
-// fresh allocation happen. src marks a bulk scan's rows, whose batches count
-// as source batches.
+// fresh allocation happen.
 type chunkIter struct {
 	st   *streamer
 	rel  *rel.Rel
 	cur  int
-	src  bool
 	view rel.Rel
 }
 
@@ -352,9 +347,6 @@ func (c *chunkIter) next() (*rel.Rel, error) {
 	hi := c.cur + min(c.st.batch, n-c.cur)
 	c.view = rel.Rel{W: c.rel.W, Data: c.rel.Data[c.cur*c.rel.W : hi*c.rel.W]}
 	c.cur = hi
-	if c.src {
-		c.st.tr.SourceBatches++
-	}
 	return &c.view, nil
 }
 
@@ -472,30 +464,13 @@ func (st *streamer) drain(it iter, w int, live bool) (*rel.Rel, error) {
 	return out, nil
 }
 
-// propStream opens one per-property scan through the configured entry
-// point: the scheme's pull cursor, or its bulk scan handed on in batches.
+// propStream opens one per-property scan.
 func (st *streamer) propStream(p, s, o rdf.ID, need ScanCols) (iter, error) {
-	if !st.bulk {
-		ri, err := st.src.StreamProp(p, s, o, need, st.batch)
-		if err != nil {
-			return nil, err
-		}
-		return st.source(ri), nil
-	}
-	rows, err := st.src.ScanProp(p, s, o, need)
+	ri, err := st.src.StreamProp(p, s, o, need, st.batch)
 	if err != nil {
 		return nil, err
 	}
-	return &chunkIter{st: st, rel: rows, src: true}, nil
-}
-
-// triplesStream is propStream's unbound-property counterpart.
-func (st *streamer) triplesStream(s, o rdf.ID, need ScanCols) iter {
-	if !st.bulk {
-		return st.source(st.src.StreamTriples(s, o, need, st.batch))
-	}
-	rows := st.src.ScanTriples(s, o, need)
-	return &chunkIter{st: st, rel: rows, src: true}
+	return st.source(ri), nil
 }
 
 func (st *streamer) buildAccess(a *Access) (stream, error) {
@@ -545,7 +520,7 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 	if a.Restrict {
 		need.P = true
 	}
-	it := st.triplesStream(tp.S.Const, tp.O.Const, need)
+	it := st.source(st.src.StreamTriples(tp.S.Const, tp.O.Const, need, st.batch))
 	if a.Restrict {
 		// The restriction set comes from the catalog: building it (28 rows)
 		// is a constant the executor does not charge, testing each row is.

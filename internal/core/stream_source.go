@@ -2,18 +2,19 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"blackswan/internal/colstore"
 	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
 )
 
-// This file implements the pull half of PhysicalSource for the four storage
-// schemes: each scheme's bulk ScanProp/ScanTriples is re-expressed as a pull
-// iterator that delivers the same rows in the same order with the same
-// access-path charges, paid batch by batch instead of up front — so a
-// consumer that terminates early (LIMIT, TopN, an exhausted join build)
-// saves the simulated CPU and I/O of the unread tail.
+// This file is the physical scan layer of the four storage schemes: each
+// scan is a pull iterator whose access-path charges are paid as its batches
+// are pulled — so a consumer that terminates early (LIMIT, TopN, an
+// exhausted join build) saves the simulated CPU and I/O of the unread tail —
+// and a materialized scan is that iterator opened with an unbounded batch
+// and collected.
 
 // cursorIter adapts an engine's pull cursor (rowstore.ScanCursor,
 // colstore.ColScan) to the executor's RelIter. The cursor refills the one
@@ -39,9 +40,8 @@ func (it *cursorIter) Next() (*rel.Rel, error) {
 // simply stops charging.
 func (it *cursorIter) Close() {}
 
-// chunkRelIter is the scan-then-chunk fallback for scheme paths the
-// executor never exercises (Partitioned schemes answer unbound properties
-// through the per-property fan-out, not StreamTriples).
+// chunkRelIter replays rows already in memory (the overlay's additions) in
+// batches of at most batch rows.
 type chunkRelIter struct {
 	rel   *rel.Rel
 	batch int
@@ -54,10 +54,7 @@ func (c *chunkRelIter) Next() (*rel.Rel, error) {
 	if c.cur >= n {
 		return nil, nil
 	}
-	hi := c.cur + c.batch
-	if hi > n {
-		hi = n
-	}
+	hi := c.cur + min(c.batch, n-c.cur)
 	c.view = rel.Rel{W: c.rel.W, Data: c.rel.Data[c.cur*c.rel.W : hi*c.rel.W]}
 	c.cur = hi
 	return &c.view, nil
@@ -65,10 +62,111 @@ func (c *chunkRelIter) Next() (*rel.Rel, error) {
 
 func (c *chunkRelIter) Close() {}
 
+// propConcat scans a property roster as (s, p, o) rows: the per-property
+// pull scans one after another, each batch widened with its property — the
+// unbound-property scan of the partitioned schemes, and any scheme's
+// bound-property scan in triple shape. A property without a table matches
+// nothing.
+type propConcat struct {
+	src   PhysicalSource
+	props []rdf.ID
+	s, o  rdf.ID
+	need  ScanCols
+	batch int
+	p     rdf.ID  // the property of cur
+	cur   RelIter // nil between properties
+	out   rel.Rel
+}
+
+func (c *propConcat) Next() (*rel.Rel, error) {
+	for {
+		if c.cur == nil {
+			if len(c.props) == 0 {
+				return nil, nil
+			}
+			c.p, c.props = c.props[0], c.props[1:]
+			it, err := c.src.StreamProp(c.p, c.s, c.o, c.need, c.batch)
+			if err != nil {
+				continue
+			}
+			c.cur = it
+		}
+		b, err := c.cur.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			c.cur.Close()
+			c.cur = nil
+			continue
+		}
+		reuse(&c.out)
+		c.out.W = 3
+		for i, n := 0, b.Len(); i < n; i++ {
+			row := b.Row(i)
+			c.out.Data = append(c.out.Data, row[0], uint64(c.p), row[1])
+		}
+		return &c.out, nil
+	}
+}
+
+func (c *propConcat) Close() {
+	if c.cur != nil {
+		c.cur.Close()
+	}
+	c.cur, c.props = nil, nil
+}
+
+// collect is the materialized form of a scan: the pull scan drained into
+// one relation of width w.
+func collect(it RelIter, w int) (*rel.Rel, error) {
+	defer it.Close()
+	out := rel.New(w)
+	for {
+		b, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return out, nil
+		}
+		out.Data = append(out.Data, b.Data...)
+	}
+}
+
+// collectProp is every scheme's ScanProp: StreamProp under an unbounded
+// batch, collected.
+func collectProp(src PhysicalSource, p, s, o rdf.ID, need ScanCols) (*rel.Rel, error) {
+	it, err := src.StreamProp(p, s, o, need, math.MaxInt)
+	if err != nil {
+		return nil, err
+	}
+	return collect(it, 2)
+}
+
+// collectMatch is every scheme's Match: the unbound-property scan, or the
+// one property's scan in triple shape, fully materialized and collected. A
+// scan that cannot be opened matches nothing.
+func collectMatch(src PhysicalSource, s, p, o rdf.ID) *rel.Rel {
+	var it RelIter
+	if p == rdf.NoID {
+		it = src.StreamTriples(s, o, AllScanCols(), math.MaxInt)
+	} else {
+		it = &propConcat{src: src, props: []rdf.ID{p}, s: s, o: o, need: AllScanCols(), batch: math.MaxInt}
+	}
+	out, err := collect(it, 3)
+	if err != nil {
+		return rel.New(3)
+	}
+	return out
+}
+
 // ---- RowTriple ----
 
-// StreamProp implements PhysicalSource: the pull form of ScanProp — the same
-// indexed range of the triples table, emitting only (s, o).
+// StreamProp implements PhysicalSource: a bound-property range of the
+// triples table, via whichever index prefix the optimizer picks, emitting
+// only (s, o). The need mask is ignored: a row store always reads whole
+// tuples.
 func (d *RowTriple) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIter, error) {
 	bound := map[int]uint64{colP: uint64(p)}
 	if s != rdf.NoID {
@@ -80,7 +178,8 @@ func (d *RowTriple) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIt
 	return &cursorIter{cur: d.eng.ScanEqStream(d.triples, bound, batchRows, colS, colO)}, nil
 }
 
-// StreamTriples implements PhysicalSource: the pull form of ScanTriples.
+// StreamTriples implements PhysicalSource: the unbound-property scan of the
+// triples table, the need mask ignored as in StreamProp.
 func (d *RowTriple) StreamTriples(s, o rdf.ID, _ ScanCols, batchRows int) RelIter {
 	bound := map[int]uint64{}
 	if s != rdf.NoID {
@@ -94,9 +193,10 @@ func (d *RowTriple) StreamTriples(s, o rdf.ID, _ ScanCols, batchRows int) RelIte
 
 // ---- RowVert ----
 
-// StreamProp implements PhysicalSource: a pull cursor over one property
-// table (clustered SO for subject bounds, the OS index for object bounds —
-// pickIndex decides, as in the bulk scan).
+// StreamProp implements PhysicalSource: an indexed scan of one property
+// table (clustered SO for subject bounds, the unclustered OS index for
+// object bounds — pickIndex decides). The need mask is ignored: a row store
+// always reads whole tuples.
 func (d *RowVert) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIter, error) {
 	t, ok := d.tables[p]
 	if !ok {
@@ -112,19 +212,21 @@ func (d *RowVert) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIter
 	return &cursorIter{cur: d.eng.ScanEqStream(t, bound, batchRows, vcS, vcO)}, nil
 }
 
-// StreamTriples implements PhysicalSource. The executor answers
-// unbound properties on partitioned schemes through the per-property
-// fan-out, so this is only the interface-completing fallback.
+// StreamTriples implements PhysicalSource as every property table in turn —
+// the union proliferation the paper warns about. The executor answers
+// unbound properties on partitioned schemes through its own per-property
+// fan-out, so this serves Match.
 func (d *RowVert) StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter {
-	return &chunkRelIter{rel: d.ScanTriples(s, o, need), batch: batchRows}
+	return &propConcat{src: d, props: d.cat.AllProps, s: s, o: o, need: need, batch: batchRows}
 }
 
 // ---- column-store scheme helpers ----
 
-// streamCol builds one output column of a streaming column scan, mirroring
-// fetchIfNeeded: an un-needed position emits zeros for free, a bound
-// position fills its constant for free, and only a needed unbound position
-// fetches — which is the one case that charges a Fetch operator dispatch.
+// streamCol builds one output column of a column scan: an un-needed
+// position emits zeros for free, a bound position fills its constant for
+// free (the value is already known from the predicate), and only a needed
+// unbound position fetches — the one case that charges a fetch operator
+// dispatch.
 func streamCol(eng *colstore.Engine, c *colstore.Column, bound rdf.ID, needed bool) colstore.StreamCol {
 	if !needed {
 		return colstore.StreamCol{}
@@ -132,18 +234,19 @@ func streamCol(eng *colstore.Engine, c *colstore.Column, bound rdf.ID, needed bo
 	if bound != rdf.NoID {
 		return colstore.StreamCol{Const: uint64(bound)}
 	}
-	// One Fetch call per demanded column in the bulk path.
 	eng.ChargeNode()
 	return colstore.StreamCol{C: c}
 }
 
 // ---- ColVert ----
 
-// StreamProp implements PhysicalSource: the pull form of the vertical table
-// scan. A bound subject binary-searches the sorted subject column to a
-// position range (SelectEq's sorted path); a bound object scans the full
-// table (SelectEq's unsorted path); the per-candidate selection tests and
-// the needed fetches then follow the batches.
+// StreamProp implements PhysicalSource: positional selection on one
+// property table, materializing only the columns the plan demands. A bound
+// subject binary-searches the sorted subject column to a position range; a
+// bound object alone scans the full table; the per-candidate selection
+// tests and the needed fetches then follow the batches. It fails for
+// properties the restricted C-Store load did not materialize, exactly as
+// the original code base could not answer the full-roster queries.
 func (d *ColVert) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelIter, error) {
 	t, ok := d.tables[p]
 	if !ok {
@@ -157,12 +260,12 @@ func (d *ColVert) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelI
 		lo, hi = d.eng.SelectRange(sc, uint64(s))
 		conds = append(conds, colstore.EqCond{C: sc, V: uint64(s)})
 		if o != rdf.NoID {
-			// The bulk path's SelectEqAt dispatch.
+			// One more selection dispatch refining the candidates.
 			d.eng.ChargeNode()
 			conds = append(conds, colstore.EqCond{C: oc, V: uint64(o)})
 		}
 	case o != rdf.NoID:
-		// Unsorted-column SelectEq: one dispatch, then a full-range scan.
+		// An unsorted column: one dispatch, then a full-range scan.
 		d.eng.ChargeNode()
 		conds = append(conds, colstore.EqCond{C: oc, V: uint64(o)})
 	}
@@ -173,18 +276,18 @@ func (d *ColVert) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelI
 	return &cursorIter{cur: d.eng.NewColScan(lo, hi, conds, out, batchRows)}, nil
 }
 
-// StreamTriples implements PhysicalSource; interface-completing fallback, as
-// for RowVert.
+// StreamTriples implements PhysicalSource as every loaded table in turn,
+// with masked per-table fetches; it serves Match, as for RowVert.
 func (d *ColVert) StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter {
-	return &chunkRelIter{rel: d.ScanTriples(s, o, need), batch: batchRows}
+	return &propConcat{src: d, props: d.loaded, s: s, o: o, need: need, batch: batchRows}
 }
 
 // ---- ColTriple ----
 
-// streamSelect reproduces selectPos's access-path charges for a streaming
-// scan: the leading bound column either binary-searches its sorted run or
-// dispatches a full-range scan; every further bound column is one more
-// selection dispatch refining the candidates.
+// streamSelect charges a scan's access path: the leading bound column
+// either binary-searches its sorted run (free on the clustering's leading
+// column) or dispatches a full-range scan; every further bound column is
+// one more selection dispatch refining the candidates.
 func (d *ColTriple) streamSelect(lead *colstore.Column, leadV uint64, rest ...colstore.EqCond) (int, int, []colstore.EqCond) {
 	lo, hi := 0, d.table.Rows()
 	if lead.Sorted {
@@ -194,15 +297,15 @@ func (d *ColTriple) streamSelect(lead *colstore.Column, leadV uint64, rest ...co
 	}
 	conds := append([]colstore.EqCond{{C: lead, V: leadV}}, rest...)
 	for range rest {
-		// One SelectEqAt dispatch per refinement in the bulk path.
 		d.eng.ChargeNode()
 	}
 	return lo, hi, conds
 }
 
-// StreamProp implements PhysicalSource: the pull form of ScanProp on the
-// clustered triples table, selecting on p (then s, then o) and fetching
-// only the demanded columns.
+// StreamProp implements PhysicalSource: a positional selection on the
+// clustered triples table — on p, then s, then o — that materializes only
+// the columns the plan demands, the late materialization the hand-written
+// column-at-a-time plans relied on.
 func (d *ColTriple) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelIter, error) {
 	var rest []colstore.EqCond
 	if s != rdf.NoID {
@@ -219,8 +322,9 @@ func (d *ColTriple) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (Re
 	return &cursorIter{cur: d.eng.NewColScan(lo, hi, conds, out, batchRows)}, nil
 }
 
-// StreamTriples implements PhysicalSource: the pull form of ScanTriples —
-// width-3 batches with only the demanded columns fetched.
+// StreamTriples implements PhysicalSource: the unbound-property scan with
+// late materialization — width-3 batches with only the demanded columns
+// fetched.
 func (d *ColTriple) StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter {
 	lo, hi := 0, d.table.Rows()
 	var conds []colstore.EqCond

@@ -254,8 +254,8 @@ func TestStreamingTopNHeapCompares(t *testing.T) {
 
 // TestStreamingPeakMemoryBounded asserts the headline memory claim: a
 // LIMIT-10 plan's tracked peak bytes in the pipelined configuration are at
-// least 10× below the drain configuration's, whose bulk scan holds the
-// whole table.
+// least 10× below the drain configuration's, whose scan hands on the whole
+// table in one batch.
 func TestStreamingPeakMemoryBounded(t *testing.T) {
 	_, _, dbs := streamGen(t)
 	plan := &Limit{In: &Access{Pattern: Pat(V("s"), V("p"), V("o"))}, N: 10}

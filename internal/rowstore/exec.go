@@ -88,89 +88,6 @@ func prefixLen(p Perm, bound map[int]uint64) int {
 	return n
 }
 
-// ScanEq returns all rows of t whose columns match every binding in bound,
-// in logical column order. The access path is chosen by pickIndex; bindings
-// not covered by the index prefix are applied as residual filters.
-func (e *Engine) ScanEq(t *Table, bound map[int]uint64) *rel.Rel {
-	e.node()
-	ix, plen := pickIndex(t, bound)
-	var prefix btree.Key
-	for j := 0; j < plen; j++ {
-		prefix[j] = bound[ix.Perm[j]]
-	}
-	out := rel.New(t.Width)
-	c := e.Costs
-	residual := len(bound) > plen
-	// Per-tuple costs are summed locally and charged once per scan: the
-	// total is identical, and the store's accounting lock is taken once
-	// instead of once per tuple — what lets parallel per-property scans
-	// actually overlap.
-	var tuples int64
-	e.scanIndex(ix, prefix, plen, func(row []uint64) {
-		tuples++
-		if residual {
-			for col, v := range bound {
-				if row[col] != v {
-					return
-				}
-			}
-		}
-		out.Data = append(out.Data, row...)
-	})
-	cost := tuples * c.ScanTuple
-	if residual {
-		cost += tuples * c.FilterTuple
-	}
-	e.Store.ChargeCPU(cost)
-	return out
-}
-
-// ScanAll returns the whole table via its clustered index.
-func (e *Engine) ScanAll(t *Table) *rel.Rel {
-	return e.ScanEq(t, nil)
-}
-
-// scanIndex walks one index range, handing rows to f in logical order.
-func (e *Engine) scanIndex(ix *Index, prefix btree.Key, plen int, f func(row []uint64)) {
-	w := ix.Tree.Width()
-	row := make([]uint64, w)
-	ix.Tree.ScanPrefix(prefix, plen, func(k btree.Key) bool {
-		for j := 0; j < w; j++ {
-			row[ix.Perm[j]] = k[j]
-		}
-		f(row)
-		return true
-	})
-}
-
-// Exists reports whether a row matching all bound columns exists — the
-// point-query triple pattern p1.
-func (e *Engine) Exists(t *Table, bound map[int]uint64) bool {
-	e.node()
-	ix, plen := pickIndex(t, bound)
-	var prefix btree.Key
-	for j := 0; j < plen; j++ {
-		prefix[j] = bound[ix.Perm[j]]
-	}
-	found := false
-	w := ix.Tree.Width()
-	row := make([]uint64, w)
-	ix.Tree.ScanPrefix(prefix, plen, func(k btree.Key) bool {
-		e.Store.ChargeCPU(e.Costs.ScanTuple)
-		for j := 0; j < w; j++ {
-			row[ix.Perm[j]] = k[j]
-		}
-		for col, v := range bound {
-			if row[col] != v {
-				return true // keep scanning the range
-			}
-		}
-		found = true
-		return false
-	})
-	return found
-}
-
 // HashJoin joins l and r on l[lc] == r[rc], returning l's columns followed
 // by r's. The smaller input builds the hash table, as any optimizer would
 // arrange.

@@ -1,7 +1,9 @@
 package rowstore
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,6 +37,21 @@ func loadTriples(t *testing.T, e *Engine, rows *rel.Rel, clustered Perm, seconda
 	return tb
 }
 
+// drain collects a scan of every column of tb, pulled batch rows at a time.
+func drain(e *Engine, tb *Table, bound map[int]uint64, batch int) *rel.Rel {
+	cols := make([]int, tb.Width)
+	for i := range cols {
+		cols[i] = i
+	}
+	c := e.ScanEqStream(tb, bound, batch, cols...)
+	out := rel.New(tb.Width)
+	var b rel.Rel
+	for c.Next(&b) {
+		out.Data = append(out.Data, b.Data...)
+	}
+	return out
+}
+
 func TestCreateTableValidation(t *testing.T) {
 	e := newEngine()
 	rows := tripleRows(10, 1)
@@ -65,9 +82,9 @@ func TestScanAllReturnsEverything(t *testing.T) {
 	e := newEngine()
 	rows := tripleRows(5000, 2)
 	tb := loadTriples(t, e, rows, Perm{1, 0, 2}) // PSO
-	got := e.ScanAll(tb)
+	got := drain(e, tb, nil, math.MaxInt)
 	if !rel.Equal(got, rows) {
-		t.Fatalf("ScanAll returned %d rows, want %d (or content differs)", got.Len(), rows.Len())
+		t.Fatalf("full scan returned %d rows, want %d (or content differs)", got.Len(), rows.Len())
 	}
 }
 
@@ -98,9 +115,9 @@ func TestScanEqMatchesLinearFilter(t *testing.T) {
 				want.Data = append(want.Data, row...)
 			}
 		}
-		got := e.ScanEq(tb, bound)
+		got := drain(e, tb, bound, math.MaxInt)
 		if !rel.Equal(got, want) {
-			t.Fatalf("ScanEq(%v): got %d rows, want %d", bound, got.Len(), want.Len())
+			t.Fatalf("scan %v: got %d rows, want %d", bound, got.Len(), want.Len())
 		}
 	}
 }
@@ -166,14 +183,14 @@ func TestClusteringAffectsIO(t *testing.T) {
 	tPSO := loadTriples(t, ePSO, rows, Perm{1, 0, 2})
 	ePSO.Store.DropCaches()
 	ePSO.Store.ResetStats()
-	resPSO := ePSO.ScanEq(tPSO, map[int]uint64{1: 7})
+	resPSO := drain(ePSO, tPSO, map[int]uint64{1: 7}, math.MaxInt)
 	bytesPSO := ePSO.Store.Stats().BytesRead
 
 	eSPO := newEngine()
 	tSPO := loadTriples(t, eSPO, rows, Perm{0, 1, 2})
 	eSPO.Store.DropCaches()
 	eSPO.Store.ResetStats()
-	resSPO := eSPO.ScanEq(tSPO, map[int]uint64{1: 7})
+	resSPO := drain(eSPO, tSPO, map[int]uint64{1: 7}, math.MaxInt)
 	bytesSPO := eSPO.Store.Stats().BytesRead
 
 	if !rel.Equal(resPSO, resSPO) {
@@ -184,16 +201,51 @@ func TestClusteringAffectsIO(t *testing.T) {
 	}
 }
 
+func TestScanCursorBatchSizes(t *testing.T) {
+	// The batch size is a schedule, not a result: from a range that starts
+	// mid-tree, with and without a residual filter, every batch size —
+	// unbounded included — returns the same rows in the same order for the
+	// same simulated CPU.
+	e := newEngine()
+	tb := loadTriples(t, e, tripleRows(30_000, 9), Perm{1, 0, 2}, Perm{2, 0, 1})
+	for _, bound := range []map[int]uint64{{1: 11}, {1: 11, 2: 40}, {2: 40}, nil} {
+		var want *rel.Rel
+		var wantCPU time.Duration
+		for _, batch := range []int{1, 7, 1024, math.MaxInt} {
+			e.Store.Clock().Reset()
+			got := drain(e, tb, bound, batch)
+			cpu := e.Store.Clock().User()
+			if want == nil {
+				if want, wantCPU = got, cpu; got.Len() == 0 {
+					t.Fatalf("scan %v matched nothing", bound)
+				}
+				continue
+			}
+			if !slices.Equal(got.Data, want.Data) {
+				t.Fatalf("scan %v at batch %d: %d rows differ from batch 1's %d", bound, batch, got.Len(), want.Len())
+			}
+			if cpu != wantCPU {
+				t.Fatalf("scan %v at batch %d charged %v, batch 1 %v", bound, batch, cpu, wantCPU)
+			}
+		}
+	}
+}
+
 func TestExists(t *testing.T) {
 	e := newEngine()
 	r := rel.New(3)
 	r.Append(1, 2, 3)
 	r.Append(4, 5, 6)
 	tb := loadTriples(t, e, r, Perm{0, 1, 2})
-	if !e.Exists(tb, map[int]uint64{0: 1, 1: 2, 2: 3}) {
+	// The point-query triple pattern p1: every column bound, one row pulled.
+	exists := func(bound map[int]uint64) bool {
+		var b rel.Rel
+		return e.ScanEqStream(tb, bound, 1, 0).Next(&b)
+	}
+	if !exists(map[int]uint64{0: 1, 1: 2, 2: 3}) {
 		t.Fatal("present row not found")
 	}
-	if e.Exists(tb, map[int]uint64{0: 1, 1: 2, 2: 4}) {
+	if exists(map[int]uint64{0: 1, 1: 2, 2: 4}) {
 		t.Fatal("absent row found")
 	}
 }
@@ -236,7 +288,7 @@ func TestOperatorsChargeCPU(t *testing.T) {
 	rows := tripleRows(10_000, 7)
 	tb := loadTriples(t, e, rows, Perm{1, 0, 2})
 	e.Store.Clock().Reset()
-	all := e.ScanAll(tb)
+	all := drain(e, tb, nil, math.MaxInt)
 	if e.Store.Clock().User() == 0 {
 		t.Fatal("scan charged no CPU")
 	}

@@ -9,8 +9,8 @@ import (
 // (core.PhysicalOps / core.PhysicalSource). The operators themselves live
 // once in internal/core and are engine-agnostic; what the engine supplies is
 // (a) per-row charge rates matching its tuple-at-a-time cost model, and (b)
-// a pull-based scan whose simulated charges replicate ScanEq batch by batch,
-// so early termination translates into real saved I/O.
+// the engine's one scan: a pull cursor charged batch by batch, so early
+// termination translates into real saved I/O.
 
 // StreamNode charges one plan-node startup, as node() does for a scan.
 func (e *Engine) StreamNode() { e.Store.ChargeCPU(e.Costs.NodeStartup) }
@@ -53,10 +53,9 @@ func (e *Engine) StreamEmitRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs
 // StreamSortCompares charges n sort comparisons (ORDER BY / heap TopN).
 func (e *Engine) StreamSortCompares(n int64) { e.Store.ChargeCPU(n * e.Costs.SortTuple) }
 
-// ScanCursor is the pull-based form of ScanEq: same access path, same rows
-// in the same order, and the same simulated charges when fully drained —
-// but charged batch by batch, so a consumer that stops early pays only for
-// the leaves and tuples it actually pulled.
+// ScanCursor is a conjunctive equality scan of one table, in index order:
+// per-tuple CPU and leaf I/O are charged batch by batch, so a consumer that
+// stops early pays only for the leaves and tuples it actually pulled.
 type ScanCursor struct {
 	e     *Engine
 	cur   *btree.Cursor
@@ -68,11 +67,12 @@ type ScanCursor struct {
 	done  bool
 }
 
-// ScanEqStream opens a streaming equality scan over t emitting the logical
-// columns cols, in that order. The node-startup charge and access-path
-// choice happen here, exactly as in ScanEq; per-tuple charges and leaf I/O
-// follow the cursor. The index key → output row permutation and the
-// residual predicate are resolved here, once.
+// ScanEqStream opens a scan of the rows of t whose columns match every
+// binding in bound, emitting the logical columns cols, in that order. The
+// node-startup charge and access-path choice (pickIndex) happen here;
+// per-tuple charges and leaf I/O follow the cursor. Bindings not covered by
+// the index prefix are applied as a residual filter; it and the index key →
+// output row permutation are resolved here, once.
 func (e *Engine) ScanEqStream(t *Table, bound map[int]uint64, batchRows int, cols ...int) *ScanCursor {
 	e.node()
 	ix, plen := pickIndex(t, bound)

@@ -99,7 +99,7 @@ type Config struct {
 	CacheSize int
 	// Materialize runs executions in the executor's drain configuration
 	// (core.ExecOptions{Streaming: false}: one unbounded batch per operator,
-	// bulk scans) instead of the pipelined default. Results are
+	// scans included) instead of the pipelined default. Results are
 	// byte-identical; pipelined, per-query memory stays bounded by batches
 	// plus operator state and LIMIT/TopN queries terminate their scans
 	// early, which is what matters under concurrent traffic. The performance

@@ -12,7 +12,6 @@ import (
 	"blackswan/internal/core"
 	"blackswan/internal/datagen"
 	"blackswan/internal/rdf"
-	"blackswan/internal/rel"
 	"blackswan/internal/serve"
 )
 
@@ -214,14 +213,7 @@ type gatedSource struct {
 	gate    chan struct{} // scans proceed once closed
 }
 
-func (g *gatedSource) ScanProp(p, s, o rdf.ID, need core.ScanCols) (*rel.Rel, error) {
-	g.once.Do(func() { close(g.started) })
-	<-g.gate
-	return g.PhysicalSource.ScanProp(p, s, o, need)
-}
-
-// StreamProp gates the pull form of the same scan, the entry the serving
-// layer's pipelined executions use.
+// StreamProp gates the per-property scan, the entry every execution uses.
 func (g *gatedSource) StreamProp(p, s, o rdf.ID, need core.ScanCols, batchRows int) (core.RelIter, error) {
 	g.once.Do(func() { close(g.started) })
 	<-g.gate
@@ -234,7 +226,7 @@ func (g *gatedSource) StreamProp(p, s, o rdf.ID, need core.ScanCols, batchRows i
 func TestAdmissionAndCancellation(t *testing.T) {
 	w, sys, est := fixture(t)
 	// The vertically-partitioned scheme lowers an unbound property to one
-	// ScanProp per property — plenty of gate crossings and ctx checks.
+	// StreamProp per property — plenty of gate crossings and ctx checks.
 	var vert *bench.System
 	for _, s := range sys {
 		if s.Name == "DBX vert SO" {

@@ -15,7 +15,6 @@ import (
 
 	"blackswan/internal/core"
 	"blackswan/internal/rdf"
-	"blackswan/internal/rel"
 	"blackswan/internal/serve"
 	"blackswan/internal/trace"
 )
@@ -251,10 +250,6 @@ func logRecord(t *testing.T, buf *bytes.Buffer, msg string) map[string]any {
 // deterministic execution-time (exec-class) error.
 type failingSource struct {
 	core.PhysicalSource
-}
-
-func (f failingSource) ScanProp(p, s, o rdf.ID, need core.ScanCols) (*rel.Rel, error) {
-	return nil, errors.New("simulated disk failure")
 }
 
 func (f failingSource) StreamProp(p, s, o rdf.ID, need core.ScanCols, batchRows int) (core.RelIter, error) {
