@@ -8,6 +8,7 @@ import (
 
 	"blackswan/internal/bgp"
 	"blackswan/internal/core"
+	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
 )
 
@@ -15,9 +16,11 @@ import (
 // each other on every scheme — drained (core.ExecOptions{}: one unbounded
 // batch per operator, scans included; the "materializing" cells) and pipelined
 // (Streaming: true; the "streaming" cells): the twelve paper queries (where
-// both drain everything and the comparison is charge parity) and a
-// generated ORDER BY/LIMIT workload (where early termination is supposed to
-// pay). Reported per query and mode: simulated real/user time, host time,
+// both drain everything and the comparison is charge parity), a generated
+// ORDER BY/LIMIT workload (where early termination is supposed to pay), and
+// anchored stars, whose sibling joins the compiler licenses to probe (where
+// a scheme that seeks a subject never scans the siblings). Reported per
+// query and mode: simulated real/user time, host time,
 // physical I/O, and the tracked peak of per-query intermediate memory.
 // Result identity is an invariant of an emitted report — a violation aborts
 // the run: on a scheme, every configuration (drained, pipelined at 1024 rows
@@ -69,7 +72,7 @@ type StreamRun struct {
 // StreamQueryResult is one query × system row with both configurations' cells.
 type StreamQueryResult struct {
 	Query  string `json:"query"`
-	Kind   string `json:"kind"` // "paper", "limit", "join-limit" or "topn"
+	Kind   string `json:"kind"` // "paper", "limit", "join-limit", "topn" or "star"
 	System string `json:"system"`
 	Rows   int    `json:"rows"`
 	// HeapTopN reports the query ran a bounded-heap TopN.
@@ -110,6 +113,7 @@ type StreamReport struct {
 	LimitQueries int    `json:"limitQueries"`
 	JoinQueries  int    `json:"joinQueries"`
 	TopNQueries  int    `json:"topnQueries"`
+	StarQueries  int    `json:"starQueries"`
 	// Identical is an invariant of an emitted report: on every scheme every
 	// configuration returned the same bytes in the same order, the
 	// oracle's where the query has one.
@@ -184,6 +188,50 @@ func streamGenQueries(w *Workload, cfg bgp.GenConfig, keep func(*bgp.Query) bool
 		out = append(out, q)
 	}
 	return out
+}
+
+// starTexts returns the star workload: for arity 2 and 3, the first triple
+// (in the graph's order) of a property of frequency rank 4–11 whose
+// (property, object) matches at most 20 subjects and whose subject carries
+// the arity's sibling properties — the most frequent ones, as in the
+// performance ledger's star-selective workload. Data too small to hold such
+// an anchor yields no star of that arity.
+func starTexts(w *Workload) []string {
+	g, ranked := w.DS.Graph, w.DS.PropsByRank
+	if len(ranked) < 12 {
+		return nil
+	}
+	type key struct{ a, b rdf.ID }
+	anchor := map[rdf.ID]bool{}
+	for _, p := range ranked[4:12] {
+		anchor[p] = true
+	}
+	poCount := map[key]int{} // of the anchor properties
+	has := map[key]bool{}    // (subject, sibling property)
+	for _, t := range g.Triples {
+		if anchor[t.P] {
+			poCount[key{t.P, t.O}]++
+		} else if t.P == ranked[0] || t.P == ranked[1] {
+			has[key{t.S, t.P}] = true
+		}
+	}
+	term := func(id rdf.ID) string { return g.Dict.Term(id).String() }
+	var texts []string
+	for arity := 2; arity <= 3; arity++ {
+		for _, t := range g.Triples {
+			if !anchor[t.P] || poCount[key{t.P, t.O}] > 20 || !has[key{t.S, ranked[0]}] || !has[key{t.S, ranked[arity-2]}] {
+				continue
+			}
+			sel, where := "SELECT ?s", fmt.Sprintf("?s %s %s", term(t.P), term(t.O))
+			for k, v := range []string{"?a", "?b"}[:arity-1] {
+				sel += " " + v
+				where += fmt.Sprintf(" . ?s %s %s", term(ranked[k]), v)
+			}
+			texts = append(texts, sel+" WHERE { "+where+" }")
+			break
+		}
+	}
+	return texts
 }
 
 // RunStream runs the stream experiment over the given systems (normally
@@ -296,6 +344,23 @@ func RunStream(w *Workload, systems []*System, opt StreamOptions) (*StreamReport
 		report.TopNQueries++
 	}
 
+	// The star workload: anchored stars of arity 2 and 3, compiled with the
+	// estimator, so their sibling joins carry the compiler's probe license —
+	// the cells where a subject-seeking scheme pays per anchor row and the
+	// column triple-store still pays per sibling row.
+	for _, text := range starTexts(w) {
+		q, err := bgp.Parse(text)
+		if err != nil {
+			return nil, fmt.Errorf("bench: stream: %q: %w", text, err)
+		}
+		compiled, err := bgp.Compile(q, w.DS.Graph.Dict, est)
+		if err != nil {
+			return nil, fmt.Errorf("bench: stream: %q: %w", text, err)
+		}
+		jobs = append(jobs, job{name: text, kind: "star", root: compiled.Root})
+		report.StarQueries++
+	}
+
 	agg := make([]StreamSystemResult, len(systems))
 	for si, sys := range systems {
 		agg[si].System = sys.Name
@@ -385,8 +450,8 @@ func RunStream(w *Workload, systems []*System, opt StreamOptions) (*StreamReport
 func FormatStream(r *StreamReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pipelined (str) vs drained (mat) configuration of the executor, %s runs (overlapped clock: %v)\n", r.Mode, r.Overlapped)
-	fmt.Fprintf(&b, "%d paper queries + %d scan LIMIT-10 + %d join LIMIT-10 + %d ORDER BY/LIMIT queries (seed %d); results byte-identical: %v; heap TopNs: %d\n\n",
-		r.PaperQueries, r.LimitQueries, r.JoinQueries, r.TopNQueries, r.Seed, r.Identical, r.HeapTopNs)
+	fmt.Fprintf(&b, "%d paper queries + %d scan LIMIT-10 + %d join LIMIT-10 + %d ORDER BY/LIMIT queries + %d anchored stars (seed %d); results byte-identical: %v; heap TopNs: %d\n\n",
+		r.PaperQueries, r.LimitQueries, r.JoinQueries, r.TopNQueries, r.StarQueries, r.Seed, r.Identical, r.HeapTopNs)
 	fmt.Fprintf(&b, "LIMIT workload per system (summed):\n")
 	fmt.Fprintf(&b, "%-18s %12s %12s %8s %12s %12s %9s %12s %12s\n",
 		"system", "mat real(s)", "str real(s)", "speedup", "mat peak(B)", "str peak(B)", "ratio", "mat IO(B)", "str IO(B)")

@@ -46,7 +46,10 @@ func TestRunStream(t *testing.T) {
 			t.Errorf("topn query %q did not use the bounded heap", q.Query)
 		}
 	}
-	wantRows := (report.PaperQueries + report.LimitQueries + report.JoinQueries + report.TopNQueries) * len(systems)
+	if report.StarQueries != 2 {
+		t.Fatalf("star queries = %d, want arity 2 and 3", report.StarQueries)
+	}
+	wantRows := (report.PaperQueries + report.LimitQueries + report.JoinQueries + report.TopNQueries + report.StarQueries) * len(systems)
 	if len(report.Queries) != wantRows {
 		t.Fatalf("%d query rows, want %d (kinds: %v)", len(report.Queries), wantRows, kinds)
 	}

@@ -597,7 +597,7 @@ func (c *compiler) join(a, b tree) tree {
 		right = &core.Project{In: right, Cols: b.cols, As: as}
 		rcols = as
 	}
-	var node core.Node = &core.Join{L: a.node, R: right}
+	var node core.Node = &core.Join{L: a.node, R: right, ProbeMax: c.probeMax(key, right, a.node)}
 	for _, v := range shared[1:] {
 		node = &core.FilterEqCols{In: node, A: v, B: renames[v]}
 	}
@@ -644,6 +644,31 @@ func (c *compiler) join(a, b tree) tree {
 		est:   nodeEst{card: card, nd: nd},
 		label: "(" + a.label + " JOIN " + b.label + ")",
 	}
+}
+
+// probeBreakEven is how many rows of a property a full scan reads in the
+// time one subject-bound seek into it takes, on the clock where a seek is
+// dearest (DESIGN.md, "Join strategies", derives it from ledger rows): the
+// simulated cold disk, where a probe is a seek and a scan is a transfer.
+const probeBreakEven = 1024
+
+// probeMax is the Join.ProbeMax the compiler licenses for a join on key:
+// the most rows the other input may hold for seeking a bare property-bound
+// access once per key to beat scanning it — the access's exact cardinality
+// over the break-even constant. Candidates are tried in the executor's
+// order of preference (right input, then left); without statistics nothing
+// is licensed.
+func (c *compiler) probeMax(key string, sides ...core.Node) int {
+	if c.est == nil {
+		return 0
+	}
+	for _, n := range sides {
+		a, ok := n.(*core.Access)
+		if ok && a.Pattern.P.Bound() && !a.Pattern.S.Bound() && a.Pattern.S.Var == key {
+			return int(c.est.PatternCard(a.Pattern, false)) / probeBreakEven
+		}
+	}
+	return 0
 }
 
 // unionLeaf compiles a union element into one leaf subtree.

@@ -378,3 +378,80 @@ func TestCompileNilEstimator(t *testing.T) {
 		t.Fatalf("nil-estimator q7: %d rows, want %d", got.Len(), want.Len())
 	}
 }
+
+// TestCompileLicensesProbe pins the one place a join gets its license: the
+// compiler writes Join.ProbeMax = the sibling's exact cardinality over the
+// break-even constant where a bare property-bound access is joined on its
+// subject, and nothing elsewhere or without statistics; an anchored star so
+// licensed probes its sibling on the three schemes that seek a subject and
+// hashes on the column triple-store.
+func TestCompileLicensesProbe(t *testing.T) {
+	f := loadFixture(t)
+	g, dict := f.ds.Graph, f.ds.Graph.Dict
+	typ := f.cat.Consts.Type
+	type key struct{ a, b rdf.ID }
+	count, typed := map[key]int{}, map[rdf.ID]bool{}
+	for _, tr := range g.Triples {
+		count[key{tr.P, tr.O}]++
+		typed[tr.S] = typed[tr.S] || tr.P == typ
+	}
+	var anchor *rdf.Triple
+	for i, tr := range g.Triples {
+		if tr.P != typ && count[key{tr.P, tr.O}] == 1 && typed[tr.S] {
+			anchor = &g.Triples[i]
+			break
+		}
+	}
+	if anchor == nil {
+		t.Fatal("fixture holds no one-row anchor on a typed subject")
+	}
+	typeIRI := dict.Term(typ).String()
+	star := fmt.Sprintf("SELECT ?s ?t WHERE { ?s %s %s . ?s %s ?t }", dict.Term(anchor.P), dict.Term(anchor.O), typeIRI)
+	licenses := func(text string, est *bgp.Estimator) (*bgp.Compiled, []int) {
+		c, err := bgp.CompileText(text, dict, est)
+		if err != nil {
+			t.Fatalf("compile %q: %v", text, err)
+		}
+		var out []int
+		core.WalkPlan(c.Root, func(n core.Node) {
+			if j, ok := n.(*core.Join); ok {
+				out = append(out, j.ProbeMax)
+			}
+		})
+		return c, out
+	}
+	want := rdf.ComputeStats(g).PropertyCard(typ) / 1024
+	if want < 1 {
+		t.Fatalf("the type table's %d rows license nothing — fixture too small", rdf.ComputeStats(g).PropertyCard(typ))
+	}
+	compiled, got := licenses(star, f.est)
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("star licensed %v, want [%d]", got, want)
+	}
+	if _, got := licenses(star, nil); len(got) != 1 || got[0] != 0 {
+		t.Errorf("without statistics the star is licensed %v, want [0]", got)
+	}
+	// Joined on its object, an access cannot be sought.
+	rec := dict.Term(f.cat.Consts.Records).String()
+	if _, got := licenses(fmt.Sprintf("SELECT ?a ?b WHERE { ?a %s ?y . ?b %s ?y }", rec, typeIRI), f.est); len(got) != 1 || got[0] != 0 {
+		t.Errorf("an object-object join is licensed %v, want [0]", got)
+	}
+
+	oracle, _, err := bgp.EvalBGP(bgp.MustParse(star), core.GraphSource{G: g}, dict, f.cat.Interesting)
+	if err != nil || oracle.Len() == 0 {
+		t.Fatalf("oracle: %d rows, %v", oracle.Len(), err)
+	}
+	for _, name := range f.names {
+		got, _, tr, err := core.ExecutePlan(f.srcs[name], compiled.Root, core.ExecOptions{Streaming: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		strategy := core.JoinIndexProbe
+		if name == "coltriple" {
+			strategy = core.JoinHash
+		}
+		if len(tr.Joins) != 1 || tr.Joins[0].Strategy != strategy || !rel.Equal(got, oracle) {
+			t.Errorf("%s: joins %v (want %s), %d rows (oracle %d)", name, tr.Joins, strategy, got.Len(), oracle.Len())
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package bgp_test
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -41,6 +42,24 @@ var configs = []core.ExecOptions{
 	{Streaming: true, BatchRows: 2},
 	{Streaming: true, BatchRows: 5},
 	{Streaming: true, BatchRows: 1024},
+}
+
+// probeBounds are the licenses the corpora and the fuzzer write onto every
+// join of a compiled plan, whatever the compiler chose: never probe, probe
+// behind an outer of one row, of up to three (so small outers take the probe
+// and the rest the fallback, in one plan), and always. A fixed corpus runs
+// query i as compiled and then under probeBounds[i%4]; the fuzzer explores
+// the product.
+var probeBounds = []int{0, 1, 3, math.MaxInt}
+
+// setProbeMax writes max onto every join under root; the executor ignores
+// it where the join is not eligible.
+func setProbeMax(root core.Node, max int) {
+	core.WalkPlan(root, func(n core.Node) {
+		if j, ok := n.(*core.Join); ok {
+			j.ProbeMax = max
+		}
+	})
 }
 
 // checkConfigs runs root on src in each of the given configurations and

@@ -11,6 +11,7 @@ import (
 	"blackswan/internal/core"
 	"blackswan/internal/datagen"
 	"blackswan/internal/rdf"
+	"blackswan/internal/rel"
 )
 
 // This file holds the live-mutation analogue of the sparql property
@@ -217,20 +218,11 @@ func TestPropertyOverlayMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle %q: %v", q.Text(), err)
 		}
-		for _, name := range f.names {
-			want := checkConfigs(t, fmt.Sprintf("rebuilt %s: %q", name, q.Text()), f.built[name], compiled.Root, configs, oracle, ordered)
-			got := checkConfigs(t, fmt.Sprintf("overlay %s: %q", name, q.Text()), f.over[name], compiled.Root, configs, oracle, ordered)
-			// The per-scheme comparison is exact whenever some contract
-			// pins the order: ORDER BY sorts the output, and a query
-			// whose properties are all bound only runs ScanProp, whose
-			// (s, o) order the overlay merge preserves — so the
-			// deterministic executor must produce the identical byte
-			// sequence, not merely the same bag (which agreeing with the
-			// oracle already showed).
-			if byteExact && (got.W != want.W || !slices.Equal(got.Data, want.Data)) {
-				t.Fatalf("%s: %q: overlay result differs from rebuild (%d vs %d rows)",
-					name, q.Text(), got.Len(), want.Len())
+		for _, license := range []string{"as compiled", fmt.Sprintf("ProbeMax %d", probeBounds[i%4])} {
+			for _, name := range f.names {
+				checkOverlayVsRebuild(t, f, name, license+": "+q.Text(), compiled.Root, configs, oracle, ordered, byteExact)
 			}
+			setProbeMax(compiled.Root, probeBounds[i%4])
 		}
 		if oracle.Len() > 0 {
 			nonEmpty++
@@ -243,6 +235,23 @@ func TestPropertyOverlayMatchesRebuild(t *testing.T) {
 		t.Errorf("only %d/%d queries compared byte-exactly — the identity property is diluted", exact, corpus)
 	}
 	t.Logf("overlay parity: %d checked, %d non-empty, %d byte-exact", corpus, nonEmpty, exact)
+}
+
+// checkOverlayVsRebuild holds one scheme's overlay and rebuild to the oracle
+// in the given configurations, and to each other. The per-scheme comparison
+// is exact whenever some contract pins the order: ORDER BY sorts the output,
+// and a query whose properties are all bound only runs StreamProp, whose
+// (s, o) order the overlay merge preserves and whose joins an overlay lowers
+// as its rebuild does (PropSeekable delegates to the base) — so the
+// deterministic executor must produce the identical byte sequence, not
+// merely the same bag (which agreeing with the oracle already showed).
+func checkOverlayVsRebuild(t *testing.T, f *overlayFixture, name, what string, root core.Node, cfgs []core.ExecOptions, oracle *rel.Rel, ordered, byteExact bool) {
+	t.Helper()
+	want := checkConfigs(t, fmt.Sprintf("rebuilt %s, %s", name, what), f.built[name], root, cfgs, oracle, ordered)
+	got := checkConfigs(t, fmt.Sprintf("overlay %s, %s", name, what), f.over[name], root, cfgs, oracle, ordered)
+	if byteExact && (got.W != want.W || !slices.Equal(got.Data, want.Data)) {
+		t.Fatalf("%s, %s: overlay result differs from rebuild (%d vs %d rows)", name, what, got.Len(), want.Len())
+	}
 }
 
 // TestPropertyOverlayTouchesDelta guards the corpus against vacuity from

@@ -77,6 +77,10 @@ func (d *ColTriple) Props() []rdf.ID { return d.cat.AllProps }
 // subject order.
 func (d *ColTriple) PropOrdered() bool { return false }
 
+// PropSeekable implements PhysicalSource: a bound subject selects over the
+// property's whole run.
+func (d *ColTriple) PropSeekable() bool { return false }
+
 // Partitioned implements PhysicalSource.
 func (d *ColTriple) Partitioned() bool { return false }
 

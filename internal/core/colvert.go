@@ -113,6 +113,9 @@ func (d *ColVert) Props() []rdf.ID { return d.loaded }
 // behind the paper's "fewer unions and fast joins" quote.
 func (d *ColVert) PropOrdered() bool { return true }
 
+// PropSeekable implements PhysicalSource: the subject column is sorted.
+func (d *ColVert) PropSeekable() bool { return true }
+
 // Partitioned implements PhysicalSource.
 func (d *ColVert) Partitioned() bool { return true }
 

@@ -115,6 +115,9 @@ type PhysicalSource interface {
 	// first unbound position (subject-ascending for the common case) — true
 	// for the SO-clustered vertical tables, enabling merge joins.
 	PropOrdered() bool
+	// PropSeekable reports whether a subject-bound StreamProp is an index
+	// access, costing what it returns: what lets a join seek (Join.ProbeMax).
+	PropSeekable() bool
 	// Partitioned reports whether the scheme stores one physical table per
 	// property; the executor then lowers unbound-property accesses to
 	// per-property unions, reproducing the paper's plan shapes.
@@ -162,10 +165,20 @@ type ExecOptions struct {
 	Profile bool
 }
 
+// JoinStrategy names the algorithm a join was lowered to (its profile note).
+type JoinStrategy string
+
+const (
+	JoinHash            JoinStrategy = "hash"
+	JoinMerge           JoinStrategy = "merge"
+	JoinIndexProbe      JoinStrategy = "index probe"
+	JoinPartitionedHash JoinStrategy = "partitioned hash"
+)
+
 // JoinChoice records one lowering decision for tests and diagnostics.
 type JoinChoice struct {
-	Var   string
-	Merge bool
+	Var      string
+	Strategy JoinStrategy
 }
 
 // Trace records how a plan was lowered: which join algorithms ran, and how

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
@@ -184,22 +185,33 @@ func (o *DeltaOverlay) Props() []rdf.ID { return o.d.cat.AllProps }
 // (s, o)-lexicographic per-property order, so the guarantee carries over.
 func (o *DeltaOverlay) PropOrdered() bool { return o.base.PropOrdered() }
 
+// PropSeekable implements PhysicalSource: an overlay lowers as its rebuild.
+func (o *DeltaOverlay) PropSeekable() bool { return o.base.PropSeekable() }
+
 // Partitioned implements PhysicalSource.
 func (o *DeltaOverlay) Partitioned() bool { return o.base.Partitioned() }
 
 // Ops implements PhysicalSource.
 func (o *DeltaOverlay) Ops() PhysicalOps { return o.base.Ops() }
 
+// addRun returns the additions under p, narrowed to a bound subject's by
+// binary search of the (s, o)-sorted run: a probe costs O(log adds).
+func (d *Delta) addRun(p, s rdf.ID) []rdf.Triple {
+	r := d.addRange[p]
+	run := d.adds[r[0]:r[1]]
+	if s != rdf.NoID {
+		lo := sort.Search(len(run), func(i int) bool { return run[i].S >= s })
+		run = run[lo : lo+sort.Search(len(run)-lo, func(i int) bool { return run[lo+i].S > s })]
+	}
+	return run
+}
+
 // addsForProp collects the additions under p matching the bounds, as
 // (s, o) pairs in (s, o)-lexicographic order.
 func (o *DeltaOverlay) addsForProp(p, s, obj rdf.ID) [][2]uint64 {
-	r, ok := o.d.addRange[p]
-	if !ok {
-		return nil
-	}
 	var out [][2]uint64
-	for _, t := range o.d.adds[r[0]:r[1]] {
-		if (s == rdf.NoID || t.S == s) && (obj == rdf.NoID || t.O == obj) {
+	for _, t := range o.d.addRun(p, s) {
+		if obj == rdf.NoID || t.O == obj {
 			out = append(out, [2]uint64{uint64(t.S), uint64(t.O)})
 		}
 	}

@@ -352,3 +352,49 @@ func remainOf(g *rdf.Graph, p rdf.ID) int {
 	}
 	return n
 }
+
+// TestOverlaySubjectBoundScanTouchesOnlyItsAdds: a subject-bound scan of an
+// overlay — one probe of an index-probe join — reaches the subject's
+// additions by binary search of the property's (s, o)-sorted run, so the
+// candidates it walks are exactly the additions that match, however many
+// the property holds.
+func TestOverlaySubjectBoundScanTouchesOnlyItsAdds(t *testing.T) {
+	g, cat := randomFixture(t, 311)
+	adds, dels := randomEdit(rand.New(rand.NewSource(911)), g, cat)
+	delta, err := NewDelta(cat, rdf.ComputeStats(g).PropFreq, adds, dels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type ps struct{ p, s rdf.ID }
+	want := map[ps][]rdf.Triple{}
+	perProp := map[rdf.ID]int{}
+	for _, a := range delta.Adds() { // PSO-sorted, so each bucket is (s, o)-sorted
+		want[ps{a.P, a.S}] = append(want[ps{a.P, a.S}], a)
+		perProp[a.P]++
+	}
+	narrowed := false
+	for k, w := range want {
+		got := delta.addRun(k.p, k.s)
+		if !slices.Equal(got, w) {
+			t.Fatalf("addRun(%d, %d) = %v, want %v", k.p, k.s, got, w)
+		}
+		narrowed = narrowed || len(got) < perProp[k.p]
+		if all := delta.addRun(k.p, rdf.NoID); len(all) != perProp[k.p] {
+			t.Fatalf("addRun(%d, unbound) holds %d of the property's %d additions", k.p, len(all), perProp[k.p])
+		}
+	}
+	if !narrowed {
+		t.Fatal("no property holds additions under two subjects — the test shows nothing")
+	}
+	// Subjects without additions, below, between and above those with.
+	for _, s := range []rdf.ID{1, adds[0].S + 1, rdf.ID(g.Dict.Len()) + 7} {
+		for p := range perProp {
+			if _, ok := want[ps{p, s}]; !ok && len(delta.addRun(p, s)) != 0 {
+				t.Fatalf("addRun(%d, %d) = %v, want nothing", p, s, delta.addRun(p, s))
+			}
+		}
+	}
+	if got := delta.addRun(rdf.ID(g.Dict.Len())+9, rdf.NoID); len(got) != 0 {
+		t.Fatalf("a property without additions has %v", got)
+	}
+}

@@ -42,6 +42,11 @@ type Access struct {
 // SO-clustered vertical tables and hash joins elsewhere.
 type Join struct {
 	L, R Node
+	// ProbeMax licenses the index probe: when one input is a bare
+	// property-bound Access joined on its subject and the other holds at
+	// most ProbeMax rows, the executor seeks the access per key instead of
+	// scanning it (probeIter). Zero, what PlanFor leaves, means never.
+	ProbeMax int
 }
 
 // FilterNe drops rows whose Col equals Value (the "o != Text" and

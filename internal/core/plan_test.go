@@ -14,36 +14,27 @@ import (
 func planFixture(t *testing.T) (*craftedFixture, map[string]PhysicalSource) {
 	t.Helper()
 	fx := newCrafted(t)
+	return fx, loadFour(t, fx.g, fx.cat)
+}
+
+// loadFour loads g into the four served schemes.
+func loadFour(t *testing.T, g *rdf.Graph, cat Catalog) map[string]PhysicalSource {
+	t.Helper()
 	srcs := map[string]PhysicalSource{}
-	{
-		db, err := LoadRowTriple(rowstore.NewEngine(newStore()), fx.g, fx.cat, rdf.PSO, rdf.AllOrders())
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs["rowtriple"] = db
+	var err error
+	if srcs["rowtriple"], err = LoadRowTriple(rowstore.NewEngine(newStore()), g, cat, rdf.PSO, rdf.AllOrders()); err != nil {
+		t.Fatal(err)
 	}
-	{
-		db, err := LoadRowVert(rowstore.NewEngine(newStore()), fx.g, fx.cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs["rowvert"] = db
+	if srcs["rowvert"], err = LoadRowVert(rowstore.NewEngine(newStore()), g, cat); err != nil {
+		t.Fatal(err)
 	}
-	{
-		db, err := LoadColTriple(colstore.NewEngine(newStore()), fx.g, fx.cat, rdf.PSO)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs["coltriple"] = db
+	if srcs["coltriple"], err = LoadColTriple(colstore.NewEngine(newStore()), g, cat, rdf.PSO); err != nil {
+		t.Fatal(err)
 	}
-	{
-		db, err := LoadColVert(colstore.NewEngine(newStore()), fx.g, fx.cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs["colvert"] = db
+	if srcs["colvert"], err = LoadColVert(colstore.NewEngine(newStore()), g, cat); err != nil {
+		t.Fatal(err)
 	}
-	return fx, srcs
+	return srcs
 }
 
 // TestPlanForCoversBenchmark asserts every benchmark query has a plan whose
@@ -79,36 +70,102 @@ func TestPlanForCoversBenchmark(t *testing.T) {
 // TestLoweringMergeVsHash asserts the executor's join-algorithm selection:
 // subject-subject joins run as linear merge joins on the SO-clustered
 // vertical schemes (the paper's "fast (linear) merge join") and as hash
-// joins on the triple-stores, whose scan order is index-dependent.
+// joins on the triple-stores, whose scan order is index-dependent; a join
+// the plan licenses (Join.ProbeMax) probes its sibling access per outer row
+// wherever a bound subject seeks, which is everywhere but the column
+// triple-store; and no PlanFor plan carries the license, so the paper's
+// grid never probes.
 func TestLoweringMergeVsHash(t *testing.T) {
-	_, srcs := planFixture(t)
-	cases := []struct {
-		src   string
-		q     Query
-		merge []bool // expected per executed join, in order
+	fx, srcs := planFixture(t)
+	const (
+		hash  = JoinHash
+		merge = JoinMerge
+		probe = JoinIndexProbe
+	)
+	for _, tc := range []struct {
+		src  string
+		q    Query
+		want []JoinStrategy // per executed join, in order
 	}{
-		{"rowvert", Query{ID: Q7}, []bool{true, true}},
-		{"colvert", Query{ID: Q7}, []bool{true, true}},
-		{"rowtriple", Query{ID: Q7}, []bool{false, false}},
-		{"coltriple", Query{ID: Q7}, []bool{false, false}},
+		{"rowvert", Query{ID: Q7}, []JoinStrategy{merge, merge}},
+		{"colvert", Query{ID: Q7}, []JoinStrategy{merge, merge}},
+		{"rowtriple", Query{ID: Q7}, []JoinStrategy{hash, hash}},
+		{"coltriple", Query{ID: Q7}, []JoinStrategy{hash, hash}},
 		// q5's first join is subject-subject (merge on vert); its second
 		// joins an unordered intermediate on x (hash everywhere).
-		{"rowvert", Query{ID: Q5}, []bool{true, false}},
-		{"coltriple", Query{ID: Q5}, []bool{false, false}},
-	}
-	for _, tc := range cases {
+		{"rowvert", Query{ID: Q5}, []JoinStrategy{merge, hash}},
+		{"coltriple", Query{ID: Q5}, []JoinStrategy{hash, hash}},
+	} {
 		_, tr, err := ExecuteTraced(srcs[tc.src], tc.q, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s %v: %v", tc.src, tc.q, err)
 		}
-		if len(tr.Joins) != len(tc.merge) {
-			t.Fatalf("%s %v: %d joins, want %d (%+v)", tc.src, tc.q, len(tr.Joins), len(tc.merge), tr.Joins)
-		}
-		for i, want := range tc.merge {
-			if tr.Joins[i].Merge != want {
-				t.Errorf("%s %v join %d (%s): merge=%v, want %v",
-					tc.src, tc.q, i, tr.Joins[i].Var, tr.Joins[i].Merge, want)
+		checkStrategies(t, fmt.Sprintf("%s %v", tc.src, tc.q), tr, tc.want)
+	}
+
+	// The anchored star { ?s origin DLC . ?s records ?x . ?s type ?t }, with
+	// each sibling licensed: one outer row, so both joins probe.
+	star := func(max int) Node {
+		id := func(k string) TermRef { return C(rdf.ID(fx.ids[k])) }
+		anchor := &Access{Pattern: Pat(V("s"), id("origin"), id("DLC"))}
+		j1 := &Join{L: anchor, R: &Access{Pattern: Pat(V("s"), id("records"), V("x"))}, ProbeMax: max}
+		return &Join{L: j1, R: &Access{Pattern: Pat(V("s"), id("type"), V("t"))}, ProbeMax: max}
+	}
+	for src, want := range map[string]JoinStrategy{"rowtriple": probe, "rowvert": probe, "colvert": probe, "coltriple": hash} {
+		for _, opt := range []ExecOptions{{}, {Streaming: true, BatchRows: 1}} {
+			out, _, tr, err := ExecutePlan(srcs[src], star(1), opt)
+			if err != nil {
+				t.Fatalf("%s star: %v", src, err)
 			}
+			checkStrategies(t, src+" licensed star", tr, []JoinStrategy{want, want})
+			if got := fmt.Sprint(out.Data); got != fmt.Sprint([]uint64{fx.ids["s1"], fx.ids["s3"], fx.ids["Text"]}) {
+				t.Errorf("%s licensed star returned %s", src, got)
+			}
+		}
+		// Unlicensed, the same plan scans: merge on the vertical schemes.
+		_, _, tr, err := ExecutePlan(srcs[src], star(0), ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s star: %v", src, err)
+		}
+		for i, j := range tr.Joins {
+			if j.Strategy == probe {
+				t.Errorf("%s unlicensed star join %d probed", src, i)
+			}
+		}
+	}
+
+	for _, q := range BenchmarkQueries() {
+		p, err := PlanFor(q, fx.cat.Consts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		WalkPlan(p.Root, func(n Node) {
+			if j, ok := n.(*Join); ok && j.ProbeMax != 0 {
+				t.Errorf("%v: PlanFor licensed a probe (ProbeMax %d)", q, j.ProbeMax)
+			}
+		})
+		for src := range srcs {
+			_, tr, err := ExecuteTraced(srcs[src], q, ExecOptions{})
+			if err != nil {
+				t.Fatalf("%s %v: %v", src, q, err)
+			}
+			for i, j := range tr.Joins {
+				if j.Strategy == probe {
+					t.Errorf("%s %v join %d: a paper plan probed", src, q, i)
+				}
+			}
+		}
+	}
+}
+
+func checkStrategies(t *testing.T, what string, tr *Trace, want []JoinStrategy) {
+	t.Helper()
+	if len(tr.Joins) != len(want) {
+		t.Fatalf("%s: %d joins, want %d (%+v)", what, len(tr.Joins), len(want), tr.Joins)
+	}
+	for i, w := range want {
+		if got := tr.Joins[i].Strategy; got != w {
+			t.Errorf("%s join %d (%s): %v, want %v", what, i, tr.Joins[i].Var, got, w)
 		}
 	}
 }

@@ -46,7 +46,7 @@ type OpProfile struct {
 	// and label rendering key on.
 	Node Node `json:"-"`
 	// Note records a lowering decision the plan tree alone cannot show:
-	// "hash", "merge", "heap", "sort", "fused", "partitioned".
+	// a join's JoinStrategy, "heap", "sort", "fused".
 	Note string
 	// Rows and Batches count the node's emitted output, one batch per
 	// non-empty batch handed on (in the drain configuration an operator
@@ -124,6 +124,9 @@ func (p *profiler) enter(n Node) *OpProfile {
 	p.stack = append(p.stack, prof)
 	return prof
 }
+
+// reenter reopens n's frame for a node lowered after n's build phase.
+func (p *profiler) reenter(n Node) { p.stack = append(p.stack, p.nodes[n]) }
 
 func (p *profiler) exit() {
 	p.stack = p.stack[:len(p.stack)-1]

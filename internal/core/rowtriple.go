@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
@@ -109,6 +110,11 @@ func (d *RowTriple) Props() []rdf.ID { return d.cat.AllProps }
 // PropOrdered implements PhysicalSource. Row order depends on which index
 // the optimizer chose, so the executor must not rely on it.
 func (d *RowTriple) PropOrdered() bool { return false }
+
+// PropSeekable implements PhysicalSource: true if an index keys o last.
+func (d *RowTriple) PropSeekable() bool {
+	return slices.ContainsFunc(d.triples.Indices(), func(ix *rowstore.Index) bool { return ix.Perm[2] == colO })
+}
 
 // Partitioned implements PhysicalSource.
 func (d *RowTriple) Partitioned() bool { return false }

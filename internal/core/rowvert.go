@@ -108,6 +108,9 @@ func (d *RowVert) Props() []rdf.ID { return d.cat.AllProps }
 // licenses the linear merge joins the paper credits the scheme with.
 func (d *RowVert) PropOrdered() bool { return true }
 
+// PropSeekable implements PhysicalSource: every table is clustered SO.
+func (d *RowVert) PropSeekable() bool { return true }
+
 // Partitioned implements PhysicalSource.
 func (d *RowVert) Partitioned() bool { return true }
 

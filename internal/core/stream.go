@@ -537,7 +537,8 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 // of a LIMIT over a fan-out). The w parameter is the width the union
 // movement is charged at — the union precedes the projection in the paper's
 // plans, so it can exceed the emitted batch width (partitioned joins fuse
-// the projection).
+// the projection). At w zero the parts are no union but one input in pieces
+// (a keyScan's probes, a probeIter's replay): nothing is charged or counted.
 type fanout struct {
 	st   *streamer
 	open func(i int) (iter, error)
@@ -556,10 +557,12 @@ func (f *fanout) next() (*rel.Rel, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The union-all charges one operator dispatch per merged part.
-			f.st.ops.StreamNode()
-			f.st.tr.PartitionScans++
-			f.st.tr.UnionParts++
+			if f.w > 0 {
+				// The union-all charges one operator dispatch per merged part.
+				f.st.ops.StreamNode()
+				f.st.tr.PartitionScans++
+				f.st.tr.UnionParts++
+			}
 			f.cur++
 			f.it = it
 		}
@@ -572,7 +575,9 @@ func (f *fanout) next() (*rel.Rel, error) {
 			f.it = nil
 			continue
 		}
-		f.st.ops.StreamUnionRows(b.Len(), f.w)
+		if f.w > 0 {
+			f.st.ops.StreamUnionRows(b.Len(), f.w)
+		}
 		return b, nil
 	}
 }
@@ -680,26 +685,30 @@ func joinOutCols(lcols, rcols []string, rc int) []string {
 	return cols
 }
 
-func (st *streamer) buildJoin(j *Join) (stream, error) {
-	if a, f := st.partitionedJoinSide(j.R); a != nil {
-		other, err := st.build(j.L)
-		if err != nil {
-			return stream{}, err
-		}
-		if st.prof != nil {
-			st.prof.note(j, "partitioned hash")
-		}
-		return st.buildPartitionedJoin(other, a, f)
+// chose records a join's lowering decision: in the trace and as its note.
+func (st *streamer) chose(n Node, v string, s JoinStrategy) {
+	st.tr.Joins = append(st.tr.Joins, JoinChoice{Var: v, Strategy: s})
+	if st.prof != nil {
+		st.prof.note(n, string(s))
 	}
-	if a, f := st.partitionedJoinSide(j.L); a != nil {
-		other, err := st.build(j.R)
-		if err != nil {
-			return stream{}, err
+}
+
+func (st *streamer) buildJoin(j *Join) (stream, error) {
+	sides := [2][2]Node{{j.R, j.L}, {j.L, j.R}}
+	for _, s := range sides {
+		if a, f := st.partitionedJoinSide(s[0]); a != nil {
+			other, err := st.build(s[1])
+			if err != nil {
+				return stream{}, err
+			}
+			return st.buildPartitionedJoin(j, other, a, f)
 		}
-		if st.prof != nil {
-			st.prof.note(j, "partitioned hash")
+	}
+	// The right input first: its outer is the left, which a hash join drains.
+	for i, s := range sides {
+		if a := st.probeSide(j, s[0], s[1]); a != nil {
+			return st.buildProbeJoin(j, a, s[1], i == 1)
 		}
-		return st.buildPartitionedJoin(other, a, f)
 	}
 	l, err := st.build(j.L)
 	if err != nil {
@@ -710,6 +719,12 @@ func (st *streamer) buildJoin(j *Join) (stream, error) {
 		l.it.close()
 		return stream{}, err
 	}
+	return st.joinStreams(j, l, r, false)
+}
+
+// joinStreams joins two built inputs: a linear merge when both ascend on the
+// join variable, else a hash join; by name an index probe over a keyScan.
+func (st *streamer) joinStreams(j *Join, l, r stream, probed bool) (stream, error) {
 	v, err := sharedVar(l.cols, r.cols)
 	if err != nil {
 		l.it.close()
@@ -718,28 +733,164 @@ func (st *streamer) buildJoin(j *Join) (stream, error) {
 	}
 	lc, _ := l.col(v)
 	rc, _ := r.col(v)
-	merge := l.sorted == v && r.sorted == v
-	st.tr.Joins = append(st.tr.Joins, JoinChoice{Var: v, Merge: merge})
-	if st.prof != nil {
-		if merge {
-			st.prof.note(j, "merge")
-		} else {
-			st.prof.note(j, "hash")
-		}
-	}
 	cols := joinOutCols(l.cols, r.cols, rc)
 	st.ops.StreamNode()
 	var it iter
-	if merge {
+	strategy, sorted := JoinHash, ""
+	if l.sorted == v && r.sorted == v {
+		strategy, sorted = JoinMerge, v
 		it = &mergeJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols), out: st.take(len(cols))}
 	} else {
 		it = &hashJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols), out: st.take(len(cols))}
 	}
-	sorted := ""
-	if merge {
-		sorted = v
+	if probed {
+		strategy = JoinIndexProbe
 	}
+	st.chose(j, v, strategy)
 	return stream{it: it, cols: cols, sorted: sorted}, nil
+}
+
+// probeSide returns acc if j, licensed, may probe it: the scheme seeks a subject,
+// and acc is a bare, unshared, property-bound access joined on its subject alone.
+func (st *streamer) probeSide(j *Join, acc, other Node) *Access {
+	a, ok := acc.(*Access)
+	if !ok || j.ProbeMax <= 0 || st.uses[a] > 1 || !st.src.PropSeekable() || !a.Pattern.P.Bound() || a.Pattern.S.Bound() {
+		return nil
+	}
+	if v, err := sharedVar(columnsOf(other), slotCols(patternSlots(a.Pattern))); err != nil || v != a.Pattern.S.Var {
+		return nil
+	}
+	return a
+}
+
+// buildProbeJoin lowers a join with a probe side onto probeIter, declaring
+// the output to ascend on the join variable only where both outcomes do.
+func (st *streamer) buildProbeJoin(j *Join, a *Access, other Node, accLeft bool) (stream, error) {
+	outer, err := st.build(other)
+	if err != nil {
+		return stream{}, err
+	}
+	v := a.Pattern.S.Var
+	accCols := slotCols(st.keptSlots(a)) // the subject slot leads and is always kept
+	s := stream{it: &probeIter{st: st, j: j, a: a, accLeft: accLeft, outer: outer}, cols: joinOutCols(outer.cols, accCols, 0)}
+	if oc, _ := outer.col(v); accLeft {
+		s.cols = joinOutCols(accCols, outer.cols, oc)
+	}
+	if outer.sorted == v && st.src.PropOrdered() {
+		s.sorted = v
+	}
+	return s, nil
+}
+
+// probeIter is a join licensed to probe, chosen at its first pull: it reads
+// the other input, the outer, until that ends or outgrows Join.ProbeMax. A
+// small outer is the index probe: the access is answered by seeking the
+// outer's keys (keyScan), never scanned. A large outer is the unlicensed
+// join — same operators, charges, row order — over the rows read, then the rest.
+type probeIter struct {
+	st      *streamer
+	j       *Join
+	a       *Access
+	accLeft bool   // the access is the join's left input
+	outer   stream // the other input
+	bytes   int64  // the outer rows start copied, held until close
+	in      iter   // the chosen join
+}
+
+func (p *probeIter) start() error {
+	st, head := p.st, rel.New(len(p.outer.cols))
+	var over *rel.Rel // the batch that outgrew the bound, still its owner's
+	for over == nil {
+		b, err := p.outer.it.next()
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			break
+		}
+		if head.Len()+b.Len() > p.j.ProbeMax {
+			over = b
+		} else {
+			head.Data = append(head.Data, b.Data...)
+		}
+	}
+	p.bytes = relBytes(head)
+	st.mem.alloc(p.bytes)
+	if st.prof != nil { // the access's frame goes under the join's, though its build is over
+		st.prof.reenter(p.j)
+		defer st.prof.exit()
+	}
+	outer, acc, err := p.outer, stream{}, error(nil)
+	if over == nil {
+		p.outer.it.close()
+		outer.it = &chunkIter{st: st, rel: head}
+		acc = st.keyScan(p.a, head, outer)
+	} else { // the copied rows, the batch that outgrew the bound, the live rest
+		parts := []iter{&chunkIter{st: st, rel: head}, &chunkIter{st: st, rel: over}, p.outer.it}
+		outer.it = &fanout{st: st, n: len(parts), open: func(i int) (iter, error) { return parts[i], nil }}
+		acc, err = st.build(p.a)
+	}
+	if err != nil {
+		return err
+	}
+	if p.accLeft {
+		outer, acc = acc, outer
+	}
+	s, err := st.joinStreams(p.j, outer, acc, over == nil)
+	p.in = s.it
+	return err
+}
+
+func (p *probeIter) next() (*rel.Rel, error) {
+	if p.in == nil {
+		if err := p.start(); err != nil {
+			return nil, err
+		}
+	}
+	return p.in.next()
+}
+
+func (p *probeIter) close() {
+	p.st.mem.free(p.bytes)
+	if p.in != nil {
+		p.in.close()
+	}
+	p.outer.it.close()
+}
+
+// keyScan lowers a probed access: its scan with the subject bound to each
+// distinct key of rows in turn, each probe charged by the StreamProp it
+// opens, one open at a time (its buffers go back before the next's are lent).
+func (st *streamer) keyScan(a *Access, rows *rel.Rel, outer stream) stream {
+	slots, tp := st.keptSlots(a), a.Pattern
+	need, asm := needOf(slots), compileAssembly(slots, 2)
+	kc, _ := outer.col(tp.S.Var)
+	// NULL (an OPTIONAL's unmatched row) joins nothing — and as a scan bound
+	// it would mean "unbound".
+	seen := map[uint64]bool{uint64(rdf.NoID): true}
+	var keys []rdf.ID
+	for i, n := 0, rows.Len(); i < n; i++ {
+		if k := rows.Row(i)[kc]; !seen[k] {
+			seen[k] = true
+			keys = append(keys, rdf.ID(k))
+		}
+	}
+	open := func(i int) (iter, error) {
+		it, err := st.propStream(tp.P.Const, keys[i], tp.O.Const, need)
+		if err != nil {
+			return nil, err
+		}
+		return st.gathered(it, asm, uint64(tp.P.Const)), nil
+	}
+	s := stream{it: &edge{mem: st.mem, in: &fanout{st: st, open: open, n: len(keys)}}, cols: slotCols(slots)}
+	if outer.sorted == tp.S.Var {
+		s.sorted = outer.sorted // ascending keys give ascending rows
+	}
+	if st.prof != nil {
+		s.it = &profIter{p: st.prof, prof: st.prof.enter(a), in: s.it}
+		st.prof.exit()
+	}
+	return s
 }
 
 // hashJoinIter builds on the smaller input, as any optimizer would arrange,
@@ -927,10 +1078,7 @@ func (st *streamer) buildLeftJoin(j *LeftJoin) (stream, error) {
 	}
 	lc, _ := l.col(v)
 	rc, _ := r.col(v)
-	st.tr.Joins = append(st.tr.Joins, JoinChoice{Var: v, Merge: false})
-	if st.prof != nil {
-		st.prof.note(j, "hash")
-	}
+	st.chose(j, v, JoinHash)
 	cols := joinOutCols(l.cols, r.cols, rc)
 	st.ops.StreamNode()
 	it := &leftJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols),
@@ -1165,7 +1313,7 @@ func (m *mergeJoinIter) close() {
 // into a hash build, and every per-property scan streams through tag →
 // filter → probe in property order. Join distributes over union, so the
 // result is the same bag, emitted without ever materializing the union.
-func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (stream, error) {
+func (st *streamer) buildPartitionedJoin(j *Join, other stream, a *Access, f *FilterNe) (stream, error) {
 	tp := a.Pattern
 	slots := st.keptSlots(a)
 	accCols := slotCols(slots)
@@ -1207,7 +1355,7 @@ func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (
 	st.mem.alloc(bufBytes)
 	st.ops.StreamNode()
 	st.ops.StreamHashBuildRows(orel.Len(), len(other.cols))
-	st.tr.Joins = append(st.tr.Joins, JoinChoice{Var: v, Merge: false})
+	st.chose(j, v, JoinPartitionedHash)
 	cols := make([]string, 0, len(other.cols)+len(accCols)-1)
 	cols = append(cols, other.cols...)
 	for i, c := range accCols {
@@ -1507,11 +1655,13 @@ func (g *groupIter) start() error {
 			for j, c := range g.keys {
 				k[j] = row[c]
 			}
-			if _, ok := counts[k]; !ok {
+			// One map operation a row: a new group shows as a longer table.
+			groups := len(counts)
+			counts[k]++
+			if len(counts) > groups {
 				g.st.mem.alloc(40)
 				g.tabBytes += 40
 			}
-			counts[k]++
 		}
 	}
 	g.in.close()
