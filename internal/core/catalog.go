@@ -96,15 +96,6 @@ func CatalogFromGraph(g *rdf.Graph, consts Constants, interesting []rdf.ID) (Cat
 	return cat, nil
 }
 
-// interestingSet returns the interesting-property list as a filter set.
-func (c Catalog) interestingSet() map[uint64]bool {
-	set := make(map[uint64]bool, len(c.Interesting))
-	for _, p := range c.Interesting {
-		set[uint64(p)] = true
-	}
-	return set
-}
-
 // Database is one (engine × scheme × clustering) combination loaded with the
 // benchmark data, able to run any benchmark query.
 type Database interface {

@@ -539,35 +539,46 @@ func compileAssembly(slots []slot, inW int) *gather {
 	return newGather(src, eq, inW)
 }
 
-// run maps b's rows into out, emptied first and grown to the rows b holds,
-// and returns it — or b itself, untouched, when the mapping is the identity.
+// run maps b's rows into out, emptied, one output column at a time, then
+// drops the rows an eq pair rejects; it returns out — or b itself, untouched,
+// when the mapping is the identity.
 func (g *gather) run(out, b *rel.Rel, k uint64) *rel.Rel {
 	if g.pass {
 		return b
 	}
-	val := func(row []uint64, s int) uint64 {
-		if s < 0 {
-			return k
-		}
-		return row[s]
-	}
 	reuse(out)
 	n, w := b.Len(), len(g.src)
-	d, o := slices.Grow(out.Data, n*w)[:n*w], 0
-rows:
-	for i := 0; i < n; i++ {
-		row := b.Row(i)
-		for _, e := range g.eq {
-			if val(row, e[0]) != val(row, e[1]) {
-				continue rows
-			}
+	d := slices.Grow(out.Data, n*w)[:n*w]
+	for j, s := range g.src {
+		in, i, step := b.Data, s, b.W
+		if s < 0 {
+			in, i, step = []uint64{k}, 0, 0 // the constant: a copy that does not advance
 		}
-		for j, s := range g.src {
-			d[o+j] = val(row, s)
+		for o := j; o < len(d); i, o = i+step, o+w {
+			d[o] = in[i]
 		}
-		o += w
 	}
-	out.Data = d[:o]
+	if len(g.eq) > 0 {
+		val := func(row []uint64, s int) uint64 {
+			if s < 0 {
+				return k
+			}
+			return row[s]
+		}
+		o := 0
+	rows:
+		for i := 0; i < n; i++ {
+			row := b.Row(i)
+			for _, e := range g.eq {
+				if val(row, e[0]) != val(row, e[1]) {
+					continue rows
+				}
+			}
+			o += copy(d[o:], d[i*w:(i+1)*w])
+		}
+		d = d[:o]
+	}
+	out.Data = d
 	return out
 }
 

@@ -229,10 +229,10 @@ func TestOverlayScanEquivalence(t *testing.T) {
 func TestOverlayFullyDeletedProperty(t *testing.T) {
 	g, cat := randomFixture(t, 77)
 	// Victim: a non-interesting property, so the catalog stays valid.
-	interesting := cat.interestingSet()
+	interesting := rel.NewJoinIndex(idsRel(cat.Interesting), 0)
 	var victim rdf.ID
 	for _, p := range cat.AllProps {
-		if !interesting[uint64(p)] {
+		if interesting.First(uint64(p)) < 0 {
 			victim = p
 			break
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -455,6 +454,7 @@ func (st *streamer) drain(it iter, w int, live bool) (*rel.Rel, error) {
 		if b == nil {
 			break
 		}
+		out.Grow(len(b.Data))
 		out.Data = append(out.Data, b.Data...)
 		if live {
 			st.mem.alloc(relBytes(b))
@@ -515,7 +515,7 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 
 	// Unbound property on a triple-store: one streamed scan, with the
 	// properties-table restriction applied per batch as a hash semijoin
-	// (build the 28-property set once, probe every row).
+	// (index the 28 properties once, probe every row).
 	need := needOf(slots)
 	if a.Restrict {
 		need.P = true
@@ -524,9 +524,9 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 	if a.Restrict {
 		// The restriction set comes from the catalog: building it (28 rows)
 		// is a constant the executor does not charge, testing each row is.
-		set := st.src.Cat().interestingSet()
+		set := rel.NewJoinIndex(idsRel(st.src.Cat().Interesting), 0)
 		st.ops.StreamNode()
-		it = st.filtered(it, 3, true, func(row []uint64) bool { return set[row[1]] })
+		it = st.filtered(it, 3, true, func(row []uint64) bool { return set.First(row[1]) >= 0 })
 	}
 	return stream{it: st.gathered(it, compileAssembly(slots, 3), 0), cols: slotCols(slots)}, nil
 }
@@ -811,6 +811,7 @@ func (p *probeIter) start() error {
 		if head.Len()+b.Len() > p.j.ProbeMax {
 			over = b
 		} else {
+			head.Grow(len(b.Data))
 			head.Data = append(head.Data, b.Data...)
 		}
 	}
@@ -945,6 +946,7 @@ func (h *hashJoinIter) start() error {
 			break
 		}
 		h.hold(relBytes(b))
+		rbuf.Grow(len(b.Data))
 		rbuf.Data = append(rbuf.Data, b.Data...)
 	}
 	// R strictly smaller builds (insertion order = R order) and the drained L
@@ -1016,9 +1018,8 @@ func (h *hashJoinIter) next() (*rel.Rel, error) {
 		h.st.ops.StreamHashProbeRows(n, pb.W)
 		reuse(h.out)
 		for i := 0; i < n; i++ {
-			prow := pb.Row(i)
-			for bi := h.ht.First(prow[pc]); bi >= 0; bi = h.ht.Next(bi) {
-				brow := h.build.Row(bi)
+			for bi := h.ht.First(pb.Data[i*pb.W+pc]); bi >= 0; bi = h.ht.Next(bi) {
+				brow, prow := h.build.Row(bi), pb.Row(i)
 				if h.buildIsL {
 					appendJoinRow(h.out, brow, prow, h.rc)
 				} else {
@@ -1425,9 +1426,8 @@ func (p *partProbeIter) next() (*rel.Rel, error) {
 		p.st.ops.StreamHashProbeRows(n, p.aw)
 		reuse(p.out)
 		for i := 0; i < n; i++ {
-			arow := b.Row(i)
-			for oi := p.ht.First(arow[p.ac]); oi >= 0; oi = p.ht.Next(oi) {
-				appendJoinRow(p.out, p.orel.Row(oi), arow, p.ac)
+			for oi := p.ht.First(b.Data[i*b.W+p.ac]); oi >= 0; oi = p.ht.Next(oi) {
+				appendJoinRow(p.out, p.orel.Row(oi), b.Row(i), p.ac)
 			}
 		}
 		if p.out.Len() > 0 {
@@ -1477,20 +1477,20 @@ func (st *streamer) buildDistinct(d *Distinct) (stream, error) {
 		return stream{}, err
 	}
 	st.ops.StreamNode()
-	it := &distinctIter{st: st, in: s.it, w: len(s.cols), seen: map[string]bool{}, out: st.take(len(s.cols))}
+	it := &distinctIter{st: st, in: s.it, w: len(s.cols), seen: rel.NewTable(len(s.cols), len(s.cols))}
 	return stream{it: it, cols: s.cols, sorted: s.sorted}, nil
 }
 
 // distinctIter keeps first occurrences in input order — both engines'
-// Distinct semantics — with the seen-set carried across batches.
+// Distinct semantics — in a table of the rows kept, which only appends: a
+// batch it emits is a view of the rows that batch added, valid for good.
 type distinctIter struct {
 	st       *streamer
 	in       iter
 	w        int
-	seen     map[string]bool
+	seen     *rel.Table
 	keyBytes int64
-	key      []byte
-	out      *rel.Rel
+	view     rel.Rel
 }
 
 func (d *distinctIter) next() (*rel.Rel, error) {
@@ -1501,25 +1501,17 @@ func (d *distinctIter) next() (*rel.Rel, error) {
 		}
 		n := b.Len()
 		d.st.ops.StreamDistinctRows(n, d.w)
-		reuse(d.out)
+		from := len(d.seen.Data)
 		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			buf := d.key[:0]
-			for _, v := range row {
-				buf = binary.LittleEndian.AppendUint64(buf, v)
-			}
-			d.key = buf
-			// Looked up without conversion: only a new key allocates.
-			if !d.seen[string(buf)] {
-				d.seen[string(buf)] = true
-				kb := int64(len(buf)) + 16
+			if _, added := d.seen.Add(b.Row(i)); added {
+				kb := int64(8*d.w) + 16
 				d.st.mem.alloc(kb)
 				d.keyBytes += kb
-				d.out.Data = append(d.out.Data, row...)
 			}
 		}
-		if d.out.Len() > 0 {
-			return d.out, nil
+		if to := len(d.seen.Data); to > from {
+			d.view = rel.Rel{W: d.w, Data: d.seen.Data[from:to:to]}
+			return &d.view, nil
 		}
 	}
 }
@@ -1528,8 +1520,6 @@ func (d *distinctIter) close() {
 	d.st.mem.free(d.keyBytes)
 	d.keyBytes = 0
 	d.seen = nil
-	d.st.give(d.out)
-	d.out = nil
 	d.in.close()
 }
 
@@ -1626,7 +1616,7 @@ func (st *streamer) buildGroup(g *Group) (stream, error) {
 // groupIter is a pipeline breaker, but a compact one: it counts group sizes
 // incrementally per batch — only the group table is buffered, never the
 // input — then emits the sorted (keys..., count) rows both engines'
-// GroupCount produce.
+// GroupCount produce, ordered in place by a radix sort on the keys.
 type groupIter struct {
 	st       *streamer
 	in       iter
@@ -1637,7 +1627,9 @@ type groupIter struct {
 }
 
 func (g *groupIter) start() error {
-	counts := make(map[[2]uint64]uint64, 64)
+	k := len(g.keys)
+	tab := rel.NewTable(k+1, k)
+	var key [2]uint64
 	for {
 		b, err := g.in.next()
 		if err != nil {
@@ -1648,28 +1640,23 @@ func (g *groupIter) start() error {
 			break
 		}
 		n := b.Len()
-		g.st.ops.StreamGroupRows(n, len(g.keys))
+		g.st.ops.StreamGroupRows(n, k)
 		for i := 0; i < n; i++ {
 			row := b.Row(i)
-			var k [2]uint64
 			for j, c := range g.keys {
-				k[j] = row[c]
+				key[j] = row[c]
 			}
-			// One map operation a row: a new group shows as a longer table.
-			groups := len(counts)
-			counts[k]++
-			if len(counts) > groups {
+			r, added := tab.Add(key[:k])
+			if added {
 				g.st.mem.alloc(40)
 				g.tabBytes += 40
 			}
+			tab.Data[r*(k+1)+k]++
 		}
 	}
 	g.in.close()
-	out := rel.NewCap(len(g.keys)+1, len(counts))
-	for k, cnt := range counts {
-		out.Data = append(append(out.Data, k[:len(g.keys)]...), cnt)
-	}
-	out.Sort()
+	// The table's entries are the output rows; only their order changes.
+	out := tab.Sorted()
 	g.st.mem.alloc(relBytes(out))
 	g.tabBytes += relBytes(out)
 	g.out = &chunkIter{st: g.st, rel: out}

@@ -7,6 +7,8 @@ package rel
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -46,6 +48,13 @@ func (r *Rel) Append(vals ...uint64) {
 		panic(fmt.Sprintf("rel: append %d values to width-%d relation", len(vals), r.W))
 	}
 	r.Data = append(r.Data, vals...)
+}
+
+// Grow makes room for n more values by doubling (append's 1.25× steps cost 5×).
+func (r *Rel) Grow(n int) {
+	if len(r.Data)+n > cap(r.Data) {
+		r.Data = append(make([]uint64, 0, max(2*cap(r.Data), len(r.Data)+n)), r.Data...)
+	}
 }
 
 // Row returns row i as a slice aliasing the underlying storage.
@@ -121,54 +130,163 @@ func Equal(a, b *Rel) bool {
 	return true
 }
 
-// JoinIndex is the hash table of every hash join in both engines and the
-// executor: open addressing on the uint64 key, with the build rows of one
-// key chained through int32 links in build-insertion order, so a probe
-// emits matches exactly as appending to a per-key slice would. Built from a
-// relation and a column in two allocations; read-only afterwards, so
-// concurrent probes are safe. Rows are stored +1: zero means none.
-type JoinIndex struct {
-	shift uint
-	slots []joinSlot
-	next  []int32
+// Table is the executor's one hash table: open addressing, at most half
+// full, keyed on k consecutive words of a row. A slot is a row number +1
+// (0: empty) under the low half of the key's last word, deciding alone while
+// keys are one word below 2³². Its rows are a join's build side (JoinIndex)
+// or entries Add appends in order: group rows, the rows a distinct keeps.
+type Table struct {
+	Rel
+	off, k int  // a row's key is its words [off, off+k)
+	narrow bool // k is 1 and every key is below 2³²: the slot decides
+	shift  uint // 64 − log₂ len(slots): the hash's top bits pick the home slot
+	slots  []uint64
 }
 
-type joinSlot struct {
-	key  uint64
-	head int32
+// NewTable returns an empty table of width-w entries keyed on k words.
+func NewTable(w, k int) *Table {
+	return &Table{Rel: *NewCap(w, 8), k: k, narrow: k == 1, shift: 60, slots: make([]uint64, 16)}
+}
+
+// find returns key's slot, or the empty one ending its walk, and the high
+// half of a slot holding key.
+func (t *Table) find(key []uint64) (*uint64, uint64) {
+	mask, tag := uint64(len(t.slots)-1), key[len(key)-1]<<32
+	if t.narrow && key[0]>>32 == 0 {
+		for i := key[0] * 0x9E3779B97F4A7C15 >> t.shift; ; i = (i + 1) & mask {
+			if s := &t.slots[i]; *s == 0 || *s&^(1<<32-1) == tag {
+				return s, tag
+			}
+		}
+	}
+	var h uint64
+	for _, v := range key {
+		h = (bits.RotateLeft64(h, 29) ^ v) * 0x9E3779B97F4A7C15
+	}
+	for i := h >> t.shift; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if *s == 0 || *s&^(1<<32-1) == tag && slices.Equal(t.Data[int(uint32(*s)-1)*t.W+t.off:][:t.k], key) {
+			return s, tag
+		}
+	}
+}
+
+// Add returns the row whose key is key, first appending one — key, then
+// zeros: the capacity past the entries is never written — when there is
+// none, and reports the append. Entries and slots grow by doubling.
+func (t *Table) Add(key []uint64) (row int, added bool) {
+	s, tag := t.find(key)
+	if *s != 0 {
+		return int(uint32(*s) - 1), false
+	}
+	row = t.Len()
+	t.Grow(t.W)
+	t.Data = append(t.Data, key...)[:(row+1)*t.W]
+	*s, t.narrow = tag|uint64(row+1), t.narrow && key[0]>>32 == 0
+	if 2*(row+1) > len(t.slots) {
+		t.shift, t.slots = t.shift-1, make([]uint64, 2*len(t.slots))
+		for i := 0; i <= row; i++ {
+			s, tag := t.find(t.Data[i*t.W:][:t.k])
+			*s = tag | uint64(i+1)
+		}
+	}
+	return row, true
+}
+
+// Sorted orders the entries by key and returns them, spending the table:
+// its slots are SortKeys' scratch.
+func (t *Table) Sorted() *Rel {
+	t.SortKeys(t.k, t.slots)
+	t.slots = nil
+	return &t.Rel
+}
+
+// JoinIndex is every hash join's table: a Table over the build rows keyed on
+// one column, a key's rows chained in build order. A range filter rejects a
+// key outside the build's [lo, hi] and, where the span is at most eight keys
+// a slot (a bitmap ⅛ the slot array), one whose bit is clear. Read-only once
+// built, so concurrent probes are safe.
+type JoinIndex struct {
+	tab      Table
+	next     []int32
+	lo, span uint64   // a present key k has k−lo ≤ span
+	present  []uint64 // bit k−lo of every present key, or nil
 }
 
 // NewJoinIndex indexes column c of r.
 func NewJoinIndex(r *Rel, c int) *JoinIndex {
 	n := r.Len()
-	bits := uint(1)
-	for 1<<bits < 2*n {
-		bits++
-	}
-	x := &JoinIndex{shift: 64 - bits, slots: make([]joinSlot, 1<<bits), next: make([]int32, n)}
+	b := bits.Len(uint(max(2*n-1, 1))) // at most half full
+	x := &JoinIndex{tab: Table{Rel: *r, off: c, k: 1, shift: 64 - uint(b), slots: make([]uint64, 1<<b)}, next: make([]int32, n)}
 	// Pushing rows at the chain head in reverse leaves each chain ascending.
+	lo, hi := ^uint64(0), uint64(0)
 	for i := n - 1; i >= 0; i-- {
-		s := x.slot(r.Data[i*r.W+c])
-		s.key, x.next[i], s.head = r.Data[i*r.W+c], s.head, int32(i+1)
+		k := r.Data[i*r.W+c:][:1]
+		s, tag := x.tab.find(k)
+		x.next[i], *s = int32(uint32(*s)), tag|uint64(i+1)
+		lo, hi = min(lo, k[0]), max(hi, k[0])
+	}
+	x.tab.narrow, x.lo, x.span = hi>>32 == 0, lo, hi-lo
+	if x.span/64 < uint64(len(x.tab.slots)/8) {
+		x.present = make([]uint64, x.span/64+1)
+		for i := c; i < len(r.Data); i += r.W {
+			d := r.Data[i] - lo
+			x.present[d/64] |= 1 << (d % 64)
+		}
 	}
 	return x
 }
 
-// slot returns k's slot: the one holding it, or the empty one it would take
-// (load stays at or below one half, so an empty slot always ends the walk).
-func (x *JoinIndex) slot(k uint64) *joinSlot {
-	for i := k * 0x9E3779B97F4A7C15 >> x.shift; ; i = (i + 1) & uint64(len(x.slots)-1) {
-		if s := &x.slots[i]; s.head == 0 || s.key == k {
-			return s
-		}
-	}
-}
-
 // First returns the first build row whose key is k, or -1.
-func (x *JoinIndex) First(k uint64) int { return int(x.slot(k).head) - 1 }
+func (x *JoinIndex) First(k uint64) int {
+	d := k - x.lo
+	if d > x.span || x.present != nil && x.present[d/64]&(1<<(d%64)) == 0 {
+		return -1
+	}
+	s, _ := x.tab.find([]uint64{k})
+	return int(uint32(*s)) - 1
+}
 
 // Next returns the build row after i with the same key, or -1.
 func (x *JoinIndex) Next(i int) int { return int(x.next[i]) - 1 }
+
+// SortKeys orders r's rows on their first k words by an LSD radix sort:
+// one stable pass per 11-bit digit of a word up to its largest value's bit
+// length (IDs below 2²² take two), last word first. Rows move between r's
+// buffer and scratch (a fresh one if it is short); r keeps the one holding
+// them last.
+func (r *Rel) SortKeys(k int, scratch []uint64) {
+	const radixBits = 11
+	w, src, dst := r.W, r.Data, scratch
+	if len(dst) < len(src) {
+		dst = make([]uint64, len(src))
+	}
+	dst = dst[:len(src)]
+	var at [1 << radixBits]int
+	for c := k - 1; c >= 0; c-- {
+		var or uint64
+		for i := c; i < len(src); i += w {
+			or |= src[i]
+		}
+		for s := 0; s < bits.Len64(or); s += radixBits {
+			clear(at[:])
+			for i := c; i < len(src); i += w {
+				at[src[i]>>s&(1<<radixBits-1)]++
+			}
+			sum := 0
+			for d, n := range at {
+				at[d], sum = sum, sum+n*w
+			}
+			for i := 0; i < len(src); i += w {
+				d := src[i+c] >> s & (1<<radixBits - 1)
+				copy(dst[at[d]:at[d]+w], src[i:i+w])
+				at[d] += w
+			}
+			src, dst = dst, src
+		}
+	}
+	r.Data = src
+}
 
 // String renders a compact preview for debugging.
 func (r *Rel) String() string {

@@ -237,8 +237,8 @@ func TestJoinIndex(t *testing.T) {
 		}
 	}
 	cx, ref := NewJoinIndex(c, 0), joinRef(c, 0)
-	if len(cx.slots) != 128 {
-		t.Fatalf("collision fixture assumes a 128-slot table, got %d", len(cx.slots))
+	if len(cx.tab.slots) != 128 {
+		t.Fatalf("collision fixture assumes a 128-slot table, got %d", len(cx.tab.slots))
 	}
 	for _, k := range keys {
 		if got := joinMatches(cx, k); !slices.Equal(got, ref[k]) {

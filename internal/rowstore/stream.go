@@ -1,6 +1,8 @@
 package rowstore
 
 import (
+	"slices"
+
 	"blackswan/internal/btree"
 	"blackswan/internal/rel"
 )
@@ -101,8 +103,8 @@ func (e *Engine) ScanEqStream(t *Table, bound map[int]uint64, batchRows int, col
 // Next refills out, the caller's buffer, with the next batch of matching
 // rows, growing it only to the rows the batch holds, and reports whether
 // there was one. A batch covers at most the configured count of index
-// entries, read in place from the leaves; residual filtering can make it
-// smaller, never empty.
+// entries, copied out of the leaves — column by column unless a residual
+// binding filters them, which can make it smaller, never empty.
 func (c *ScanCursor) Next(out *rel.Rel) bool {
 	out.W, out.Data = c.w, out.Data[:0]
 	for !c.done && len(out.Data) == 0 {
@@ -114,6 +116,16 @@ func (c *ScanCursor) Next(out *rel.Rel) bool {
 				break
 			}
 			tuples += len(run)
+			if c.nres == 0 {
+				o := len(out.Data)
+				out.Data = slices.Grow(out.Data, len(run)*c.w)[:o+len(run)*c.w]
+				for i, j := range c.emit[:c.w] {
+					for r := range run {
+						out.Data[o+r*c.w+i] = run[r][j]
+					}
+				}
+				continue
+			}
 		keys:
 			for i := range run {
 				k := &run[i]

@@ -171,12 +171,36 @@ func (m *Mutator) ApplyUpdate(ctx context.Context, text string) (*UpdateResult, 
 		}
 		return false
 	}
+	// An inserted term the dictionary lacks is lent the ID interning will give
+	// it once the delta validates, so a rejected update leaves the dictionary
+	// as it was; a deleted term neither known nor lent resolves to nothing.
 	dict := m.base.Dict
+	lent := map[rdf.Term]rdf.ID{}
+	var order []rdf.Term
+	resolve := func(gt bgp.GroundTriple, lend bool) (rdf.Triple, bool) {
+		var ids [3]rdf.ID
+		for i, term := range [3]rdf.Term{gt.S, gt.P, gt.O} {
+			id, ok := dict.Lookup(term)
+			if !ok {
+				id, ok = lent[term]
+			}
+			if !ok {
+				if !lend {
+					return rdf.Triple{}, false
+				}
+				order = append(order, term)
+				id = rdf.ID(dict.Len() + len(order))
+				lent[term] = id
+			}
+			ids[i] = id
+		}
+		return rdf.Triple{S: ids[0], P: ids[1], O: ids[2]}, true
+	}
 	inserted, deleted := 0, 0
 	for _, op := range ops {
 		for _, gt := range op.Triples {
 			if op.Insert {
-				t := rdf.Triple{S: dict.Intern(gt.S), P: dict.Intern(gt.P), O: dict.Intern(gt.O)}
+				t, _ := resolve(gt, true)
 				if visible(t) {
 					continue
 				}
@@ -189,13 +213,10 @@ func (m *Mutator) ApplyUpdate(ctx context.Context, text string) (*UpdateResult, 
 			} else {
 				// A triple with any never-seen term cannot be in the dataset;
 				// deleting it is a no-op and must not grow the dictionary.
-				s, okS := dict.Lookup(gt.S)
-				p, okP := dict.Lookup(gt.P)
-				o, okO := dict.Lookup(gt.O)
-				if !okS || !okP || !okO {
+				t, ok := resolve(gt, false)
+				if !ok {
 					continue
 				}
-				t := rdf.Triple{S: s, P: p, O: o}
 				if !visible(t) {
 					continue
 				}
@@ -216,6 +237,13 @@ func (m *Mutator) ApplyUpdate(ctx context.Context, text string) (*UpdateResult, 
 	d, err := core.NewDelta(m.cat, m.baseFreq, adds, dels)
 	if err != nil {
 		return nil, fmt.Errorf("serve: update rejected: %w", err)
+	}
+	// Valid: intern the lent terms. Commits serialize on m.mu, so each takes
+	// its lent identifier — else something interned outside the write path.
+	for _, t := range order {
+		if dict.Intern(t) != lent[t] {
+			return nil, fmt.Errorf("serve: commit failed before install: %s interned outside the write path", t)
+		}
 	}
 	total := len(m.baseSet) - len(dels) + len(adds)
 

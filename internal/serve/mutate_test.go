@@ -14,6 +14,7 @@ import (
 	"blackswan/internal/bench"
 	"blackswan/internal/bgp"
 	"blackswan/internal/core"
+	"blackswan/internal/rdf"
 	"blackswan/internal/serve"
 )
 
@@ -160,6 +161,98 @@ func TestApplyUpdateRejected(t *testing.T) {
 		if res.Rows.Len() != n {
 			t.Fatalf("%s: %d rows, want %d", sys, res.Rows.Len(), n)
 		}
+	}
+}
+
+// TestRejectedUpdateLeavesDictionary: an update is validated before its
+// new terms are interned, so one rejected whole — new terms inserted beside
+// the deletion of every triple of an interesting property — leaves the
+// dictionary, the version and /debug/versions as they were. The insertion
+// alone then commits and interns exactly its three new terms.
+func TestRejectedUpdateLeavesDictionary(t *testing.T) {
+	svc, m, w := mutableService(t, serve.Config{}, 0)
+	ctx := context.Background()
+	h := serve.NewHandler(svc)
+	versions := func() string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/versions", nil))
+		return rec.Body.String()
+	}
+	dict := w.DS.Graph.Dict
+	const insert = `INSERT DATA { <reject/s> <reject/p> "reject" }`
+	var b strings.Builder
+	b.WriteString(insert + " ;\nDELETE DATA {\n")
+	for _, tr := range w.DS.Graph.Triples {
+		if tr.P == w.Cat.Interesting[0] {
+			fmt.Fprintf(&b, "%s %s %s .\n", dict.Term(tr.S).String(), dict.Term(tr.P).String(), dict.Term(tr.O).String())
+		}
+	}
+	b.WriteString("}")
+
+	terms, version, listed := dict.Len(), svc.Version(), versions()
+	if _, err := m.ApplyUpdate(ctx, b.String()); err == nil || !strings.Contains(err.Error(), "rejected") {
+		t.Fatalf("mixed update deleting an interesting property: err %v, want a rejection", err)
+	}
+	if dict.Len() != terms || svc.Version() != version || versions() != listed {
+		t.Fatalf("rejected update changed state: %d terms (was %d), version %d (was %d), versions %s (was %s)",
+			dict.Len(), terms, svc.Version(), version, versions(), listed)
+	}
+	if _, err := m.ApplyUpdate(ctx, insert); err != nil {
+		t.Fatal(err)
+	}
+	if dict.Len() != terms+3 {
+		t.Fatalf("committed insert left %d terms, want %d", dict.Len(), terms+3)
+	}
+}
+
+// racingDict interns a term of its own ahead of the first Intern it is
+// asked for, as a writer outside the mutator would.
+type racingDict struct {
+	rdf.Dict
+	raced bool
+}
+
+func (d *racingDict) Intern(t rdf.Term) rdf.ID {
+	if !d.raced {
+		d.raced = true
+		d.Dict.Intern(rdf.NewIRI("race/intruder"))
+	}
+	return d.Dict.Intern(t)
+}
+
+// TestOutsideInternFailsCommit: an update's new terms are lent the
+// identifiers interning will give them; when the dictionary grows between
+// lending and interning — a writer outside the mutator — the commit fails
+// with nothing installed rather than serve triples of the wrong terms.
+func TestOutsideInternFailsCommit(t *testing.T) {
+	w, _, _ := fixture(t)
+	sys, err := bench.BGPSystems(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := bench.NewService(w, sys, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets, err := bench.ServeTargets(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &rdf.Graph{Dict: &racingDict{Dict: w.DS.Graph.Dict}, Triples: w.DS.Graph.Triples}
+	m, err := serve.NewMutator(svc, serve.MutatorConfig{Graph: g, Cat: w.Cat, Est: w.Estimator(), Targets: targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	version := svc.Version()
+	if _, err := m.ApplyUpdate(ctx, `INSERT DATA { <race/s> <race/p> "race" }`); err == nil || !strings.Contains(err.Error(), "outside the write path") {
+		t.Fatalf("commit racing an outside intern: err %v", err)
+	}
+	if svc.Version() != version {
+		t.Fatalf("failed commit installed version %d", svc.Version())
+	}
+	if adds, dels := m.Delta(); adds != 0 || dels != 0 {
+		t.Fatalf("failed commit left delta state: %d adds, %d dels", adds, dels)
 	}
 }
 
