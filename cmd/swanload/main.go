@@ -6,10 +6,11 @@
 //
 //	swanload [-cfd] [-parallel N] [-det] [file.nt]
 //
-// With no file argument it reads standard input. -parallel N loads
-// through the pipelined ingest subsystem with N workers (0 means one per
-// CPU); -det selects its deterministic mode, whose output is
-// byte-identical to the sequential loader. Throughput and the per-stage
+// With no file argument it reads standard input. It loads through the
+// pipelined ingest subsystem with -parallel N parse workers (0 means one
+// per CPU; 1, the default, is one worker, not a separate loader); -det
+// selects its deterministic mode, whose output is byte-identical to the
+// reference reader rdf.ReadNTriples. Throughput and the per-stage
 // breakdown go to standard error, the statistics to standard output.
 package main
 
@@ -25,8 +26,8 @@ import (
 
 func main() {
 	cfd := flag.Bool("cfd", false, "also print the Figure 1 cumulative frequency distributions")
-	parallel := flag.Int("parallel", 1, "ingest worker count; 0 means one per CPU, 1 is the sequential baseline")
-	det := flag.Bool("det", false, "deterministic parallel mode: byte-identical to the sequential loader")
+	parallel := flag.Int("parallel", 1, "ingest parse-worker count; 0 means one per CPU, 1 is one worker of the same pipeline")
+	det := flag.Bool("det", false, "deterministic mode: byte-identical to the reference reader rdf.ReadNTriples")
 	chunk := flag.Int("chunk", 0, "scan-stage chunk bytes (default 1MiB)")
 	flag.Parse()
 

@@ -44,8 +44,8 @@
 // Its throughput, tail latency and cache amortization are measured by the
 // performance ledger under benchmark/ (BENCHMARK.json), the repository's
 // one measuring stick. Feeding all of it, internal/ingest bulk-loads N-Triples
-// through a pipelined parallel loader over a sharded dictionary
-// (rdf.ShardedDictionary behind the rdf.Dict interface), with a
+// through one pipelined parallel loader over the sharded rdf.Dictionary
+// (the one dictionary type, behind the rdf.Dict interface), with a
 // deterministic mode byte-identical to the sequential reader, concurrent
 // four-scheme builds over one shared partition, and a live dataset swap
 // in the serving layer (serve.Service.Swap, swanserve's POST /reload);

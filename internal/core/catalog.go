@@ -84,10 +84,10 @@ func (c Catalog) Validate() error {
 // the paper's data-driven schema observation), and interesting is taken as
 // given (it must include the special properties).
 func CatalogFromGraph(g *rdf.Graph, consts Constants, interesting []rdf.ID) (Catalog, error) {
-	st := rdf.ComputeStats(g)
+	freq := rdf.PropFreq(g.Triples)
 	cat := Catalog{
 		Consts:      consts,
-		AllProps:    rdf.TopK(st.PropFreq, len(st.PropFreq)),
+		AllProps:    rdf.TopK(freq, len(freq)),
 		Interesting: interesting,
 	}
 	if err := cat.Validate(); err != nil {

@@ -113,8 +113,16 @@ func (d *Delta) Size() (adds, dels int) { return len(d.adds), len(d.dels) }
 // Catalog returns the merged catalog of (base ∪ adds ∖ dels).
 func (d *Delta) Catalog() Catalog { return d.cat }
 
-// deleted reports whether t is tombstoned.
-func (d *Delta) deleted(t rdf.Triple) bool {
+// Added reports whether t is one of the additions: a binary search of
+// its subject's run under its property.
+func (d *Delta) Added(t rdf.Triple) bool {
+	run := d.addRun(t.P, t.S)
+	i := sort.Search(len(run), func(i int) bool { return run[i].O >= t.O })
+	return i < len(run) && run[i].O == t.O
+}
+
+// Deleted reports whether t is tombstoned.
+func (d *Delta) Deleted(t rdf.Triple) bool {
 	_, ok := d.dels[t]
 	return ok
 }
@@ -347,7 +355,7 @@ func (it *overlayPropIter) Next() (*rel.Rel, error) {
 		add := it.ai < len(it.adds)
 		if !it.done {
 			row := it.buf.Row(it.bi)
-			if it.o.d.deleted(rdf.Triple{S: rdf.ID(row[0]), P: it.p, O: rdf.ID(row[1])}) {
+			if it.o.d.Deleted(rdf.Triple{S: rdf.ID(row[0]), P: it.p, O: rdf.ID(row[1])}) {
 				it.bi++
 				continue
 			}
@@ -397,7 +405,7 @@ func (it *overlayTripleIter) Next() (*rel.Rel, error) {
 		reuse(out)
 		for i, n := 0, b.Len(); i < n; i++ {
 			row := b.Row(i)
-			if it.o.d.deleted(rdf.Triple{S: rdf.ID(row[0]), P: rdf.ID(row[1]), O: rdf.ID(row[2])}) {
+			if it.o.d.Deleted(rdf.Triple{S: rdf.ID(row[0]), P: rdf.ID(row[1]), O: rdf.ID(row[2])}) {
 				continue
 			}
 			out.Data = append(out.Data, row[0], row[1], row[2])

@@ -1,32 +1,31 @@
 // Package ingest is the parallel bulk-load subsystem: it takes an
 // N-Triples stream to a dictionary-encoded graph — and on to all four
 // loaded storage schemes — using every core the host has, where the
-// sequential loader in package rdf serializes on one parser and one
-// intern mutex.
+// reference reader in package rdf (rdf.ReadNTriples) runs on one parser.
 //
-// Loading is a three-stage pipeline:
+// Loading is one three-stage pipeline, whatever the worker count:
 //
 //  1. scan: the input splits into line-aligned chunks of roughly
 //     ChunkBytes (a line never splits, however long — multi-megabyte
 //     literal lines just grow their chunk), each stamped with its absolute
 //     starting line number;
 //  2. parse + intern: Workers goroutines parse chunks concurrently; in
-//     the default (fast) mode each worker interns terms directly into a
-//     shared rdf.ShardedDictionary, whose hash-partitioned intern maps and
-//     atomic ID counter keep the global identifier space dense without a
-//     global lock;
+//     the default (fast) mode each worker interns terms directly into the
+//     graph's shared rdf.Dictionary, whose hash-partitioned intern maps
+//     and atomic ID counter keep the global identifier space dense without
+//     a global lock;
 //  3. assemble: chunks rejoin in input order, so the triple sequence is
 //     always deterministic; in Deterministic mode interning itself moves
-//     here, sequential and in input order into a plain rdf.Dictionary,
-//     which makes the whole load byte-identical to rdf.ReadNTriples
-//     (rdf.GraphsIdentical — the determinism contract) at the cost of
-//     serializing the intern step.
+//     here, in input order, which makes the whole load byte-identical to
+//     rdf.ReadNTriples (rdf.GraphsIdentical — the determinism contract)
+//     at the cost of serializing the intern step.
 //
-// Malformed statements fail the load with a *rdf.SyntaxError carrying the
-// absolute line number, no matter which worker hit them. BuildSchemes
-// continues the pipeline past the graph: one parallel per-property
-// partition (core.PartitionByProp) feeds concurrent builds of all four
-// storage schemes.
+// With one worker the fast mode interns in input order too, so its
+// identifiers are the deterministic ones. Malformed statements fail the
+// load with a *rdf.SyntaxError carrying the absolute line number, no
+// matter which worker hit them. BuildSchemes continues the pipeline past
+// the graph: one parallel per-property partition (core.PartitionByProp)
+// feeds concurrent builds of all four storage schemes.
 package ingest
 
 import (
@@ -44,23 +43,19 @@ import (
 )
 
 // Options tunes a bulk load. The zero value is a good default: GOMAXPROCS
-// workers, 1 MiB chunks, fast (nondeterministic-ID) mode, 64 dictionary
-// shards.
+// workers, 1 MiB chunks, fast (nondeterministic-ID) mode.
 type Options struct {
 	// Workers is the parse-stage parallelism. <= 0 defaults to
-	// GOMAXPROCS; 1 runs the whole pipeline inline (the sequential
-	// baseline, equivalent to rdf.ReadNTriples).
+	// GOMAXPROCS; 1 is one parse worker, whose identifiers come out in
+	// first-occurrence order in either mode.
 	Workers int
 	// ChunkBytes is the scan stage's target chunk size. <= 0 defaults to
 	// 1 MiB.
 	ChunkBytes int
 	// Deterministic moves interning to the ordered assemble stage: the
-	// result is byte-identical to the sequential loader (same triples,
-	// same identifiers, same dictionary), parsing still parallel.
+	// result is byte-identical to rdf.ReadNTriples (same triples, same
+	// identifiers, same dictionary), parsing still parallel.
 	Deterministic bool
-	// Shards is the ShardedDictionary shard count for fast mode. <= 0
-	// defaults to rdf.DefaultShards.
-	Shards int
 	// Logger receives a structured completion line (statements, wall
 	// time, throughput, overlap gain). nil logs nothing.
 	Logger *slog.Logger
@@ -72,9 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = 1 << 20
-	}
-	if o.Shards <= 0 {
-		o.Shards = rdf.DefaultShards
 	}
 	return o
 }
@@ -97,8 +89,8 @@ type Stats struct {
 	// The simulated-clock view of the same load: the scan stage's busy time
 	// charges the clock's I/O component (it is the stage that moves bytes)
 	// and the parse and assemble stages charge CPU. SimSync composes them
-	// synchronously (cpu+io — the sequential loader, which blocks on every
-	// read) while SimOverlapped composes them with simio.Clock.SetOverlapped
+	// synchronously (cpu+io — a loader that blocks on every read) while
+	// SimOverlapped composes them with simio.Clock.SetOverlapped
 	// (max(cpu,io) — the pipelined loader, whose scanner reads ahead under
 	// the parse workers). The gap between the two is the simulated gain of
 	// pipelining the load, independent of host scheduling noise.
@@ -159,13 +151,7 @@ func Load(r io.Reader, opt Options) (*rdf.Graph, *Stats, error) {
 	opt = opt.withDefaults()
 	st := &Stats{Workers: opt.Workers, Deterministic: opt.Deterministic}
 	start := time.Now()
-	var g *rdf.Graph
-	var err error
-	if opt.Workers == 1 {
-		g, err = loadSequential(r, opt, st)
-	} else {
-		g, err = loadParallel(r, opt, st)
-	}
+	g, err := load(r, opt, st)
 	st.Wall = time.Since(start)
 	st.simulate()
 	if err != nil {
@@ -185,48 +171,9 @@ func Load(r io.Reader, opt Options) (*rdf.Graph, *Stats, error) {
 	return g, st, nil
 }
 
-// loadSequential is the Workers == 1 path: the same chunked scanner and
-// parser, run inline, interning in input order into a single-map
-// dictionary — the baseline the parallel modes are measured against and
-// the graph the deterministic contract is defined by.
-func loadSequential(r io.Reader, opt Options, st *Stats) (*rdf.Graph, error) {
+// load runs the three-stage pipeline across Workers parse goroutines.
+func load(r io.Reader, opt Options, st *Stats) (*rdf.Graph, error) {
 	g := rdf.NewGraph()
-	ck := newChunker(r, opt.ChunkBytes)
-	for {
-		t0 := time.Now()
-		c, ok, err := ck.next()
-		st.ScanBusy += time.Since(t0)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: read: %w", err)
-		}
-		if !ok {
-			break
-		}
-		t0 = time.Now()
-		pc, perr := parseChunk(c, nil, true)
-		st.ParseBusy += time.Since(t0)
-		if perr != nil {
-			return nil, perr
-		}
-		t0 = time.Now()
-		for _, s := range pc.stmts {
-			g.Add(s.s, s.p, s.o)
-		}
-		st.AssembleBusy += time.Since(t0)
-		st.Chunks++
-		st.Lines += int64(pc.lines)
-		st.Statements += int64(len(pc.stmts))
-	}
-	st.Bytes = ck.bytes
-	return g, nil
-}
-
-// loadParallel runs the three-stage pipeline across Workers goroutines.
-func loadParallel(r io.Reader, opt Options, st *Stats) (*rdf.Graph, error) {
-	var dict rdf.Dict
-	if !opt.Deterministic {
-		dict = rdf.NewShardedDictionary(opt.Shards)
-	}
 
 	chunks := make(chan chunk, opt.Workers*2)
 	results := make(chan parsedChunk, opt.Workers*2)
@@ -285,7 +232,7 @@ func loadParallel(r io.Reader, opt Options, st *Stats) (*rdf.Graph, error) {
 					return
 				}
 				t0 := time.Now()
-				pc, err := parseChunk(c, dict, opt.Deterministic)
+				pc, err := parseChunk(c, g.Dict, opt.Deterministic)
 				parseBusy.Add(time.Since(t0).Nanoseconds())
 				if err != nil {
 					fail(err)
@@ -305,12 +252,6 @@ func loadParallel(r io.Reader, opt Options, st *Stats) (*rdf.Graph, error) {
 	}()
 
 	// Stage 3 — assemble in input order; deterministic mode interns here.
-	var g *rdf.Graph
-	if opt.Deterministic {
-		g = rdf.NewGraph()
-	} else {
-		g = rdf.NewGraphWith(dict)
-	}
 	pending := make(map[int]parsedChunk)
 	nextIdx := 0
 	for pc := range results {

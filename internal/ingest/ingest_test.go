@@ -50,7 +50,7 @@ func TestDeterministicByteIdentical(t *testing.T) {
 				t.Fatalf("workers=%d chunk=%d: %v", workers, chunkBytes, err)
 			}
 			if !rdf.GraphsIdentical(want, got) {
-				t.Fatalf("workers=%d chunk=%d: graph differs from sequential loader", workers, chunkBytes)
+				t.Fatalf("workers=%d chunk=%d: graph differs from rdf.ReadNTriples", workers, chunkBytes)
 			}
 			if st.Statements != int64(want.Len()) {
 				t.Fatalf("workers=%d: Statements = %d, want %d", workers, st.Statements, want.Len())
@@ -66,19 +66,24 @@ func TestDeterministicByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFastModeTermEquivalent checks the fast (sharded-dictionary) mode:
-// identifier assignment may differ, but the decoded statement sequence
-// must equal the sequential loader's, and the dictionary totals match.
+// TestFastModeTermEquivalent checks the fast mode (workers interning as
+// they parse): identifier assignment may differ, but the decoded statement
+// sequence must equal rdf.ReadNTriples', and the dictionary totals match.
+// One worker interns in input order, so its load is the reference's byte
+// for byte.
 func TestFastModeTermEquivalent(t *testing.T) {
 	nt := corpus(t)
 	want, err := rdf.ReadNTriples(bytes.NewReader(nt))
 	if err != nil {
 		t.Fatalf("sequential read: %v", err)
 	}
-	for _, workers := range []int{2, 6} {
+	for _, workers := range []int{1, 2, 6} {
 		got, st, err := Load(bytes.NewReader(nt), Options{Workers: workers, ChunkBytes: 8 << 10})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if workers == 1 && !rdf.GraphsIdentical(want, got) {
+			t.Fatal("workers=1: graph differs from rdf.ReadNTriples")
 		}
 		if got.Len() != want.Len() {
 			t.Fatalf("workers=%d: %d triples, want %d", workers, got.Len(), want.Len())

@@ -10,7 +10,7 @@ func ApplyDelta(g *Graph, adds, dels []Triple) *Graph {
 	for _, t := range dels {
 		dead[t] = struct{}{}
 	}
-	out := NewGraphWith(g.Dict)
+	out := &Graph{Dict: g.Dict}
 	out.Triples = make([]Triple, 0, len(g.Triples)+len(adds))
 	for _, t := range g.Triples {
 		if _, ok := dead[t]; !ok {

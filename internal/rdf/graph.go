@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"sort"
 )
 
 // Graph is an in-memory dictionary-encoded RDF data set: the unit handed to
@@ -12,15 +13,9 @@ type Graph struct {
 	Triples []Triple
 }
 
-// NewGraph returns an empty graph with a fresh single-map dictionary.
+// NewGraph returns an empty graph with a fresh dictionary.
 func NewGraph() *Graph {
 	return &Graph{Dict: NewDictionary()}
-}
-
-// NewGraphWith returns an empty graph interning through d — the parallel
-// ingest pipeline passes a ShardedDictionary here.
-func NewGraphWith(d Dict) *Graph {
-	return &Graph{Dict: d}
 }
 
 // Add encodes and appends one statement.
@@ -48,6 +43,24 @@ func (g *Graph) Normalize() int {
 	return before - len(g.Triples)
 }
 
+// Normalized reports whether the triples are SPO-sorted and duplicate-free,
+// the state Normalize leaves them in and Has relies on.
+func (g *Graph) Normalized() bool {
+	for i := 1; i < len(g.Triples); i++ {
+		if !SPO.Less(g.Triples[i-1], g.Triples[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Has reports whether t is one of the graph's triples, by binary search:
+// the graph must be normalized.
+func (g *Graph) Has(t Triple) bool {
+	i := sort.Search(len(g.Triples), func(i int) bool { return !SPO.Less(g.Triples[i], t) })
+	return i < len(g.Triples) && g.Triples[i] == t
+}
+
 // Len returns the number of triples currently in the graph.
 func (g *Graph) Len() int { return len(g.Triples) }
 
@@ -59,9 +72,8 @@ func (g *Graph) Decode(t Triple) (s, p, o Term) {
 // GraphsIdentical reports whether two graphs are byte-identical: the same
 // triples in the same order over equal dictionaries (every identifier maps
 // to the same term, with equal totals). This is the determinism contract
-// of the parallel bulk loader — its deterministic mode must reproduce the
-// sequential loader's output exactly, regardless of which Dict
-// implementation backs either side.
+// of the parallel bulk loader — its deterministic mode must reproduce
+// ReadNTriples's output exactly.
 func GraphsIdentical(a, b *Graph) bool {
 	if len(a.Triples) != len(b.Triples) {
 		return false
@@ -71,10 +83,11 @@ func GraphsIdentical(a, b *Graph) bool {
 			return false
 		}
 	}
-	if a.Dict.Len() != b.Dict.Len() || a.Dict.Bytes() != b.Dict.Bytes() {
+	n := a.Dict.Len()
+	if n != b.Dict.Len() || a.Dict.Bytes() != b.Dict.Bytes() {
 		return false
 	}
-	for i := 1; i <= a.Dict.Len(); i++ {
+	for i := 1; i <= n; i++ {
 		if a.Dict.Term(ID(i)) != b.Dict.Term(ID(i)) {
 			return false
 		}

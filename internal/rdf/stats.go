@@ -59,6 +59,16 @@ func ComputeStats(g *Graph) *Stats {
 	return st
 }
 
+// PropFreq counts the triples under each property — Stats.PropFreq
+// without the subject and object maps ComputeStats also builds.
+func PropFreq(ts []Triple) map[ID]int {
+	freq := make(map[ID]int)
+	for _, t := range ts {
+		freq[t.P]++
+	}
+	return freq
+}
+
 // PropDetail holds per-property cardinalities beyond the raw triple count:
 // how many distinct subjects and objects occur under the property, and the
 // numeric profile of its object literals. Together with Stats' per-role

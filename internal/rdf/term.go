@@ -3,6 +3,11 @@
 // identifiers, an N-Triples subset reader/writer, and the dataset statistics
 // reported in Table 1 and Figure 1 of the paper.
 //
+// There is one dictionary type, Dictionary: its intern map is sharded so
+// the parallel loader's workers intern concurrently, and a single goroutine
+// interning in input order (datagen, ReadNTriples, deterministic ingest)
+// gets identifiers in first-occurrence order.
+//
 // All higher layers (the storage engines and the benchmark) operate on
 // dictionary-encoded triples: three uint64 identifiers per statement. This
 // mirrors the paper's setup: "The actual queries use integer predicates,

@@ -97,6 +97,34 @@ func TestGraphNormalize(t *testing.T) {
 	}
 }
 
+func TestGraphHasNormalized(t *testing.T) {
+	g := NewGraph()
+	for _, v := range []string{"c", "a", "b", "a"} {
+		g.Add(NewIRI(v), NewIRI("p"), NewIRI("o"))
+	}
+	if g.Normalized() {
+		t.Fatal("unsorted graph with a duplicate reports normalized")
+	}
+	g.Normalize()
+	if !g.Normalized() {
+		t.Fatal("not normalized after Normalize")
+	}
+	for _, tr := range g.Triples {
+		if !g.Has(tr) {
+			t.Fatalf("Has(%v) = false for a member", tr)
+		}
+		for _, miss := range []Triple{{tr.S, tr.P, tr.O + 10}, {tr.S, tr.P, 0}, {tr.S + 10, tr.P, tr.O}} {
+			if g.Has(miss) {
+				t.Fatalf("Has(%v) = true for a non-member", miss)
+			}
+		}
+	}
+	g.Triples = append(g.Triples, g.Triples[len(g.Triples)-1])
+	if g.Normalized() {
+		t.Fatal("trailing duplicate reports normalized")
+	}
+}
+
 func TestGraphValidate(t *testing.T) {
 	g := NewGraph()
 	g.Add(NewIRI("s"), NewIRI("p"), NewIRI("o"))

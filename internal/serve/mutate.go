@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -37,8 +38,9 @@ type RebuildFunc func(g *rdf.Graph, cat core.Catalog) (*bgp.Estimator, []Target,
 // Targets must describe the dataset the service currently serves (the same
 // values it was built or last rebased with).
 type MutatorConfig struct {
-	// Graph is the loaded base graph; its dictionary is the service's
-	// dictionary and grows append-only under inserts.
+	// Graph is the loaded base graph, normalized (SPO-sorted and
+	// duplicate-free: visibility binary-searches it); its dictionary is the
+	// service's dictionary and grows append-only under inserts.
 	Graph *rdf.Graph
 	// Cat is the base catalog; its constants and interesting selection are
 	// held fixed across mutation (compaction recomputes only the roster).
@@ -61,6 +63,10 @@ type MutatorConfig struct {
 // are rare and cheap next to loads; concurrency lives on the read side —
 // so every commit observes the previous one, giving the strictly
 // serialized commit order the snapshot-isolation checker builds on.
+//
+// The served data set is held once: the normalized base graph (which the
+// base targets were loaded from) plus one pending core.Delta, the same
+// edit set the installed overlays share.
 type Mutator struct {
 	s            *Service
 	compactEvery int
@@ -71,10 +77,8 @@ type Mutator struct {
 	cat         core.Catalog
 	est         *bgp.Estimator
 	baseTargets []Target
-	baseSet     map[rdf.Triple]struct{}
 	baseFreq    map[rdf.ID]int
-	addSet      map[rdf.Triple]struct{}
-	delSet      map[rdf.Triple]struct{}
+	delta       *core.Delta
 	commits     int
 	// faultEvery > 0 injects a stale-overlay fault on every n-th commit:
 	// the new version is installed with the previous snapshot's targets, so
@@ -89,6 +93,9 @@ func NewMutator(s *Service, cfg MutatorConfig) (*Mutator, error) {
 	if cfg.Graph == nil || cfg.Graph.Dict == nil {
 		return nil, fmt.Errorf("serve: mutator needs the loaded base graph")
 	}
+	if !cfg.Graph.Normalized() {
+		return nil, errNotNormalized
+	}
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("serve: mutator needs the base targets")
 	}
@@ -100,25 +107,27 @@ func NewMutator(s *Service, cfg MutatorConfig) (*Mutator, error) {
 		compactEvery: cfg.CompactEvery,
 		rebuild:      cfg.Rebuild,
 	}
-	m.resetBase(cfg.Graph, cfg.Cat, cfg.Est, cfg.Targets)
+	if err := m.resetBase(cfg.Graph, cfg.Cat, cfg.Est, cfg.Targets); err != nil {
+		return nil, err
+	}
 	s.SetMutator(m)
 	return m, nil
 }
 
-// resetBase points the mutator at a fresh compacted base. Callers hold the
-// mutex (or are the constructor).
-func (m *Mutator) resetBase(g *rdf.Graph, cat core.Catalog, est *bgp.Estimator, targets []Target) {
-	m.base = g
-	m.cat = cat
-	m.est = est
-	m.baseTargets = targets
-	m.baseSet = make(map[rdf.Triple]struct{}, len(g.Triples))
-	for _, t := range g.Triples {
-		m.baseSet[t] = struct{}{}
+var errNotNormalized = errors.New("serve: mutator base graph is not normalized (SPO-sorted, duplicate-free)")
+
+// resetBase points the mutator at a fresh base with an empty delta. It
+// fails, changing nothing, when the base catalog does not validate. Callers
+// hold the mutex (or are the constructor).
+func (m *Mutator) resetBase(g *rdf.Graph, cat core.Catalog, est *bgp.Estimator, targets []Target) error {
+	freq := rdf.PropFreq(g.Triples)
+	d, err := core.NewDelta(cat, freq, nil, nil)
+	if err != nil {
+		return fmt.Errorf("serve: base catalog: %w", err)
 	}
-	m.baseFreq = rdf.ComputeStats(g).PropFreq
-	m.addSet = make(map[rdf.Triple]struct{})
-	m.delSet = make(map[rdf.Triple]struct{})
+	m.base, m.cat, m.est, m.baseTargets = g, cat, est, targets
+	m.baseFreq, m.delta = freq, d
+	return nil
 }
 
 // UpdateResult is one committed update as reported to the client.
@@ -159,17 +168,15 @@ func (m *Mutator) ApplyUpdate(ctx context.Context, text string) (*UpdateResult, 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	newAdd := copyTripleSet(m.addSet)
-	newDel := copyTripleSet(m.delSet)
+	// edits holds this request's verdicts: each triple it changes maps to
+	// whether the triple is visible after it. Every other triple keeps the
+	// pending delta's verdict over the base.
+	edits := map[rdf.Triple]bool{}
 	visible := func(t rdf.Triple) bool {
-		if _, ok := newAdd[t]; ok {
-			return true
+		if v, ok := edits[t]; ok {
+			return v
 		}
-		if _, ok := m.baseSet[t]; ok {
-			_, dead := newDel[t]
-			return !dead
-		}
-		return false
+		return m.delta.Added(t) || m.base.Has(t) && !m.delta.Deleted(t)
 	}
 	// An inserted term the dictionary lacks is lent the ID interning will give
 	// it once the delta validates, so a rejected update leaves the dictionary
@@ -199,39 +206,42 @@ func (m *Mutator) ApplyUpdate(ctx context.Context, text string) (*UpdateResult, 
 	inserted, deleted := 0, 0
 	for _, op := range ops {
 		for _, gt := range op.Triples {
+			// A deleted triple with a never-seen term cannot be in the
+			// dataset; deleting it is a no-op and must not grow the dictionary.
+			t, ok := resolve(gt, op.Insert)
+			if !ok || visible(t) == op.Insert {
+				continue
+			}
+			edits[t] = op.Insert
 			if op.Insert {
-				t, _ := resolve(gt, true)
-				if visible(t) {
-					continue
-				}
-				if _, dead := newDel[t]; dead {
-					delete(newDel, t) // un-tombstone: the base row returns
-				} else {
-					newAdd[t] = struct{}{}
-				}
 				inserted++
 			} else {
-				// A triple with any never-seen term cannot be in the dataset;
-				// deleting it is a no-op and must not grow the dictionary.
-				t, ok := resolve(gt, false)
-				if !ok {
-					continue
-				}
-				if !visible(t) {
-					continue
-				}
-				if _, added := newAdd[t]; added {
-					delete(newAdd, t)
-				} else {
-					newDel[t] = struct{}{}
-				}
 				deleted++
 			}
 		}
 	}
+	// Fold the verdicts into the pending delta: a changed triple is an
+	// addition when visible and absent from the base, a tombstone when
+	// hidden and present in it — so adds ∩ base = ∅ and dels ⊆ base.
+	var adds, dels []rdf.Triple
+	for _, t := range m.delta.Adds() {
+		if _, ok := edits[t]; !ok {
+			adds = append(adds, t)
+		}
+	}
+	for _, t := range m.delta.Dels() {
+		if _, ok := edits[t]; !ok {
+			dels = append(dels, t)
+		}
+	}
+	for t, v := range edits {
+		if inBase := m.base.Has(t); v && !inBase {
+			adds = append(adds, t)
+		} else if !v && inBase {
+			dels = append(dels, t)
+		}
+	}
 
-	adds := tripleSlice(newAdd)
-	dels := tripleSlice(newDel)
 	// Validate the merged catalog before anything is installed: a rejected
 	// delta aborts the commit with no state change.
 	d, err := core.NewDelta(m.cat, m.baseFreq, adds, dels)
@@ -245,17 +255,13 @@ func (m *Mutator) ApplyUpdate(ctx context.Context, text string) (*UpdateResult, 
 			return nil, fmt.Errorf("serve: commit failed before install: %s interned outside the write path", t)
 		}
 	}
-	total := len(m.baseSet) - len(dels) + len(adds)
+	total := len(m.base.Triples) - len(dels) + len(adds)
 
 	fault := m.faultEvery > 0 && (m.commits+1)%m.faultEvery == 0
 	compact := !fault && m.compactEvery > 0 && len(adds)+len(dels) >= m.compactEvery
 
 	prev := m.s.snap.Load()
 	var sn *snapshot
-	var merged *rdf.Graph
-	var mergedCat core.Catalog
-	var mergedEst *bgp.Estimator
-	var rebuilt []Target
 	switch {
 	case fault:
 		// Stale-overlay fault injection: install a new version whose targets
@@ -263,13 +269,19 @@ func (m *Mutator) ApplyUpdate(ctx context.Context, text string) (*UpdateResult, 
 		// return the old state, which the SI checker must flag.
 		sn, err = newSnapshot(prev.dict, prev.est, m.s.cfg.CacheSize, prev.targets)
 	case compact:
-		merged = rdf.ApplyDelta(m.base, adds, dels)
-		mergedCat, err = core.CatalogFromGraph(merged, m.cat.Consts, m.cat.Interesting)
+		merged := rdf.ApplyDelta(m.base, adds, dels)
+		var cat core.Catalog
+		var est *bgp.Estimator
+		var rebuilt []Target
+		cat, err = core.CatalogFromGraph(merged, m.cat.Consts, m.cat.Interesting)
 		if err == nil {
-			mergedEst, rebuilt, err = m.rebuild(merged, mergedCat)
+			est, rebuilt, err = m.rebuild(merged, cat)
 		}
 		if err == nil {
-			sn, err = newSnapshot(merged.Dict, mergedEst, m.s.cfg.CacheSize, rebuilt)
+			sn, err = newSnapshot(merged.Dict, est, m.s.cfg.CacheSize, rebuilt)
+		}
+		if err == nil {
+			err = m.resetBase(merged, cat, est, rebuilt)
 		}
 	default:
 		overlaid := make([]Target, len(m.baseTargets))
@@ -300,10 +312,8 @@ func (m *Mutator) ApplyUpdate(ctx context.Context, text string) (*UpdateResult, 
 	m.s.metrics.committed()
 	if compact {
 		m.s.metrics.compacted()
-		m.resetBase(merged, mergedCat, mergedEst, rebuilt)
 	} else {
-		m.addSet = newAdd
-		m.delSet = newDel
+		m.delta = d
 	}
 	m.commits++
 
@@ -339,15 +349,20 @@ func (m *Mutator) Rebase(g *rdf.Graph, cat core.Catalog, est *bgp.Estimator, tar
 	if g == nil || g.Dict == nil {
 		return fmt.Errorf("serve: rebase needs a loaded graph")
 	}
+	if !g.Normalized() {
+		return errNotNormalized
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	sn, err := newSnapshot(g.Dict, est, m.s.cfg.CacheSize, targets)
 	if err != nil {
 		return err
 	}
+	if err := m.resetBase(g, cat, est, targets); err != nil {
+		return err
+	}
 	_, v := m.s.installSnapshot(sn, VersionEntry{Kind: VersionReload, Triples: len(g.Triples)})
 	m.s.metrics.swapped()
-	m.resetBase(g, cat, est, targets)
 	m.s.log.LogAttrs(context.Background(), slog.LevelInfo, "dataset rebased",
 		slog.Uint64("version", v),
 		slog.Int("targets", len(targets)),
@@ -369,7 +384,7 @@ func (m *Mutator) SetFaultEvery(n int) {
 func (m *Mutator) Delta() (adds, dels int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.addSet), len(m.delSet)
+	return m.delta.Size()
 }
 
 // Materialize folds base and pending delta into a standalone graph (sharing
@@ -378,27 +393,10 @@ func (m *Mutator) Delta() (adds, dels int) {
 func (m *Mutator) Materialize() (*rdf.Graph, core.Catalog, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	merged := rdf.ApplyDelta(m.base, tripleSlice(m.addSet), tripleSlice(m.delSet))
+	merged := rdf.ApplyDelta(m.base, m.delta.Adds(), m.delta.Dels())
 	cat, err := core.CatalogFromGraph(merged, m.cat.Consts, m.cat.Interesting)
 	if err != nil {
 		return nil, core.Catalog{}, err
 	}
 	return merged, cat, nil
-}
-
-func copyTripleSet(s map[rdf.Triple]struct{}) map[rdf.Triple]struct{} {
-	out := make(map[rdf.Triple]struct{}, len(s))
-	for t := range s {
-		out[t] = struct{}{}
-	}
-	return out
-}
-
-func tripleSlice(s map[rdf.Triple]struct{}) []rdf.Triple {
-	out := make([]rdf.Triple, 0, len(s))
-	for t := range s {
-		out = append(out, t)
-	}
-	rdf.SPO.Sort(out)
-	return out
 }

@@ -356,6 +356,17 @@ func TestMutatedMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	texts := bench.DistinctQueryTexts(w, 23, 10)
+	texts = append(texts, fmt.Sprintf("SELECT ?s ?o WHERE { ?s %s ?o }", dict.Term(p0).String()))
+	matchesRebuild(t, svc, m, w, texts)
+}
+
+// matchesRebuild checks that every scheme serves, for each query text, the
+// rows a from-scratch rebuild of the mutator's materialized state returns,
+// and hands back that state.
+func matchesRebuild(t *testing.T, svc *serve.Service, m *serve.Mutator, w *bench.Workload, texts []string) *rdf.Graph {
+	t.Helper()
+	ctx := context.Background()
 	merged, mergedCat, err := m.Materialize()
 	if err != nil {
 		t.Fatal(err)
@@ -368,9 +379,6 @@ func TestMutatedMatchesRebuild(t *testing.T) {
 	for _, tgt := range rebuilt {
 		byName[tgt.Name] = tgt.Src
 	}
-
-	texts := bench.DistinctQueryTexts(w, 23, 10)
-	texts = append(texts, fmt.Sprintf("SELECT ?s ?o WHERE { ?s %s ?o }", dict.Term(p0).String()))
 	for _, text := range texts {
 		compiled, err := bgp.CompileText(text, merged.Dict, est)
 		if err != nil {
@@ -388,6 +396,103 @@ func TestMutatedMatchesRebuild(t *testing.T) {
 			if fmt.Sprint(got.Rows.Data) != fmt.Sprint(want.Data) || got.Rows.W != want.W {
 				t.Fatalf("%s: served rows differ from rebuilt for %q", sys, text)
 			}
+		}
+	}
+	return merged
+}
+
+// TestApplyUpdateTransitions walks one base triple through every
+// visibility transition a request can make — tombstoned, un-tombstoned by
+// a later request, tombstoned and re-inserted within one request — beside
+// a delete of an absent triple whose terms are all known and an insert
+// deleted again in the same request, all over a pending addition. After
+// each step the counts, the pending delta and the materialized state are
+// checked, and every scheme must serve what a rebuild of that state does.
+func TestApplyUpdateTransitions(t *testing.T) {
+	svc, m, w := mutableService(t, serve.Config{}, 0)
+	ctx := context.Background()
+	g, dict := w.DS.Graph, w.DS.Graph.Dict
+	nt := func(tr rdf.Triple) string {
+		return dict.Term(tr.S).String() + " " + dict.Term(tr.P).String() + " " + dict.Term(tr.O).String()
+	}
+	// The base triple lives under the most frequent property, so its
+	// tombstone never empties a property the catalog needs.
+	var base rdf.Triple
+	for _, tr := range g.Triples {
+		if tr.P == w.Cat.AllProps[0] {
+			base = tr
+			break
+		}
+	}
+	absent := rdf.Triple{S: base.S, P: base.P, O: base.S}
+	if g.Has(absent) {
+		t.Fatalf("fixture already holds %v", absent)
+	}
+	b := nt(base)
+	const added, fresh = `<transition/s> <transition/p> "kept"`, `<transition/s> <transition/p> "fresh"`
+
+	steps := []struct {
+		name        string
+		update      string
+		ins, del    int
+		adds, dels  int
+		baseVisible bool
+	}{
+		{"insert a new triple", "INSERT DATA { " + added + " }", 1, 0, 1, 0, true},
+		{"tombstone a base triple", "DELETE DATA { " + b + " }", 0, 1, 1, 1, false},
+		{"re-insert it in a later request", "INSERT DATA { " + b + " }", 1, 0, 1, 0, true},
+		{"tombstone and re-insert in one request", "DELETE DATA { " + b + " } ; INSERT DATA { " + b + " }", 1, 1, 1, 0, true},
+		{"re-insert a visible base triple", "INSERT DATA { " + b + " }", 0, 0, 1, 0, true},
+		{"delete an absent triple of known terms", "DELETE DATA { " + nt(absent) + " }", 0, 0, 1, 0, true},
+		{"insert and delete a new triple in one request", "INSERT DATA { " + fresh + " } ; DELETE DATA { " + fresh + " }", 1, 1, 1, 0, true},
+	}
+	texts := []string{
+		fmt.Sprintf("SELECT ?o WHERE { %s %s ?o }", dict.Term(base.S).String(), dict.Term(base.P).String()),
+		"SELECT ?s ?o WHERE { ?s <transition/p> ?o }",
+	}
+	for _, st := range steps {
+		up, err := m.ApplyUpdate(ctx, st.update)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if up.Inserted != st.ins || up.Deleted != st.del {
+			t.Fatalf("%s: inserted %d, deleted %d; want %d, %d", st.name, up.Inserted, up.Deleted, st.ins, st.del)
+		}
+		if adds, dels := m.Delta(); adds != st.adds || dels != st.dels {
+			t.Fatalf("%s: delta %d adds, %d dels; want %d, %d", st.name, adds, dels, st.adds, st.dels)
+		}
+		merged := matchesRebuild(t, svc, m, w, texts)
+		if merged.Has(base) != st.baseVisible || merged.Has(absent) {
+			t.Fatalf("%s: materialized state holds base %v, absent %v; want %v, false",
+				st.name, merged.Has(base), merged.Has(absent), st.baseVisible)
+		}
+		if want := g.Len() + st.adds - st.dels; merged.Len() != want || up.Triples != want {
+			t.Fatalf("%s: %d triples materialized, %d reported; want %d", st.name, merged.Len(), up.Triples, want)
+		}
+	}
+}
+
+// TestMutatorRejectsUnnormalizedBase: visibility binary-searches the base
+// graph, so NewMutator and Rebase refuse one that is not SPO-sorted or not
+// duplicate-free rather than answer wrongly, and Rebase installs nothing.
+func TestMutatorRejectsUnnormalizedBase(t *testing.T) {
+	svc, m, w := mutableService(t, serve.Config{}, 0)
+	g := w.DS.Graph
+	n := len(g.Triples)
+	swapped := append([]rdf.Triple(nil), g.Triples...)
+	swapped[0], swapped[n-1] = swapped[n-1], swapped[0]
+	duplicated := append(append([]rdf.Triple(nil), g.Triples[:2]...), g.Triples[1:]...)
+	for name, ts := range map[string][]rdf.Triple{"unsorted": swapped, "duplicated": duplicated} {
+		bad := &rdf.Graph{Dict: g.Dict, Triples: ts}
+		if _, err := serve.NewMutator(svc, serve.MutatorConfig{Graph: bad, Cat: w.Cat, Est: w.Estimator(), Targets: svc.Targets()}); err == nil || !strings.Contains(err.Error(), "not normalized") {
+			t.Fatalf("%s: NewMutator err %v, want a normalization error", name, err)
+		}
+		version := svc.Version()
+		if err := m.Rebase(bad, w.Cat, w.Estimator(), svc.Targets()); err == nil || !strings.Contains(err.Error(), "not normalized") {
+			t.Fatalf("%s: Rebase err %v, want a normalization error", name, err)
+		}
+		if svc.Version() != version {
+			t.Fatalf("%s: rejected Rebase installed version %d", name, svc.Version())
 		}
 	}
 }
