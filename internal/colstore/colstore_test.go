@@ -433,6 +433,67 @@ func TestOpsChargeCPU(t *testing.T) {
 	}
 }
 
+// TestRatesChargeCPU pins the column store's price list: each operator
+// class is its decomposition into the vector primitives, priced per row or
+// per value as the class moves whole rows or single tests.
+func TestRatesChargeCPU(t *testing.T) {
+	e := newEngine()
+	scale := e.Store.Machine().CPUScale
+	clock := func(baseline int64) time.Duration { return time.Duration(float64(baseline) * scale) }
+	const n = 1000
+	for _, c := range []struct {
+		name string
+		op   simio.Op
+		w    int
+		rate int64 // per row at width w
+	}{
+		{"filter", simio.OpFilter, 3, selectValue},
+		{"restrict = select", simio.OpRestrict, 3, selectValue},
+		{"hash build = fetch + build", simio.OpHashBuild, 3, fetchValue + hashBuild},
+		{"hash probe = fetch + probe", simio.OpHashProbe, 3, fetchValue + hashProbe},
+		{"merge = fetch + select", simio.OpMerge, 2, fetchValue + selectValue},
+		{"union, width 2", simio.OpUnion, 2, 2 * 8},
+		{"union, width 5", simio.OpUnion, 5, 5 * 8},
+		{"emit, width 2", simio.OpEmit, 2, 2 * fetchValue},
+		{"emit, width 5", simio.OpEmit, 5, 5 * fetchValue},
+		{"join emit, width 3", simio.OpJoinEmit, 3, 3 * fetchValue},
+		{"join emit, width 6", simio.OpJoinEmit, 6, 6 * fetchValue},
+		{"distinct, width 3 (fixed-key path)", simio.OpDistinct, 3, 14},
+		{"distinct, width 4 (value by value)", simio.OpDistinct, 4, 4 * 14},
+		{"group, 1 key", simio.OpGroup, 1, fetchValue + 16},
+		{"group, 2 keys", simio.OpGroup, 2, 2 * (fetchValue + 16)},
+		{"sort", simio.OpSort, 1, 7},
+	} {
+		e.Store.Clock().Reset()
+		e.Store.ChargeCPU(Rates[c.op].Price(n, c.w))
+		if got, want := e.Store.Clock().User(), clock(n*c.rate); got != want {
+			t.Errorf("%s: %d rows charged %v, want %v", c.name, n, got, want)
+		}
+	}
+	e.Store.Clock().Reset()
+	e.ChargeNode()
+	if got, want := e.Store.Clock().User(), clock(Rates[simio.OpNode].Price(1, 1)); got != want || want != clock(4_000) {
+		t.Errorf("operator dispatch charged %v, the rate table prices %v, want %v", got, want, clock(4_000))
+	}
+
+	// The row-shaped hash join charges what the executor's hash join does
+	// for the same rows: a dispatch, the build and probe, the output gather.
+	l, r := rel.New(2), rel.New(2)
+	for i := range 10 {
+		l.Append(uint64(i), 1)
+	}
+	for i := range 100 {
+		r.Append(uint64(i%20), 2)
+	}
+	e.Store.Clock().Reset()
+	out := e.HashJoinRel(l, r, 0, 0)
+	want := Rates[simio.OpNode].Price(1, 1) + Rates[simio.OpHashBuild].Price(l.Len(), l.W) +
+		Rates[simio.OpHashProbe].Price(r.Len(), r.W) + Rates[simio.OpJoinEmit].Price(out.Len(), out.W)
+	if got := e.Store.Clock().User(); out.Len() != 50 || got != clock(want) {
+		t.Errorf("row-shaped hash join: %d rows charged %v, the rate table prices %v", out.Len(), got, clock(want))
+	}
+}
+
 func TestColumnCheckPanics(t *testing.T) {
 	// Positions come from other columns of the same table, so one past the
 	// end of a column is an engine bug: it panics rather than reading on.

@@ -6,95 +6,12 @@ import (
 	"blackswan/internal/rel"
 )
 
-// This file is the column store's side of the executor contract
-// (core.PhysicalOps / core.PhysicalSource). The shared operators in
-// internal/core charge per-row rates through the Relational adapter, and
-// the scheme sources stream column ranges through ColReader, which issues
-// read-ahead-sized I/O requests so batch-at-a-time access does not
-// degenerate into page-at-a-time request overhead.
-
-// StreamNode charges one operator dispatch, as node() does for every vector
-// primitive.
-func (r Relational) StreamNode() { r.E.node() }
-
-// StreamFilterRows charges n selection tests (the adapter's filters run one
-// test per row regardless of width).
-func (r Relational) StreamFilterRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * r.E.Costs.SelectValue)
-}
-
-// StreamHashBuildRows charges extracting n key values plus n hash inserts —
-// the adapter's key() + HashJoin build decomposition.
-func (r Relational) StreamHashBuildRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * (r.E.Costs.FetchValue + r.E.Costs.HashBuild))
-}
-
-// StreamHashProbeRows charges extracting n key values plus n hash probes.
-func (r Relational) StreamHashProbeRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * (r.E.Costs.FetchValue + r.E.Costs.HashProbe))
-}
-
-// StreamMergeRows charges extracting n key values plus n merge steps.
-func (r Relational) StreamMergeRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * (r.E.Costs.FetchValue + r.E.Costs.SelectValue))
-}
-
-// StreamUnionRows charges moving n rows of width w through a union,
-// value at a time.
-func (r Relational) StreamUnionRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * int64(w) * r.E.Costs.UnionValue)
-}
-
-// StreamDistinctRows charges deduplicating n rows: narrow rows use the
-// vector engine's fixed-key path (DistinctRows), wider rows hash value by
-// value.
-func (r Relational) StreamDistinctRows(n, w int) {
-	if w <= 3 {
-		r.E.Store.ChargeCPU(int64(n) * r.E.Costs.DistinctValue)
-		return
-	}
-	r.E.Store.ChargeCPU(int64(n) * int64(w) * r.E.Costs.DistinctValue)
-}
-
-// StreamRestrictRows charges the interesting-properties restriction: the
-// vector engine implements it as a set-membership filter.
-func (r Relational) StreamRestrictRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * r.E.Costs.SelectValue)
-}
-
-// StreamGroupRows charges aggregating n rows under `keys` grouping columns:
-// one key extraction (a positional fetch) plus one group-table update per
-// key value.
-func (r Relational) StreamGroupRows(n, keys int) {
-	r.E.Store.ChargeCPU(int64(n) * int64(keys) * (r.E.Costs.FetchValue + r.E.Costs.GroupValue))
-}
-
-// StreamJoinEmitRows charges assembling n join output rows of width w, one
-// positional fetch per value — the adapter's materialize() rate.
-func (r Relational) StreamJoinEmitRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * int64(w) * r.E.Costs.FetchValue)
-}
-
-// StreamEmitRows charges gathering n finished rows of width w into an
-// output buffer.
-func (r Relational) StreamEmitRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * int64(w) * r.E.Costs.FetchValue)
-}
-
-// StreamSortCompares charges n sort comparisons (ORDER BY / heap TopN).
-func (r Relational) StreamSortCompares(n int64) {
-	r.E.Store.ChargeCPU(n * r.E.Costs.SortValue)
-}
-
-// ChargeNode exposes the operator-dispatch charge to streaming scan
-// openers assembled outside the package.
-func (e *Engine) ChargeNode() { e.node() }
-
-// ChargeSelect charges n selection tests.
-func (e *Engine) ChargeSelect(n int) { e.Store.ChargeCPU(int64(n) * e.Costs.SelectValue) }
-
-// ChargeFetch charges n positional fetches.
-func (e *Engine) ChargeFetch(n int) { e.Store.ChargeCPU(int64(n) * e.Costs.FetchValue) }
+// This file is the column store's scan side of the executor contract
+// (core.PhysicalSource): the scheme sources stream column ranges through
+// ColReader, which issues read-ahead-sized I/O requests so batch-at-a-time
+// access does not degenerate into page-at-a-time request overhead. The
+// operators themselves live once in internal/core and charge at the
+// engine's Rates.
 
 // streamReadAheadBytes is how much of a column one read-ahead I/O request
 // covers. Batch-at-a-time pulls would otherwise issue near-page-sized
@@ -221,7 +138,7 @@ func (s *ColScan) Next(out *rel.Rel) bool {
 				break
 			}
 			s.condRd[i].Ensure(int(pos[0]), int(pos[len(pos)-1])+1, more)
-			s.e.ChargeSelect(len(pos))
+			s.e.Store.ChargeCPU(int64(len(pos)) * selectValue)
 			kept := pos[:0]
 			for _, p := range pos {
 				if cond.C.vals[p] == cond.V {
@@ -246,7 +163,7 @@ func (s *ColScan) Next(out *rel.Rel) bool {
 				continue
 			}
 			s.outRd[i].Ensure(lo, end, more)
-			s.e.ChargeFetch(n)
+			s.e.Store.ChargeCPU(int64(n) * fetchValue)
 			if len(s.conds) == 0 {
 				for r, v := range c.C.vals[lo:end] {
 					d[r*w+i] = v

@@ -7,36 +7,40 @@ import (
 	"blackswan/internal/simio"
 )
 
-// Costs is the column-store CPU model in baseline nanoseconds per value.
+// The column store's CPU model in baseline nanoseconds per value.
 // Vectorized execution amortizes interpretation over whole columns, hence
-// the ~order-of-magnitude gap to the row-store's per-tuple constants.
-type Costs struct {
-	SelectValue   int64 // test one value in a selection scan
-	FetchValue    int64 // materialize one value through a position list
-	HashBuild     int64
-	HashProbe     int64
-	GroupValue    int64
-	UnionValue    int64
-	DistinctValue int64
-	SortValue     int64 // one key comparison while sorting (ORDER BY / TopN)
-	BinarySearch  int64 // one binary search on a sorted column
-	NodeStartup   int64 // dispatch one algebra operator
-}
+// the ~order-of-magnitude gap to the row store's per-tuple rates. The
+// engine's own scans, seeks and vector hash join charge these; Rates
+// composes the executor's operator classes from them.
+const (
+	selectValue  = 6     // test one value in a selection scan
+	fetchValue   = 5     // materialize one value through a position list
+	hashBuild    = 18    // insert one key into a hash table
+	hashProbe    = 14    // probe one key against a hash table
+	binarySearch = 600   // one binary search on a sorted column
+	nodeStartup  = 4_000 // dispatch one algebra operator
+)
 
-// DefaultCosts returns the calibrated column-store model.
-func DefaultCosts() Costs {
-	return Costs{
-		SelectValue:   6,
-		FetchValue:    5,
-		HashBuild:     18,
-		HashProbe:     14,
-		GroupValue:    16,
-		UnionValue:    8,
-		DistinctValue: 14,
-		SortValue:     7,
-		BinarySearch:  600,
-		NodeStartup:   4_000,
-	}
+// Rates is the column store's price list for the executor's operator
+// classes, each priced as its decomposition into the vector primitives: a
+// join or merge extracts its key by positional fetch, and a union, a
+// group's keys, a join's output and a finished row move value by value.
+var Rates = simio.Rates{
+	simio.OpNode:      {Row: nodeStartup},
+	simio.OpFilter:    {Row: selectValue}, // one test a row, whatever its width
+	simio.OpHashBuild: {Row: fetchValue + hashBuild},
+	simio.OpHashProbe: {Row: fetchValue + hashProbe},
+	simio.OpMerge:     {Row: fetchValue + selectValue},
+	simio.OpUnion:     {Value: 8},
+	// Rows of up to three values take the fixed-key path; wider rows hash
+	// value by value.
+	simio.OpDistinct: {Value: 14, Narrow: 4},
+	simio.OpRestrict: {Row: selectValue}, // a set-membership filter
+	// Per grouping key: one fetch plus one group-table update.
+	simio.OpGroup:    {Value: fetchValue + 16},
+	simio.OpJoinEmit: {Value: fetchValue},
+	simio.OpEmit:     {Value: fetchValue},
+	simio.OpSort:     {Row: 7},
 }
 
 // Table is a set of equally long columns. The leading sort column (if any)
@@ -62,20 +66,19 @@ func (t *Table) SizeBytes() int64 {
 // Engine is one column-store instance bound to a simulated store.
 type Engine struct {
 	Store *simio.Store
-	Costs Costs
 	// PageAtATime selects the C-Store I/O profile: every column access
 	// becomes synchronous page-granular reads.
 	PageAtATime bool
 	tables      map[string]*Table
 }
 
-// NewEngine returns an empty column store with default costs.
+// NewEngine returns an empty column store.
 func NewEngine(store *simio.Store) *Engine {
-	return &Engine{Store: store, Costs: DefaultCosts(), tables: make(map[string]*Table)}
+	return &Engine{Store: store, tables: make(map[string]*Table)}
 }
 
-// node charges one operator dispatch.
-func (e *Engine) node() { e.Store.ChargeCPU(e.Costs.NodeStartup) }
+// ChargeNode charges one operator dispatch.
+func (e *Engine) ChargeNode() { e.Store.ChargeCPU(nodeStartup) }
 
 // CreateTable loads rows into a new table. Rows must already be sorted in
 // the intended clustering order; column 0 of the stored layout is the

@@ -14,6 +14,7 @@ import (
 // physical access layer; all query logic lives in the shared plan executor.
 type ColTriple struct {
 	eng     *colstore.Engine
+	ops     PhysicalOps
 	cat     Catalog
 	cluster rdf.Order
 	table   *colstore.Table
@@ -38,7 +39,7 @@ func LoadColTriple(eng *colstore.Engine, g *rdf.Graph, cat Catalog, cluster rdf.
 	if err != nil {
 		return nil, err
 	}
-	d := &ColTriple{eng: eng, cat: cat, cluster: cluster, table: table}
+	d := &ColTriple{eng: eng, ops: colOps(eng), cat: cat, cluster: cluster, table: table}
 	// Physical layout is the permuted key order; recover logical slots.
 	probe := cluster.Triple(10, 20, 30)
 	lookup := map[rdf.ID]int{10: 0, 20: 1, 30: 2}
@@ -85,4 +86,4 @@ func (d *ColTriple) PropSeekable() bool { return false }
 func (d *ColTriple) Partitioned() bool { return false }
 
 // Ops implements PhysicalSource.
-func (d *ColTriple) Ops() PhysicalOps { return colstore.Relational{E: d.eng} }
+func (d *ColTriple) Ops() PhysicalOps { return d.ops }

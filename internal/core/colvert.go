@@ -17,6 +17,7 @@ import (
 // shared plan executor.
 type ColVert struct {
 	eng    *colstore.Engine
+	ops    PhysicalOps
 	cat    Catalog
 	tables map[rdf.ID]*colstore.Table
 	// loaded is the property list actually materialized (all properties
@@ -69,7 +70,7 @@ func loadColVert(eng *colstore.Engine, g *rdf.Graph, cat Catalog, props []rdf.ID
 			}
 		}
 	}
-	d := &ColVert{eng: eng, cat: cat, tables: make(map[rdf.ID]*colstore.Table, len(props)), loaded: props, label: label}
+	d := &ColVert{eng: eng, ops: colOps(eng), cat: cat, tables: make(map[rdf.ID]*colstore.Table, len(props)), loaded: props, label: label}
 	for _, p := range props {
 		ts := parts[p]
 		rdf.SOP.Sort(ts) // SO order; the trailing P is constant
@@ -120,4 +121,4 @@ func (d *ColVert) PropSeekable() bool { return true }
 func (d *ColVert) Partitioned() bool { return true }
 
 // Ops implements PhysicalSource.
-func (d *ColVert) Ops() PhysicalOps { return colstore.Relational{E: d.eng} }
+func (d *ColVert) Ops() PhysicalOps { return d.ops }

@@ -6,8 +6,11 @@ import (
 	"math"
 	"slices"
 
+	"blackswan/internal/colstore"
 	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
+	"blackswan/internal/rowstore"
+	"blackswan/internal/simio"
 )
 
 // This file is the plan executor's surface: the interfaces a storage scheme
@@ -27,44 +30,28 @@ import (
 //     access layer: partitioned schemes visit only those tables, triple
 //     stores apply the properties-table restriction to one big scan.
 
-// PhysicalOps is what the executor needs from an engine: the per-row charge
-// vocabulary. The operators themselves live once in stream.go,
-// engine-agnostic; each call charges n rows (of width w, where the engine's
-// cost model cares) at the engine's own rate for that operator class. The
-// row-store engine implements it directly; the column-store engine provides
-// it through colstore.Relational, which prices each operator as its
-// decomposition into vector primitives.
-type PhysicalOps interface {
-	// StreamNode charges one operator dispatch (plan-node startup).
-	StreamNode()
-	// StreamFilterRows charges n predicate evaluations over width-w rows.
-	StreamFilterRows(n, w int)
-	// StreamHashBuildRows charges inserting n rows into a join hash table.
-	StreamHashBuildRows(n, w int)
-	// StreamHashProbeRows charges probing n rows against a hash table.
-	StreamHashProbeRows(n, w int)
-	// StreamMergeRows charges advancing n rows through a merge join.
-	StreamMergeRows(n, w int)
-	// StreamUnionRows charges moving n rows of width w through a union.
-	StreamUnionRows(n, w int)
-	// StreamDistinctRows charges deduplicating n rows of width w.
-	StreamDistinctRows(n, w int)
-	// StreamRestrictRows charges testing n rows against the interesting-
-	// properties restriction (a hash semijoin probe on the row engine, a set
-	// filter on the column engine).
-	StreamRestrictRows(n, w int)
-	// StreamGroupRows charges aggregating n rows under keys grouping columns.
-	StreamGroupRows(n, keys int)
-	// StreamJoinEmitRows charges materializing n join output rows of width w.
-	StreamJoinEmitRows(n, w int)
-	// StreamEmitRows charges moving n finished rows into an output buffer.
-	StreamEmitRows(n, w int)
-	// StreamSortCompares charges n sort comparisons (ORDER BY / heap TopN).
-	StreamSortCompares(n int64)
+// PhysicalOps is what the executor needs from an engine: the store its
+// operators charge and the engine's price list. The operators themselves
+// live once in stream.go, engine-agnostic; each charge prices n rows of
+// width w at the engine's Rate for that operator class (streamer.charge).
+type PhysicalOps struct {
+	Store *simio.Store
+	Rates *simio.Rates
 	// HashJoin is the engine's standalone hash join of two relations; the
 	// executor does not call it — the performance ledger's physical-layer
 	// probe times it.
-	HashJoin(l, r *rel.Rel, lc, rc int) *rel.Rel
+	HashJoin func(l, r *rel.Rel, lc, rc int) *rel.Rel
+}
+
+// rowOps and colOps are the two engines' PhysicalOps, shared by every
+// scheme on that engine. A scheme builds its own once, at load: the
+// HashJoin method value is an allocation.
+func rowOps(e *rowstore.Engine) PhysicalOps {
+	return PhysicalOps{Store: e.Store, Rates: &rowstore.Rates, HashJoin: e.HashJoin}
+}
+
+func colOps(e *colstore.Engine) PhysicalOps {
+	return PhysicalOps{Store: e.Store, Rates: &colstore.Rates, HashJoin: e.HashJoinRel}
 }
 
 // RelIter is the pull contract of a streaming physical scan: Next returns
@@ -122,7 +109,7 @@ type PhysicalSource interface {
 	// property; the executor then lowers unbound-property accesses to
 	// per-property unions, reproducing the paper's plan shapes.
 	Partitioned() bool
-	// Ops returns the engine's charge vocabulary.
+	// Ops returns the engine's store and price list.
 	Ops() PhysicalOps
 }
 
@@ -281,7 +268,7 @@ func ExecutePlanCtx(ctx context.Context, src PhysicalSource, root Node, opt Exec
 		st.batch = math.MaxInt
 	}
 	if opt.Profile {
-		st.prof = newProfiler(st.ops, st.mem)
+		st.prof = newProfiler(st.ops.Store, st.mem)
 	}
 	s, err := st.build(root)
 	if err != nil {

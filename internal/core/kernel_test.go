@@ -11,6 +11,7 @@ import (
 
 	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
+	"blackswan/internal/simio"
 )
 
 // The executor's kernels, layer by layer: one benchmark per hash or copy
@@ -22,22 +23,8 @@ import (
 // -race, poisons — its one batch buffer, so a kept row that aliases a batch
 // fails.
 
-// nopOps charges nothing: the kernels' host time alone.
-type nopOps struct{}
-
-func (nopOps) StreamNode()                                 {}
-func (nopOps) StreamFilterRows(n, w int)                   {}
-func (nopOps) StreamHashBuildRows(n, w int)                {}
-func (nopOps) StreamHashProbeRows(n, w int)                {}
-func (nopOps) StreamMergeRows(n, w int)                    {}
-func (nopOps) StreamUnionRows(n, w int)                    {}
-func (nopOps) StreamDistinctRows(n, w int)                 {}
-func (nopOps) StreamRestrictRows(n, w int)                 {}
-func (nopOps) StreamGroupRows(n, keys int)                 {}
-func (nopOps) StreamJoinEmitRows(n, w int)                 {}
-func (nopOps) StreamEmitRows(n, w int)                     {}
-func (nopOps) StreamSortCompares(n int64)                  {}
-func (nopOps) HashJoin(l, r *rel.Rel, lc, rc int) *rel.Rel { return nil }
+// nopOps prices every operator at zero: the kernels' host time alone.
+var nopOps = PhysicalOps{Store: simio.NewStore(simio.Config{}), Rates: &simio.Rates{}}
 
 // leaf is a plan access standing for an in-memory input with the given
 // columns (the property constant only tells leaves apart).
@@ -55,7 +42,7 @@ func runKernel(b *testing.B, root Node, leaves map[Node]shared, rows int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		st := &streamer{ctx: context.Background(), ops: nopOps{}, tr: &Trace{}, memo: maps.Clone(leaves),
+		st := &streamer{ctx: context.Background(), ops: nopOps, tr: &Trace{}, memo: maps.Clone(leaves),
 			req: requiredVars(root), uses: useCounts(root), mem: &memTracker{}, batch: DefaultBatchRows}
 		s, err := st.build(root)
 		if err != nil {
@@ -186,7 +173,7 @@ func TestKernelOperatorsMatchReference(t *testing.T) {
 		for _, batch := range []int{1, 3, 1024} {
 			for _, wide := range []bool{false, true} {
 				dom := uint64(1 + rng.Intn(2*n+2))
-				st := &streamer{ctx: context.Background(), ops: nopOps{}, tr: &Trace{}, mem: &memTracker{}, batch: batch}
+				st := &streamer{ctx: context.Background(), ops: nopOps, tr: &Trace{}, mem: &memTracker{}, batch: batch}
 				label := fmt.Sprintf("n=%d batch=%d wide=%v", n, batch, wide)
 
 				in := operatorInput(rng, n, 3, dom, wide)

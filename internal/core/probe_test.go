@@ -148,14 +148,14 @@ func TestProbeDuplicateKeysAndFallback(t *testing.T) {
 
 	for _, name := range seekable {
 		src := srcs[name]
-		meter := src.Ops().(ChargeMeter)
+		store := src.Ops().Store
 		run := func(max int, opt ExecOptions) (*rel.Rel, *Trace, int64) {
-			c0, _, _ := meter.Charges()
+			c0, _, _ := store.Charges()
 			got, _, tr, err := ExecutePlan(src, mk(max), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c1, _, _ := meter.Charges()
+			c1, _, _ := store.Charges()
 			return got, tr, c1 - c0
 		}
 		for _, opt := range configs {
@@ -164,7 +164,7 @@ func TestProbeDuplicateKeysAndFallback(t *testing.T) {
 			if !slices.Equal(got.Data, want.Data) {
 				t.Errorf("%s %+v: fallback rows %v, unlicensed %v", name, opt, got, want)
 			}
-			// The meter reads a rounded running total, so two equal sums of
+			// The store reads a rounded running total, so two equal sums of
 			// charges can differ by a nanosecond. The rows read before the
 			// choice — at most the bound, none when the first batch outgrows
 			// it, as every drained one does — are held until replayed.

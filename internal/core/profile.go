@@ -7,6 +7,7 @@ import (
 
 	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
+	"blackswan/internal/simio"
 )
 
 // This file is the per-operator profile collector behind EXPLAIN ANALYZE:
@@ -18,23 +19,14 @@ import (
 // is on — and costs nothing when it is off (a nil pointer check per
 // operator).
 //
-// Charge attribution works by differencing the engine's charge meter
+// Charge attribution works by differencing the engine store's Charges
 // around each operator frame: the node's build phase and each
 // next()/close() of the iterator wrapping its output edge. Frames nest, so
 // the recorded figures are inclusive of children; finish() derives per-node
 // self figures by subtracting each child once. A plan runs on one
-// goroutine, so attribution within it is exact; the meter is store-global,
-// though, so a profile taken while concurrent queries share the store soaks
-// up the neighbours' charges.
-
-// ChargeMeter is the optional engine extension the profiler snapshots:
-// cumulative simulated CPU and I/O nanoseconds plus physical bytes read,
-// under the engine's accounting lock. Both storage engines implement it by
-// delegating to their simio.Store. Engines without a meter still profile
-// rows, batches, host time and peak bytes; the simulated columns read zero.
-type ChargeMeter interface {
-	Charges() (cpuNs, ioNs, bytesRead int64)
-}
+// goroutine, so attribution within it is exact; the store's totals are
+// global, though, so a profile taken while concurrent queries share the
+// store soaks up the neighbours' charges.
 
 // OpProfile is one plan node's recorded actuals. The tree mirrors the
 // order the executor actually evaluated nodes in: a shared DAG node
@@ -77,7 +69,7 @@ type OpProfile struct {
 	Children []*OpProfile
 }
 
-// charge is one meter reading.
+// charge is one reading of the store's totals.
 type charge struct {
 	cpuNs, ioNs, bytes int64
 }
@@ -88,26 +80,19 @@ func (c charge) sub(o charge) charge {
 
 // profiler threads the collector through one execution.
 type profiler struct {
-	meter ChargeMeter
+	store *simio.Store
 	mem   *memTracker
 	root  *OpProfile
 	stack []*OpProfile
 	nodes map[Node]*OpProfile
 }
 
-func newProfiler(ops PhysicalOps, mem *memTracker) *profiler {
-	p := &profiler{mem: mem, nodes: map[Node]*OpProfile{}}
-	if m, ok := ops.(ChargeMeter); ok {
-		p.meter = m
-	}
-	return p
+func newProfiler(store *simio.Store, mem *memTracker) *profiler {
+	return &profiler{store: store, mem: mem, nodes: map[Node]*OpProfile{}}
 }
 
 func (p *profiler) charges() charge {
-	if p.meter == nil {
-		return charge{}
-	}
-	cpu, io, b := p.meter.Charges()
+	cpu, io, b := p.store.Charges()
 	return charge{cpu, io, b}
 }
 

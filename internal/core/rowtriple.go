@@ -44,6 +44,7 @@ func OrderPerm(o rdf.Order) rowstore.Perm {
 // access layer; all query logic lives in the shared plan executor.
 type RowTriple struct {
 	eng     *rowstore.Engine
+	ops     PhysicalOps
 	cat     Catalog
 	cluster rdf.Order
 	triples *rowstore.Table
@@ -75,14 +76,14 @@ func LoadRowTriple(eng *rowstore.Engine, g *rdf.Graph, cat Catalog, cluster rdf.
 	// The "properties" side table holding the administrator's 28 selected
 	// properties, joined against q2/q3/q4/q6 in the paper. It is part of the
 	// scheme's stored footprint; the executor charges that join per probed
-	// row (PhysicalOps.StreamRestrictRows) against the catalog's copy of the
+	// row (at the engine's OpRestrict rate) against the catalog's copy of the
 	// same list.
 	if _, err := eng.CreateTable(rowstore.TableSpec{
 		Name: "properties", Width: 1, Clustered: rowstore.Perm{0},
 	}, idsRel(cat.Interesting)); err != nil {
 		return nil, err
 	}
-	return &RowTriple{eng: eng, cat: cat, cluster: cluster, triples: triples}, nil
+	return &RowTriple{eng: eng, ops: rowOps(eng), cat: cat, cluster: cluster, triples: triples}, nil
 }
 
 // Label implements Database.
@@ -120,4 +121,4 @@ func (d *RowTriple) PropSeekable() bool {
 func (d *RowTriple) Partitioned() bool { return false }
 
 // Ops implements PhysicalSource.
-func (d *RowTriple) Ops() PhysicalOps { return d.eng }
+func (d *RowTriple) Ops() PhysicalOps { return d.ops }

@@ -22,6 +22,7 @@ const (
 // the paper warns about.
 type RowVert struct {
 	eng    *rowstore.Engine
+	ops    PhysicalOps
 	cat    Catalog
 	tables map[rdf.ID]*rowstore.Table
 }
@@ -61,7 +62,7 @@ func LoadRowVertParts(eng *rowstore.Engine, g *rdf.Graph, cat Catalog, parts map
 			r.Data = append(r.Data, uint64(t.S), uint64(t.O))
 		}
 	}
-	d := &RowVert{eng: eng, cat: cat, tables: make(map[rdf.ID]*rowstore.Table, len(rels))}
+	d := &RowVert{eng: eng, ops: rowOps(eng), cat: cat, tables: make(map[rdf.ID]*rowstore.Table, len(rels))}
 	for _, p := range cat.AllProps {
 		rows, ok := rels[p]
 		if !ok {
@@ -115,4 +116,4 @@ func (d *RowVert) PropSeekable() bool { return true }
 func (d *RowVert) Partitioned() bool { return true }
 
 // Ops implements PhysicalSource.
-func (d *RowVert) Ops() PhysicalOps { return d.eng }
+func (d *RowVert) Ops() PhysicalOps { return d.ops }

@@ -9,6 +9,7 @@ import (
 
 	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
+	"blackswan/internal/simio"
 )
 
 // This file is the executor: every logical plan is lowered, by build, onto
@@ -143,6 +144,12 @@ type streamer struct {
 	// opened next — a partitioned access opens one scan → assemble → filter →
 	// probe chain per property, up to 222 a query.
 	free []*rel.Rel
+}
+
+// charge is the executor's one charge call: n rows of width w at the
+// engine's rate for op.
+func (st *streamer) charge(op simio.Op, n, w int) {
+	st.ops.Store.ChargeCPU(st.ops.Rates[op].Price(n, w))
 }
 
 // poisonWord is what a recycled buffer is overwritten with while
@@ -525,8 +532,8 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 		// The restriction set comes from the catalog: building it (28 rows)
 		// is a constant the executor does not charge, testing each row is.
 		set := rel.NewJoinIndex(idsRel(st.src.Cat().Interesting), 0)
-		st.ops.StreamNode()
-		it = st.filtered(it, 3, true, func(row []uint64) bool { return set.First(row[1]) >= 0 })
+		st.charge(simio.OpNode, 1, 1)
+		it = st.filtered(it, 3, simio.OpRestrict, func(row []uint64) bool { return set.First(row[1]) >= 0 })
 	}
 	return stream{it: st.gathered(it, compileAssembly(slots, 3), 0), cols: slotCols(slots)}, nil
 }
@@ -559,7 +566,7 @@ func (f *fanout) next() (*rel.Rel, error) {
 			}
 			if f.w > 0 {
 				// The union-all charges one operator dispatch per merged part.
-				f.st.ops.StreamNode()
+				f.st.charge(simio.OpNode, 1, 1)
 				f.st.tr.PartitionScans++
 				f.st.tr.UnionParts++
 			}
@@ -576,7 +583,7 @@ func (f *fanout) next() (*rel.Rel, error) {
 			continue
 		}
 		if f.w > 0 {
-			f.st.ops.StreamUnionRows(b.Len(), f.w)
+			f.st.charge(simio.OpUnion, b.Len(), f.w)
 		}
 		return b, nil
 	}
@@ -590,19 +597,19 @@ func (f *fanout) close() {
 	f.cur = f.n
 }
 
-// filterIter drops rows failing pred, charging per evaluated row (restrict
-// selects the engine's interesting-properties restriction rate).
+// filterIter drops rows failing pred, charging each evaluated row at op:
+// OpFilter, or OpRestrict for the interesting-properties restriction.
 type filterIter struct {
-	st       *streamer
-	in       iter
-	w        int
-	pred     func([]uint64) bool
-	restrict bool
-	out      *rel.Rel
+	st   *streamer
+	in   iter
+	w    int
+	pred func([]uint64) bool
+	op   simio.Op
+	out  *rel.Rel
 }
 
-func (st *streamer) filtered(in iter, w int, restrict bool, pred func([]uint64) bool) iter {
-	return &filterIter{st: st, in: in, w: w, pred: pred, restrict: restrict, out: st.take(w)}
+func (st *streamer) filtered(in iter, w int, op simio.Op, pred func([]uint64) bool) iter {
+	return &filterIter{st: st, in: in, w: w, pred: pred, op: op, out: st.take(w)}
 }
 
 func (f *filterIter) next() (*rel.Rel, error) {
@@ -612,11 +619,7 @@ func (f *filterIter) next() (*rel.Rel, error) {
 			return nil, err
 		}
 		n := b.Len()
-		if f.restrict {
-			f.st.ops.StreamRestrictRows(n, f.w)
-		} else {
-			f.st.ops.StreamFilterRows(n, f.w)
-		}
+		f.st.charge(f.op, n, f.w)
 		reuse(f.out)
 		for i := 0; i < n; i++ {
 			row := b.Row(i)
@@ -646,9 +649,9 @@ func (st *streamer) buildFilter(in Node, mk func(stream) (func([]uint64) bool, e
 		s.it.close()
 		return stream{}, err
 	}
-	st.ops.StreamNode()
+	st.charge(simio.OpNode, 1, 1)
 	return stream{
-		it:     st.filtered(s.it, len(s.cols), false, pred),
+		it:     st.filtered(s.it, len(s.cols), simio.OpFilter, pred),
 		cols:   s.cols,
 		sorted: s.sorted,
 	}, nil
@@ -734,7 +737,7 @@ func (st *streamer) joinStreams(j *Join, l, r stream, probed bool) (stream, erro
 	lc, _ := l.col(v)
 	rc, _ := r.col(v)
 	cols := joinOutCols(l.cols, r.cols, rc)
-	st.ops.StreamNode()
+	st.charge(simio.OpNode, 1, 1)
 	var it iter
 	strategy, sorted := JoinHash, ""
 	if l.sorted == v && r.sorted == v {
@@ -962,7 +965,7 @@ func (h *hashJoinIter) start() error {
 	}
 	// The table's buckets are live alongside the buffered rows.
 	h.hold(int64(h.build.Len()) * 16)
-	h.st.ops.StreamHashBuildRows(h.build.Len(), h.build.W)
+	h.st.charge(simio.OpHashBuild, h.build.Len(), h.build.W)
 	return nil
 }
 
@@ -1015,7 +1018,7 @@ func (h *hashJoinIter) next() (*rel.Rel, error) {
 			return nil, nil
 		}
 		n := pb.Len()
-		h.st.ops.StreamHashProbeRows(n, pb.W)
+		h.st.charge(simio.OpHashProbe, n, pb.W)
 		reuse(h.out)
 		for i := 0; i < n; i++ {
 			for bi := h.ht.First(pb.Data[i*pb.W+pc]); bi >= 0; bi = h.ht.Next(bi) {
@@ -1030,7 +1033,7 @@ func (h *hashJoinIter) next() (*rel.Rel, error) {
 		if h.out.Len() > 0 {
 			// Charged at the join's pre-projection width; the operator fuses
 			// the free projection that drops the duplicate join column.
-			h.st.ops.StreamJoinEmitRows(h.out.Len(), h.lw+h.rw)
+			h.st.charge(simio.OpJoinEmit, h.out.Len(), h.lw+h.rw)
 			return h.out, nil
 		}
 	}
@@ -1081,7 +1084,7 @@ func (st *streamer) buildLeftJoin(j *LeftJoin) (stream, error) {
 	rc, _ := r.col(v)
 	st.chose(j, v, JoinHash)
 	cols := joinOutCols(l.cols, r.cols, rc)
-	st.ops.StreamNode()
+	st.charge(simio.OpNode, 1, 1)
 	it := &leftJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols),
 		nulls: slices.Repeat([]uint64{uint64(rdf.NoID)}, len(r.cols)), out: st.take(len(cols))}
 	return stream{it: it, cols: cols, sorted: l.sorted}, nil
@@ -1110,7 +1113,7 @@ func (j *leftJoinIter) start() error {
 	j.bufBytes = relBytes(rrel) + int64(rrel.Len())*16
 	j.st.mem.alloc(j.bufBytes)
 	j.ht = rel.NewJoinIndex(rrel, j.rc)
-	j.st.ops.StreamHashBuildRows(rrel.Len(), j.rw)
+	j.st.charge(simio.OpHashBuild, rrel.Len(), j.rw)
 	return nil
 }
 
@@ -1125,7 +1128,7 @@ func (j *leftJoinIter) next() (*rel.Rel, error) {
 		return nil, err
 	}
 	n := b.Len()
-	j.st.ops.StreamHashProbeRows(n, j.lw)
+	j.st.charge(simio.OpHashProbe, n, j.lw)
 	reuse(j.out)
 	for i := 0; i < n; i++ {
 		lrow := b.Row(i)
@@ -1139,7 +1142,7 @@ func (j *leftJoinIter) next() (*rel.Rel, error) {
 	}
 	// Every left row emits at least once, so the batch is never empty.
 	// Charged at the join's pre-projection width.
-	j.st.ops.StreamJoinEmitRows(j.out.Len(), j.lw+j.rw)
+	j.st.charge(simio.OpJoinEmit, j.out.Len(), j.lw+j.rw)
 	return j.out, nil
 }
 
@@ -1183,7 +1186,7 @@ func (c *rowCur) cur() ([]uint64, error) {
 			c.done = true
 			return nil, nil
 		}
-		c.st.ops.StreamMergeRows(b.Len(), c.w)
+		c.st.charge(simio.OpMerge, b.Len(), c.w)
 		c.b, c.i = b, 0
 	}
 }
@@ -1285,7 +1288,7 @@ func (m *mergeJoinIter) next() (*rel.Rel, error) {
 		return nil, nil
 	}
 	// Charged at the join's pre-projection width.
-	m.st.ops.StreamJoinEmitRows(out.Len(), m.lw+m.rw)
+	m.st.charge(simio.OpJoinEmit, out.Len(), m.lw+m.rw)
 	return out, nil
 }
 
@@ -1354,8 +1357,8 @@ func (st *streamer) buildPartitionedJoin(j *Join, other stream, a *Access, f *Fi
 	}
 	bufBytes := relBytes(orel) + int64(orel.Len())*16
 	st.mem.alloc(bufBytes)
-	st.ops.StreamNode()
-	st.ops.StreamHashBuildRows(orel.Len(), len(other.cols))
+	st.charge(simio.OpNode, 1, 1)
+	st.charge(simio.OpHashBuild, orel.Len(), len(other.cols))
 	st.chose(j, v, JoinPartitionedHash)
 	cols := make([]string, 0, len(other.cols)+len(accCols)-1)
 	cols = append(cols, other.cols...)
@@ -1385,14 +1388,14 @@ func (st *streamer) buildPartitionedJoin(j *Join, other stream, a *Access, f *Fi
 			tagged = &countIter{in: tagged, prof: accProf}
 		}
 		if fc >= 0 {
-			st.ops.StreamNode()
+			st.charge(simio.OpNode, 1, 1)
 			val := uint64(f.Value)
-			tagged = st.filtered(tagged, len(accCols), false, func(row []uint64) bool { return row[fc] != val })
+			tagged = st.filtered(tagged, len(accCols), simio.OpFilter, func(row []uint64) bool { return row[fc] != val })
 			if st.prof != nil {
 				tagged = &countIter{in: tagged, prof: filtProf}
 			}
 		}
-		st.ops.StreamNode() // the per-table probe dispatch
+		st.charge(simio.OpNode, 1, 1) // the per-table probe dispatch
 		return &partProbeIter{st: st, in: tagged, orel: orel, ht: ht, ac: ac, aw: len(accCols), out: st.take(len(cols))}, nil
 	}
 	// Union movement is charged at the pre-projection width (the probe
@@ -1423,7 +1426,7 @@ func (p *partProbeIter) next() (*rel.Rel, error) {
 			return nil, err
 		}
 		n := b.Len()
-		p.st.ops.StreamHashProbeRows(n, p.aw)
+		p.st.charge(simio.OpHashProbe, n, p.aw)
 		reuse(p.out)
 		for i := 0; i < n; i++ {
 			for oi := p.ht.First(b.Data[i*b.W+p.ac]); oi >= 0; oi = p.ht.Next(oi) {
@@ -1432,7 +1435,7 @@ func (p *partProbeIter) next() (*rel.Rel, error) {
 		}
 		if p.out.Len() > 0 {
 			// Charged at the probe's pre-projection width.
-			p.st.ops.StreamJoinEmitRows(p.out.Len(), p.orel.W+p.aw)
+			p.st.charge(simio.OpJoinEmit, p.out.Len(), p.orel.W+p.aw)
 			return p.out, nil
 		}
 	}
@@ -1476,7 +1479,7 @@ func (st *streamer) buildDistinct(d *Distinct) (stream, error) {
 	if err != nil {
 		return stream{}, err
 	}
-	st.ops.StreamNode()
+	st.charge(simio.OpNode, 1, 1)
 	it := &distinctIter{st: st, in: s.it, w: len(s.cols), seen: rel.NewTable(len(s.cols), len(s.cols))}
 	return stream{it: it, cols: s.cols, sorted: s.sorted}, nil
 }
@@ -1500,7 +1503,7 @@ func (d *distinctIter) next() (*rel.Rel, error) {
 			return nil, err
 		}
 		n := b.Len()
-		d.st.ops.StreamDistinctRows(n, d.w)
+		d.st.charge(simio.OpDistinct, n, d.w)
 		from := len(d.seen.Data)
 		for i := 0; i < n; i++ {
 			if _, added := d.seen.Add(b.Row(i)); added {
@@ -1548,7 +1551,7 @@ func (st *streamer) buildUnion(u *Union) (stream, error) {
 		}
 		perm[i] = j
 	}
-	st.ops.StreamNode()
+	st.charge(simio.OpNode, 1, 1)
 	// The right side's column order is aligned per batch when it differs.
 	it := &unionIter{st: st, l: l.it, r: st.gathered(r.it, newGather(perm, nil, len(perm)), 0), w: len(l.cols)}
 	return stream{it: it, cols: l.cols}, nil
@@ -1581,7 +1584,7 @@ func (u *unionIter) next() (*rel.Rel, error) {
 				return nil, err
 			}
 		}
-		u.st.ops.StreamUnionRows(b.Len(), u.w)
+		u.st.charge(simio.OpUnion, b.Len(), u.w)
 		return b, nil
 	}
 }
@@ -1607,7 +1610,7 @@ func (st *streamer) buildGroup(g *Group) (stream, error) {
 			return stream{}, err
 		}
 	}
-	st.ops.StreamNode()
+	st.charge(simio.OpNode, 1, 1)
 	cols := append(append([]string(nil), g.Keys...), CountCol)
 	it := &groupIter{st: st, in: s.it, keys: keys, w: len(s.cols)}
 	return stream{it: it, cols: cols, sorted: g.Keys[0]}, nil
@@ -1640,7 +1643,7 @@ func (g *groupIter) start() error {
 			break
 		}
 		n := b.Len()
-		g.st.ops.StreamGroupRows(n, k)
+		g.st.charge(simio.OpGroup, n, k)
 		for i := 0; i < n; i++ {
 			row := b.Row(i)
 			for j, c := range g.keys {
@@ -1719,7 +1722,7 @@ func (st *streamer) buildTopN(t *TopN) (stream, error) {
 		s.it.close()
 		return stream{}, err
 	}
-	st.ops.StreamNode()
+	st.charge(simio.OpNode, 1, 1)
 	if st.prof != nil {
 		if t.Limit >= 0 {
 			st.prof.note(t, "heap")
@@ -1772,7 +1775,7 @@ func (t *topNIter) start() error {
 		t.hold(relBytes(in))
 		stat.Input = in.Len()
 		stat.Compares = sortCompares(stat.Input)
-		t.st.ops.StreamSortCompares(stat.Compares)
+		t.st.charge(simio.OpSort, int(stat.Compares), 1)
 		rows = make([][]uint64, stat.Input)
 		for i := range rows {
 			rows[i] = in.Row(i)
@@ -1790,7 +1793,7 @@ func (t *topNIter) start() error {
 			}
 			n := b.Len()
 			stat.Input += n
-			t.st.ops.StreamSortCompares(int64(n) * perRow)
+			t.st.charge(simio.OpSort, n*int(perRow), 1)
 			for i := 0; i < n; i++ {
 				t.push(b.Row(i), k)
 			}
@@ -1804,7 +1807,7 @@ func (t *topNIter) start() error {
 	for _, row := range rows {
 		out.Data = append(out.Data, row...)
 	}
-	t.st.ops.StreamEmitRows(out.Len(), t.w)
+	t.st.charge(simio.OpEmit, out.Len(), t.w)
 	t.st.tr.TopNs = append(t.st.tr.TopNs, stat)
 	t.hold(relBytes(out))
 	t.out = &chunkIter{st: t.st, rel: out}

@@ -3,46 +3,39 @@ package rowstore
 import (
 	"blackswan/internal/btree"
 	"blackswan/internal/rel"
+	"blackswan/internal/simio"
 )
 
-// Costs holds the engine's per-tuple CPU cost model in baseline nanoseconds.
-// Row stores interpret tuple-at-a-time plans, so these constants are roughly
-// an order of magnitude above the column-store's per-value costs — the
-// mechanical source of the paper's row-vs-column performance gap.
-type Costs struct {
-	ScanTuple     int64 // emit one tuple from a scan
-	FilterTuple   int64 // evaluate one residual predicate
-	HashBuild     int64 // insert one tuple into a hash table
-	HashProbe     int64 // probe one tuple against a hash table
-	MergeTuple    int64 // advance one tuple in a merge join
-	GroupTuple    int64 // aggregate one tuple
-	UnionTuple    int64 // move one tuple through a union
-	DistinctTuple int64 // deduplicate one tuple
-	SortTuple     int64 // one comparison while sorting (ORDER BY / TopN)
-	NodeStartup   int64 // open one plan node (optimizer + executor setup)
-}
-
-// DefaultCosts returns the calibrated row-store model.
-func DefaultCosts() Costs {
-	return Costs{
-		ScanTuple:     90,
-		FilterTuple:   25,
-		HashBuild:     140,
-		HashProbe:     110,
-		MergeTuple:    60,
-		GroupTuple:    130,
-		UnionTuple:    100,
-		DistinctTuple: 110,
-		SortTuple:     70,
-		NodeStartup:   25_000,
-	}
+// Rates is the row store's price list in baseline nanoseconds per tuple,
+// flat in width. Row stores interpret tuple-at-a-time plans, so these rates
+// are roughly an order of magnitude above the column store's per-value
+// ones — the mechanical source of the paper's row-vs-column performance
+// gap. The engine's own code reads the same list: a scan emits each tuple
+// at OpEmit and tests a residual binding at OpFilter, and the standalone
+// hash join builds and probes at OpHashBuild and OpHashProbe.
+var Rates = simio.Rates{
+	simio.OpNode:      {Row: 25_000}, // open one plan node (optimizer + executor setup)
+	simio.OpFilter:    {Row: 25},
+	simio.OpHashBuild: {Row: 140},
+	simio.OpHashProbe: {Row: 110},
+	simio.OpMerge:     {Row: 60},
+	simio.OpUnion:     {Row: 100},
+	simio.OpDistinct:  {Row: 110},
+	// The interesting-properties restriction is a hash semijoin probe.
+	simio.OpRestrict: {Row: 110},
+	simio.OpGroup:    {Row: 130},
+	// Free: a row store hands the already-assembled tuple pair upward, and
+	// the per-tuple work was charged on the probe.
+	simio.OpJoinEmit: {},
+	simio.OpEmit:     {Row: 90},
+	simio.OpSort:     {Row: 70},
 }
 
 // node charges the fixed cost of opening one plan node. Plans over the
 // vertically-partitioned schema contain hundreds of nodes ("each query
 // contains more than two hundred unions and joins"), so this charge is what
 // stresses the optimizer in the reproduction, as it does in the paper.
-func (e *Engine) node() { e.Store.ChargeCPU(e.Costs.NodeStartup) }
+func (e *Engine) node() { e.Store.ChargeCPU(Rates[simio.OpNode].Row) }
 
 // SecondaryScanThreshold is the optimizer's classic selectivity cutoff: an
 // unclustered index is only chosen when the estimated range fraction stays
@@ -105,12 +98,11 @@ func (e *Engine) HashJoin(l, r *rel.Rel, lc, rc int) *rel.Rel {
 		}
 		return swapped.Project(cols...)
 	}
-	c := e.Costs
 	ht := rel.NewJoinIndex(l, lc)
-	e.Store.ChargeCPU(int64(l.Len()) * c.HashBuild)
+	e.Store.ChargeCPU(Rates[simio.OpHashBuild].Price(l.Len(), l.W))
 	out := rel.New(l.W + r.W)
 	n := r.Len()
-	e.Store.ChargeCPU(int64(n) * c.HashProbe)
+	e.Store.ChargeCPU(Rates[simio.OpHashProbe].Price(n, r.W))
 	for j := 0; j < n; j++ {
 		rrow := r.Row(j)
 		for i := ht.First(rrow[rc]); i >= 0; i = ht.Next(i) {

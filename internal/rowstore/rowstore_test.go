@@ -287,40 +287,58 @@ func TestOperatorsChargeCPU(t *testing.T) {
 	e := newEngine()
 	rows := tripleRows(10_000, 7)
 	tb := loadTriples(t, e, rows, Perm{1, 0, 2})
+	scale := e.Store.Machine().CPUScale
+	clock := func(baseline int64) time.Duration { return time.Duration(float64(baseline) * scale) }
 	e.Store.Clock().Reset()
 	all := drain(e, tb, nil, math.MaxInt)
-	if e.Store.Clock().User() == 0 {
-		t.Fatal("scan charged no CPU")
+	n := all.Len()
+	// A scan opens one node, descends the B+tree once (1 500 ns) and emits
+	// each tuple at the finished-row price.
+	if got, want := e.Store.Clock().User(), clock(25_000+1_500+int64(n)*90); got != want {
+		t.Fatalf("scan of %d tuples charged %v, want %v", n, got, want)
 	}
-	// The charge vocabulary prices n rows at the engine's per-tuple rate for
-	// the operator class, on top of whatever the clock already holds.
-	scale := e.Store.Machine().CPUScale
+	// The rate table prices n rows at the engine's per-tuple rate for the
+	// operator class, flat in width, on top of whatever the clock holds.
 	for _, c := range []struct {
-		name   string
-		charge func(n int)
-		rate   int64
+		name string
+		op   simio.Op
+		w    int
+		rate int64
 	}{
-		{"filter", func(n int) { e.StreamFilterRows(n, 3) }, e.Costs.FilterTuple},
-		{"hash build", func(n int) { e.StreamHashBuildRows(n, 3) }, e.Costs.HashBuild},
-		{"hash probe", func(n int) { e.StreamHashProbeRows(n, 3) }, e.Costs.HashProbe},
-		{"merge", func(n int) { e.StreamMergeRows(n, 3) }, e.Costs.MergeTuple},
-		{"group", func(n int) { e.StreamGroupRows(n, 1) }, e.Costs.GroupTuple},
-		{"union", func(n int) { e.StreamUnionRows(n, 3) }, e.Costs.UnionTuple},
-		{"distinct", func(n int) { e.StreamDistinctRows(n, 3) }, e.Costs.DistinctTuple},
-		{"restrict", func(n int) { e.StreamRestrictRows(n, 3) }, e.Costs.HashProbe},
-		{"emit", func(n int) { e.StreamEmitRows(n, 3) }, e.Costs.ScanTuple},
+		{"filter", simio.OpFilter, 3, 25},
+		{"hash build", simio.OpHashBuild, 3, 140},
+		{"hash probe", simio.OpHashProbe, 3, 110},
+		{"merge", simio.OpMerge, 3, 60},
+		{"group", simio.OpGroup, 1, 130},
+		{"union", simio.OpUnion, 3, 100},
+		{"distinct", simio.OpDistinct, 3, 110},
+		{"restrict", simio.OpRestrict, 3, 110}, // a hash semijoin probe
+		{"emit", simio.OpEmit, 3, 90},          // a scan's per-tuple price
+		{"join emit", simio.OpJoinEmit, 6, 0},
+		{"sort", simio.OpSort, 1, 70},
 	} {
-		e.Store.Clock().Reset()
-		c.charge(all.Len())
-		want := time.Duration(float64(int64(all.Len())*c.rate) * scale)
-		if got := e.Store.Clock().User(); got != want {
-			t.Errorf("%s: %d rows charged %v, want %v", c.name, all.Len(), got, want)
+		for _, w := range []int{c.w, c.w + 4} {
+			e.Store.Clock().Reset()
+			e.Store.ChargeCPU(Rates[c.op].Price(n, w))
+			if got, want := e.Store.Clock().User(), clock(int64(n)*c.rate); got != want {
+				t.Errorf("%s: %d rows of width %d charged %v, want %v", c.name, n, w, got, want)
+			}
 		}
 	}
 	e.Store.Clock().Reset()
-	e.StreamNode()
-	if got, want := e.Store.Clock().User(), time.Duration(float64(e.Costs.NodeStartup)*scale); got != want {
-		t.Errorf("node startup charged %v, want %v", got, want)
+	e.node()
+	if got, want := e.Store.Clock().User(), clock(Rates[simio.OpNode].Price(1, 1)); got != want || want != clock(25_000) {
+		t.Errorf("node startup charged %v, the rate table prices %v, want %v", got, want, clock(25_000))
+	}
+	// The standalone hash join charges what the executor's does for the same
+	// rows: a node, the build and probe, and a free output.
+	l, r := &rel.Rel{W: 3, Data: all.Data[:30]}, &rel.Rel{W: 3, Data: all.Data[:300]}
+	e.Store.Clock().Reset()
+	out := e.HashJoin(l, r, 0, 0)
+	want := Rates[simio.OpNode].Price(1, 1) + Rates[simio.OpHashBuild].Price(l.Len(), l.W) +
+		Rates[simio.OpHashProbe].Price(r.Len(), r.W) + Rates[simio.OpJoinEmit].Price(out.Len(), out.W)
+	if got := e.Store.Clock().User(); out.Len() < 10 || got != clock(want) {
+		t.Errorf("hash join: %d rows charged %v, the rate table prices %v", out.Len(), got, clock(want))
 	}
 }
 

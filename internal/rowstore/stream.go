@@ -5,55 +5,13 @@ import (
 
 	"blackswan/internal/btree"
 	"blackswan/internal/rel"
+	"blackswan/internal/simio"
 )
 
-// This file is the row store's side of the executor contract
-// (core.PhysicalOps / core.PhysicalSource). The operators themselves live
-// once in internal/core and are engine-agnostic; what the engine supplies is
-// (a) per-row charge rates matching its tuple-at-a-time cost model, and (b)
-// the engine's one scan: a pull cursor charged batch by batch, so early
-// termination translates into real saved I/O.
-
-// StreamNode charges one plan-node startup, as node() does for a scan.
-func (e *Engine) StreamNode() { e.Store.ChargeCPU(e.Costs.NodeStartup) }
-
-// StreamFilterRows charges n residual predicate evaluations.
-func (e *Engine) StreamFilterRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.FilterTuple) }
-
-// StreamHashBuildRows charges inserting n tuples into a join hash table.
-func (e *Engine) StreamHashBuildRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.HashBuild) }
-
-// StreamHashProbeRows charges probing n tuples against a hash table.
-func (e *Engine) StreamHashProbeRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.HashProbe) }
-
-// StreamMergeRows charges advancing n tuples through a merge join.
-func (e *Engine) StreamMergeRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.MergeTuple) }
-
-// StreamUnionRows charges moving n tuples through a union.
-func (e *Engine) StreamUnionRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.UnionTuple) }
-
-// StreamDistinctRows charges deduplicating n tuples.
-func (e *Engine) StreamDistinctRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.DistinctTuple) }
-
-// StreamGroupRows charges aggregating n tuples (the group key count is
-// irrelevant in the tuple-at-a-time model).
-func (e *Engine) StreamGroupRows(n, keys int) { e.Store.ChargeCPU(int64(n) * e.Costs.GroupTuple) }
-
-// StreamRestrictRows charges the interesting-properties restriction: the
-// row engine implements it as a hash semijoin probe.
-func (e *Engine) StreamRestrictRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.HashProbe) }
-
-// StreamJoinEmitRows charges assembling n join output rows. Free in the
-// row model: a row store hands the already-assembled tuple pair upward, and
-// the per-tuple work was charged on the probe.
-func (e *Engine) StreamJoinEmitRows(n, w int) {}
-
-// StreamEmitRows charges moving n finished rows into an output buffer (a
-// scan-like pass of its own, mirroring the column store's gather charge).
-func (e *Engine) StreamEmitRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.ScanTuple) }
-
-// StreamSortCompares charges n sort comparisons (ORDER BY / heap TopN).
-func (e *Engine) StreamSortCompares(n int64) { e.Store.ChargeCPU(n * e.Costs.SortTuple) }
+// This file is the row store's one scan, the pull side of the executor
+// contract (core.PhysicalSource): a cursor charged batch by batch, so early
+// termination translates into real saved I/O. The operators themselves
+// live once in internal/core and charge at the engine's Rates.
 
 // ScanCursor is a conjunctive equality scan of one table, in index order:
 // per-tuple CPU and leaf I/O are charged batch by batch, so a consumer that
@@ -139,9 +97,9 @@ func (c *ScanCursor) Next(out *rel.Rel) bool {
 				}
 			}
 		}
-		cost := int64(tuples) * c.e.Costs.ScanTuple
+		cost := Rates[simio.OpEmit].Price(tuples, c.w)
 		if c.nres > 0 {
-			cost += int64(tuples) * c.e.Costs.FilterTuple
+			cost += Rates[simio.OpFilter].Price(tuples, c.w)
 		}
 		c.e.Store.ChargeCPU(cost)
 	}

@@ -90,13 +90,12 @@ func (t *Table) SizeBytes() int64 {
 // Engine is one row-store database instance bound to a simulated store.
 type Engine struct {
 	Store  *simio.Store
-	Costs  Costs
 	tables map[string]*Table
 }
 
-// NewEngine returns an empty database on store with default costs.
+// NewEngine returns an empty database on store.
 func NewEngine(store *simio.Store) *Engine {
-	return &Engine{Store: store, Costs: DefaultCosts(), tables: make(map[string]*Table)}
+	return &Engine{Store: store, tables: make(map[string]*Table)}
 }
 
 // TableSpec describes a table to create.
@@ -226,13 +225,6 @@ func quickSortKeys(keys []btree.Key, w, lo, hi int) {
 			hi = j
 		}
 	}
-}
-
-// Charges implements the plan executor's charge-meter contract (see
-// core.ChargeMeter): a locked snapshot of the store's simulated CPU and
-// I/O nanoseconds plus physical bytes read, for per-operator profiling.
-func (e *Engine) Charges() (cpuNs, ioNs, bytesRead int64) {
-	return e.Store.Charges()
 }
 
 // Table returns a table by name, or an error if absent.

@@ -690,7 +690,11 @@ func (s *Service) exec(ctx context.Context, sn *snapshot, p *Prepared, ti int, c
 		<-s.sem
 	}()
 	execCtx, execSpan := trace.StartSpan(ctx, "execute")
-	execSpan.SetAttr(trace.String("system", t.Name), trace.Bool("streaming", !s.cfg.Materialize),
+	config := "pipelined"
+	if s.cfg.Materialize {
+		config = "drained"
+	}
+	execSpan.SetAttr(trace.String("system", t.Name), trace.String("configuration", config),
 		trace.Int("version", int64(sn.version)))
 	out, _, tr, err := core.ExecutePlanCtx(execCtx, t.Src, p.Compiled.Root, core.ExecOptions{
 		Streaming: !s.cfg.Materialize,

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -91,10 +92,17 @@ func TestTraceByteIdentity(t *testing.T) {
 
 // TestTraceSpanStructure checks the span tree one traced, profiled request
 // produces: root → plan.cache (→ bgp.parse → bgp.plan on a cold miss),
-// queue.wait, execute, and the per-operator bridge spans under execute.
+// queue.wait, execute — named for the executor's configuration — and the
+// per-operator bridge spans under execute.
 func TestTraceSpanStructure(t *testing.T) {
+	for _, config := range []string{"pipelined", "drained"} {
+		t.Run(config, func(t *testing.T) { testTraceSpanStructure(t, config) })
+	}
+}
+
+func testTraceSpanStructure(t *testing.T, config string) {
 	tracer := trace.New(trace.Config{SampleRate: 1, Seed: 7})
-	svc := newService(t, serve.Config{Tracer: tracer})
+	svc := newService(t, serve.Config{Tracer: tracer, Materialize: config == "drained"})
 	text := queryTexts(t, 1)[0]
 
 	ctx, tr, finish := svc.TraceStart(context.Background(), "query", "")
@@ -126,6 +134,9 @@ func TestTraceSpanStructure(t *testing.T) {
 	}
 	if ops == 0 {
 		t.Fatal("profiled traced request produced no op: bridge spans")
+	}
+	if !slices.Contains(byName["execute"].Attrs, trace.String("configuration", config)) {
+		t.Fatalf("execute span attributes %v, want configuration=%s", byName["execute"].Attrs, config)
 	}
 	// Parent links: plan.cache under the root, bgp.parse under plan.cache,
 	// op spans under execute.
