@@ -21,8 +21,12 @@ type Compiled struct {
 	// them, e.g. "?s <origin> <DLC> JOIN ?s <records> ?x ON s".
 	Order []string
 	// Cost is the plan's score under the estimator's model (the sum of
-	// estimated Access and Join cardinalities).
+	// estimated Access, Join and LeftJoin cardinalities).
 	Cost float64
+	// EstRows is every plan node's estimated output rows: the figures the
+	// join order was chosen on, which EXPLAIN ANALYZE sets beside the
+	// measured rows.
+	EstRows map[core.Node]float64
 	// Counts marks output columns holding aggregate counts — plain
 	// numbers, not dictionary identifiers.
 	Counts map[string]bool
@@ -88,7 +92,7 @@ func CompileTextCtx(ctx context.Context, text string, dict rdf.Dict, est *Estima
 // compiled once (common subexpressions execute once, also across union
 // branches).
 func Compile(q *Query, dict rdf.Dict, est *Estimator) (*Compiled, error) {
-	c := &compiler{dict: dict, est: est, access: map[accessKey]*core.Access{}}
+	c := &compiler{dict: dict, est: newCoster(est), access: map[accessKey]*core.Access{}}
 	root, cols, err := c.compileQuery(q)
 	if err != nil {
 		// Keep the already-typed dictionary error; everything else from
@@ -99,9 +103,10 @@ func Compile(q *Query, dict rdf.Dict, est *Estimator) (*Compiled, error) {
 		}
 		return nil, &CompileError{Err: err}
 	}
+	cost, rows := c.est.total(root)
 	return &Compiled{
 		Root: root, Cols: cols, Order: c.order,
-		Cost: EstimateCost(root, est), Counts: countColsOf(q),
+		Cost: cost, EstRows: rows, Counts: countColsOf(q),
 	}, nil
 }
 
@@ -148,25 +153,21 @@ type accessKey struct {
 }
 
 type compiler struct {
-	dict   rdf.Dict
-	est    *Estimator
+	dict rdf.Dict
+	// est is the compilation's one estimate: the greedy ordering reads
+	// every subtree's from it, and Compiled carries it out.
+	est    *coster
 	access map[accessKey]*core.Access // hash-consed accesses (CSE)
 	order  []string
 	fresh  int
 }
 
-// tree is one GOO subtree: a plan node, its column names, and the
-// estimator's view of it. Pattern leaves remember their triple pattern so
-// filter placement can consult per-property statistics.
+// tree is one GOO subtree: a plan node, its column names and the label
+// Compiled.Order names it by.
 type tree struct {
 	node  core.Node
 	cols  []string
-	est   nodeEst
 	label string
-	// pat and restrict echo the leaf's access for selectivity estimates;
-	// pat is nil for union leaves and joined subtrees.
-	pat      *core.TriplePattern
-	restrict bool
 }
 
 func (t tree) has(v string) bool {
@@ -217,19 +218,7 @@ func (c *compiler) leafFor(p Pattern) (tree, error) {
 		acc = &core.Access{Pattern: tp, Restrict: p.Restrict}
 		c.access[key] = acc
 	}
-	card := c.est.PatternCard(tp, p.Restrict)
-	nd := make(map[string]float64, len(cols))
-	for _, v := range cols {
-		nd[v] = minf(c.est.varDistinct(tp, p.Restrict, v), card)
-	}
-	return tree{
-		node:     acc,
-		cols:     cols,
-		est:      nodeEst{card: card, nd: nd},
-		label:    fmt.Sprintf("%s %s %s", p.S, p.P, p.O),
-		pat:      &acc.Pattern,
-		restrict: p.Restrict,
-	}, nil
+	return tree{node: acc, cols: cols, label: fmt.Sprintf("%s %s %s", p.S, p.P, p.O)}, nil
 }
 
 // compileQuery compiles one (sub-)query: WHERE block, aggregation, HAVING,
@@ -416,8 +405,7 @@ func (c *compiler) blockLeaves(elems []Element) ([]tree, []Element, []*Optional,
 // first leaf binding its variable, so the predicate applies before any
 // join — the placement the hand-tuned plans use. Inequality against a
 // constant missing from the dictionary compares as NoID, which no row
-// carries: the filter is trivially true and kept cheap. Range selectivity
-// comes from the leaf's per-property numeric statistics when available.
+// carries: the filter is trivially true and kept cheap.
 func (c *compiler) foldFilters(trees []tree, filters []Element) error {
 	for _, e := range filters {
 		var v string
@@ -439,16 +427,8 @@ func (c *compiler) foldFilters(trees []tree, filters []Element) error {
 					id = ref.Const
 				}
 				trees[i].node = &core.FilterNe{In: trees[i].node, Col: v, Value: id}
-				trees[i].est = scaleEst(trees[i].est, 0.9)
 			case RangeFilter:
-				node := rangeNode(trees[i].node, f, c.dict)
-				sel := defaultRangeSel
-				if trees[i].pat != nil {
-					rn := node.(*core.FilterRange)
-					sel = c.est.RangeSelectivity(*trees[i].pat, v, rn.Lo, rn.Hi)
-				}
-				trees[i].node = node
-				trees[i].est = scaleEst(trees[i].est, sel)
+				trees[i].node = rangeNode(trees[i].node, f, c.dict)
 			}
 			placed = true
 			break
@@ -491,7 +471,7 @@ func (c *compiler) greedyJoin(trees []tree) (tree, error) {
 				if len(shared) == 0 {
 					continue
 				}
-				card := joinCard(trees[i].est, trees[j].est, shared)
+				card := joinCard(c.est.estimate(trees[i].node), c.est.estimate(trees[j].node), shared)
 				if bi < 0 || card < bestCard {
 					bi, bj, bestCard = i, j, card
 				}
@@ -538,25 +518,8 @@ func (c *compiler) leftJoinOptional(t tree, opt *Optional) (tree, error) {
 			cols = append(cols, col)
 		}
 	}
-	card := maxf(t.est.card, joinCard(t.est, sub.est, shared))
-	nd := map[string]float64{}
-	for vv, d := range t.est.nd {
-		nd[vv] = minf(d, card)
-	}
-	for vv, d := range sub.est.nd {
-		if cur, ok := nd[vv]; ok {
-			nd[vv] = minf(cur, d)
-		} else {
-			nd[vv] = minf(d, card)
-		}
-	}
 	c.order = append(c.order, fmt.Sprintf("%s LEFT JOIN %s ON %s", t.label, sub.label, v))
-	return tree{
-		node:  node,
-		cols:  cols,
-		est:   nodeEst{card: card, nd: nd},
-		label: "(" + t.label + " LEFT JOIN " + sub.label + ")",
-	}, nil
+	return tree{node: node, cols: cols, label: "(" + t.label + " LEFT JOIN " + sub.label + ")"}, nil
 }
 
 func sharedVars(a, b tree) []string {
@@ -624,26 +587,8 @@ func (c *compiler) join(a, b tree) tree {
 		node = &core.Project{In: node, Cols: kept}
 		cols = kept
 	}
-
-	card := joinCard(a.est, b.est, shared)
-	nd := map[string]float64{}
-	for v, d := range a.est.nd {
-		nd[v] = minf(d, card)
-	}
-	for v, d := range b.est.nd {
-		if cur, ok := nd[v]; ok {
-			nd[v] = minf(cur, d)
-		} else {
-			nd[v] = minf(d, card)
-		}
-	}
 	c.order = append(c.order, fmt.Sprintf("%s JOIN %s ON %s", a.label, b.label, key))
-	return tree{
-		node:  node,
-		cols:  cols,
-		est:   nodeEst{card: card, nd: nd},
-		label: "(" + a.label + " JOIN " + b.label + ")",
-	}
+	return tree{node: node, cols: cols, label: "(" + a.label + " JOIN " + b.label + ")"}
 }
 
 // probeBreakEven is how many rows of a property a full scan reads in the
@@ -659,13 +604,13 @@ const probeBreakEven = 1024
 // order of preference (right input, then left); without statistics nothing
 // is licensed.
 func (c *compiler) probeMax(key string, sides ...core.Node) int {
-	if c.est == nil {
+	if c.est.e == nil {
 		return 0
 	}
 	for _, n := range sides {
 		a, ok := n.(*core.Access)
 		if ok && a.Pattern.P.Bound() && !a.Pattern.S.Bound() && a.Pattern.S.Var == key {
-			return int(c.est.PatternCard(a.Pattern, false)) / probeBreakEven
+			return int(c.est.estimate(a).card) / probeBreakEven
 		}
 	}
 	return 0
@@ -692,8 +637,7 @@ func (c *compiler) unionLeaf(u *Union) (tree, error) {
 	if !u.All {
 		node = &core.Distinct{In: node}
 	}
-	est := nodeEstimate(node, c.est)
-	return tree{node: node, cols: cols, est: est, label: "union"}, nil
+	return tree{node: node, cols: cols, label: "union"}, nil
 }
 
 func sameSet(a, b []string) bool {
@@ -710,11 +654,4 @@ func sameSet(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// nodeEstimate runs the cost model over an already-built subtree (used for
-// union leaves, whose structure the block-level ordering treats as opaque).
-func nodeEstimate(n core.Node, e *Estimator) nodeEst {
-	c := &coster{e: e, memo: map[core.Node]nodeEst{}}
-	return c.estimate(n)
 }

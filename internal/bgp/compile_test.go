@@ -75,7 +75,7 @@ func TestCompiledJoinOrderNoWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		handCost := bgp.EstimateCost(hand.Root, f.est)
+		handCost, _ := bgp.Estimate(hand.Root, f.est)
 		text, err := bgp.PaperText(q, dict, f.cat.Consts)
 		if err != nil {
 			t.Fatal(err)

@@ -122,8 +122,8 @@ func (e *Estimator) RangeSelectivity(tp core.TriplePattern, v string, lo, hi flo
 			overlap = 0.01
 		}
 	} else {
-		l := maxf(lo, d.NumMin)
-		h := minf(hi, d.NumMax)
+		l := max(lo, d.NumMin)
+		h := min(hi, d.NumMax)
 		overlap = (h - l) / span
 		if overlap < 0.01 {
 			overlap = 0.01
@@ -193,58 +193,58 @@ type nodeEst struct {
 func joinCard(a, b nodeEst, shared []string) float64 {
 	out := a.card * b.card
 	for _, v := range shared {
-		out /= clamp(maxf(a.nd[v], b.nd[v]))
+		out /= clamp(max(a.nd[v], b.nd[v]))
 	}
 	return clamp(out)
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+// Estimate prices a plan built outside the compiler, such as a hand-tuned
+// core.PlanFor tree, under the model Compile prices its own plans by: the
+// plan's cost and every node's estimated output rows, as Compiled carries
+// them.
+func Estimate(root core.Node, e *Estimator) (cost float64, rows map[core.Node]float64) {
+	return newCoster(e).total(root)
 }
 
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// EstimateCost scores a plan tree under the estimator's model: the sum of
-// estimated cardinalities of every Access and Join materialization (shared
-// subexpressions count once). It is the figure of merit the join-ordering
-// tests compare hand-tuned and compiled plans by.
-func EstimateCost(root core.Node, e *Estimator) float64 {
-	c := &coster{e: e, memo: map[core.Node]nodeEst{}}
-	c.estimate(root)
-	return c.cost
-}
-
-// EstimateCards runs the coster over a plan DAG and returns the estimated
-// output cardinality of every node it visited. EXPLAIN ANALYZE joins these
-// estimates with measured actuals so estimate-vs-actual drift (q-error) is
-// visible per operator.
-func EstimateCards(root core.Node, e *Estimator) map[core.Node]float64 {
-	c := &coster{e: e, memo: map[core.Node]nodeEst{}}
-	c.estimate(root)
-	cards := make(map[core.Node]float64, len(c.memo))
-	for n, est := range c.memo {
-		cards[n] = est.card
-	}
-	return cards
-}
-
+// coster is the one cardinality estimate of a plan: a memo over its nodes,
+// filled bottom-up as the compiler builds them and completed by total.
 type coster struct {
 	e    *Estimator
 	memo map[core.Node]nodeEst
-	cost float64
 }
 
-// estimate walks a plan DAG bottom-up, accumulating Access and Join
-// cardinalities into cost. It mirrors the executor's column semantics
-// closely enough to track variables through projections and renames.
+func newCoster(e *Estimator) *coster {
+	return &coster{e: e, memo: map[core.Node]nodeEst{}}
+}
+
+// total finishes the estimate of the plan under root and reads it out in
+// one post-order pass: every node's rows, and the cost — the sum of the
+// estimated Access, Join and LeftJoin cardinalities, children first, each
+// shared subexpression once.
+func (c *coster) total(root core.Node) (float64, map[core.Node]float64) {
+	rows := make(map[core.Node]float64, len(c.memo))
+	var cost float64
+	var walk func(n core.Node)
+	walk = func(n core.Node) {
+		if _, ok := rows[n]; ok {
+			return
+		}
+		for _, ch := range core.Children(n) {
+			walk(ch)
+		}
+		rows[n] = c.estimate(n).card
+		switch n.(type) {
+		case *core.Access, *core.Join, *core.LeftJoin:
+			cost += rows[n]
+		}
+	}
+	walk(root)
+	return cost, rows
+}
+
+// estimate returns n's estimate, computing it (and its inputs') on first
+// use. It mirrors the executor's column semantics closely enough to track
+// variables through projections and renames.
 func (c *coster) estimate(n core.Node) nodeEst {
 	if est, ok := c.memo[n]; ok {
 		return est
@@ -256,69 +256,28 @@ func (c *coster) estimate(n core.Node) nodeEst {
 		nd := map[string]float64{}
 		for _, t := range []core.TermRef{x.Pattern.S, x.Pattern.P, x.Pattern.O} {
 			if !t.Bound() && t.Var != "" {
-				nd[t.Var] = minf(c.e.varDistinct(x.Pattern, x.Restrict, t.Var), card)
+				nd[t.Var] = min(c.e.varDistinct(x.Pattern, x.Restrict, t.Var), card)
 			}
 		}
 		est = nodeEst{card: card, nd: nd}
-		c.cost += card
 	case *core.Join:
-		l, r := c.estimate(x.L), c.estimate(x.R)
-		var shared []string
-		for v := range l.nd {
-			if _, ok := r.nd[v]; ok {
-				shared = append(shared, v)
-			}
-		}
-		card := joinCard(l, r, shared)
-		nd := map[string]float64{}
-		for v, d := range l.nd {
-			nd[v] = minf(d, card)
-		}
-		for v, d := range r.nd {
-			if cur, ok := nd[v]; ok {
-				nd[v] = minf(cur, d)
-			} else {
-				nd[v] = minf(d, card)
-			}
-		}
-		est = nodeEst{card: card, nd: nd}
-		c.cost += card
+		est = c.join(x.L, x.R, false)
 	case *core.LeftJoin:
-		l, r := c.estimate(x.L), c.estimate(x.R)
-		var shared []string
-		for v := range l.nd {
-			if _, ok := r.nd[v]; ok {
-				shared = append(shared, v)
-			}
-		}
-		// Every left row survives, so the result is at least the left side;
-		// matched rows can multiply it up to the inner-join estimate.
-		card := maxf(l.card, joinCard(l, r, shared))
-		nd := map[string]float64{}
-		for v, d := range l.nd {
-			nd[v] = minf(d, card)
-		}
-		for v, d := range r.nd {
-			if cur, ok := nd[v]; ok {
-				nd[v] = minf(cur, d)
-			} else {
-				nd[v] = minf(d, card)
-			}
-		}
-		est = nodeEst{card: card, nd: nd}
-		c.cost += card
+		est = c.join(x.L, x.R, true)
 	case *core.FilterNe:
 		in := c.estimate(x.In)
 		est = scaleEst(in, 0.9)
 	case *core.FilterEqCols:
 		in := c.estimate(x.In)
-		est = scaleEst(in, 1/clamp(maxf(in.nd[x.A], in.nd[x.B])))
+		est = scaleEst(in, 1/clamp(max(in.nd[x.A], in.nd[x.B])))
 	case *core.FilterRange:
-		// Without the leaf's property context the coster assumes the
-		// generic one-third selectivity; the compiler's placement decision
-		// uses the sharper PropDetail-based estimate instead.
-		in := c.estimate(x.In)
-		est = scaleEst(in, defaultRangeSel)
+		// A range folded onto a pattern is priced by that pattern's
+		// numeric statistics; anything else by the generic one-third.
+		sel := defaultRangeSel
+		if a := accessBelow(x.In); a != nil {
+			sel = c.e.RangeSelectivity(a.Pattern, x.Col, x.Lo, x.Hi)
+		}
+		est = scaleEst(c.estimate(x.In), sel)
 	case *core.Distinct:
 		est = c.estimate(x.In)
 	case *core.Union:
@@ -336,7 +295,7 @@ func (c *coster) estimate(n core.Node) nodeEst {
 			card *= clamp(in.nd[k])
 			nd[k] = in.nd[k]
 		}
-		card = minf(card, in.card)
+		card = min(card, in.card)
 		nd[core.CountCol] = card
 		est = nodeEst{card: clamp(card), nd: nd}
 	case *core.Having:
@@ -357,12 +316,12 @@ func (c *coster) estimate(n core.Node) nodeEst {
 		in := c.estimate(x.In)
 		card := in.card
 		if x.Limit >= 0 {
-			card = minf(card, float64(x.Limit))
+			card = min(card, float64(x.Limit))
 		}
 		est = scaleEst(in, card/clamp(in.card))
 	case *core.Limit:
 		in := c.estimate(x.In)
-		card := minf(in.card, float64(x.N))
+		card := min(in.card, float64(x.N))
 		est = scaleEst(in, card/clamp(in.card))
 	default:
 		// Unknown node kinds (future plan growth): estimate every input —
@@ -373,9 +332,9 @@ func (c *coster) estimate(n core.Node) nodeEst {
 		nd := map[string]float64{}
 		for _, ch := range core.Children(n) {
 			in := c.estimate(ch)
-			card = maxf(card, in.card)
+			card = max(card, in.card)
 			for v, d := range in.nd {
-				nd[v] = maxf(nd[v], d)
+				nd[v] = max(nd[v], d)
 			}
 		}
 		if card == 0 {
@@ -391,7 +350,54 @@ func scaleEst(in nodeEst, f float64) nodeEst {
 	card := clamp(in.card * f)
 	nd := map[string]float64{}
 	for v, d := range in.nd {
-		nd[v] = minf(d, card)
+		nd[v] = min(d, card)
 	}
 	return nodeEst{card: card, nd: nd}
+}
+
+// join estimates a natural join of l and r over the variables they share;
+// outer marks a left outer join, which keeps every left row, so its result
+// is at least the left side and matched rows can multiply it up to the
+// inner-join estimate.
+func (c *coster) join(l, r core.Node, outer bool) nodeEst {
+	le, re := c.estimate(l), c.estimate(r)
+	var shared []string
+	for v := range le.nd {
+		if _, ok := re.nd[v]; ok {
+			shared = append(shared, v)
+		}
+	}
+	card := joinCard(le, re, shared)
+	if outer {
+		card = max(le.card, card)
+	}
+	nd := map[string]float64{}
+	for v, d := range le.nd {
+		nd[v] = min(d, card)
+	}
+	for v, d := range re.nd {
+		if cur, ok := nd[v]; ok {
+			nd[v] = min(cur, d)
+		} else {
+			nd[v] = min(d, card)
+		}
+	}
+	return nodeEst{card: card, nd: nd}
+}
+
+// accessBelow returns the pattern access under a chain of filters, or nil
+// when the chain ends in anything else.
+func accessBelow(n core.Node) *core.Access {
+	for {
+		switch x := n.(type) {
+		case *core.Access:
+			return x
+		case *core.FilterNe:
+			n = x.In
+		case *core.FilterRange:
+			n = x.In
+		default:
+			return nil
+		}
+	}
 }

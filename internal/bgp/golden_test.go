@@ -14,6 +14,41 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden plan files")
 
+// goldenQueries are the representative queries whose plans TestGoldenPlans
+// pins, over the seeded fixture data set.
+var goldenQueries = []struct {
+	name, text string
+}{
+	{
+		// The selective origin pattern must drive the join order; the
+		// OPTIONAL stays above the whole required tree even though its
+		// pattern is more selective than the required ones.
+		"optional_after_required",
+		`SELECT * WHERE { ?s <` + datagen.TypeIRI + `> ?t . ?s <` + datagen.RecordsIRI + `> ?r .
+		   OPTIONAL { ?s <` + datagen.PointInTimeIRI + `> ?y } }`,
+	},
+	{
+		// Range filter folded onto its leaf, below the join.
+		"range_pushed_to_leaf",
+		`SELECT ?s ?y WHERE { ?s <` + datagen.TypeIRI + `> ?t . ?s <` + datagen.PointInTimeIRI + `> ?y .
+		   FILTER (?y >= 1900) . FILTER (?y < 1950) }`,
+	},
+	{
+		// ORDER BY + LIMIT compiles to one TopN above the projection;
+		// the count key is marked numeric.
+		"topn_over_group",
+		`SELECT ?t (COUNT AS ?n) WHERE { ?s <` + datagen.TypeIRI + `> ?t } GROUP BY ?t ORDER BY ?n DESC ?t LIMIT 5`,
+	},
+	{
+		// Everything at once: optional with an inner range filter,
+		// distinct, ordering.
+		"mixed_constructs",
+		`SELECT DISTINCT * WHERE { ?s <` + datagen.TypeIRI + `> ?t .
+		   OPTIONAL { ?s <` + datagen.PointInTimeIRI + `> ?y . FILTER (?y > 1850) } }
+		 ORDER BY ?y DESC ?s LIMIT 10`,
+	},
+}
+
 // TestGoldenPlans pins the canonical plan trees of representative queries
 // over the seeded fixture data set. The serialized trees live in
 // testdata/plans/*.golden; a join-order or operator-placement regression
@@ -25,40 +60,7 @@ func TestGoldenPlans(t *testing.T) {
 	dict := f.ds.Graph.Dict
 	term := func(id rdf.ID) string { return dict.Term(id).String() }
 
-	cases := []struct {
-		name, text string
-	}{
-		{
-			// The selective origin pattern must drive the join order; the
-			// OPTIONAL stays above the whole required tree even though its
-			// pattern is more selective than the required ones.
-			"optional_after_required",
-			`SELECT * WHERE { ?s <` + datagen.TypeIRI + `> ?t . ?s <` + datagen.RecordsIRI + `> ?r .
-			   OPTIONAL { ?s <` + datagen.PointInTimeIRI + `> ?y } }`,
-		},
-		{
-			// Range filter folded onto its leaf, below the join.
-			"range_pushed_to_leaf",
-			`SELECT ?s ?y WHERE { ?s <` + datagen.TypeIRI + `> ?t . ?s <` + datagen.PointInTimeIRI + `> ?y .
-			   FILTER (?y >= 1900) . FILTER (?y < 1950) }`,
-		},
-		{
-			// ORDER BY + LIMIT compiles to one TopN above the projection;
-			// the count key is marked numeric.
-			"topn_over_group",
-			`SELECT ?t (COUNT AS ?n) WHERE { ?s <` + datagen.TypeIRI + `> ?t } GROUP BY ?t ORDER BY ?n DESC ?t LIMIT 5`,
-		},
-		{
-			// Everything at once: optional with an inner range filter,
-			// distinct, ordering.
-			"mixed_constructs",
-			`SELECT DISTINCT * WHERE { ?s <` + datagen.TypeIRI + `> ?t .
-			   OPTIONAL { ?s <` + datagen.PointInTimeIRI + `> ?y . FILTER (?y > 1850) } }
-			 ORDER BY ?y DESC ?s LIMIT 10`,
-		},
-	}
-
-	for _, tc := range cases {
+	for _, tc := range goldenQueries {
 		t.Run(tc.name, func(t *testing.T) {
 			compiled, err := bgp.CompileText(tc.text, dict, f.est)
 			if err != nil {

@@ -222,7 +222,7 @@ func (c *countIter) next() (*rel.Rel, error) {
 func (c *countIter) close() { c.in.close() }
 
 // AnnotateEstimates attaches per-node optimizer cardinality estimates
-// (such as bgp.EstimateCards produces) to the profile tree. Nodes absent
+// (such as bgp.Compiled.EstRows holds) to the profile tree. Nodes absent
 // from the map keep EstRows < 0.
 func (prof *OpProfile) AnnotateEstimates(est map[Node]float64) {
 	if prof == nil || est == nil {

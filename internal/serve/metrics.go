@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -273,9 +274,10 @@ func (m *Metrics) histSnapshot() [64]int64 {
 }
 
 // histQuantile returns the upper bound of the bucket the q-quantile lands
-// in — a ≤2× overestimate, stable and monotone.
+// in — a ≤2× overestimate, stable and monotone. The quantile is the
+// nearest-rank one: the ceil(q·total)-th smallest sample.
 func histQuantile(hist *[64]int64, total int64, q float64) time.Duration {
-	want := int64(q * float64(total))
+	want := int64(math.Ceil(q * float64(total)))
 	if want < 1 {
 		want = 1
 	}

@@ -46,9 +46,10 @@ type MutatorConfig struct {
 	// held fixed across mutation (compaction recomputes only the roster).
 	Cat core.Catalog
 	// Est is the estimator the base targets were loaded with. Overlay
-	// commits keep serving it unchanged — deliberately: estimates drift as
-	// the delta grows and snap back at compaction, which the workload
-	// registry's q-error surface makes observable.
+	// commits keep compiling with it unchanged — deliberately: estimates
+	// drift as the delta grows, which the workload registry's q-error
+	// surface makes observable; plans compiled after a compaction are
+	// estimated on the rebuilt statistics.
 	Est *bgp.Estimator
 	// Targets are the base physical tables the service serves.
 	Targets []Target

@@ -13,8 +13,48 @@ import (
 	"time"
 
 	"blackswan/internal/core"
+	"blackswan/internal/datagen"
 	"blackswan/internal/serve"
 )
+
+// TestProfileCarriesPlanEstimates checks that EXPLAIN ANALYZE reports the
+// estimates the plan was compiled with: on every scheme, each profiled
+// node's EstRows is the compiled plan's figure for that node, the range
+// filters' per-property estimates included.
+func TestProfileCarriesPlanEstimates(t *testing.T) {
+	_, sys, _ := fixture(t)
+	svc := newService(t, serve.Config{})
+	ctx := context.Background()
+	text := `SELECT * WHERE { ?s <` + datagen.TypeIRI + `> ?t . ?s <` + datagen.PointInTimeIRI + `> ?y .
+	   FILTER (?y >= 1900) . FILTER (?y < 1990) . OPTIONAL { ?s <` + datagen.RecordsIRI + `> ?r } }`
+	p, err := svc.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sys {
+		res, err := svc.ExecTextOpts(ctx, text, s.Name, serve.ExecOpts{Profile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ranges, leftJoins int
+		res.Profile.Walk(func(op *core.OpProfile) {
+			switch op.Node.(type) {
+			case *core.FilterRange:
+				ranges++
+			case *core.LeftJoin:
+				leftJoins++
+			}
+			want, ok := p.Compiled.EstRows[op.Node]
+			if !ok || op.EstRows != want {
+				t.Errorf("%s: %s estimated %v rows in the profile, %v (present %v) in the plan",
+					s.Name, core.NodeLabel(op.Node, nil), op.EstRows, want, ok)
+			}
+		})
+		if ranges != 2 || leftJoins != 1 {
+			t.Fatalf("%s: profile holds %d range filters and %d left joins, want 2 and 1", s.Name, ranges, leftJoins)
+		}
+	}
+}
 
 // TestProfileByteIdentity is the profiler's acceptance check: on every
 // scheme, a profiled execution returns byte-identical rows to an

@@ -545,8 +545,8 @@ type Result struct {
 	Queued  time.Duration
 	Latency time.Duration
 	// Profile is the per-operator EXPLAIN ANALYZE tree, present when the
-	// execution ran with ExecOpts.Profile. Estimates are annotated from the
-	// estimator of the snapshot the query ran on.
+	// execution ran with ExecOpts.Profile. Its estimates are the plan's own
+	// (Compiled.EstRows): the figures its join order was chosen on.
 	Profile *core.OpProfile
 	// TraceID is the request's trace ID in hex when the request was
 	// traced (see Config.Tracer and TraceStart) — the key that joins this
@@ -723,7 +723,7 @@ func (s *Service) exec(ctx context.Context, sn *snapshot, p *Prepared, ti int, c
 		ev.rows = out.Len()
 		if opt.Profile && tr != nil && tr.Profile != nil {
 			ev.profile = tr.Profile
-			ev.profile.AnnotateEstimates(bgp.EstimateCards(p.Compiled.Root, sn.est))
+			ev.profile.AnnotateEstimates(p.Compiled.EstRows)
 		}
 	}
 	s.observe(ctx, &ev, reqTrace, execSpan)
