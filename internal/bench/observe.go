@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"slices"
 	"sort"
 	"strings"
@@ -37,6 +38,9 @@ import (
 //   - bounded overhead: per sink, the summed host time (minimum over the
 //     repetitions of each query, so a descheduled run cannot fail the
 //     limit) stays within ObserveMaxOverhead of the baseline.
+//
+// Beside the ratio, the report carries each service's heap allocations
+// per execution, read around the first repetition of every item.
 
 // ObserveMaxOverhead is the largest host-time ratio a sink may cost over
 // the all-sinks-off baseline.
@@ -102,6 +106,10 @@ type ObserveSinkResult struct {
 	QErrorOps  int     `json:"qErrorOps,omitempty"`
 	MeanQError float64 `json:"meanQError,omitempty"`
 	MaxQError  float64 `json:"maxQError,omitempty"`
+	// AllocsPerOp and BytesPerOp are the heap allocations of one execution
+	// through the sink-on service, averaged over the items.
+	AllocsPerOp float64 `json:"allocsPerOp"`
+	BytesPerOp  float64 `json:"bytesPerOp"`
 
 	sumLogQ float64 // Σ ln(mean q-error) over QErrorOps, for MeanQError
 }
@@ -125,11 +133,15 @@ type ObserveReport struct {
 	Queries int   `json:"queries"`
 	// Reps is the number of measured repetitions over all items, each one
 	// execution on the baseline and on every sink.
-	Reps        int                 `json:"reps"`
-	MaxOverhead float64             `json:"maxOverhead"`
-	Epsilon     float64             `json:"epsilon"`
-	Sinks       []ObserveSinkResult `json:"sinks"`
-	Cells       []ObserveCell       `json:"cells"`
+	Reps        int     `json:"reps"`
+	MaxOverhead float64 `json:"maxOverhead"`
+	// BaseAllocsPerOp and BaseBytesPerOp are the baseline's heap
+	// allocations per execution.
+	BaseAllocsPerOp float64             `json:"baseAllocsPerOp"`
+	BaseBytesPerOp  float64             `json:"baseBytesPerOp"`
+	Epsilon         float64             `json:"epsilon"`
+	Sinks           []ObserveSinkResult `json:"sinks"`
+	Cells           []ObserveCell       `json:"cells"`
 }
 
 // obsRun is what one execution exposes to the observation-only contract.
@@ -161,6 +173,8 @@ type observed struct {
 	// exact holds, per fingerprint, every latency the service's registry was
 	// shown (warm-up runs included — the registry aggregates them all).
 	exact map[string][]float64
+	// objects and bytes sum the heap allocations of the measured runs.
+	objects, bytes uint64
 }
 
 func newObserved(w *Workload, targets []serve.Target, sink observeSink, seed int64) (*observed, error) {
@@ -302,9 +316,17 @@ func measureItem(ctx context.Context, all []*observed, sys *System, text string)
 		// runs first after the previous one's garbage.
 		for k := range all {
 			i := (reps + k) % len(all)
+			var objects, bytes uint64
+			if reps == 0 {
+				objects, bytes = heapAllocs()
+			}
 			run, host, err := all[i].exec(ctx, sys, text)
 			if err != nil {
 				return nil, 0, fmt.Errorf("sink %s: %w", all[i].sink.name, err)
+			}
+			if reps == 0 {
+				o, b := heapAllocs()
+				all[i].objects, all[i].bytes = all[i].objects+o-objects, all[i].bytes+b-bytes
 			}
 			runs[i] = run
 			if reps == 0 || host < mins[i] {
@@ -321,6 +343,16 @@ func measureItem(ctx context.Context, all []*observed, sys *System, text string)
 		}
 	}
 	return mins, reps, nil
+}
+
+// heapAllocs reads the cumulative heap allocations, objects and bytes. It
+// collects first: a collection flushes every processor's cached counts into
+// the runtime's metrics, which otherwise lag by up to a span a size class.
+func heapAllocs() (objects, bytes uint64) {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
 }
 
 // RunObserve runs the observe experiment over the given systems (normally
@@ -345,6 +377,7 @@ func RunObserve(w *Workload, systems []*System, queries int, seed int64) (*Obser
 	ctx := context.Background()
 	sumBase := make([]time.Duration, len(observeSinks))
 	sumSink := make([]time.Duration, len(observeSinks))
+	heapAllocs() // the runtime builds its metric table on the first read: not a service's allocation
 
 	// all[0] is the baseline; all[1+si] runs observeSinks[si].
 	var all []*observed
@@ -384,9 +417,12 @@ func RunObserve(w *Workload, systems []*System, queries int, seed int64) (*Obser
 		}
 	}
 
+	items := float64(max(1, len(systems)*len(texts)))
+	report.BaseAllocsPerOp, report.BaseBytesPerOp = float64(all[0].objects)/items, float64(all[0].bytes)/items
 	var over []string
 	for si := range report.Sinks {
 		r := &report.Sinks[si]
+		r.AllocsPerOp, r.BytesPerOp = float64(all[1+si].objects)/items, float64(all[1+si].bytes)/items
 		if r.QErrorOps > 0 {
 			r.MeanQError = math.Exp(r.sumLogQ / float64(r.QErrorOps))
 		}
@@ -410,7 +446,8 @@ func FormatObserve(r *ObserveReport) string {
 	fmt.Fprintf(&b, "observation overhead through the serving layer, %d generated queries (seed %d), hot, min host time over %d repetitions in all\n",
 		r.Queries, r.Seed, r.Reps)
 	fmt.Fprintf(&b, "every sink-on execution byte-identical to the all-sinks-off baseline, simulated charges equal\n\n")
-	fmt.Fprintf(&b, "%-9s %9s  %s\n", "sink", "overhead", "proof of life")
+	fmt.Fprintf(&b, "%-9s %9s %10s %10s  %s\n", "sink", "overhead", "allocs/op", "B/op", "proof of life")
+	fmt.Fprintf(&b, "%-9s %9s %10.1f %10.0f  (baseline, every sink off)\n", "off", "", r.BaseAllocsPerOp, r.BaseBytesPerOp)
 	for _, s := range r.Sinks {
 		var life []string
 		if s.Profiled > 0 {
@@ -426,7 +463,7 @@ func FormatObserve(r *ObserveReport) string {
 		if s.QErrorOps > 0 {
 			life = append(life, fmt.Sprintf("%d operator q-errors (mean %.2f, max %.2f)", s.QErrorOps, s.MeanQError, s.MaxQError))
 		}
-		fmt.Fprintf(&b, "%-9s %8.3fx  %s\n", s.Sink, s.OverheadRatio, strings.Join(life, "; "))
+		fmt.Fprintf(&b, "%-9s %8.3fx %10.1f %10.0f  %s\n", s.Sink, s.OverheadRatio, s.AllocsPerOp, s.BytesPerOp, strings.Join(life, "; "))
 	}
 	fmt.Fprintf(&b, "(limit: %.2fx)\n\n", r.MaxOverhead)
 	fmt.Fprintf(&b, "%-9s %-18s %10s %10s %8s\n", "sink", "system", "base ms", "sink ms", "ratio")

@@ -77,6 +77,10 @@ func TestRunObserve(t *testing.T) {
 		if sink.profile && sink.registry && (s.QErrorOps == 0 || s.MeanQError < 1 || s.MaxQError < s.MeanQError) {
 			t.Errorf("%s: %d q-error operators, mean %f, max %f", s.Sink, s.QErrorOps, s.MeanQError, s.MaxQError)
 		}
+		if report.BaseAllocsPerOp <= 0 || s.AllocsPerOp < report.BaseAllocsPerOp || s.BytesPerOp < report.BaseBytesPerOp {
+			t.Errorf("%s: %.1f allocs and %.0f B a run, baseline %.1f and %.0f", s.Sink, s.AllocsPerOp, s.BytesPerOp,
+				report.BaseAllocsPerOp, report.BaseBytesPerOp)
+		}
 	}
 
 	out := FormatObserve(report)

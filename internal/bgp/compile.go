@@ -11,10 +11,10 @@ import (
 	"blackswan/internal/trace"
 )
 
-// Compiled is one compiled query: an executable plan DAG for the core
-// executor plus its output schema and ordering diagnostics.
+// Compiled is one compiled query: the analysed plan the core executor
+// runs (Root is its DAG) plus its output schema and ordering diagnostics.
 type Compiled struct {
-	Root core.Node
+	*core.Plan
 	// Cols names the output columns, in order.
 	Cols []string
 	// Order lists the join steps in the sequence the cost model chose
@@ -103,9 +103,15 @@ func Compile(q *Query, dict rdf.Dict, est *Estimator) (*Compiled, error) {
 		}
 		return nil, &CompileError{Err: err}
 	}
+	// The executor's analysis rejecting the compiler's own output is a bug
+	// in the system, not the client's mistake: the error stays unwrapped.
+	plan, err := core.NewPlan(root)
+	if err != nil {
+		return nil, err
+	}
 	cost, rows := c.est.total(root)
 	return &Compiled{
-		Root: root, Cols: cols, Order: c.order,
+		Plan: plan, Cols: cols, Order: c.order,
 		Cost: cost, EstRows: rows, Counts: countColsOf(q),
 	}, nil
 }

@@ -40,7 +40,7 @@ func TestPaperQueriesSubsumed(t *testing.T) {
 		}
 		for _, name := range f.names {
 			src := f.srcs[name]
-			want, err := core.Execute(src, q)
+			want, err := src.(core.Database).Run(q)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, q, err)
 			}
@@ -366,7 +366,7 @@ func TestCompileNilEstimator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Execute(f.srcs["colvert"], core.Query{ID: core.Q7})
+	want, err := f.srcs["colvert"].(core.Database).Run(core.Query{ID: core.Q7})
 	if err != nil {
 		t.Fatal(err)
 	}

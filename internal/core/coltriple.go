@@ -56,7 +56,7 @@ func (d *ColTriple) colO() *colstore.Column { return d.table.Cols[d.o] }
 
 // Run implements Database by executing the query's declarative plan.
 func (d *ColTriple) Run(q Query) (*rel.Rel, error) {
-	return Execute(d, q)
+	return runQuery(d, q)
 }
 
 // Match implements TripleSource: the pull scan, collected.

@@ -92,7 +92,7 @@ func (d *ColVert) Label() string { return d.label }
 
 // Run implements Database by executing the query's declarative plan.
 func (d *ColVert) Run(q Query) (*rel.Rel, error) {
-	return Execute(d, q)
+	return runQuery(d, q)
 }
 
 // Match implements TripleSource: the pull scan, collected.

@@ -7,8 +7,9 @@
 // the SQL text generator that plays the role of the authors' Perl script.
 //
 // Queries execute through the declarative plan layer: PlanFor declares each
-// query once as a logical operator DAG and the one executor (stream.go)
-// lowers it onto any scheme from its physical properties (PhysicalSource):
+// query once as a logical operator DAG, NewPlan analyses a DAG once into a
+// Plan, and the one executor (Plan.Execute, stream.go) lowers it onto any
+// scheme from its physical properties (PhysicalSource):
 // pull-based iterators exchanging row batches, with no barriers except hash
 // builds, grouping, sorts and shared subexpressions. It runs in two
 // configurations of one value, the batch size:
@@ -25,5 +26,5 @@
 //
 // Results are byte-identical — including row order — in both, on every
 // scheme, and simulated CPU depends on the work charged, not on the batch
-// size. ExecutePlanCtx checks cancellation at batch boundaries.
+// size. Execute checks cancellation at batch boundaries.
 package core

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -14,10 +15,15 @@ import (
 )
 
 // This file is the plan executor's surface: the interfaces a storage scheme
-// implements, the options and trace of one execution, and the plan analysis
-// (projection pushdown, shared subexpressions, access assembly) the lowering
-// in stream.go builds on. The lowering decisions are made once, from
-// declared physical properties:
+// implements, the options and trace of one execution, and the plan
+// analysis. NewPlan walks a plan DAG once and records on the Plan what the
+// lowering in stream.go needs and the plan alone decides: each node's
+// executed column schema after projection pushdown, its parent count (a
+// node with two is a shared subexpression, evaluated once), a join's one
+// shared variable, and an access's kept slots and scan mask. A malformed
+// plan fails there, before any scan opens, and a held plan — the serving
+// layer caches them — executes without re-deriving any of it. The lowering
+// makes the scheme's decisions, from declared physical properties:
 //
 //   - an Access with a bound property becomes one per-property scan;
 //   - an Access with an unbound property becomes a union of per-property
@@ -205,57 +211,48 @@ type TopNStat struct {
 	Heap bool
 }
 
-// Execute runs one benchmark query through the declarative plan layer, in
-// the drain configuration.
-func Execute(src PhysicalSource, q Query) (*rel.Rel, error) {
-	return ExecuteOpts(src, q, ExecOptions{})
-}
-
-// ExecuteOpts is Execute with an explicit configuration.
-func ExecuteOpts(src PhysicalSource, q Query, opt ExecOptions) (*rel.Rel, error) {
-	out, _, err := ExecuteTraced(src, q, opt)
-	return out, err
-}
-
-// ExecuteTraced additionally returns the lowering trace.
-func ExecuteTraced(src PhysicalSource, q Query, opt ExecOptions) (*rel.Rel, *Trace, error) {
+// runQuery is Database.Run: the query's declarative plan, drained.
+func runQuery(src PhysicalSource, q Query) (*rel.Rel, error) {
 	p, err := PlanFor(q, src.Cat().Consts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	out, _, tr, err := ExecutePlan(src, p.Root, opt)
+	out, _, _, err := p.Execute(context.Background(), src, ExecOptions{})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: %v: %w", q, err)
+		return nil, fmt.Errorf("core: %v: %w", q, err)
 	}
-	if out.W != q.ResultWidth() {
-		return nil, nil, fmt.Errorf("core: %v plan produced width %d, want %d", q, out.W, q.ResultWidth())
-	}
-	return out, tr, nil
+	return out, nil
 }
 
-// ExecutePlan lowers and runs an arbitrary logical plan rooted at root —
-// the entry point the BGP compiler uses. It returns the result relation,
-// its column names (plan variable names, in output order), and the lowering
-// trace. Unlike ExecuteTraced it makes no benchmark-specific checks: any
-// well-formed operator DAG over the plan vocabulary executes.
+// ExecutePlan analyses and runs an arbitrary logical plan rooted at root. It
+// returns the result relation, its column names (plan variable names, in
+// output order), and the lowering trace.
 func ExecutePlan(src PhysicalSource, root Node, opt ExecOptions) (*rel.Rel, []string, *Trace, error) {
 	return ExecutePlanCtx(context.Background(), src, root, opt)
 }
 
-// ExecutePlanCtx is ExecutePlan with cancellation: the executor checks ctx
-// while lowering each operator and at every batch a scan or buffered input
-// hands on, so a cancelled or expired context aborts the plan there and
-// returns ctx.Err(). This is the entry point of the serving layer, which
-// threads each client's request context through here.
+// ExecutePlanCtx is ExecutePlan with cancellation: NewPlan, then Execute.
 func ExecutePlanCtx(ctx context.Context, src PhysicalSource, root Node, opt ExecOptions) (*rel.Rel, []string, *Trace, error) {
+	p, err := NewPlan(root)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return p.Execute(ctx, src, opt)
+}
+
+// Execute lowers and runs the analysed plan on src — the one executor entry.
+// The executor checks ctx while lowering each operator and at every batch a
+// scan or buffered input hands on, so a cancelled or expired context aborts
+// the plan there and returns ctx.Err(). A plan is read-only here: one held
+// plan (the serving layer's cached one) executes on any number of sources
+// at once, and pays no analysis.
+func (p *Plan) Execute(ctx context.Context, src PhysicalSource, opt ExecOptions) (*rel.Rel, []string, *Trace, error) {
 	st := &streamer{
 		ctx:   ctx,
 		src:   src,
 		ops:   src.Ops(),
+		facts: p.facts,
 		tr:    &Trace{},
-		memo:  make(map[Node]shared),
-		req:   requiredVars(root),
-		uses:  useCounts(root),
 		mem:   &memTracker{},
 		batch: opt.BatchRows,
 	}
@@ -270,7 +267,7 @@ func ExecutePlanCtx(ctx context.Context, src PhysicalSource, root Node, opt Exec
 	if opt.Profile {
 		st.prof = newProfiler(st.ops.Store, st.mem)
 	}
-	s, err := st.build(root)
+	s, err := st.build(p.Root)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -280,7 +277,7 @@ func ExecutePlanCtx(ctx context.Context, src PhysicalSource, root Node, opt Exec
 	}
 	st.tr.PeakBytes = st.mem.peak
 	st.tr.Profile = st.prof.finish()
-	return out, s.cols, st.tr, nil
+	return out, slices.Clone(s.cols), st.tr, nil
 }
 
 // shared is a drained shared subexpression: its rows, column names and the
@@ -291,166 +288,233 @@ type shared struct {
 	sorted string
 }
 
-// useCounts returns how many parents reference each node — shared
-// subexpressions have more than one, and must be evaluated exactly once.
-func useCounts(root Node) map[Node]int {
-	uses := map[Node]int{}
-	var walk func(n Node)
-	walk = func(n Node) {
-		uses[n]++
-		if uses[n] > 1 {
-			return
-		}
-		for _, c := range children(n) {
-			walk(c)
-		}
-	}
-	walk(root)
-	return uses
+// facts is what the analysis proves about one plan node: everything the
+// lowering needs that depends on the plan alone.
+type facts struct {
+	// cols is the node's output schema as executed — after projection
+	// pushdown, in plan order. (A partitioned join emits the same columns in
+	// another order; the lowering tracks the order per stream.)
+	cols []string
+	// uses counts the node's parents: a shared subexpression has more than
+	// one, and is evaluated once.
+	uses int
+	// v is a Join's or LeftJoin's one shared variable.
+	v string
+	// slots and need are an Access's kept slots and its scan's column mask.
+	slots []slot
+	need  ScanCols
 }
 
-// columnsOf returns a node's full logical output schema (before any
-// projection pushdown), mirroring the executor's runtime column layout.
-func columnsOf(n Node) []string {
+// NewPlan analyses the plan DAG rooted at root in one memoized walk and
+// returns it ready to execute. The walk visits each node once, children
+// first, recording its logical schema and parent count; the demanded
+// columns then flow parents-first over that order — the projection pushdown
+// that lets column stores skip materializing unused columns — and the
+// executed schemas, each access's kept slots and scan mask, and the checks
+// follow children-first. A plan that breaks a schema rule fails here,
+// before any scan opens: a join needs exactly one shared variable; filter,
+// having, group, sort and project columns must exist; a group has one or
+// two keys; renames match the projection's length; union branches carry
+// the same columns. What depends on the scheme — the column order after a
+// partitioned join, a restricted load missing a table — the lowering
+// decides.
+func NewPlan(root Node) (*Plan, error) {
+	type info struct {
+		*facts
+		full   []string        // the logical schema, before pushdown
+		demand map[string]bool // what the parents consume; nil until one reaches it
+	}
+	of := map[Node]*info{}
+	var order []Node // children before parents
+	var visit func(n Node) error
+	visit = func(n Node) error {
+		if in := of[n]; in != nil {
+			in.uses++
+			return nil
+		}
+		in := &info{facts: &facts{uses: 1}}
+		of[n] = in
+		for _, c := range children(n) {
+			if err := visit(c); err != nil {
+				return err
+			}
+		}
+		if a, ok := n.(*Access); ok {
+			in.full = slotCols(patternSlots(a.Pattern))
+		} else if children(n) == nil {
+			return fmt.Errorf("unknown plan node %T", n)
+		} else {
+			in.full = outCols(n, func(c Node) []string { return of[c].full })
+		}
+		order = append(order, n)
+		return nil
+	}
+	if err := visit(root); err != nil {
+		return nil, err
+	}
+
+	// Demand, parents first. A node reached with columns passes its inputs
+	// what its operator reads; one reached with none stops there, and an
+	// access no demand reaches keeps every slot.
+	add := func(n Node, vars ...string) {
+		in := of[n]
+		if in.demand == nil {
+			in.demand = map[string]bool{}
+		}
+		for _, v := range vars {
+			in.demand[v] = true
+		}
+	}
+	add(root, of[root].full...)
+	for i := len(order) - 1; i >= 0; i-- {
+		n, kids := order[i], children(order[i])
+		d := of[n].demand
+		if len(d) == 0 {
+			continue
+		}
+		switch n.(type) {
+		case *Join, *LeftJoin: // the demanded columns, and the shared ones on both sides
+			lc, rc := of[kids[0]].full, of[kids[1]].full
+			for _, c := range lc {
+				if d[c] || slices.Contains(rc, c) {
+					add(kids[0], c)
+				}
+			}
+			for _, c := range rc {
+				if d[c] || slices.Contains(lc, c) {
+					add(kids[1], c)
+				}
+			}
+		case *Distinct: // duplicate elimination depends on every column
+			add(kids[0], of[kids[0]].full...)
+		case *Group, *Project:
+			add(kids[0], reads(n)...)
+		default: // row-preserving: every demanded column, and what it reads
+			for _, c := range kids {
+				add(c, append(slices.Collect(maps.Keys(d)), reads(n)...)...)
+			}
+		}
+	}
+
+	// Executed schemas and the checks, children first.
+	p := &Plan{Root: root, facts: make(map[Node]*facts, len(order))}
+	cols := func(c Node) []string { return of[c].cols }
+	for _, n := range order {
+		in := of[n]
+		if a, ok := n.(*Access); ok {
+			in.slots = keptSlots(patternSlots(a.Pattern), in.demand)
+			in.cols, in.need = slotCols(in.slots), needOf(in.slots)
+		} else {
+			var err error
+			if in.v, err = check(n, cols); err != nil {
+				return nil, err
+			}
+			in.cols = outCols(n, cols)
+		}
+		p.facts[n] = in.facts
+	}
+	return p, nil
+}
+
+// outCols is a node's output schema given its inputs' (cols).
+func outCols(n Node, cols func(Node) []string) []string {
 	switch x := n.(type) {
-	case *Access:
-		return slotCols(patternSlots(x.Pattern))
-	case *Join:
-		return joinColumns(x.L, x.R)
-	case *LeftJoin:
-		return joinColumns(x.L, x.R)
-	case *FilterNe:
-		return columnsOf(x.In)
-	case *FilterEqCols:
-		return columnsOf(x.In)
-	case *FilterRange:
-		return columnsOf(x.In)
-	case *Distinct:
-		return columnsOf(x.In)
-	case *Union:
-		return columnsOf(x.L)
+	case *Join, *LeftJoin:
+		return joinCols(cols(children(n)[0]), cols(children(n)[1]))
 	case *Group:
-		return append(append([]string(nil), x.Keys...), CountCol)
-	case *Having:
-		return columnsOf(x.In)
+		return append(slices.Clone(x.Keys), CountCol)
 	case *Project:
 		if x.As != nil {
 			return x.As
 		}
 		return x.Cols
-	case *TopN:
-		return columnsOf(x.In)
-	case *Limit:
-		return columnsOf(x.In)
 	default:
-		return nil
+		return cols(children(n)[0])
 	}
 }
 
-// joinColumns is the shared output schema of the (outer) natural joins:
-// the left columns, then the right's minus the shared ones.
-func joinColumns(L, R Node) []string {
-	l, r := columnsOf(L), columnsOf(R)
-	inL := map[string]bool{}
-	for _, c := range l {
-		inL[c] = true
-	}
-	out := append([]string(nil), l...)
+// joinCols is the (outer) natural joins' output schema: the left columns,
+// then the right's minus the shared ones.
+func joinCols(l, r []string) []string {
+	out := slices.Clone(l)
 	for _, c := range r {
-		if !inL[c] {
+		if !slices.Contains(l, c) {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// requiredVars computes, for every node of the plan DAG, which of its
-// output columns the rest of the plan consumes — the projection pushdown
-// that lets column-store accesses skip materializing unused columns, as
-// the hand-written column-at-a-time plans did.
-func requiredVars(root Node) map[Node]map[string]bool {
-	req := map[Node]map[string]bool{}
-	var add func(n Node, vars []string)
-	add = func(n Node, vars []string) {
-		m := req[n]
-		if m == nil {
-			m = map[string]bool{}
-			req[n] = m
+// reads is what a one-input operator reads of its input's columns.
+func reads(n Node) []string {
+	switch x := n.(type) {
+	case *FilterNe:
+		return []string{x.Col}
+	case *FilterEqCols:
+		return []string{x.A, x.B}
+	case *FilterRange:
+		return []string{x.Col}
+	case *Having:
+		return []string{x.Col}
+	case *Group:
+		return x.Keys
+	case *Project:
+		return x.Cols
+	case *TopN:
+		keys := make([]string, len(x.Keys))
+		for i, k := range x.Keys {
+			keys[i] = k.Col
 		}
-		changed := false
-		for _, v := range vars {
-			if !m[v] {
-				m[v] = true
-				changed = true
-			}
+		return keys
+	}
+	return nil
+}
+
+// check proves a node's schema rules over its inputs' executed columns
+// (cols), and returns a join's one shared variable.
+func check(n Node, cols func(Node) []string) (string, error) {
+	kids := children(n)
+	switch x := n.(type) {
+	case *Join, *LeftJoin:
+		return sharedVar(cols(kids[0]), cols(kids[1]))
+	case *Union:
+		l, r := cols(x.L), cols(x.R)
+		if len(l) != len(r) || slices.ContainsFunc(l, func(c string) bool { return !slices.Contains(r, c) }) {
+			return "", fmt.Errorf("union of %v and %v", l, r)
 		}
-		if !changed {
-			return
-		}
-		all := make([]string, 0, len(m))
-		for v := range m {
-			all = append(all, v)
-		}
-		keep := func(cols []string) []string {
-			out := make([]string, 0, len(cols))
-			for _, c := range cols {
-				if m[c] {
-					out = append(out, c)
-				}
-			}
-			return out
-		}
-		joinSides := func(L, R Node) {
-			lc, rc := columnsOf(L), columnsOf(R)
-			rSet := map[string]bool{}
-			for _, c := range rc {
-				rSet[c] = true
-			}
-			var shared []string
-			for _, c := range lc {
-				if rSet[c] {
-					shared = append(shared, c)
-				}
-			}
-			add(L, append(keep(lc), shared...))
-			add(R, append(keep(rc), shared...))
-		}
-		switch x := n.(type) {
-		case *Access:
-		case *Join:
-			joinSides(x.L, x.R)
-		case *LeftJoin:
-			joinSides(x.L, x.R)
-		case *FilterNe:
-			add(x.In, append(all, x.Col))
-		case *FilterEqCols:
-			add(x.In, append(all, x.A, x.B))
-		case *FilterRange:
-			add(x.In, append(all, x.Col))
-		case *Distinct:
-			// Duplicate elimination depends on every column.
-			add(x.In, columnsOf(x.In))
-		case *Union:
-			add(x.L, all)
-			add(x.R, all)
-		case *Group:
-			add(x.In, x.Keys)
-		case *Having:
-			add(x.In, append(all, x.Col))
-		case *Project:
-			add(x.In, x.Cols)
-		case *TopN:
-			vs := all
-			for _, k := range x.Keys {
-				vs = append(vs, k.Col)
-			}
-			add(x.In, vs)
-		case *Limit:
-			add(x.In, all)
+		return "", nil
+	case *Group:
+		if len(x.Keys) == 0 || len(x.Keys) > 2 {
+			return "", fmt.Errorf("group on %d keys", len(x.Keys))
 		}
 	}
-	add(root, columnsOf(root))
-	return req
+	in, what := cols(kids[0]), ""
+	if _, ok := n.(*TopN); ok {
+		what = "sort "
+	}
+	for _, c := range reads(n) {
+		if !slices.Contains(in, c) {
+			return "", fmt.Errorf("no %scolumn %q in %v", what, c, in)
+		}
+	}
+	if x, ok := n.(*Project); ok && x.As != nil && len(x.As) != len(x.Cols) {
+		return "", fmt.Errorf("project renames %d of %d columns", len(x.As), len(x.Cols))
+	}
+	return "", nil
+}
+
+// sharedVar finds the one variable two schemas share.
+func sharedVar(l, r []string) (string, error) {
+	var shared []string
+	for _, c := range l {
+		if slices.Contains(r, c) {
+			shared = append(shared, c)
+		}
+	}
+	if len(shared) != 1 {
+		return "", fmt.Errorf("join of %v and %v shares %d variables, want 1", l, r, len(shared))
+	}
+	return shared[0], nil
 }
 
 // slot is one unbound, named position of a triple pattern.
@@ -473,10 +537,8 @@ func patternSlots(tp TriplePattern) []slot {
 // occurrence order — the column schema an access over those slots produces.
 func slotCols(slots []slot) []string {
 	var cols []string
-	seen := map[string]bool{}
 	for _, sl := range slots {
-		if !seen[sl.name] {
-			seen[sl.name] = true
+		if !slices.Contains(cols, sl.name) {
 			cols = append(cols, sl.name)
 		}
 	}
@@ -502,12 +564,12 @@ func newGather(src []int, eq [][2]int, inW int) *gather {
 	return g
 }
 
-// compileAssembly resolves an access's kept slots against its scan rows:
-// (s, o) under a constant property when inW is 2, (s, p, o) when 3.
-func compileAssembly(slots []slot, inW int) *gather {
+// compileAssembly resolves an access's kept slots, whose columns are cols,
+// against its scan rows: (s, o) under a constant property when inW is 2,
+// (s, p, o) when 3.
+func compileAssembly(slots []slot, cols []string, inW int) *gather {
 	var src []int
 	var eq [][2]int
-	cols := slotCols(slots)
 	for _, sl := range slots {
 		in := sl.pos
 		if inW == 2 {
@@ -569,28 +631,22 @@ func (g *gather) run(out, b *rel.Rel, k uint64) *rel.Rel {
 	return out
 }
 
-// keptSlots prunes an access's variable slots to those the plan consumes.
-// A slot survives when its variable is demanded downstream or repeats
-// within the pattern (the repetition is an equality filter that must still
-// apply). Pruning never empties the slot list: a benchmark access always
-// feeds at least one demanded variable.
-func (st *streamer) keptSlots(a *Access) []slot {
-	slots := patternSlots(a.Pattern)
-	req := st.req[a]
-	if req == nil {
+// keptSlots prunes an access's variable slots to those the plan demands. A
+// slot survives when its variable is demanded or repeats within the
+// pattern (the repetition is an equality filter that must still apply).
+// An access no demand reached keeps every slot; pruning never empties the
+// slot list.
+func keptSlots(slots []slot, demand map[string]bool) []slot {
+	if demand == nil {
 		return slots
 	}
-	count := map[string]int{}
+	var kept []slot
 	for _, sl := range slots {
-		count[sl.name]++
-	}
-	kept := make([]slot, 0, len(slots))
-	for _, sl := range slots {
-		if req[sl.name] || count[sl.name] > 1 {
+		if demand[sl.name] || slices.ContainsFunc(slots, func(o slot) bool { return o.name == sl.name && o.pos != sl.pos }) {
 			kept = append(kept, sl)
 		}
 	}
-	if len(kept) == 0 {
+	if len(kept) == 0 && len(slots) > 0 {
 		kept = slots[:1]
 	}
 	return kept
@@ -598,18 +654,11 @@ func (st *streamer) keptSlots(a *Access) []slot {
 
 // needOf derives the physical column mask from the surviving slots.
 func needOf(slots []slot) ScanCols {
-	var need ScanCols
+	var on [3]bool
 	for _, sl := range slots {
-		switch sl.pos {
-		case 0:
-			need.S = true
-		case 1:
-			need.P = true
-		case 2:
-			need.O = true
-		}
+		on[sl.pos] = true
 	}
-	return need
+	return ScanCols{S: on[0], P: on[1], O: on[2]}
 }
 
 // partitionedJoinSide recognizes a join input that is an unbound-property
@@ -618,7 +667,7 @@ func needOf(slots []slot) ScanCols {
 func (st *streamer) partitionedJoinSide(n Node) (*Access, *FilterNe) {
 	var f *FilterNe
 	if x, ok := n.(*FilterNe); ok {
-		if st.uses[x] > 1 {
+		if st.facts[x].uses > 1 {
 			return nil, nil
 		}
 		f = x
@@ -630,7 +679,7 @@ func (st *streamer) partitionedJoinSide(n Node) (*Access, *FilterNe) {
 	}
 	// A shared subexpression must be drained exactly once through the memo,
 	// never consumed by pushdown (which bypasses it).
-	if st.uses[a] > 1 {
+	if st.facts[a].uses > 1 {
 		return nil, nil
 	}
 	return a, f
@@ -678,8 +727,8 @@ func RangePred(f *FilterRange) func(uint64) bool {
 // terms by their N-Triples rendering (Desc reverses the key); rows equal
 // under every key fall back to raw ascending value comparison, which makes
 // the order total and scheme-independent (one dictionary serves all
-// schemes).
-func SortLess(keys []SortKey, cols []string, ord ValueSource) (func(a, b []uint64) bool, error) {
+// schemes). Every key must name one of cols (NewPlan proves it of a plan).
+func SortLess(keys []SortKey, cols []string, ord ValueSource) func(a, b []uint64) bool {
 	type keyIdx struct {
 		col   int
 		desc  bool
@@ -687,17 +736,7 @@ func SortLess(keys []SortKey, cols []string, ord ValueSource) (func(a, b []uint6
 	}
 	idx := make([]keyIdx, len(keys))
 	for i, k := range keys {
-		ci := -1
-		for j, c := range cols {
-			if c == k.Col {
-				ci = j
-				break
-			}
-		}
-		if ci < 0 {
-			return nil, fmt.Errorf("no sort column %q in %v", k.Col, cols)
-		}
-		idx[i] = keyIdx{col: ci, desc: k.Desc, count: k.Count}
+		idx[i] = keyIdx{col: slices.Index(cols, k.Col), desc: k.Desc, count: k.Count}
 	}
 	// cmpID compares two dictionary identifiers by value: NULL < numeric
 	// literals (by value) < everything else (by rendering). Resolved keys
@@ -777,5 +816,5 @@ func SortLess(keys []SortKey, cols []string, ord ValueSource) (func(a, b []uint6
 			}
 		}
 		return false
-	}, nil
+	}
 }

@@ -39,11 +39,15 @@ func leaf(p uint64, cols ...string) *Access {
 // runKernel lowers root over leaves in the pipelined configuration and
 // drains it, b.N times.
 func runKernel(b *testing.B, root Node, leaves map[Node]shared, rows int) {
+	p, err := NewPlan(root)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		st := &streamer{ctx: context.Background(), ops: nopOps, tr: &Trace{}, memo: maps.Clone(leaves),
-			req: requiredVars(root), uses: useCounts(root), mem: &memTracker{}, batch: DefaultBatchRows}
+		st := &streamer{ctx: context.Background(), ops: nopOps, facts: p.facts, tr: &Trace{}, memo: maps.Clone(leaves),
+			mem: &memTracker{}, batch: DefaultBatchRows}
 		s, err := st.build(root)
 		if err != nil {
 			b.Fatal(err)

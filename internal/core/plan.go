@@ -208,10 +208,12 @@ func (*Project) node()      {}
 func (*TopN) node()         {}
 func (*Limit) node()        {}
 
-// Plan is the complete logical plan of one benchmark query.
+// Plan is a logical plan analysed for execution (NewPlan): immutable once
+// built, and executable on any number of sources at once.
 type Plan struct {
-	Query Query
-	Root  Node
+	Root Node
+	// facts is the analysis, per node of the DAG.
+	facts map[Node]*facts
 }
 
 // PlanFor builds the declarative plan of q against the benchmark constants.
@@ -304,7 +306,14 @@ func PlanFor(q Query, c Constants) (*Plan, error) {
 	default:
 		return nil, fmt.Errorf("core: no plan for query %v", q)
 	}
-	return &Plan{Query: q, Root: root}, nil
+	p, err := NewPlan(root)
+	if err != nil {
+		return nil, fmt.Errorf("core: %v: %w", q, err)
+	}
+	if w := len(p.facts[root].cols); w != q.ResultWidth() {
+		return nil, fmt.Errorf("core: %v plan produced width %d, want %d", q, w, q.ResultWidth())
+	}
+	return p, nil
 }
 
 // children returns a node's input nodes in evaluation order — the one
@@ -341,30 +350,6 @@ func children(n Node) []Node {
 	default:
 		return nil
 	}
-}
-
-// Accesses returns the plan's Access leaves in evaluation order — the
-// query's basic graph pattern as the plan sees it. Shared subexpression
-// nodes appear once.
-func (p *Plan) Accesses() []*Access {
-	var out []*Access
-	seen := map[Node]bool{}
-	var walk func(n Node)
-	walk = func(n Node) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		if a, ok := n.(*Access); ok {
-			out = append(out, a)
-			return
-		}
-		for _, c := range children(n) {
-			walk(c)
-		}
-	}
-	walk(p.Root)
-	return out
 }
 
 // Children returns n's input nodes in evaluation order — the exported

@@ -1,13 +1,37 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"blackswan/internal/colstore"
 	"blackswan/internal/rdf"
+	"blackswan/internal/rel"
 	"blackswan/internal/rowstore"
 )
+
+// runTraced runs q's plan on src — Database.Run with a configuration and
+// the trace.
+func runTraced(src PhysicalSource, q Query, opt ExecOptions) (*rel.Rel, *Trace, error) {
+	p, err := PlanFor(q, src.Cat().Consts)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, _, tr, err := p.Execute(context.Background(), src, opt)
+	return out, tr, err
+}
+
+// accesses returns a plan's Access leaves in evaluation order, each once.
+func accesses(p *Plan) []*Access {
+	var out []*Access
+	WalkPlan(p.Root, func(n Node) {
+		if a, ok := n.(*Access); ok {
+			out = append(out, a)
+		}
+	})
+	return out
+}
 
 // planFixture loads the crafted graph into all four schemes as
 // PhysicalSources keyed by a short name.
@@ -49,7 +73,7 @@ func TestPlanForCoversBenchmark(t *testing.T) {
 			t.Fatalf("%v: %v", q, err)
 		}
 		want := PatternsOf(q.ID, c)
-		got := p.Accesses()
+		got := accesses(p)
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d accesses, want %d patterns", q, len(got), len(want))
 		}
@@ -96,7 +120,7 @@ func TestLoweringMergeVsHash(t *testing.T) {
 		{"rowvert", Query{ID: Q5}, []JoinStrategy{merge, hash}},
 		{"coltriple", Query{ID: Q5}, []JoinStrategy{hash, hash}},
 	} {
-		_, tr, err := ExecuteTraced(srcs[tc.src], tc.q, ExecOptions{})
+		_, tr, err := runTraced(srcs[tc.src], tc.q, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s %v: %v", tc.src, tc.q, err)
 		}
@@ -145,7 +169,7 @@ func TestLoweringMergeVsHash(t *testing.T) {
 			}
 		})
 		for src := range srcs {
-			_, tr, err := ExecuteTraced(srcs[src], q, ExecOptions{})
+			_, tr, err := runTraced(srcs[src], q, ExecOptions{})
 			if err != nil {
 				t.Fatalf("%s %v: %v", src, q, err)
 			}
@@ -194,7 +218,7 @@ func TestLoweringPartitionFanout(t *testing.T) {
 		{"coltriple", Query{ID: Q2, Star: true}, 0},
 	}
 	for _, tc := range cases {
-		_, tr, err := ExecuteTraced(srcs[tc.src], tc.q, ExecOptions{})
+		_, tr, err := runTraced(srcs[tc.src], tc.q, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s %v: %v", tc.src, tc.q, err)
 		}
@@ -204,33 +228,95 @@ func TestLoweringPartitionFanout(t *testing.T) {
 	}
 }
 
-// TestProjectionPushdown asserts the demand analysis: q1 needs only the
-// object column of its single access, q2 needs subject and property but
+// TestProjectionPushdown asserts the demand analysis: q1 keeps only the
+// object column of its single access, q2 keeps subject and property but
 // not the object.
 func TestProjectionPushdown(t *testing.T) {
 	fx := newCrafted(t)
 	c := fx.cat.Consts
 	for _, tc := range []struct {
 		q    Query
-		need []map[string]bool // demanded vars per access, in plan order
+		kept [][]string // kept columns per access, in plan order
 	}{
-		{Query{ID: Q1}, []map[string]bool{{"o": true}}},
-		{Query{ID: Q2}, []map[string]bool{{"s": true}, {"s": true, "p": true}}},
-		{Query{ID: Q3}, []map[string]bool{{"s": true}, {"s": true, "p": true, "o": true}}},
+		{Query{ID: Q1}, [][]string{{"o"}}},
+		{Query{ID: Q2}, [][]string{{"s"}, {"s", "p"}}},
+		{Query{ID: Q3}, [][]string{{"s"}, {"s", "p", "o"}}},
 	} {
 		p, err := PlanFor(tc.q, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := requiredVars(p.Root)
-		accs := p.Accesses()
-		if len(accs) != len(tc.need) {
+		accs := accesses(p)
+		if len(accs) != len(tc.kept) {
 			t.Fatalf("%v: %d accesses", tc.q, len(accs))
 		}
 		for i, a := range accs {
-			got := req[a]
-			if fmt.Sprint(got) != fmt.Sprint(tc.need[i]) {
-				t.Errorf("%v access %d: demanded %v, want %v", tc.q, i, got, tc.need[i])
+			if got := p.facts[a].cols; fmt.Sprint(got) != fmt.Sprint(tc.kept[i]) {
+				t.Errorf("%v access %d: kept %v, want %v", tc.q, i, got, tc.kept[i])
+			}
+		}
+	}
+}
+
+// scanCounter counts the scans a plan opens on the source it wraps.
+type scanCounter struct {
+	PhysicalSource
+	scans int
+}
+
+func (c *scanCounter) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelIter, error) {
+	c.scans++
+	return c.PhysicalSource.StreamProp(p, s, o, need, batchRows)
+}
+
+func (c *scanCounter) StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter {
+	c.scans++
+	return c.PhysicalSource.StreamTriples(s, o, need, batchRows)
+}
+
+// TestMalformedPlanFailsBeforeScan: a plan that breaks a schema rule fails
+// in the analysis — NewPlan and ExecutePlan return the same error — before
+// any scan opens or any operator charges, on every scheme.
+func TestMalformedPlanFailsBeforeScan(t *testing.T) {
+	fx, srcs := planFixture(t)
+	c := fx.cat.Consts
+	typed := &Access{Pattern: Pat(V("s"), C(c.Type), V("t"))}
+	for _, tc := range []struct {
+		name string
+		root Node
+		err  string
+	}{
+		{"join sharing no variable",
+			&Join{L: typed, R: &Access{Pattern: Pat(V("x"), C(c.Language), V("y"))}},
+			"join of [s t] and [x y] shares 0 variables, want 1"},
+		{"join sharing two variables",
+			&Join{L: typed, R: &Access{Pattern: Pat(V("s"), C(c.Language), V("t"))}},
+			"join of [s t] and [s t] shares 2 variables, want 1"},
+		{"filter on a missing column",
+			&FilterNe{In: typed, Col: "z", Value: c.Text},
+			`no column "z" in [s t]`},
+		{"group on three keys",
+			&Group{In: &Access{Pattern: Pat(V("s"), V("p"), V("o"))}, Keys: []string{"s", "p", "o"}},
+			"group on 3 keys"},
+		{"rename of the wrong length",
+			&Project{In: typed, Cols: []string{"s"}, As: []string{"a", "b"}},
+			"project renames 2 of 1 columns"},
+		{"union of different widths",
+			&Union{L: typed, R: &Project{In: typed, Cols: []string{"s"}}},
+			"union of [s t] and [s]"},
+	} {
+		if _, err := NewPlan(tc.root); err == nil || err.Error() != tc.err {
+			t.Errorf("%s: NewPlan error %v, want %q", tc.name, err, tc.err)
+		}
+		for name, src := range srcs {
+			counted := &scanCounter{PhysicalSource: src}
+			clock := src.Ops().Store.Clock()
+			clock.Reset()
+			if _, _, _, err := ExecutePlan(counted, tc.root, ExecOptions{Streaming: true}); err == nil || err.Error() != tc.err {
+				t.Errorf("%s on %s: ExecutePlan error %v, want %q", tc.name, name, err, tc.err)
+			}
+			if counted.scans != 0 || clock.User() != 0 || clock.IO() != 0 {
+				t.Errorf("%s on %s: %d scans opened, clock %v before failing", tc.name, name, counted.scans, clock)
 			}
 		}
 	}

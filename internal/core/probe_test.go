@@ -270,11 +270,15 @@ func TestProbeCloseAndCancelReturnBuffers(t *testing.T) {
 		R:        &Access{Pattern: Pat(V("s"), id("title"), V("x"))},
 		ProbeMax: 4,
 	}
+	p, err := NewPlan(root)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range seekable {
 		for _, cancelled := range []bool{false, true} {
 			ctx, cancel := context.WithCancel(context.Background())
-			st := &streamer{ctx: ctx, src: srcs[name], ops: srcs[name].Ops(), tr: &Trace{}, memo: map[Node]shared{},
-				req: requiredVars(root), uses: useCounts(root), mem: &memTracker{}, batch: 1}
+			st := &streamer{ctx: ctx, src: srcs[name], ops: srcs[name].Ops(), facts: p.facts, tr: &Trace{},
+				mem: &memTracker{}, batch: 1}
 			s, err := st.build(root)
 			if err != nil {
 				t.Fatal(err)

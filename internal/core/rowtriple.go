@@ -91,7 +91,7 @@ func (d *RowTriple) Label() string { return "DBX/triple-" + d.cluster.String() }
 
 // Run implements Database by executing the query's declarative plan.
 func (d *RowTriple) Run(q Query) (*rel.Rel, error) {
-	return Execute(d, q)
+	return runQuery(d, q)
 }
 
 // Match implements TripleSource: the pull scan, collected.

@@ -87,7 +87,7 @@ func (d *RowVert) Label() string { return "DBX/vert-SO" }
 
 // Run implements Database by executing the query's declarative plan.
 func (d *RowVert) Run(q Query) (*rel.Rel, error) {
-	return Execute(d, q)
+	return runQuery(d, q)
 }
 
 // Match implements TripleSource: the pull scan, collected.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -114,24 +113,17 @@ type stream struct {
 	sorted string
 }
 
-func (s stream) col(name string) (int, error) {
-	for i, c := range s.cols {
-		if c == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("no column %q in %v", name, s.cols)
-}
+// col is the position of a column the analysis proved the stream carries.
+func (s stream) col(name string) int { return slices.Index(s.cols, name) }
 
 // streamer is one plan execution: the plan analysis the lowering consults,
 // the configuration, and the state the operators share.
 type streamer struct {
-	ctx  context.Context
-	src  PhysicalSource
-	ops  PhysicalOps
-	tr   *Trace
-	req  map[Node]map[string]bool
-	uses map[Node]int
+	ctx   context.Context
+	src   PhysicalSource
+	ops   PhysicalOps
+	facts map[Node]*facts
+	tr    *Trace
 	// memo holds each shared subexpression drained so far; see build.
 	memo map[Node]shared
 	mem  *memTracker
@@ -223,42 +215,24 @@ func (st *streamer) build(n Node) (stream, error) {
 	case *LeftJoin:
 		s, err = st.buildLeftJoin(x)
 	case *FilterNe:
-		s, err = st.buildFilter(x.In, func(in stream) (func([]uint64) bool, error) {
-			c, err := in.col(x.Col)
-			if err != nil {
-				return nil, err
-			}
-			v := uint64(x.Value)
-			return func(row []uint64) bool { return row[c] != v }, nil
+		s, err = st.buildFilter(x.In, func(in stream) func([]uint64) bool {
+			c, v := in.col(x.Col), uint64(x.Value)
+			return func(row []uint64) bool { return row[c] != v }
 		})
 	case *FilterEqCols:
-		s, err = st.buildFilter(x.In, func(in stream) (func([]uint64) bool, error) {
-			a, err := in.col(x.A)
-			if err != nil {
-				return nil, err
-			}
-			b, err := in.col(x.B)
-			if err != nil {
-				return nil, err
-			}
-			return func(row []uint64) bool { return row[a] == row[b] }, nil
+		s, err = st.buildFilter(x.In, func(in stream) func([]uint64) bool {
+			a, b := in.col(x.A), in.col(x.B)
+			return func(row []uint64) bool { return row[a] == row[b] }
 		})
 	case *FilterRange:
-		s, err = st.buildFilter(x.In, func(in stream) (func([]uint64) bool, error) {
-			c, err := in.col(x.Col)
-			if err != nil {
-				return nil, err
-			}
-			pred := RangePred(x)
-			return func(row []uint64) bool { return pred(row[c]) }, nil
+		s, err = st.buildFilter(x.In, func(in stream) func([]uint64) bool {
+			c, pred := in.col(x.Col), RangePred(x)
+			return func(row []uint64) bool { return pred(row[c]) }
 		})
 	case *Having:
-		s, err = st.buildFilter(x.In, func(in stream) (func([]uint64) bool, error) {
-			c, err := in.col(x.Col)
-			if err != nil {
-				return nil, err
-			}
-			return func(row []uint64) bool { return row[c] > x.Min }, nil
+		s, err = st.buildFilter(x.In, func(in stream) func([]uint64) bool {
+			c := in.col(x.Col)
+			return func(row []uint64) bool { return row[c] > x.Min }
 		})
 	case *Distinct:
 		s, err = st.buildDistinct(x)
@@ -272,8 +246,6 @@ func (st *streamer) build(n Node) (stream, error) {
 		s, err = st.buildTopN(x)
 	case *Limit:
 		s, err = st.buildLimit(x)
-	default:
-		err = fmt.Errorf("unknown plan node %T", n)
 	}
 	if prof != nil {
 		prof.add(st.prof.charges().sub(c0), time.Since(t0))
@@ -287,10 +259,13 @@ func (st *streamer) build(n Node) (stream, error) {
 	if prof != nil {
 		s.it = &profIter{p: st.prof, prof: prof, in: s.it}
 	}
-	if st.uses[n] > 1 {
+	if st.facts[n].uses > 1 {
 		rows, err := st.drain(s.it, len(s.cols), true)
 		if err != nil {
 			return stream{}, err
+		}
+		if st.memo == nil {
+			st.memo = map[Node]shared{}
 		}
 		st.memo[n] = shared{rel: rows, cols: s.cols, sorted: s.sorted}
 		return st.build(n)
@@ -481,16 +456,14 @@ func (st *streamer) propStream(p, s, o rdf.ID, need ScanCols) (iter, error) {
 }
 
 func (st *streamer) buildAccess(a *Access) (stream, error) {
-	tp := a.Pattern
-	slots := st.keptSlots(a)
+	tp, f := a.Pattern, st.facts[a]
 
 	if tp.P.Bound() {
-		it, err := st.propStream(tp.P.Const, tp.S.Const, tp.O.Const, needOf(slots))
+		it, err := st.propStream(tp.P.Const, tp.S.Const, tp.O.Const, f.need)
 		if err != nil {
 			return stream{}, err
 		}
-		cols := slotCols(slots)
-		out := st.gathered(it, compileAssembly(slots, 2), uint64(tp.P.Const))
+		out := st.gathered(it, compileAssembly(f.slots, f.cols, 2), uint64(tp.P.Const))
 		sorted := ""
 		if st.src.PropOrdered() {
 			switch {
@@ -500,7 +473,7 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 				sorted = tp.O.Var
 			}
 		}
-		return stream{it: out, cols: cols, sorted: sorted}, nil
+		return stream{it: out, cols: f.cols, sorted: sorted}, nil
 	}
 
 	if st.src.Partitioned() {
@@ -508,22 +481,21 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 		if a.Restrict {
 			props = st.src.Cat().Interesting
 		}
-		cols := slotCols(slots)
-		asm := compileAssembly(slots, 2)
+		asm := compileAssembly(f.slots, f.cols, 2)
 		open := func(i int) (iter, error) {
-			it, err := st.propStream(props[i], tp.S.Const, tp.O.Const, needOf(slots))
+			it, err := st.propStream(props[i], tp.S.Const, tp.O.Const, f.need)
 			if err != nil {
 				return nil, err
 			}
 			return st.gathered(it, asm, uint64(props[i])), nil
 		}
-		return stream{it: &fanout{st: st, open: open, n: len(props), w: len(cols)}, cols: cols}, nil
+		return stream{it: &fanout{st: st, open: open, n: len(props), w: len(f.cols)}, cols: f.cols}, nil
 	}
 
 	// Unbound property on a triple-store: one streamed scan, with the
 	// properties-table restriction applied per batch as a hash semijoin
 	// (index the 28 properties once, probe every row).
-	need := needOf(slots)
+	need := f.need
 	if a.Restrict {
 		need.P = true
 	}
@@ -535,7 +507,7 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 		st.charge(simio.OpNode, 1, 1)
 		it = st.filtered(it, 3, simio.OpRestrict, func(row []uint64) bool { return set.First(row[1]) >= 0 })
 	}
-	return stream{it: st.gathered(it, compileAssembly(slots, 3), 0), cols: slotCols(slots)}, nil
+	return stream{it: st.gathered(it, compileAssembly(f.slots, f.cols, 3), 0), cols: f.cols}, nil
 }
 
 // fanout streams the per-property parts of a partitioned access in property
@@ -639,53 +611,17 @@ func (f *filterIter) close() {
 	f.in.close()
 }
 
-func (st *streamer) buildFilter(in Node, mk func(stream) (func([]uint64) bool, error)) (stream, error) {
+func (st *streamer) buildFilter(in Node, mk func(stream) func([]uint64) bool) (stream, error) {
 	s, err := st.build(in)
 	if err != nil {
 		return stream{}, err
 	}
-	pred, err := mk(s)
-	if err != nil {
-		s.it.close()
-		return stream{}, err
-	}
 	st.charge(simio.OpNode, 1, 1)
 	return stream{
-		it:     st.filtered(s.it, len(s.cols), simio.OpFilter, pred),
+		it:     st.filtered(s.it, len(s.cols), simio.OpFilter, mk(s)),
 		cols:   s.cols,
 		sorted: s.sorted,
 	}, nil
-}
-
-// sharedVar finds the single join variable of two schemas.
-func sharedVar(lcols, rcols []string) (string, error) {
-	rSet := map[string]bool{}
-	for _, c := range rcols {
-		rSet[c] = true
-	}
-	var shared []string
-	for _, c := range lcols {
-		if rSet[c] {
-			shared = append(shared, c)
-		}
-	}
-	if len(shared) != 1 {
-		return "", fmt.Errorf("join of %v and %v shares %d variables, want 1", lcols, rcols, len(shared))
-	}
-	return shared[0], nil
-}
-
-// joinOutCols is the executor's join output schema: left columns, then the
-// right's minus its copy of the join column.
-func joinOutCols(lcols, rcols []string, rc int) []string {
-	cols := make([]string, 0, len(lcols)+len(rcols)-1)
-	cols = append(cols, lcols...)
-	for i, c := range rcols {
-		if i != rc {
-			cols = append(cols, c)
-		}
-	}
-	return cols
 }
 
 // chose records a join's lowering decision: in the trace and as its note.
@@ -709,7 +645,7 @@ func (st *streamer) buildJoin(j *Join) (stream, error) {
 	}
 	// The right input first: its outer is the left, which a hash join drains.
 	for i, s := range sides {
-		if a := st.probeSide(j, s[0], s[1]); a != nil {
+		if a := st.probeSide(j, s[0]); a != nil {
 			return st.buildProbeJoin(j, a, s[1], i == 1)
 		}
 	}
@@ -722,21 +658,15 @@ func (st *streamer) buildJoin(j *Join) (stream, error) {
 		l.it.close()
 		return stream{}, err
 	}
-	return st.joinStreams(j, l, r, false)
+	return st.joinStreams(j, l, r, false), nil
 }
 
 // joinStreams joins two built inputs: a linear merge when both ascend on the
 // join variable, else a hash join; by name an index probe over a keyScan.
-func (st *streamer) joinStreams(j *Join, l, r stream, probed bool) (stream, error) {
-	v, err := sharedVar(l.cols, r.cols)
-	if err != nil {
-		l.it.close()
-		r.it.close()
-		return stream{}, err
-	}
-	lc, _ := l.col(v)
-	rc, _ := r.col(v)
-	cols := joinOutCols(l.cols, r.cols, rc)
+func (st *streamer) joinStreams(j *Join, l, r stream, probed bool) stream {
+	v := st.facts[j].v
+	lc, rc := l.col(v), r.col(v)
+	cols := joinCols(l.cols, r.cols)
 	st.charge(simio.OpNode, 1, 1)
 	var it iter
 	strategy, sorted := JoinHash, ""
@@ -750,17 +680,15 @@ func (st *streamer) joinStreams(j *Join, l, r stream, probed bool) (stream, erro
 		strategy = JoinIndexProbe
 	}
 	st.chose(j, v, strategy)
-	return stream{it: it, cols: cols, sorted: sorted}, nil
+	return stream{it: it, cols: cols, sorted: sorted}
 }
 
 // probeSide returns acc if j, licensed, may probe it: the scheme seeks a subject,
-// and acc is a bare, unshared, property-bound access joined on its subject alone.
-func (st *streamer) probeSide(j *Join, acc, other Node) *Access {
+// and acc is a bare, unshared, property-bound access joined on its subject.
+func (st *streamer) probeSide(j *Join, acc Node) *Access {
 	a, ok := acc.(*Access)
-	if !ok || j.ProbeMax <= 0 || st.uses[a] > 1 || !st.src.PropSeekable() || !a.Pattern.P.Bound() || a.Pattern.S.Bound() {
-		return nil
-	}
-	if v, err := sharedVar(columnsOf(other), slotCols(patternSlots(a.Pattern))); err != nil || v != a.Pattern.S.Var {
+	if !ok || j.ProbeMax <= 0 || st.facts[a].uses > 1 || !st.src.PropSeekable() || !a.Pattern.P.Bound() ||
+		a.Pattern.S.Bound() || st.facts[j].v != a.Pattern.S.Var {
 		return nil
 	}
 	return a
@@ -774,10 +702,10 @@ func (st *streamer) buildProbeJoin(j *Join, a *Access, other Node, accLeft bool)
 		return stream{}, err
 	}
 	v := a.Pattern.S.Var
-	accCols := slotCols(st.keptSlots(a)) // the subject slot leads and is always kept
-	s := stream{it: &probeIter{st: st, j: j, a: a, accLeft: accLeft, outer: outer}, cols: joinOutCols(outer.cols, accCols, 0)}
-	if oc, _ := outer.col(v); accLeft {
-		s.cols = joinOutCols(accCols, outer.cols, oc)
+	accCols := st.facts[a].cols // the subject slot leads and is always kept
+	s := stream{it: &probeIter{st: st, j: j, a: a, accLeft: accLeft, outer: outer}, cols: joinCols(outer.cols, accCols)}
+	if accLeft {
+		s.cols = joinCols(accCols, outer.cols)
 	}
 	if outer.sorted == v && st.src.PropOrdered() {
 		s.sorted = v
@@ -840,9 +768,8 @@ func (p *probeIter) start() error {
 	if p.accLeft {
 		outer, acc = acc, outer
 	}
-	s, err := st.joinStreams(p.j, outer, acc, over == nil)
-	p.in = s.it
-	return err
+	p.in = st.joinStreams(p.j, outer, acc, over == nil).it
+	return nil
 }
 
 func (p *probeIter) next() (*rel.Rel, error) {
@@ -866,9 +793,8 @@ func (p *probeIter) close() {
 // distinct key of rows in turn, each probe charged by the StreamProp it
 // opens, one open at a time (its buffers go back before the next's are lent).
 func (st *streamer) keyScan(a *Access, rows *rel.Rel, outer stream) stream {
-	slots, tp := st.keptSlots(a), a.Pattern
-	need, asm := needOf(slots), compileAssembly(slots, 2)
-	kc, _ := outer.col(tp.S.Var)
+	f, tp := st.facts[a], a.Pattern
+	asm, kc := compileAssembly(f.slots, f.cols, 2), outer.col(tp.S.Var)
 	// NULL (an OPTIONAL's unmatched row) joins nothing — and as a scan bound
 	// it would mean "unbound".
 	seen := map[uint64]bool{uint64(rdf.NoID): true}
@@ -880,13 +806,13 @@ func (st *streamer) keyScan(a *Access, rows *rel.Rel, outer stream) stream {
 		}
 	}
 	open := func(i int) (iter, error) {
-		it, err := st.propStream(tp.P.Const, keys[i], tp.O.Const, need)
+		it, err := st.propStream(tp.P.Const, keys[i], tp.O.Const, f.need)
 		if err != nil {
 			return nil, err
 		}
 		return st.gathered(it, asm, uint64(tp.P.Const)), nil
 	}
-	s := stream{it: &edge{mem: st.mem, in: &fanout{st: st, open: open, n: len(keys)}}, cols: slotCols(slots)}
+	s := stream{it: &edge{mem: st.mem, in: &fanout{st: st, open: open, n: len(keys)}}, cols: f.cols}
 	if outer.sorted == tp.S.Var {
 		s.sorted = outer.sorted // ascending keys give ascending rows
 	}
@@ -1074,16 +1000,10 @@ func (st *streamer) buildLeftJoin(j *LeftJoin) (stream, error) {
 		l.it.close()
 		return stream{}, err
 	}
-	v, err := sharedVar(l.cols, r.cols)
-	if err != nil {
-		l.it.close()
-		r.it.close()
-		return stream{}, err
-	}
-	lc, _ := l.col(v)
-	rc, _ := r.col(v)
+	v := st.facts[j].v
+	lc, rc := l.col(v), r.col(v)
 	st.chose(j, v, JoinHash)
-	cols := joinOutCols(l.cols, r.cols, rc)
+	cols := joinCols(l.cols, r.cols)
 	st.charge(simio.OpNode, 1, 1)
 	it := &leftJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols),
 		nulls: slices.Repeat([]uint64{uint64(rdf.NoID)}, len(r.cols)), out: st.take(len(cols))}
@@ -1318,33 +1238,11 @@ func (m *mergeJoinIter) close() {
 // filter → probe in property order. Join distributes over union, so the
 // result is the same bag, emitted without ever materializing the union.
 func (st *streamer) buildPartitionedJoin(j *Join, other stream, a *Access, f *FilterNe) (stream, error) {
-	tp := a.Pattern
-	slots := st.keptSlots(a)
-	accCols := slotCols(slots)
-	closeOther := func() { other.it.close() }
-	v, err := sharedVar(other.cols, accCols)
-	if err != nil {
-		closeOther()
-		return stream{}, err
-	}
-	oc, _ := other.col(v)
-	ac := 0
-	for i, c := range accCols {
-		if c == v {
-			ac = i
-		}
-	}
-	fc := -1
+	tp, af, v := a.Pattern, st.facts[a], st.facts[j].v
+	accCols := af.cols
+	oc, ac, fc := other.col(v), slices.Index(accCols, v), -1
 	if f != nil {
-		for i, c := range accCols {
-			if c == f.Col {
-				fc = i
-			}
-		}
-		if fc < 0 {
-			closeOther()
-			return stream{}, fmt.Errorf("filter column %q not in %v", f.Col, accCols)
-		}
+		fc = slices.Index(accCols, f.Col)
 	}
 	props := st.src.Cat().AllProps
 	if a.Restrict {
@@ -1360,26 +1258,20 @@ func (st *streamer) buildPartitionedJoin(j *Join, other stream, a *Access, f *Fi
 	st.charge(simio.OpNode, 1, 1)
 	st.charge(simio.OpHashBuild, orel.Len(), len(other.cols))
 	st.chose(j, v, JoinPartitionedHash)
-	cols := make([]string, 0, len(other.cols)+len(accCols)-1)
-	cols = append(cols, other.cols...)
-	for i, c := range accCols {
-		if i != ac {
-			cols = append(cols, c)
-		}
-	}
+	cols := joinCols(other.cols, accCols)
 	if orel.Len() == 0 {
 		// Nothing can join: skip the fan-out entirely.
 		st.mem.free(bufBytes)
 		return stream{it: emptyIter{}, cols: cols}, nil
 	}
 	ht := rel.NewJoinIndex(orel, oc)
-	asm := compileAssembly(slots, 2)
+	asm := compileAssembly(af.slots, accCols, 2)
 	var accProf, filtProf *OpProfile
 	if st.prof != nil {
 		accProf, filtProf = st.profileFused(a, f)
 	}
 	open := func(i int) (iter, error) {
-		it, err := st.propStream(props[i], tp.S.Const, tp.O.Const, needOf(slots))
+		it, err := st.propStream(props[i], tp.S.Const, tp.O.Const, af.need)
 		if err != nil {
 			return nil, err
 		}
@@ -1536,20 +1428,9 @@ func (st *streamer) buildUnion(u *Union) (stream, error) {
 		l.it.close()
 		return stream{}, err
 	}
-	if len(l.cols) != len(r.cols) {
-		l.it.close()
-		r.it.close()
-		return stream{}, fmt.Errorf("union of %v and %v", l.cols, r.cols)
-	}
 	perm := make([]int, len(l.cols))
 	for i, c := range l.cols {
-		j, err := r.col(c)
-		if err != nil {
-			l.it.close()
-			r.it.close()
-			return stream{}, fmt.Errorf("union of %v and %v", l.cols, r.cols)
-		}
-		perm[i] = j
+		perm[i] = r.col(c)
 	}
 	st.charge(simio.OpNode, 1, 1)
 	// The right side's column order is aligned per batch when it differs.
@@ -1599,21 +1480,13 @@ func (st *streamer) buildGroup(g *Group) (stream, error) {
 	if err != nil {
 		return stream{}, err
 	}
-	if len(g.Keys) == 0 || len(g.Keys) > 2 {
-		s.it.close()
-		return stream{}, fmt.Errorf("group on %d keys", len(g.Keys))
-	}
 	keys := make([]int, len(g.Keys))
 	for i, k := range g.Keys {
-		if keys[i], err = s.col(k); err != nil {
-			s.it.close()
-			return stream{}, err
-		}
+		keys[i] = s.col(k)
 	}
 	st.charge(simio.OpNode, 1, 1)
-	cols := append(append([]string(nil), g.Keys...), CountCol)
 	it := &groupIter{st: st, in: s.it, keys: keys, w: len(s.cols)}
-	return stream{it: it, cols: cols, sorted: g.Keys[0]}, nil
+	return stream{it: it, cols: st.facts[g].cols, sorted: g.Keys[0]}, nil
 }
 
 // groupIter is a pipeline breaker, but a compact one: it counts group sizes
@@ -1689,19 +1562,9 @@ func (st *streamer) buildProject(p *Project) (stream, error) {
 	}
 	idx := make([]int, len(p.Cols))
 	for i, c := range p.Cols {
-		if idx[i], err = s.col(c); err != nil {
-			s.it.close()
-			return stream{}, err
-		}
+		idx[i] = s.col(c)
 	}
-	names := p.Cols
-	if p.As != nil {
-		if len(p.As) != len(p.Cols) {
-			s.it.close()
-			return stream{}, fmt.Errorf("project renames %d of %d columns", len(p.As), len(p.Cols))
-		}
-		names = p.As
-	}
+	names := st.facts[p].cols
 	sorted := ""
 	for i, c := range p.Cols {
 		if c == s.sorted {
@@ -1709,7 +1572,7 @@ func (st *streamer) buildProject(p *Project) (stream, error) {
 		}
 	}
 	it := st.gathered(s.it, newGather(idx, nil, len(s.cols)), 0)
-	return stream{it: it, cols: append([]string(nil), names...), sorted: sorted}, nil
+	return stream{it: it, cols: names, sorted: sorted}, nil
 }
 
 func (st *streamer) buildTopN(t *TopN) (stream, error) {
@@ -1717,11 +1580,7 @@ func (st *streamer) buildTopN(t *TopN) (stream, error) {
 	if err != nil {
 		return stream{}, err
 	}
-	less, err := SortLess(t.Keys, s.cols, t.Ord)
-	if err != nil {
-		s.it.close()
-		return stream{}, err
-	}
+	less := SortLess(t.Keys, s.cols, t.Ord)
 	st.charge(simio.OpNode, 1, 1)
 	if st.prof != nil {
 		if t.Limit >= 0 {

@@ -68,7 +68,7 @@ func TestStreamingByteIdenticalPaperQueries(t *testing.T) {
 			for _, q := range BenchmarkQueries() {
 				var first *rel.Rel
 				for _, opt := range configs {
-					got, _, err := ExecuteTraced(src, q, opt)
+					got, _, err := runTraced(src, q, opt)
 					if err != nil {
 						t.Fatalf("%s %s %v %+v: %v", fx.name, db.Label(), q, opt, err)
 					}
@@ -124,7 +124,7 @@ func TestClockIndependentOfBatchSize(t *testing.T) {
 			var first time.Duration
 			for _, rows := range []int{1, 7, 1024} {
 				s.store.Clock().Reset()
-				if _, err := ExecuteOpts(s.db.(PhysicalSource), q, ExecOptions{Streaming: true, BatchRows: rows}); err != nil {
+				if _, _, err := runTraced(s.db.(PhysicalSource), q, ExecOptions{Streaming: true, BatchRows: rows}); err != nil {
 					t.Fatalf("%s %v: %v", s.db.Label(), q, err)
 				}
 				user := s.store.Clock().User()

@@ -20,9 +20,9 @@
 //     query holds batches plus operator state rather than whole operator
 //     outputs, and LIMIT/TopN requests release their admission slot as soon
 //     as their prefix is complete;
-//   - request contexts: the client's context threads through
-//     core.ExecutePlanCtx, so a cancelled or expired request aborts at the
-//     next batch boundary.
+//   - request contexts: the client's context threads through the cached
+//     plan's Execute, so a cancelled or expired request aborts at the next
+//     batch boundary.
 //
 // The dataset behind the service is a swappable snapshot: dictionary,
 // estimator, targets and plan cache travel together behind one atomic
@@ -63,7 +63,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -193,7 +192,7 @@ type Service struct {
 	snap    atomic.Pointer[snapshot]
 	sem     chan struct{}
 	metrics *Metrics
-	slow    *slowLog
+	slow    *trace.Ring[SlowEntry]
 	wl      *workloadReg
 	log     *slog.Logger
 	ingest  atomic.Pointer[IngestSnapshot]
@@ -202,8 +201,7 @@ type Service struct {
 	// installSnapshot. The versions ring remembers recent installs for
 	// /debug/versions; mutator, when set, is the service's write path.
 	version  atomic.Uint64
-	verMu    sync.Mutex
-	versions []VersionEntry
+	versions *trace.Ring[VersionEntry]
 	mutator  atomic.Pointer[Mutator]
 
 	// compileHook, when set (tests only), runs inside the singleflight
@@ -227,10 +225,11 @@ func New(dict rdf.Dict, est *bgp.Estimator, cfg Config, targets ...Target) (*Ser
 		return nil, err
 	}
 	s := &Service{
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		metrics: &Metrics{},
-		log:     cfg.Logger,
+		cfg:      cfg,
+		sem:      make(chan struct{}, cfg.MaxConcurrent),
+		metrics:  &Metrics{},
+		log:      cfg.Logger,
+		versions: trace.NewRing[VersionEntry](DefaultVersionRing),
 	}
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
@@ -247,7 +246,7 @@ func New(dict rdf.Dict, est *bgp.Estimator, cfg Config, targets ...Target) (*Ser
 	}
 	sn.version = 1
 	s.version.Store(1)
-	s.recordVersion(VersionEntry{Version: 1, Kind: VersionInitial, When: time.Now()})
+	s.versions.Add(VersionEntry{Version: 1, Kind: VersionInitial, When: time.Now()})
 	s.snap.Store(sn)
 	return s, nil
 }
@@ -297,31 +296,19 @@ func (s *Service) installSnapshot(sn *snapshot, e VersionEntry) (base, version u
 	if e.When.IsZero() {
 		e.When = time.Now()
 	}
-	s.recordVersion(e)
+	s.versions.Add(e)
 	s.snap.Store(sn)
 	return base, version
-}
-
-func (s *Service) recordVersion(e VersionEntry) {
-	s.verMu.Lock()
-	s.versions = append(s.versions, e)
-	if len(s.versions) > DefaultVersionRing {
-		s.versions = s.versions[len(s.versions)-DefaultVersionRing:]
-	}
-	s.verMu.Unlock()
 }
 
 // Versions returns the recent install history, newest first, with the
 // currently served snapshot marked Live.
 func (s *Service) Versions() []VersionEntry {
 	live := s.snap.Load().version
-	s.verMu.Lock()
-	out := make([]VersionEntry, len(s.versions))
-	for i, e := range s.versions {
-		e.Live = e.Version == live
-		out[len(s.versions)-1-i] = e
+	out := s.versions.Entries()
+	for i := range out {
+		out[i].Live = out[i].Version == live
 	}
-	s.verMu.Unlock()
 	return out
 }
 
@@ -696,7 +683,7 @@ func (s *Service) exec(ctx context.Context, sn *snapshot, p *Prepared, ti int, c
 	}
 	execSpan.SetAttr(trace.String("system", t.Name), trace.String("configuration", config),
 		trace.Int("version", int64(sn.version)))
-	out, _, tr, err := core.ExecutePlanCtx(execCtx, t.Src, p.Compiled.Root, core.ExecOptions{
+	out, _, tr, err := p.Compiled.Execute(execCtx, t.Src, core.ExecOptions{
 		Streaming: !s.cfg.Materialize,
 		Profile:   opt.Profile,
 	})
@@ -794,7 +781,7 @@ func (s *Service) observe(ctx context.Context, ev *queryEvent, reqTrace *trace.T
 		s.metrics.slow()
 	}
 	if ring {
-		s.slow.add(SlowEntry{
+		s.slow.Add(SlowEntry{
 			When:             ev.when,
 			Query:            ev.text,
 			System:           ev.system,
@@ -852,7 +839,7 @@ func (s *Service) SlowQueries() []SlowEntry {
 	if s.slow == nil {
 		return nil
 	}
-	return s.slow.entries()
+	return s.slow.Entries()
 }
 
 // UnknownSystemError reports an Exec against a target the service does not

@@ -306,3 +306,47 @@ func TestUnknownSystem(t *testing.T) {
 		t.Fatalf("known systems = %v, want 4 entries", ue.Known)
 	}
 }
+
+// TestCacheHitRunsHeldPlan: a cache hit hands exec the plan analysed when
+// it was compiled, and ExecText runs it without a second analysis — the
+// hit allocates less than its prepare, the held plan's execution and one
+// analysis would together.
+func TestCacheHitRunsHeldPlan(t *testing.T) {
+	w, _, _ := fixture(t)
+	svc := newService(t, serve.Config{})
+	text, err := bgp.PaperText(core.Query{ID: core.Q6}, w.DS.Graph.Dict, w.Cat.Consts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, system := context.Background(), svc.DefaultSystem()
+	first, err := svc.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := svc.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Compiled.Plan != first.Compiled.Plan {
+		t.Fatal("a cache hit returned another plan")
+	}
+	var src core.PhysicalSource
+	for _, tg := range svc.Targets() {
+		if tg.Name == system {
+			src = tg.Src
+		}
+	}
+	hit := testing.AllocsPerRun(20, func() {
+		if res, err := svc.ExecText(ctx, text, system); err != nil || !res.Cached {
+			t.Fatalf("cache-hit ExecText: %v", err)
+		}
+	})
+	prepare := testing.AllocsPerRun(20, func() { svc.Prepare(text) })
+	held := testing.AllocsPerRun(20, func() { first.Compiled.Execute(ctx, src, core.ExecOptions{Streaming: true}) })
+	analysis := testing.AllocsPerRun(20, func() { core.NewPlan(first.Compiled.Root) })
+	t.Logf("allocations a run: hit %.0f, prepare %.0f, held execution %.0f, analysis %.0f", hit, prepare, held, analysis)
+	if hit >= prepare+held+analysis {
+		t.Errorf("a cache hit allocates %.0f objects, at least its prepare (%.0f), execution (%.0f) and an analysis (%.0f)",
+			hit, prepare, held, analysis)
+	}
+}

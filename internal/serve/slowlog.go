@@ -1,8 +1,9 @@
 package serve
 
 import (
-	"sync"
 	"time"
+
+	"blackswan/internal/trace"
 )
 
 // DefaultSlowLogSize is the slow-query ring capacity when
@@ -52,43 +53,12 @@ type SlowEntry struct {
 	Class string `json:"errorClass,omitempty"`
 }
 
-// slowLog is a fixed-capacity ring of the most recent slow queries. Writes
-// overwrite the oldest entry; reads return newest-first. A mutex (not
-// atomics) guards it — the log records only queries already past the
-// threshold, so the hot path never takes this lock.
-type slowLog struct {
-	mu   sync.Mutex
-	ring []SlowEntry
-	next int // ring index the next entry lands in
-	n    int // entries recorded so far, capped at len(ring)
-}
-
-func newSlowLog(capacity int) *slowLog {
+// newSlowLog returns the slow-query ring: capacity entries, or
+// DefaultSlowLogSize when capacity is not positive. Only queries already
+// past the threshold reach it, so the hot path never takes its lock.
+func newSlowLog(capacity int) *trace.Ring[SlowEntry] {
 	if capacity <= 0 {
 		capacity = DefaultSlowLogSize
 	}
-	return &slowLog{ring: make([]SlowEntry, capacity)}
-}
-
-func (l *slowLog) add(e SlowEntry) {
-	l.mu.Lock()
-	l.ring[l.next] = e
-	l.next = (l.next + 1) % len(l.ring)
-	if l.n < len(l.ring) {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-// entries returns a copy of the recorded entries, newest first.
-func (l *slowLog) entries() []SlowEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SlowEntry, 0, l.n)
-	for i := 1; i <= l.n; i++ {
-		// Walk backwards from the most recently written slot.
-		idx := (l.next - i + len(l.ring)) % len(l.ring)
-		out = append(out, l.ring[idx])
-	}
-	return out
+	return trace.NewRing[SlowEntry](capacity)
 }

@@ -9,35 +9,35 @@ import (
 func TestSlowLogRingBounds(t *testing.T) {
 	l := newSlowLog(4)
 
-	if got := l.entries(); len(got) != 0 {
+	if got := l.Entries(); len(got) != 0 {
 		t.Fatalf("fresh log has %d entries, want 0", len(got))
 	}
 
 	// Under capacity: everything retained, newest first.
 	for i := 0; i < 3; i++ {
-		l.add(SlowEntry{Query: fmt.Sprintf("q%d", i)})
+		l.Add(SlowEntry{Query: fmt.Sprintf("q%d", i)})
 	}
-	got := l.entries()
+	got := l.Entries()
 	if len(got) != 3 {
 		t.Fatalf("len = %d, want 3", len(got))
 	}
 	for i, e := range got {
 		if want := fmt.Sprintf("q%d", 2-i); e.Query != want {
-			t.Errorf("entries()[%d].Query = %q, want %q", i, e.Query, want)
+			t.Errorf("Entries()[%d].Query = %q, want %q", i, e.Query, want)
 		}
 	}
 
 	// Past capacity: the ring holds exactly the last 4, newest first.
 	for i := 3; i < 10; i++ {
-		l.add(SlowEntry{Query: fmt.Sprintf("q%d", i)})
+		l.Add(SlowEntry{Query: fmt.Sprintf("q%d", i)})
 	}
-	got = l.entries()
+	got = l.Entries()
 	if len(got) != 4 {
 		t.Fatalf("after overflow len = %d, want 4 (the capacity)", len(got))
 	}
 	for i, e := range got {
 		if want := fmt.Sprintf("q%d", 9-i); e.Query != want {
-			t.Errorf("after overflow entries()[%d].Query = %q, want %q", i, e.Query, want)
+			t.Errorf("after overflow Entries()[%d].Query = %q, want %q", i, e.Query, want)
 		}
 	}
 }
@@ -45,9 +45,12 @@ func TestSlowLogRingBounds(t *testing.T) {
 func TestSlowLogDefaultCapacity(t *testing.T) {
 	for _, cap := range []int{0, -5} {
 		l := newSlowLog(cap)
-		if len(l.ring) != DefaultSlowLogSize {
+		for range 2 * DefaultSlowLogSize {
+			l.Add(SlowEntry{})
+		}
+		if l.Len() != DefaultSlowLogSize {
 			t.Errorf("newSlowLog(%d) capacity = %d, want DefaultSlowLogSize (%d)",
-				cap, len(l.ring), DefaultSlowLogSize)
+				cap, l.Len(), DefaultSlowLogSize)
 		}
 	}
 }
@@ -76,7 +79,7 @@ func TestSlowLogConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				for _, e := range l.entries() {
+				for _, e := range l.Entries() {
 					// Query and System are written together; a torn entry
 					// would disagree.
 					if e.Query != e.System {
@@ -93,7 +96,7 @@ func TestSlowLogConcurrent(t *testing.T) {
 			defer writersWG.Done()
 			for i := 0; i < perWriter; i++ {
 				q := fmt.Sprintf("w%d-%d", w, i)
-				l.add(SlowEntry{Query: q, System: q, Rows: w*perWriter + i})
+				l.Add(SlowEntry{Query: q, System: q, Rows: w*perWriter + i})
 			}
 		}(w)
 	}
@@ -101,14 +104,14 @@ func TestSlowLogConcurrent(t *testing.T) {
 	close(done)
 	readersWG.Wait()
 
-	got := l.entries()
+	got := l.Entries()
 	if len(got) != capEntries {
-		t.Fatalf("after %d writes, entries() returned %d, want the capacity %d",
+		t.Fatalf("after %d writes, Entries() returned %d, want the capacity %d",
 			writers*perWriter, len(got), capEntries)
 	}
 	for i, e := range got {
 		if e.Query != e.System {
-			t.Errorf("final entries()[%d] torn: Query %q, System %q", i, e.Query, e.System)
+			t.Errorf("final Entries()[%d] torn: Query %q, System %q", i, e.Query, e.System)
 		}
 	}
 }

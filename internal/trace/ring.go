@@ -2,27 +2,28 @@ package trace
 
 import "sync"
 
-// ring is the fixed-capacity store of finished traces: writes overwrite
-// the oldest entry, reads return newest first. Mirrors the serving
-// layer's slow-query ring — a mutex suffices because only kept traces
-// (sampled or forced) ever reach it, off the per-request fast path.
-type ring struct {
+// Ring is a fixed-capacity store of the most recent entries: Add
+// overwrites the oldest once full, Entries returns a copy newest first. It
+// backs the tracer's finished traces and the serving layer's slow-query
+// log and version history. A mutex suffices: each user adds only what is
+// already off its fast path (kept traces, slow queries, installs).
+type Ring[T any] struct {
 	mu   sync.Mutex
-	buf  []Recorded
+	buf  []T
 	next int // slot the next entry lands in
 	n    int // entries recorded so far, capped at len(buf)
 }
 
-func newRing(capacity int) *ring {
-	if capacity <= 0 {
-		capacity = DefaultRingSize
-	}
-	return &ring{buf: make([]Recorded, capacity)}
+// NewRing returns an empty ring holding up to capacity entries, which
+// must be positive.
+func NewRing[T any](capacity int) *Ring[T] {
+	return &Ring[T]{buf: make([]T, capacity)}
 }
 
-func (r *ring) add(rec Recorded) {
+// Add records v, overwriting the oldest entry when the ring is full.
+func (r *Ring[T]) Add(v T) {
 	r.mu.Lock()
-	r.buf[r.next] = rec
+	r.buf[r.next] = v
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
@@ -30,34 +31,20 @@ func (r *ring) add(rec Recorded) {
 	r.mu.Unlock()
 }
 
-func (r *ring) len() int {
+// Len returns how many entries the ring holds.
+func (r *Ring[T]) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.n
 }
 
-// entries returns a copy of the recorded traces, newest first.
-func (r *ring) entries() []Recorded {
+// Entries returns a copy of the recorded entries, newest first.
+func (r *Ring[T]) Entries() []T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Recorded, 0, r.n)
+	out := make([]T, 0, r.n)
 	for i := 1; i <= r.n; i++ {
-		idx := (r.next - i + len(r.buf)) % len(r.buf)
-		out = append(out, r.buf[idx])
+		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
 	}
 	return out
-}
-
-// get returns the newest recorded trace with the given hex ID. Newest
-// wins on the (pathological) reuse of an incoming trace ID.
-func (r *ring) get(id string) (Recorded, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := 1; i <= r.n; i++ {
-		idx := (r.next - i + len(r.buf)) % len(r.buf)
-		if r.buf[idx].TraceID == id {
-			return r.buf[idx], true
-		}
-	}
-	return Recorded{}, false
 }

@@ -373,7 +373,7 @@ const DefaultRingSize = 256
 // finished-trace ring. Safe for concurrent use.
 type Tracer struct {
 	cfg  Config
-	ring *ring
+	ring *Ring[Recorded]
 
 	mu  sync.Mutex
 	rnd *mrand.Rand
@@ -409,7 +409,7 @@ func New(cfg Config) *Tracer {
 	}
 	return &Tracer{
 		cfg:  cfg,
-		ring: newRing(cfg.RingSize),
+		ring: NewRing[Recorded](cfg.RingSize),
 		rnd:  mrand.New(mrand.NewSource(seed)),
 	}
 }
@@ -527,7 +527,7 @@ func (t *Tracer) Finish(tr *Trace, force bool) {
 	if rec.Forced {
 		t.forced.Add(1)
 	}
-	t.ring.add(rec)
+	t.ring.Add(rec)
 }
 
 // Stats is the tracer's counter snapshot.
@@ -550,7 +550,7 @@ func (t *Tracer) Stats() Stats {
 		Kept:    t.kept.Load(),
 		Forced:  t.forced.Load(),
 		Dropped: t.dropped.Load(),
-		Ring:    t.ring.len(),
+		Ring:    t.ring.Len(),
 	}
 }
 
@@ -559,15 +559,18 @@ func (t *Tracer) Traces() []Recorded {
 	if t == nil {
 		return nil
 	}
-	return t.ring.entries()
+	return t.ring.Entries()
 }
 
-// Get returns the recorded trace with the given hex ID.
+// Get returns the recorded trace with the given hex ID — the newest, on
+// the (pathological) reuse of an incoming trace ID.
 func (t *Tracer) Get(id string) (Recorded, bool) {
-	if t == nil {
-		return Recorded{}, false
+	for _, rec := range t.Traces() {
+		if rec.TraceID == id {
+			return rec, true
+		}
 	}
-	return t.ring.get(id)
+	return Recorded{}, false
 }
 
 // ctxKey carries the trace and the current span through a context.
