@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"blackswan/internal/core"
 	"blackswan/internal/rdf"
@@ -13,6 +14,9 @@ import (
 
 // Compiled is one compiled query: the analysed plan the core executor
 // runs (Root is its DAG) plus its output schema and ordering diagnostics.
+// Every node's estimated output rows — the figures the join order was
+// chosen on, which EXPLAIN ANALYZE sets beside the measured rows — are in
+// the plan's node table (Plan.Nodes).
 type Compiled struct {
 	*core.Plan
 	// Cols names the output columns, in order.
@@ -23,13 +27,29 @@ type Compiled struct {
 	// Cost is the plan's score under the estimator's model (the sum of
 	// estimated Access, Join and LeftJoin cardinalities).
 	Cost float64
-	// EstRows is every plan node's estimated output rows: the figures the
-	// join order was chosen on, which EXPLAIN ANALYZE sets beside the
-	// measured rows.
-	EstRows map[core.Node]float64
 	// Counts marks output columns holding aggregate counts — plain
 	// numbers, not dictionary identifiers.
 	Counts map[string]bool
+
+	dict       rdf.Dict // what the plan's constants resolve against
+	labelsOnce sync.Once
+	labels     []string
+}
+
+// Labels returns every plan node's operator label (core.NodeLabel), by node
+// number, its constants rendered through the dictionary the plan was
+// compiled against. They are rendered once, at the first call — by an
+// observer, never on the compile path — and shared by every caller after.
+func (c *Compiled) Labels() []string {
+	c.labelsOnce.Do(func() {
+		term := func(id rdf.ID) string { return c.dict.Term(id).String() }
+		nodes := c.Nodes()
+		c.labels = make([]string, len(nodes))
+		for i, in := range nodes {
+			c.labels[i] = core.NodeLabel(in.Node, term)
+		}
+	})
+	return c.labels
 }
 
 // UnknownTermError reports a constant term that is not in the dictionary —
@@ -105,14 +125,13 @@ func Compile(q *Query, dict rdf.Dict, est *Estimator) (*Compiled, error) {
 	}
 	// The executor's analysis rejecting the compiler's own output is a bug
 	// in the system, not the client's mistake: the error stays unwrapped.
-	plan, err := core.NewPlan(root)
+	plan, cost, err := c.est.price(root)
 	if err != nil {
 		return nil, err
 	}
-	cost, rows := c.est.total(root)
 	return &Compiled{
 		Plan: plan, Cols: cols, Order: c.order,
-		Cost: cost, EstRows: rows, Counts: countColsOf(q),
+		Cost: cost, Counts: countColsOf(q), dict: dict,
 	}, nil
 }
 

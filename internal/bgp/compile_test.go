@@ -75,7 +75,10 @@ func TestCompiledJoinOrderNoWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		handCost, _ := bgp.Estimate(hand.Root, f.est)
+		_, handCost, err := bgp.Estimate(hand.Root, f.est)
+		if err != nil {
+			t.Fatal(err)
+		}
 		text, err := bgp.PaperText(q, dict, f.cat.Consts)
 		if err != nil {
 			t.Fatal(err)
@@ -413,11 +416,11 @@ func TestCompileLicensesProbe(t *testing.T) {
 			t.Fatalf("compile %q: %v", text, err)
 		}
 		var out []int
-		core.WalkPlan(c.Root, func(n core.Node) {
-			if j, ok := n.(*core.Join); ok {
+		for _, in := range c.Nodes() {
+			if j, ok := in.Node.(*core.Join); ok {
 				out = append(out, j.ProbeMax)
 			}
-		})
+		}
 		return c, out
 	}
 	want := rdf.ComputeStats(g).PropertyCard(typ) / 1024

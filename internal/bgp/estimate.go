@@ -199,15 +199,15 @@ func joinCard(a, b nodeEst, shared []string) float64 {
 }
 
 // Estimate prices a plan built outside the compiler, such as a hand-tuned
-// core.PlanFor tree, under the model Compile prices its own plans by: the
-// plan's cost and every node's estimated output rows, as Compiled carries
-// them.
-func Estimate(root core.Node, e *Estimator) (cost float64, rows map[core.Node]float64) {
-	return newCoster(e).total(root)
+// core.PlanFor tree, under the model Compile prices its own plans by: it
+// returns the plan analysed, every node's estimated output rows in its node
+// table, and its cost, as Compiled carries them.
+func Estimate(root core.Node, e *Estimator) (*core.Plan, float64, error) {
+	return newCoster(e).price(root)
 }
 
 // coster is the one cardinality estimate of a plan: a memo over its nodes,
-// filled bottom-up as the compiler builds them and completed by total.
+// filled bottom-up as the compiler builds them and completed by price.
 type coster struct {
 	e    *Estimator
 	memo map[core.Node]nodeEst
@@ -217,34 +217,28 @@ func newCoster(e *Estimator) *coster {
 	return &coster{e: e, memo: map[core.Node]nodeEst{}}
 }
 
-// total finishes the estimate of the plan under root and reads it out in
-// one post-order pass: every node's rows, and the cost — the sum of the
-// estimated Access, Join and LeftJoin cardinalities, children first, each
-// shared subexpression once.
-func (c *coster) total(root core.Node) (float64, map[core.Node]float64) {
-	rows := make(map[core.Node]float64, len(c.memo))
+// price analyses the plan under root with every node's estimate in its
+// node table, and sums the cost over that table: the estimated Access, Join
+// and LeftJoin cardinalities, children first, each shared subexpression once.
+func (c *coster) price(root core.Node) (*core.Plan, float64, error) {
+	p, err := core.NewPlan(root, func(n core.Node) float64 { return c.estimate(n).card })
+	if err != nil {
+		return nil, 0, err
+	}
 	var cost float64
-	var walk func(n core.Node)
-	walk = func(n core.Node) {
-		if _, ok := rows[n]; ok {
-			return
-		}
-		for _, ch := range core.Children(n) {
-			walk(ch)
-		}
-		rows[n] = c.estimate(n).card
-		switch n.(type) {
+	for _, in := range p.Nodes() {
+		switch in.Node.(type) {
 		case *core.Access, *core.Join, *core.LeftJoin:
-			cost += rows[n]
+			cost += in.EstRows
 		}
 	}
-	walk(root)
-	return cost, rows
+	return p, cost, nil
 }
 
 // estimate returns n's estimate, computing it (and its inputs') on first
 // use. It mirrors the executor's column semantics closely enough to track
-// variables through projections and renames.
+// variables through projections and renames, for every node kind (NewPlan
+// accepts no other).
 func (c *coster) estimate(n core.Node) nodeEst {
 	if est, ok := c.memo[n]; ok {
 		return est
@@ -323,24 +317,6 @@ func (c *coster) estimate(n core.Node) nodeEst {
 		in := c.estimate(x.In)
 		card := min(in.card, float64(x.N))
 		est = scaleEst(in, card/clamp(in.card))
-	default:
-		// Unknown node kinds (future plan growth): estimate every input —
-		// so no reachable subtree silently loses its memo entries, which
-		// would make q-error aggregation skip those operators — and pass
-		// the largest input cardinality through.
-		card := 0.0
-		nd := map[string]float64{}
-		for _, ch := range core.Children(n) {
-			in := c.estimate(ch)
-			card = max(card, in.card)
-			for v, d := range in.nd {
-				nd[v] = max(nd[v], d)
-			}
-		}
-		if card == 0 {
-			card = defCard
-		}
-		est = nodeEst{card: card, nd: nd}
 	}
 	c.memo[n] = est
 	return est

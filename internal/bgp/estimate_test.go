@@ -8,21 +8,20 @@ import (
 	"blackswan/internal/core"
 )
 
-// TestEstimateCoversEveryPlanNode is the estimate-coverage audit: for
-// every node FormatPlan renders — across the paper plans and generated
-// queries forcing the LeftJoin, FilterRange and TopN paths — the plan's
-// estimate must hold an entry. A missing entry would make EXPLAIN ANALYZE
-// and the workload registry's q-error aggregation silently skip the
-// operator, so estimation drift there would be invisible. A compiled
-// plan's estimate is the one bgp.Estimate computes for it afresh: the
-// compiler prices, and reports, the same figures it ordered the joins on.
+// TestEstimateCoversEveryPlanNode is the estimate-coverage audit: every
+// entry of the plan's node table — across the paper plans and generated
+// queries forcing the LeftJoin, FilterRange and TopN paths — must carry an
+// estimate. A missing one would make EXPLAIN ANALYZE and the workload
+// registry's q-error aggregation silently skip the operator, so estimation
+// drift there would be invisible. A compiled plan's table is the one
+// bgp.Estimate computes for it afresh: the compiler prices, and reports, the
+// same figures it ordered the joins on.
 func TestEstimateCoversEveryPlanNode(t *testing.T) {
 	f := loadFixture(t)
 
 	type job struct {
-		name string
-		root core.Node
-		rows map[core.Node]float64
+		name  string
+		nodes []core.NodeInfo
 	}
 	var jobs []job
 	for _, q := range core.BenchmarkQueries() {
@@ -30,8 +29,11 @@ func TestEstimateCoversEveryPlanNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("paper plan %v: %v", q, err)
 		}
-		_, rows := bgp.Estimate(p.Root, f.est)
-		jobs = append(jobs, job{name: q.String(), root: p.Root, rows: rows})
+		priced, _, err := bgp.Estimate(p.Root, f.est)
+		if err != nil {
+			t.Fatalf("paper plan %v: %v", q, err)
+		}
+		jobs = append(jobs, job{name: q.String(), nodes: priced.Nodes()})
 	}
 
 	// Generated queries forcing each construct the audit names: OPTIONAL
@@ -55,26 +57,31 @@ func TestEstimateCoversEveryPlanNode(t *testing.T) {
 				t.Fatalf("%s query %d (%s): %v", fc.name, i, q.Text(), err)
 			}
 			name := fc.name + ": " + q.Text()
-			cost, rows := bgp.Estimate(compiled.Root, f.est)
+			fresh, cost, err := bgp.Estimate(compiled.Root, f.est)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if cost != compiled.Cost {
 				t.Errorf("%s: compiled cost %v, a fresh estimate prices the plan at %v", name, compiled.Cost, cost)
 			}
-			if len(rows) != len(compiled.EstRows) {
-				t.Errorf("%s: compiled estimate has %d nodes, a fresh one %d", name, len(compiled.EstRows), len(rows))
+			nodes, again := compiled.Nodes(), fresh.Nodes()
+			if len(nodes) != len(again) {
+				t.Fatalf("%s: compiled table has %d nodes, a fresh one %d", name, len(nodes), len(again))
 			}
-			for n, r := range rows {
-				if got, ok := compiled.EstRows[n]; !ok || got != r {
-					t.Errorf("%s: node %q compiled estimate %v, a fresh one %v", name, core.NodeLabel(n, nil), got, r)
+			for i, in := range nodes {
+				if in.Node != again[i].Node || in.EstRows != again[i].EstRows {
+					t.Errorf("%s: node %d %q compiled estimate %v, a fresh one %v",
+						name, i, core.NodeLabel(in.Node, nil), in.EstRows, again[i].EstRows)
 				}
 			}
-			jobs = append(jobs, job{name: name, root: compiled.Root, rows: compiled.EstRows})
+			jobs = append(jobs, job{name: name, nodes: nodes})
 		}
 	}
 
 	sawLeftJoin, sawRange, sawTopN := false, false, false
 	for _, j := range jobs {
-		core.WalkPlan(j.root, func(n core.Node) {
-			switch n.(type) {
+		for _, in := range j.nodes {
+			switch in.Node.(type) {
 			case *core.LeftJoin:
 				sawLeftJoin = true
 			case *core.FilterRange:
@@ -82,15 +89,10 @@ func TestEstimateCoversEveryPlanNode(t *testing.T) {
 			case *core.TopN:
 				sawTopN = true
 			}
-			est, ok := j.rows[n]
-			if !ok {
-				t.Errorf("%s: node %q has no cardinality estimate", j.name, core.NodeLabel(n, nil))
-				return
+			if in.EstRows < 0 {
+				t.Errorf("%s: node %q has no cardinality estimate (%g)", j.name, core.NodeLabel(in.Node, nil), in.EstRows)
 			}
-			if est < 0 {
-				t.Errorf("%s: node %q has negative estimate %g", j.name, core.NodeLabel(n, nil), est)
-			}
-		})
+		}
 	}
 	// The corpus must actually have exercised the paths the audit names.
 	if !sawLeftJoin || !sawRange || !sawTopN {
@@ -111,10 +113,15 @@ func TestRangeEstimateUsesAccessStatistics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		core.WalkPlan(compiled.Root, func(n core.Node) {
-			fr, ok := n.(*core.FilterRange)
+		nodes := compiled.Nodes()
+		est := map[core.Node]float64{}
+		for _, in := range nodes {
+			est[in.Node] = in.EstRows
+		}
+		for _, in := range nodes {
+			fr, ok := in.Node.(*core.FilterRange)
 			if !ok {
-				return
+				continue
 			}
 			ranges++
 			below := fr.In
@@ -134,12 +141,12 @@ func TestRangeEstimateUsesAccessStatistics(t *testing.T) {
 				t.Fatalf("%s: range filter on ?%s sits on %q, not on a pattern", tc.name, fr.Col, core.NodeLabel(below, nil))
 			}
 			sel := f.est.RangeSelectivity(acc.Pattern, fr.Col, fr.Lo, fr.Hi)
-			want := math.Max(compiled.EstRows[fr.In]*sel, 0.01)
-			if got := compiled.EstRows[fr]; got != want {
+			want := math.Max(est[fr.In]*sel, 0.01)
+			if got := in.EstRows; got != want {
 				t.Errorf("%s: range filter on ?%s estimated %.4g rows, want %.4g (input %.4g × selectivity %.4g)",
-					tc.name, fr.Col, got, want, compiled.EstRows[fr.In], sel)
+					tc.name, fr.Col, got, want, est[fr.In], sel)
 			}
-		})
+		}
 	}
 	// range_pushed_to_leaf stacks two filters, mixed_constructs puts one
 	// inside an OPTIONAL.

@@ -52,14 +52,14 @@ var configs = []core.ExecOptions{
 // the product.
 var probeBounds = []int{0, 1, 3, math.MaxInt}
 
-// setProbeMax writes max onto every join under root; the executor ignores
-// it where the join is not eligible.
-func setProbeMax(root core.Node, max int) {
-	core.WalkPlan(root, func(n core.Node) {
-		if j, ok := n.(*core.Join); ok {
+// setProbeMax writes max onto every join of p; the executor ignores it
+// where the join is not eligible.
+func setProbeMax(p *core.Plan, max int) {
+	for _, in := range p.Nodes() {
+		if j, ok := in.Node.(*core.Join); ok {
 			j.ProbeMax = max
 		}
-	})
+	}
 }
 
 // checkConfigs runs root on src in each of the given configurations and

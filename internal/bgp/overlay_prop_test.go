@@ -222,7 +222,7 @@ func TestPropertyOverlayMatchesRebuild(t *testing.T) {
 			for _, name := range f.names {
 				checkOverlayVsRebuild(t, f, name, license+": "+q.Text(), compiled.Root, configs, oracle, ordered, byteExact)
 			}
-			setProbeMax(compiled.Root, probeBounds[i%4])
+			setProbeMax(compiled.Plan, probeBounds[i%4])
 		}
 		if oracle.Len() > 0 {
 			nonEmpty++

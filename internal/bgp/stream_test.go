@@ -51,7 +51,7 @@ func TestStreamingGeneratedWorkload(t *testing.T) {
 			for _, name := range f.names {
 				checkConfigs(t, fmt.Sprintf("%s, %s: %q", name, license, q.Text()), f.srcs[name], compiled.Root, configs, oracle, hasOrder(q))
 			}
-			setProbeMax(compiled.Root, probeBounds[i%4])
+			setProbeMax(compiled.Plan, probeBounds[i%4])
 		}
 		if oracle.Len() > 0 {
 			nonEmpty++
@@ -150,7 +150,7 @@ func FuzzStreamDifferential(f *testing.F) {
 		}
 		what := "as compiled"
 		if b := int(at(8) % 5); b > 0 {
-			setProbeMax(compiled.Root, probeBounds[b-1])
+			setProbeMax(compiled.Plan, probeBounds[b-1])
 			what = fmt.Sprintf("ProbeMax %d", probeBounds[b-1])
 		}
 		what = fmt.Sprintf("%s: %q", what, q.Text())

@@ -100,9 +100,9 @@ type PhysicalSource interface {
 	// as StreamProp so column stores keep their late materialization.
 	StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter
 	// ScanProp is StreamProp collected into one relation. The executor does
-	// not call it; it remains, like ExecOptions.Workers, because the
-	// performance ledger's physical-layer probes (benchmark/) time it
-	// through this interface, and is the ledger PR's to remove.
+	// not call it; the performance ledger (benchmark/, held fixed so its
+	// figures stay comparable) times scans through it, as it passes
+	// ExecOptions.Workers, so both stay until the ledger is revised.
 	ScanProp(p, s, o rdf.ID, need ScanCols) (*rel.Rel, error)
 	// PropOrdered reports whether StreamProp rows arrive ordered by their
 	// first unbound position (subject-ascending for the common case) — true
@@ -233,7 +233,7 @@ func ExecutePlan(src PhysicalSource, root Node, opt ExecOptions) (*rel.Rel, []st
 
 // ExecutePlanCtx is ExecutePlan with cancellation: NewPlan, then Execute.
 func ExecutePlanCtx(ctx context.Context, src PhysicalSource, root Node, opt ExecOptions) (*rel.Rel, []string, *Trace, error) {
-	p, err := NewPlan(root)
+	p, err := NewPlan(root, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -251,7 +251,7 @@ func (p *Plan) Execute(ctx context.Context, src PhysicalSource, opt ExecOptions)
 		ctx:   ctx,
 		src:   src,
 		ops:   src.Ops(),
-		facts: p.facts,
+		plan:  p,
 		tr:    &Trace{},
 		mem:   &memTracker{},
 		batch: opt.BatchRows,
@@ -265,7 +265,8 @@ func (p *Plan) Execute(ctx context.Context, src PhysicalSource, opt ExecOptions)
 		st.batch = math.MaxInt
 	}
 	if opt.Profile {
-		st.prof = newProfiler(st.ops.Store, st.mem)
+		n := len(p.nodes)
+		st.prof = &profiler{store: st.ops.Store, mem: st.mem, plan: p, frames: make([]OpProfile, n), stack: make([]*OpProfile, 0, n)}
 	}
 	s, err := st.build(p.Root)
 	if err != nil {
@@ -288,9 +289,15 @@ type shared struct {
 	sorted string
 }
 
-// facts is what the analysis proves about one plan node: everything the
-// lowering needs that depends on the plan alone.
-type facts struct {
+// NodeInfo is what the plan knows about one of its nodes: what the lowering
+// needs that depends on the plan alone, and the optimizer's estimate. The
+// per-node observers — profile frames, registry slots, labels — index by
+// the node's number in the table (Plan.Nodes).
+type NodeInfo struct {
+	Node Node
+	// EstRows is the optimizer's estimated output rows, -1 when the plan was
+	// built without an estimate.
+	EstRows float64
 	// cols is the node's output schema as executed — after projection
 	// pushdown, in plan order. (A partitioned join emits the same columns in
 	// another order; the lowering tracks the order per stream.)
@@ -305,48 +312,52 @@ type facts struct {
 	need  ScanCols
 }
 
+// Nodes returns a copy of the plan's node table, children first: a node's
+// number is its index, the root is last.
+func (p *Plan) Nodes() []NodeInfo { return slices.Clone(p.nodes) }
+
+// info is n's entry in the table.
+func (p *Plan) info(n Node) *NodeInfo { return &p.nodes[p.index[n]] }
+
 // NewPlan analyses the plan DAG rooted at root in one memoized walk and
-// returns it ready to execute. The walk visits each node once, children
+// returns it ready to execute. The walk numbers each node once, children
 // first, recording its logical schema and parent count; the demanded
 // columns then flow parents-first over that order — the projection pushdown
 // that lets column stores skip materializing unused columns — and the
 // executed schemas, each access's kept slots and scan mask, and the checks
-// follow children-first. A plan that breaks a schema rule fails here,
-// before any scan opens: a join needs exactly one shared variable; filter,
-// having, group, sort and project columns must exist; a group has one or
-// two keys; renames match the projection's length; union branches carry
-// the same columns. What depends on the scheme — the column order after a
-// partitioned join, a restricted load missing a table — the lowering
+// follow children-first. est, when not nil, is each node's estimated output
+// rows, read in that same order. A plan that breaks a schema rule fails
+// here, before any scan opens: a join needs exactly one shared variable;
+// filter, having, group, sort and project columns must exist; a group has
+// one or two keys; renames match the projection's length; union branches
+// carry the same columns. What depends on the scheme — the column order
+// after a partitioned join, a restricted load missing a table — the lowering
 // decides.
-func NewPlan(root Node) (*Plan, error) {
-	type info struct {
-		*facts
-		full   []string        // the logical schema, before pushdown
-		demand map[string]bool // what the parents consume; nil until one reaches it
-	}
-	of := map[Node]*info{}
-	var order []Node // children before parents
+func NewPlan(root Node, est func(Node) float64) (*Plan, error) {
+	p := &Plan{Root: root, index: map[Node]int{}}
+	var full [][]string // the logical schemas, before pushdown
 	var visit func(n Node) error
 	visit = func(n Node) error {
-		if in := of[n]; in != nil {
-			in.uses++
+		if i, ok := p.index[n]; ok {
+			p.nodes[i].uses++
 			return nil
 		}
-		in := &info{facts: &facts{uses: 1}}
-		of[n] = in
 		for _, c := range children(n) {
 			if err := visit(c); err != nil {
 				return err
 			}
 		}
+		var f []string
 		if a, ok := n.(*Access); ok {
-			in.full = slotCols(patternSlots(a.Pattern))
+			f = slotCols(patternSlots(a.Pattern))
 		} else if children(n) == nil {
 			return fmt.Errorf("unknown plan node %T", n)
 		} else {
-			in.full = outCols(n, func(c Node) []string { return of[c].full })
+			f = outCols(n, func(c Node) []string { return full[p.index[c]] })
 		}
-		order = append(order, n)
+		p.index[n] = len(p.nodes)
+		p.nodes = append(p.nodes, NodeInfo{Node: n, EstRows: -1, uses: 1})
+		full = append(full, f)
 		return nil
 	}
 	if err := visit(root); err != nil {
@@ -356,25 +367,27 @@ func NewPlan(root Node) (*Plan, error) {
 	// Demand, parents first. A node reached with columns passes its inputs
 	// what its operator reads; one reached with none stops there, and an
 	// access no demand reaches keeps every slot.
+	demand := make([]map[string]bool, len(p.nodes)) // nil until a parent reaches the node
 	add := func(n Node, vars ...string) {
-		in := of[n]
-		if in.demand == nil {
-			in.demand = map[string]bool{}
+		i := p.index[n]
+		if demand[i] == nil {
+			demand[i] = map[string]bool{}
 		}
 		for _, v := range vars {
-			in.demand[v] = true
+			demand[i][v] = true
 		}
 	}
-	add(root, of[root].full...)
-	for i := len(order) - 1; i >= 0; i-- {
-		n, kids := order[i], children(order[i])
-		d := of[n].demand
+	fullOf := func(n Node) []string { return full[p.index[n]] }
+	add(root, fullOf(root)...)
+	for i := len(p.nodes) - 1; i >= 0; i-- {
+		n, d := p.nodes[i].Node, demand[i]
 		if len(d) == 0 {
 			continue
 		}
+		kids := children(n)
 		switch n.(type) {
 		case *Join, *LeftJoin: // the demanded columns, and the shared ones on both sides
-			lc, rc := of[kids[0]].full, of[kids[1]].full
+			lc, rc := fullOf(kids[0]), fullOf(kids[1])
 			for _, c := range lc {
 				if d[c] || slices.Contains(rc, c) {
 					add(kids[0], c)
@@ -386,7 +399,7 @@ func NewPlan(root Node) (*Plan, error) {
 				}
 			}
 		case *Distinct: // duplicate elimination depends on every column
-			add(kids[0], of[kids[0]].full...)
+			add(kids[0], fullOf(kids[0])...)
 		case *Group, *Project:
 			add(kids[0], reads(n)...)
 		default: // row-preserving: every demanded column, and what it reads
@@ -396,22 +409,23 @@ func NewPlan(root Node) (*Plan, error) {
 		}
 	}
 
-	// Executed schemas and the checks, children first.
-	p := &Plan{Root: root, facts: make(map[Node]*facts, len(order))}
-	cols := func(c Node) []string { return of[c].cols }
-	for _, n := range order {
-		in := of[n]
-		if a, ok := n.(*Access); ok {
-			in.slots = keptSlots(patternSlots(a.Pattern), in.demand)
+	// Executed schemas, the checks and the estimates, children first.
+	cols := func(c Node) []string { return p.info(c).cols }
+	for i := range p.nodes {
+		in := &p.nodes[i]
+		if a, ok := in.Node.(*Access); ok {
+			in.slots = keptSlots(patternSlots(a.Pattern), demand[i])
 			in.cols, in.need = slotCols(in.slots), needOf(in.slots)
 		} else {
 			var err error
-			if in.v, err = check(n, cols); err != nil {
+			if in.v, err = check(in.Node, cols); err != nil {
 				return nil, err
 			}
-			in.cols = outCols(n, cols)
+			in.cols = outCols(in.Node, cols)
 		}
-		p.facts[n] = in.facts
+		if est != nil {
+			in.EstRows = est(in.Node)
+		}
 	}
 	return p, nil
 }
@@ -667,7 +681,7 @@ func needOf(slots []slot) ScanCols {
 func (st *streamer) partitionedJoinSide(n Node) (*Access, *FilterNe) {
 	var f *FilterNe
 	if x, ok := n.(*FilterNe); ok {
-		if st.facts[x].uses > 1 {
+		if st.plan.info(x).uses > 1 {
 			return nil, nil
 		}
 		f = x
@@ -679,7 +693,7 @@ func (st *streamer) partitionedJoinSide(n Node) (*Access, *FilterNe) {
 	}
 	// A shared subexpression must be drained exactly once through the memo,
 	// never consumed by pushdown (which bypasses it).
-	if st.facts[a].uses > 1 {
+	if st.plan.info(a).uses > 1 {
 		return nil, nil
 	}
 	return a, f

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -39,14 +38,18 @@ func leaf(p uint64, cols ...string) *Access {
 // runKernel lowers root over leaves in the pipelined configuration and
 // drains it, b.N times.
 func runKernel(b *testing.B, root Node, leaves map[Node]shared, rows int) {
-	p, err := NewPlan(root)
+	p, err := NewPlan(root, nil)
 	if err != nil {
 		b.Fatal(err)
+	}
+	memo := make([]shared, len(p.nodes))
+	for n, s := range leaves {
+		memo[p.index[n]] = s
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		st := &streamer{ctx: context.Background(), ops: nopOps, facts: p.facts, tr: &Trace{}, memo: maps.Clone(leaves),
+		st := &streamer{ctx: context.Background(), ops: nopOps, plan: p, tr: &Trace{}, memo: slices.Clone(memo),
 			mem: &memTracker{}, batch: DefaultBatchRows}
 		s, err := st.build(root)
 		if err != nil {

@@ -212,8 +212,10 @@ func (*Limit) node()        {}
 // built, and executable on any number of sources at once.
 type Plan struct {
 	Root Node
-	// facts is the analysis, per node of the DAG.
-	facts map[Node]*facts
+	// nodes is the analysis, one entry per node of the DAG, numbered
+	// children first; index is each node's number.
+	nodes []NodeInfo
+	index map[Node]int
 }
 
 // PlanFor builds the declarative plan of q against the benchmark constants.
@@ -306,11 +308,11 @@ func PlanFor(q Query, c Constants) (*Plan, error) {
 	default:
 		return nil, fmt.Errorf("core: no plan for query %v", q)
 	}
-	p, err := NewPlan(root)
+	p, err := NewPlan(root, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: %v: %w", q, err)
 	}
-	if w := len(p.facts[root].cols); w != q.ResultWidth() {
+	if w := len(p.info(root).cols); w != q.ResultWidth() {
 		return nil, fmt.Errorf("core: %v plan produced width %d, want %d", q, w, q.ResultWidth())
 	}
 	return p, nil
@@ -350,30 +352,4 @@ func children(n Node) []Node {
 	default:
 		return nil
 	}
-}
-
-// Children returns n's input nodes in evaluation order — the exported
-// view of children for structural walks outside the package (the
-// estimator's defensive recursion, audits).
-func Children(n Node) []Node { return children(n) }
-
-// WalkPlan visits every node of a plan DAG exactly once, parents before
-// children, in the same order FormatPlan numbers them. It is the exported
-// structural walk the estimate-coverage audit and the workload registry's
-// per-operator keys build on: any node WalkPlan yields is a node the
-// formatters render and the profiler can record.
-func WalkPlan(root Node, fn func(Node)) {
-	seen := map[Node]bool{}
-	var walk func(n Node)
-	walk = func(n Node) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		fn(n)
-		for _, c := range children(n) {
-			walk(c)
-		}
-	}
-	walk(root)
 }

@@ -25,11 +25,11 @@ func runTraced(src PhysicalSource, q Query, opt ExecOptions) (*rel.Rel, *Trace, 
 // accesses returns a plan's Access leaves in evaluation order, each once.
 func accesses(p *Plan) []*Access {
 	var out []*Access
-	WalkPlan(p.Root, func(n Node) {
-		if a, ok := n.(*Access); ok {
+	for _, in := range p.nodes {
+		if a, ok := in.Node.(*Access); ok {
 			out = append(out, a)
 		}
-	})
+	}
 	return out
 }
 
@@ -163,11 +163,11 @@ func TestLoweringMergeVsHash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		WalkPlan(p.Root, func(n Node) {
-			if j, ok := n.(*Join); ok && j.ProbeMax != 0 {
+		for _, in := range p.nodes {
+			if j, ok := in.Node.(*Join); ok && j.ProbeMax != 0 {
 				t.Errorf("%v: PlanFor licensed a probe (ProbeMax %d)", q, j.ProbeMax)
 			}
-		})
+		}
 		for src := range srcs {
 			_, tr, err := runTraced(srcs[src], q, ExecOptions{})
 			if err != nil {
@@ -251,7 +251,7 @@ func TestProjectionPushdown(t *testing.T) {
 			t.Fatalf("%v: %d accesses", tc.q, len(accs))
 		}
 		for i, a := range accs {
-			if got := p.facts[a].cols; fmt.Sprint(got) != fmt.Sprint(tc.kept[i]) {
+			if got := p.info(a).cols; fmt.Sprint(got) != fmt.Sprint(tc.kept[i]) {
 				t.Errorf("%v access %d: kept %v, want %v", tc.q, i, got, tc.kept[i])
 			}
 		}
@@ -305,7 +305,7 @@ func TestMalformedPlanFailsBeforeScan(t *testing.T) {
 			&Union{L: typed, R: &Project{In: typed, Cols: []string{"s"}}},
 			"union of [s t] and [s]"},
 	} {
-		if _, err := NewPlan(tc.root); err == nil || err.Error() != tc.err {
+		if _, err := NewPlan(tc.root, nil); err == nil || err.Error() != tc.err {
 			t.Errorf("%s: NewPlan error %v, want %q", tc.name, err, tc.err)
 		}
 		for name, src := range srcs {

@@ -34,9 +34,10 @@ import (
 // into a partitioned join appears under that join with the "fused" note
 // (its work is charged to the join frame).
 type OpProfile struct {
-	// Node is the profiled plan node — the identity estimate annotation
-	// and label rendering key on.
+	// Node is the profiled plan node, and ID its number in the plan's node
+	// table (Plan.Nodes) — what per-node observers index by.
 	Node Node `json:"-"`
+	ID   int  `json:"-"`
 	// Note records a lowering decision the plan tree alone cannot show:
 	// a join's JoinStrategy, "heap", "sort", "fused".
 	Note string
@@ -63,8 +64,8 @@ type OpProfile struct {
 	// PeakBytes is the high-water of live intermediate-result bytes
 	// observed at this node's operator boundaries while it ran.
 	PeakBytes int64
-	// EstRows is the optimizer's cardinality estimate for this node, < 0
-	// when none was attached (see AnnotateEstimates).
+	// EstRows is the optimizer's cardinality estimate for this node, copied
+	// from the plan's node table; < 0 when the plan carries none.
 	EstRows  float64
 	Children []*OpProfile
 }
@@ -82,13 +83,12 @@ func (c charge) sub(o charge) charge {
 type profiler struct {
 	store *simio.Store
 	mem   *memTracker
-	root  *OpProfile
-	stack []*OpProfile
-	nodes map[Node]*OpProfile
-}
-
-func newProfiler(store *simio.Store, mem *memTracker) *profiler {
-	return &profiler{store: store, mem: mem, nodes: map[Node]*OpProfile{}}
+	plan  *Plan
+	// frames holds one profile per plan node, by node number; the tree
+	// links the entered ones.
+	frames []OpProfile
+	root   *OpProfile
+	stack  []*OpProfile
 }
 
 func (p *profiler) charges() charge {
@@ -98,8 +98,9 @@ func (p *profiler) charges() charge {
 
 // enter opens a profile frame for n under the current frame.
 func (p *profiler) enter(n Node) *OpProfile {
-	prof := &OpProfile{Node: n, EstRows: -1, Start: time.Now()}
-	p.nodes[n] = prof
+	id := p.plan.index[n]
+	prof := &p.frames[id]
+	*prof = OpProfile{Node: n, ID: id, EstRows: p.plan.nodes[id].EstRows, Start: time.Now()}
 	if len(p.stack) > 0 {
 		top := p.stack[len(p.stack)-1]
 		top.Children = append(top.Children, prof)
@@ -111,17 +112,15 @@ func (p *profiler) enter(n Node) *OpProfile {
 }
 
 // reenter reopens n's frame for a node lowered after n's build phase.
-func (p *profiler) reenter(n Node) { p.stack = append(p.stack, p.nodes[n]) }
+func (p *profiler) reenter(n Node) { p.stack = append(p.stack, &p.frames[p.plan.index[n]]) }
 
 func (p *profiler) exit() {
 	p.stack = p.stack[:len(p.stack)-1]
 }
 
-// note records a lowering decision on n's profile, if n was profiled.
+// note records a lowering decision on n's profile.
 func (p *profiler) note(n Node, s string) {
-	if prof := p.nodes[n]; prof != nil {
-		prof.Note = s
-	}
+	p.frames[p.plan.index[n]].Note = s
 }
 
 // add folds one measured window into a profile frame.
@@ -220,21 +219,6 @@ func (c *countIter) next() (*rel.Rel, error) {
 }
 
 func (c *countIter) close() { c.in.close() }
-
-// AnnotateEstimates attaches per-node optimizer cardinality estimates
-// (such as bgp.Compiled.EstRows holds) to the profile tree. Nodes absent
-// from the map keep EstRows < 0.
-func (prof *OpProfile) AnnotateEstimates(est map[Node]float64) {
-	if prof == nil || est == nil {
-		return
-	}
-	if e, ok := est[prof.Node]; ok {
-		prof.EstRows = e
-	}
-	for _, c := range prof.Children {
-		c.AnnotateEstimates(est)
-	}
-}
 
 // Walk visits the profile tree depth-first, parents before children.
 func (prof *OpProfile) Walk(fn func(*OpProfile)) {

@@ -119,13 +119,14 @@ func (s stream) col(name string) int { return slices.Index(s.cols, name) }
 // streamer is one plan execution: the plan analysis the lowering consults,
 // the configuration, and the state the operators share.
 type streamer struct {
-	ctx   context.Context
-	src   PhysicalSource
-	ops   PhysicalOps
-	facts map[Node]*facts
-	tr    *Trace
-	// memo holds each shared subexpression drained so far; see build.
-	memo map[Node]shared
+	ctx  context.Context
+	src  PhysicalSource
+	ops  PhysicalOps
+	plan *Plan
+	tr   *Trace
+	// memo holds each shared subexpression drained so far, by node number
+	// (allocated at the first); see build.
+	memo []shared
 	mem  *memTracker
 	// prof is the EXPLAIN ANALYZE collector, nil unless ExecOptions.Profile.
 	prof *profiler
@@ -191,7 +192,9 @@ func (st *streamer) build(n Node) (stream, error) {
 	// A pull iterator has exactly one consumer, so a shared subexpression
 	// (q6's reused access) is a barrier: its first consumer's build drains it
 	// into the memo, and every consumer reads the memo re-chunked.
-	if m, ok := st.memo[n]; ok {
+	id := st.plan.index[n]
+	if id < len(st.memo) && st.memo[id].rel != nil {
+		m := st.memo[id]
 		return stream{it: &chunkIter{st: st, rel: m.rel}, cols: m.cols, sorted: m.sorted}, nil
 	}
 	// Open the node's profile frame across the build phase (pipeline
@@ -259,15 +262,15 @@ func (st *streamer) build(n Node) (stream, error) {
 	if prof != nil {
 		s.it = &profIter{p: st.prof, prof: prof, in: s.it}
 	}
-	if st.facts[n].uses > 1 {
+	if st.plan.nodes[id].uses > 1 {
 		rows, err := st.drain(s.it, len(s.cols), true)
 		if err != nil {
 			return stream{}, err
 		}
 		if st.memo == nil {
-			st.memo = map[Node]shared{}
+			st.memo = make([]shared, len(st.plan.nodes))
 		}
-		st.memo[n] = shared{rel: rows, cols: s.cols, sorted: s.sorted}
+		st.memo[id] = shared{rel: rows, cols: s.cols, sorted: s.sorted}
 		return st.build(n)
 	}
 	return s, nil
@@ -456,7 +459,7 @@ func (st *streamer) propStream(p, s, o rdf.ID, need ScanCols) (iter, error) {
 }
 
 func (st *streamer) buildAccess(a *Access) (stream, error) {
-	tp, f := a.Pattern, st.facts[a]
+	tp, f := a.Pattern, st.plan.info(a)
 
 	if tp.P.Bound() {
 		it, err := st.propStream(tp.P.Const, tp.S.Const, tp.O.Const, f.need)
@@ -664,7 +667,7 @@ func (st *streamer) buildJoin(j *Join) (stream, error) {
 // joinStreams joins two built inputs: a linear merge when both ascend on the
 // join variable, else a hash join; by name an index probe over a keyScan.
 func (st *streamer) joinStreams(j *Join, l, r stream, probed bool) stream {
-	v := st.facts[j].v
+	v := st.plan.info(j).v
 	lc, rc := l.col(v), r.col(v)
 	cols := joinCols(l.cols, r.cols)
 	st.charge(simio.OpNode, 1, 1)
@@ -687,8 +690,8 @@ func (st *streamer) joinStreams(j *Join, l, r stream, probed bool) stream {
 // and acc is a bare, unshared, property-bound access joined on its subject.
 func (st *streamer) probeSide(j *Join, acc Node) *Access {
 	a, ok := acc.(*Access)
-	if !ok || j.ProbeMax <= 0 || st.facts[a].uses > 1 || !st.src.PropSeekable() || !a.Pattern.P.Bound() ||
-		a.Pattern.S.Bound() || st.facts[j].v != a.Pattern.S.Var {
+	if !ok || j.ProbeMax <= 0 || st.plan.info(a).uses > 1 || !st.src.PropSeekable() || !a.Pattern.P.Bound() ||
+		a.Pattern.S.Bound() || st.plan.info(j).v != a.Pattern.S.Var {
 		return nil
 	}
 	return a
@@ -702,7 +705,7 @@ func (st *streamer) buildProbeJoin(j *Join, a *Access, other Node, accLeft bool)
 		return stream{}, err
 	}
 	v := a.Pattern.S.Var
-	accCols := st.facts[a].cols // the subject slot leads and is always kept
+	accCols := st.plan.info(a).cols // the subject slot leads and is always kept
 	s := stream{it: &probeIter{st: st, j: j, a: a, accLeft: accLeft, outer: outer}, cols: joinCols(outer.cols, accCols)}
 	if accLeft {
 		s.cols = joinCols(accCols, outer.cols)
@@ -793,7 +796,7 @@ func (p *probeIter) close() {
 // distinct key of rows in turn, each probe charged by the StreamProp it
 // opens, one open at a time (its buffers go back before the next's are lent).
 func (st *streamer) keyScan(a *Access, rows *rel.Rel, outer stream) stream {
-	f, tp := st.facts[a], a.Pattern
+	f, tp := st.plan.info(a), a.Pattern
 	asm, kc := compileAssembly(f.slots, f.cols, 2), outer.col(tp.S.Var)
 	// NULL (an OPTIONAL's unmatched row) joins nothing — and as a scan bound
 	// it would mean "unbound".
@@ -1000,7 +1003,7 @@ func (st *streamer) buildLeftJoin(j *LeftJoin) (stream, error) {
 		l.it.close()
 		return stream{}, err
 	}
-	v := st.facts[j].v
+	v := st.plan.info(j).v
 	lc, rc := l.col(v), r.col(v)
 	st.chose(j, v, JoinHash)
 	cols := joinCols(l.cols, r.cols)
@@ -1238,7 +1241,7 @@ func (m *mergeJoinIter) close() {
 // filter → probe in property order. Join distributes over union, so the
 // result is the same bag, emitted without ever materializing the union.
 func (st *streamer) buildPartitionedJoin(j *Join, other stream, a *Access, f *FilterNe) (stream, error) {
-	tp, af, v := a.Pattern, st.facts[a], st.facts[j].v
+	tp, af, v := a.Pattern, st.plan.info(a), st.plan.info(j).v
 	accCols := af.cols
 	oc, ac, fc := other.col(v), slices.Index(accCols, v), -1
 	if f != nil {
@@ -1486,7 +1489,7 @@ func (st *streamer) buildGroup(g *Group) (stream, error) {
 	}
 	st.charge(simio.OpNode, 1, 1)
 	it := &groupIter{st: st, in: s.it, keys: keys, w: len(s.cols)}
-	return stream{it: it, cols: st.facts[g].cols, sorted: g.Keys[0]}, nil
+	return stream{it: it, cols: st.plan.info(g).cols, sorted: g.Keys[0]}, nil
 }
 
 // groupIter is a pipeline breaker, but a compact one: it counts group sizes
@@ -1564,7 +1567,7 @@ func (st *streamer) buildProject(p *Project) (stream, error) {
 	for i, c := range p.Cols {
 		idx[i] = s.col(c)
 	}
-	names := st.facts[p].cols
+	names := st.plan.info(p).cols
 	sorted := ""
 	for i, c := range p.Cols {
 		if c == s.sorted {

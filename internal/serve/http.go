@@ -187,7 +187,7 @@ func NewHandler(s *Service) http.Handler {
 			Cached:    res.Cached,
 			LatencyMs: float64(res.Latency.Microseconds()) / 1e3,
 			QueuedMs:  float64(res.Queued.Microseconds()) / 1e3,
-			Profile:   profileJSON(res.Profile, termFunc(res.dict)),
+			Profile:   profileJSON(res.Profile, res.plan),
 			TraceID:   traceID,
 		})
 	})

@@ -44,10 +44,10 @@ func TestProfileCarriesPlanEstimates(t *testing.T) {
 			case *core.LeftJoin:
 				leftJoins++
 			}
-			want, ok := p.Compiled.EstRows[op.Node]
-			if !ok || op.EstRows != want {
-				t.Errorf("%s: %s estimated %v rows in the profile, %v (present %v) in the plan",
-					s.Name, core.NodeLabel(op.Node, nil), op.EstRows, want, ok)
+			want := p.Compiled.Nodes()[op.ID]
+			if want.Node != op.Node || op.EstRows != want.EstRows {
+				t.Errorf("%s: %s estimated %v rows in the profile, node %d (%s) %v in the plan",
+					s.Name, core.NodeLabel(op.Node, nil), op.EstRows, op.ID, core.NodeLabel(want.Node, nil), want.EstRows)
 			}
 		})
 		if ranges != 2 || leftJoins != 1 {

@@ -1,17 +1,17 @@
 package serve
 
 import (
+	"blackswan/internal/bgp"
 	"blackswan/internal/core"
-	"blackswan/internal/rdf"
 )
 
 // ProfileNode is the JSON rendering of one operator's EXPLAIN ANALYZE
-// record: the operator label (constants resolved through the dictionary of
-// the snapshot the query ran on), measured actuals, and the planner's
+// record: the operator label (constants resolved through the dictionary the
+// plan was compiled against), measured actuals, and the planner's
 // cardinality estimate. Inclusive figures cover the node's whole subtree;
-// the self figures are the node's own share. Simulated columns are exact
-// under single-worker execution (the serving default) and approximate
-// under parallel fan-out — see core.OpProfile.
+// the self figures are the node's own share. A plan runs on one goroutine,
+// so the simulated columns are exact unless concurrent queries share the
+// engine's store — see core.OpProfile.
 type ProfileNode struct {
 	Op         string         `json:"op"`
 	Note       string         `json:"note,omitempty"`
@@ -30,14 +30,18 @@ type ProfileNode struct {
 	Children   []*ProfileNode `json:"children,omitempty"`
 }
 
-// profileJSON converts a core profile tree to its JSON form, rendering
-// operator labels through term.
-func profileJSON(p *core.OpProfile, term func(rdf.ID) string) *ProfileNode {
+// profileJSON converts a core profile tree to its JSON form, labelling
+// each operator from the plan's labels.
+func profileJSON(p *core.OpProfile, plan *bgp.Compiled) *ProfileNode {
 	if p == nil {
 		return nil
 	}
+	return profileNode(p, plan.Labels())
+}
+
+func profileNode(p *core.OpProfile, labels []string) *ProfileNode {
 	n := &ProfileNode{
-		Op:         core.NodeLabel(p.Node, term),
+		Op:         labels[p.ID],
 		Note:       p.Note,
 		Rows:       p.Rows,
 		Batches:    p.Batches,
@@ -56,7 +60,7 @@ func profileJSON(p *core.OpProfile, term func(rdf.ID) string) *ProfileNode {
 		n.EstRows = &est
 	}
 	for _, c := range p.Children {
-		n.Children = append(n.Children, profileJSON(c, term))
+		n.Children = append(n.Children, profileNode(c, labels))
 	}
 	return n
 }

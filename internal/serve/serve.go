@@ -533,7 +533,8 @@ type Result struct {
 	Latency time.Duration
 	// Profile is the per-operator EXPLAIN ANALYZE tree, present when the
 	// execution ran with ExecOpts.Profile. Its estimates are the plan's own
-	// (Compiled.EstRows): the figures its join order was chosen on.
+	// (the compiled plan's node table): the figures its join order was
+	// chosen on.
 	Profile *core.OpProfile
 	// TraceID is the request's trace ID in hex when the request was
 	// traced (see Config.Tracer and TraceStart) — the key that joins this
@@ -551,6 +552,8 @@ type Result struct {
 	// dict decodes this result: the dictionary of the snapshot the query
 	// executed on, immune to concurrent swaps.
 	dict rdf.Dict
+	// plan labels the profile's operators (Compiled.Labels).
+	plan *bgp.Compiled
 }
 
 // ExecText prepares (through the cache) and executes text on the named
@@ -628,20 +631,17 @@ type queryEvent struct {
 	class       string // error class, "" on success
 	profile     *core.OpProfile
 
-	root core.Node
-	dict rdf.Dict
-	plan string
+	compiled *bgp.Compiled
+	dict     rdf.Dict
+	plan     string
 }
 
-// term resolves plan constants through the dictionary of the snapshot the
-// query ran on.
-func (e *queryEvent) term() func(rdf.ID) string { return termFunc(e.dict) }
-
-// planText renders the compiled plan on first use: only a new registry
+// planText renders the compiled plan on first use, its constants through
+// the dictionary of the snapshot the query ran on: only a new registry
 // entry and a slow/error ring entry need it, so most events never pay.
 func (e *queryEvent) planText() string {
 	if e.plan == "" {
-		e.plan = core.FormatPlan(e.root, e.term())
+		e.plan = core.FormatPlan(e.compiled.Root, func(id rdf.ID) string { return e.dict.Term(id).String() })
 	}
 	return e.plan
 }
@@ -698,7 +698,7 @@ func (s *Service) exec(ctx context.Context, sn *snapshot, p *Prepared, ti int, c
 		queued:      queued,
 		latency:     latency,
 		err:         err,
-		root:        p.Compiled.Root,
+		compiled:    p.Compiled,
 		dict:        sn.dict,
 	}
 	if reqTrace != nil {
@@ -707,11 +707,7 @@ func (s *Service) exec(ctx context.Context, sn *snapshot, p *Prepared, ti int, c
 	if err != nil {
 		ev.class = ErrorClass(err)
 	} else {
-		ev.rows = out.Len()
-		if opt.Profile && tr != nil && tr.Profile != nil {
-			ev.profile = tr.Profile
-			ev.profile.AnnotateEstimates(p.Compiled.EstRows)
-		}
+		ev.rows, ev.profile = out.Len(), tr.Profile // nil unless profiled
 	}
 	s.observe(ctx, &ev, reqTrace, execSpan)
 	if err != nil {
@@ -730,6 +726,7 @@ func (s *Service) exec(ctx context.Context, sn *snapshot, p *Prepared, ti int, c
 		Fingerprint: ev.fingerprint,
 		Version:     sn.version,
 		dict:        sn.dict,
+		plan:        p.Compiled,
 	}, nil
 }
 
@@ -768,7 +765,7 @@ func (s *Service) observe(ctx context.Context, ev *queryEvent, reqTrace *trace.T
 	// measured every operator, so a profiled, traced request yields a full
 	// operator-level trace for free.
 	if reqTrace != nil && ev.profile != nil {
-		bridgeProfile(reqTrace, span.ID(), ev.profile, ev.term())
+		bridgeProfile(reqTrace, span.ID(), ev.profile, ev.compiled.Labels())
 	}
 
 	level, msg := slog.LevelDebug, "query served"
@@ -791,7 +788,7 @@ func (s *Service) observe(ctx context.Context, ev *queryEvent, reqTrace *trace.T
 			Queued:           ev.queued,
 			Latency:          ev.latency,
 			Plan:             ev.planText(),
-			Profile:          profileJSON(ev.profile, ev.term()),
+			Profile:          profileJSON(ev.profile, ev.compiled),
 			TraceID:          ev.traceID,
 			Fingerprint:      ev.fingerprint,
 			FingerprintCount: fpCount,
@@ -823,14 +820,6 @@ func (s *Service) observe(ctx context.Context, ev *queryEvent, reqTrace *trace.T
 			slog.String("query", ev.text))
 	}
 	s.log.LogAttrs(ctx, level, msg, attrs...)
-}
-
-// termFunc adapts a dictionary to the plan formatters' term resolver.
-func termFunc(dict rdf.Dict) func(rdf.ID) string {
-	if dict == nil {
-		return nil
-	}
-	return func(id rdf.ID) string { return dict.Term(id).String() }
 }
 
 // SlowQueries returns the slow-query log's entries, newest first; empty

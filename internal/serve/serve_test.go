@@ -310,8 +310,13 @@ func TestUnknownSystem(t *testing.T) {
 // TestCacheHitRunsHeldPlan: a cache hit hands exec the plan analysed when
 // it was compiled, and ExecText runs it without a second analysis — the
 // hit allocates less than its prepare, the held plan's execution and one
-// analysis would together.
+// analysis would together. Observation reads the plan's node table: a
+// profiled hit with the workload registry on costs at most
+// maxProfiledHitAllocs more than a plain one (q6, 11 nodes), where per-
+// execution node maps, estimate walks and label renders once cost 97, and
+// the held execution stays within heldExecAllocs (plus raceAllocs).
 func TestCacheHitRunsHeldPlan(t *testing.T) {
+	const heldExecAllocs, maxProfiledHitAllocs = 157 + raceAllocs, 24
 	w, _, _ := fixture(t)
 	svc := newService(t, serve.Config{})
 	text, err := bgp.PaperText(core.Query{ID: core.Q6}, w.DS.Graph.Dict, w.Cat.Consts)
@@ -341,12 +346,24 @@ func TestCacheHitRunsHeldPlan(t *testing.T) {
 			t.Fatalf("cache-hit ExecText: %v", err)
 		}
 	})
+	profiled := testing.AllocsPerRun(20, func() {
+		if res, err := svc.ExecTextOpts(ctx, text, system, serve.ExecOpts{Profile: true}); err != nil || !res.Cached || res.Profile == nil {
+			t.Fatalf("profiled cache-hit ExecTextOpts: %v", err)
+		}
+	})
 	prepare := testing.AllocsPerRun(20, func() { svc.Prepare(text) })
 	held := testing.AllocsPerRun(20, func() { first.Compiled.Execute(ctx, src, core.ExecOptions{Streaming: true}) })
-	analysis := testing.AllocsPerRun(20, func() { core.NewPlan(first.Compiled.Root) })
-	t.Logf("allocations a run: hit %.0f, prepare %.0f, held execution %.0f, analysis %.0f", hit, prepare, held, analysis)
+	analysis := testing.AllocsPerRun(20, func() { core.NewPlan(first.Compiled.Root, nil) })
+	t.Logf("allocations a run: hit %.0f, profiled hit %.0f, prepare %.0f, held execution %.0f, analysis %.0f",
+		hit, profiled, prepare, held, analysis)
 	if hit >= prepare+held+analysis {
 		t.Errorf("a cache hit allocates %.0f objects, at least its prepare (%.0f), execution (%.0f) and an analysis (%.0f)",
 			hit, prepare, held, analysis)
+	}
+	if held > heldExecAllocs {
+		t.Errorf("the held execution allocates %.0f objects, more than %d", held, heldExecAllocs)
+	}
+	if d := profiled - hit; d > maxProfiledHitAllocs {
+		t.Errorf("profiling a hit costs %.0f allocations (%.0f against %.0f), more than %d", d, profiled, hit, maxProfiledHitAllocs)
 	}
 }

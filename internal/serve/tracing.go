@@ -2,7 +2,6 @@ package serve
 
 import (
 	"blackswan/internal/core"
-	"blackswan/internal/rdf"
 	"blackswan/internal/trace"
 )
 
@@ -12,8 +11,8 @@ import (
 // Host duration — so the bridge copies measurements instead of re-timing
 // anything, keeping tracing observation-only. Simulated charges ride
 // along as attributes, so an exported trace carries the paper's
-// cost-model view next to host time.
-func bridgeProfile(tr *trace.Trace, parent trace.SpanID, prof *core.OpProfile, term func(rdf.ID) string) {
+// cost-model view next to host time. labels are the plan's, by node number.
+func bridgeProfile(tr *trace.Trace, parent trace.SpanID, prof *core.OpProfile, labels []string) {
 	if tr == nil || prof == nil {
 		return
 	}
@@ -26,8 +25,8 @@ func bridgeProfile(tr *trace.Trace, parent trace.SpanID, prof *core.OpProfile, t
 	if prof.Note != "" {
 		attrs = append(attrs, trace.String("note", prof.Note))
 	}
-	id := tr.Add("op:"+core.NodeLabel(prof.Node, term), parent, prof.Start, prof.Host, attrs...)
+	id := tr.Add("op:"+labels[prof.ID], parent, prof.Start, prof.Host, attrs...)
 	for _, c := range prof.Children {
-		bridgeProfile(tr, id, c, term)
+		bridgeProfile(tr, id, c, labels)
 	}
 }

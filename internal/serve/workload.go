@@ -1,15 +1,17 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"blackswan/internal/core"
-	"blackswan/internal/rdf"
 	"blackswan/internal/sketch"
 )
 
@@ -75,7 +77,10 @@ type wlEntry struct {
 	lat       *sketch.Quantile
 	queued    *sketch.Quantile
 	systems   map[string]*wlSystem
-	ops       map[string]*wlOp
+	// ops holds one slot per plan node, by node number, folded under the
+	// plan labels.
+	ops    []wlOp
+	labels []string
 	// lastVersion is the dataset version of the shape's latest execution —
 	// the join between the workload registry and the mutation path, so
 	// per-shape drift (q-error) can be read against the version that
@@ -90,13 +95,12 @@ type wlSystem struct {
 	latSumNs int64
 }
 
-// wlOp aggregates one operator's estimated-vs-actual cardinality across a
-// fingerprint's profiled executions. The key is the operator's pre-order
-// index in the profile tree plus its label, so the same operator of the
-// same plan shape accumulates in one slot.
+// wlOp aggregates one plan node's estimated-vs-actual cardinality across a
+// fingerprint's profiled executions (its label is the entry's, by node
+// number). idx is the node's pre-order index in the profile tree of its
+// first fold, the order the slots render in.
 type wlOp struct {
 	idx      int
-	op       string
 	count    int64
 	sumLogQ  float64 // sum of ln(q-error): geometric mean via exp(sum/count)
 	maxQ     float64
@@ -188,7 +192,7 @@ func (w *workloadReg) observe(ev *queryEvent, wantP99 bool) (count int64, p99 ti
 	sys.latSumNs += latNs
 	if ev.profile != nil {
 		e.profiled++
-		e.foldProfile(ev.profile, ev.term())
+		e.foldProfile(ev.profile, ev.compiled.Labels())
 	}
 	if wantP99 {
 		p99 = time.Duration(e.lat.Query(0.99))
@@ -214,11 +218,13 @@ func (w *workloadReg) evictColdest() {
 }
 
 // foldProfile walks a profiled execution's operator tree in pre-order and
-// folds every node carrying a cardinality estimate into the entry's
-// per-operator q-error aggregates.
-func (e *wlEntry) foldProfile(prof *core.OpProfile, term func(rdf.ID) string) {
-	if e.ops == nil {
-		e.ops = make(map[string]*wlOp)
+// folds every node carrying a cardinality estimate into its slot's q-error
+// aggregates. labels are the plan's, by node number: the same fingerprint
+// recompiled to the same plan keeps accumulating, while a plan whose labels
+// differ (another join order) restarts the slots.
+func (e *wlEntry) foldProfile(prof *core.OpProfile, labels []string) {
+	if !slices.Equal(e.labels, labels) {
+		e.ops, e.labels = make([]wlOp, len(labels)), labels
 	}
 	idx := 0
 	prof.Walk(func(p *core.OpProfile) {
@@ -226,14 +232,9 @@ func (e *wlEntry) foldProfile(prof *core.OpProfile, term func(rdf.ID) string) {
 		if p.EstRows < 0 {
 			return // no estimate attached: nothing to compare against
 		}
-		label := core.NodeLabel(p.Node, term)
-		// Two structurally identical operators (say two Access nodes over
-		// the same property) are distinguished by their tree position.
-		key := fmt.Sprintf("%d:%s", idx, label)
-		op := e.ops[key]
-		if op == nil {
-			op = &wlOp{idx: idx, op: label}
-			e.ops[key] = op
+		op := &e.ops[p.ID]
+		if op.count == 0 {
+			op.idx = idx
 		}
 		q := qErr(p.EstRows, p.Rows)
 		op.count++
@@ -437,18 +438,16 @@ func (e *wlEntry) render(fp string) WorkloadEntry {
 		})
 	}
 	sort.Slice(we.Systems, func(i, j int) bool { return we.Systems[i].System < we.Systems[j].System })
-	for _, op := range e.opsOrdered() {
-		wo := WorkloadOp{
-			Op:        op.op,
-			Count:     op.count,
-			MaxQError: op.maxQ,
-			LastEst:   op.lastEst,
-			LastRows:  op.lastRows,
-		}
-		if op.count > 0 {
-			wo.MeanQError = math.Exp(op.sumLogQ / float64(op.count))
-		}
-		we.Ops = append(we.Ops, wo)
+	for _, i := range e.opsOrdered() {
+		op := &e.ops[i]
+		we.Ops = append(we.Ops, WorkloadOp{
+			Op:         e.labels[i],
+			Count:      op.count,
+			MeanQError: math.Exp(op.sumLogQ / float64(op.count)),
+			MaxQError:  op.maxQ,
+			LastEst:    op.lastEst,
+			LastRows:   op.lastRows,
+		})
 		if op.maxQ > we.MaxQError {
 			we.MaxQError = op.maxQ
 		}
@@ -456,19 +455,18 @@ func (e *wlEntry) render(fp string) WorkloadEntry {
 	return we
 }
 
-// opsOrdered returns the per-operator aggregates in plan pre-order.
-func (e *wlEntry) opsOrdered() []*wlOp {
-	ops := make([]*wlOp, 0, len(e.ops))
-	for _, op := range e.ops {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].idx != ops[j].idx {
-			return ops[i].idx < ops[j].idx
+// opsOrdered returns the numbers of the folded slots in profile pre-order.
+func (e *wlEntry) opsOrdered() []int {
+	var ids []int
+	for i := range e.ops {
+		if e.ops[i].count > 0 {
+			ids = append(ids, i)
 		}
-		return ops[i].op < ops[j].op
+	}
+	slices.SortFunc(ids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(e.ops[a].idx, e.ops[b].idx), strings.Compare(e.labels[a], e.labels[b]))
 	})
-	return ops
+	return ids
 }
 
 func quantileSummary(s *sketch.Quantile) QuantileSummary {

@@ -6,10 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"blackswan/internal/bench"
+	"blackswan/internal/datagen"
 	"blackswan/internal/serve"
 	"blackswan/internal/trace"
 )
@@ -506,4 +509,141 @@ func TestHTTPTraceFilters(t *testing.T) {
 	}
 	var er serve.ErrorResponse
 	getJSON(t, srv.URL+"/debug/traces?limit=x", http.StatusBadRequest, &er)
+}
+
+// TestWorkloadOpsAcrossRecompile pins what the registry's per-node slots do
+// when a fingerprint's plan is compiled again. Evicted from a one-entry
+// plan cache and recompiled to the same plan, the shape keeps accumulating
+// in its slots; recompiled to a plan with other labels for the same node
+// numbers — after a Swap to the bind-count heuristics, which join the three
+// patterns in another order — the slots restart.
+func TestWorkloadOpsAcrossRecompile(t *testing.T) {
+	w, sys, _ := fixture(t)
+	svc := newService(t, serve.Config{CacheSize: 1})
+	ctx, system := context.Background(), sys[0].Name
+	text := `SELECT * WHERE { ?s <` + datagen.TypeIRI + `> ?t . ?s <` + datagen.RecordsIRI + `> ?x . ?s <` + datagen.LanguageIRI + `> ?l }`
+	other := queryTexts(t, 1)[0]
+	run := func(text string, profile bool) *serve.Result {
+		t.Helper()
+		res, err := svc.ExecTextOpts(ctx, text, system, serve.ExecOpts{Profile: profile})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ops := func(want int64) []serve.WorkloadOp {
+		t.Helper()
+		for _, e := range svc.Workload(serve.WorkloadQuery{Limit: -1}).Entries {
+			if e.Fingerprint != serve.Fingerprint(text) {
+				continue
+			}
+			if len(e.Ops) == 0 {
+				t.Fatal("no per-operator aggregates")
+			}
+			for _, op := range e.Ops {
+				if op.Count != want {
+					t.Fatalf("op %q folded %d executions, want %d", op.Op, op.Count, want)
+				}
+			}
+			return e.Ops
+		}
+		t.Fatal("fingerprint missing from the registry")
+		return nil
+	}
+	labels := func() []string {
+		t.Helper()
+		p, err := svc.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Compiled.Labels()
+	}
+
+	run(text, true)
+	first := labels()
+	run(other, false) // evicts text's plan
+	if res := run(text, true); res.Cached {
+		t.Fatal("the one-entry cache still held the plan")
+	}
+	if again := labels(); &again[0] == &first[0] || !slices.Equal(again, first) {
+		t.Fatal("the recompiled plan should be another plan with the same labels")
+	}
+	ops(2)
+
+	targets, err := bench.ServeTargets(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Swap(w.DS.Graph.Dict, nil, targets...); err != nil {
+		t.Fatal(err)
+	}
+	run(text, true)
+	reordered := labels()
+	if slices.Equal(reordered, first) {
+		t.Fatalf("the heuristics kept the join order %v", first)
+	}
+	got := ops(1)
+	var names []string
+	for _, op := range got {
+		names = append(names, op.Op)
+	}
+	for _, name := range names {
+		if !slices.Contains(reordered, name) {
+			t.Fatalf("restarted slots %v do not come from the new plan %v", names, reordered)
+		}
+	}
+}
+
+// TestLabelsRenderOnce: eight goroutines make the first profiled, traced
+// requests on one cached plan at once. The plan's labels are rendered once
+// and shared — every goroutine reads the same slice — and every request's
+// bridged operator spans carry them. Run under -race.
+func TestLabelsRenderOnce(t *testing.T) {
+	_, sys, _ := fixture(t)
+	svc := newService(t, serve.Config{Tracer: trace.New(trace.Config{SampleRate: 1, Seed: 3})})
+	text := queryTexts(t, 1)[0]
+	p, err := svc.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 8
+	seen := make([][]string, clients)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			ctx, _, finish := svc.TraceStart(context.Background(), "query", "")
+			res, err := svc.ExecTextOpts(ctx, text, sys[c%len(sys)].Name, serve.ExecOpts{Profile: true})
+			finish(err)
+			if err != nil {
+				errs <- err
+				return
+			}
+			seen[c] = p.Compiled.Labels()
+			rec, ok := svc.Tracer().Get(res.TraceID)
+			if !ok {
+				errs <- fmt.Errorf("trace %s missing", res.TraceID)
+				return
+			}
+			root := "op:" + seen[c][res.Profile.ID]
+			if !slices.ContainsFunc(rec.Spans, func(sp trace.SpanData) bool { return sp.Name == root }) {
+				errs <- fmt.Errorf("no %q span in the trace", root)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for c, l := range seen {
+		if len(l) == 0 || &l[0] != &seen[0][0] {
+			t.Fatalf("goroutine %d read labels %p, goroutine 0 %p", c, l, seen[0])
+		}
+	}
 }
