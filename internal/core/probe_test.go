@@ -335,3 +335,132 @@ func TestProbeCloseAndCancelReturnBuffers(t *testing.T) {
 		}
 	}
 }
+
+// heldBuffers walks an iterator chain and returns every output buffer its
+// operators and open scans hold, the built-but-unreached parts included.
+func heldBuffers(t *testing.T, it iter) []*rel.Rel {
+	t.Helper()
+	var out []*rel.Rel
+	var walk func(it iter)
+	walk = func(it iter) {
+		switch x := it.(type) {
+		case nil, *chunkIter, emptyIter:
+		case *edge:
+			walk(x.in)
+		case *releaseIter:
+			walk(x.in)
+		case *fanout:
+			walk(x.it)
+		case *unionIter:
+			walk(x.l)
+			walk(x.r)
+		case *partProbeIter:
+			out = append(out, x.out)
+			walk(x.in)
+		case *filterIter:
+			out = append(out, x.out)
+			walk(x.in)
+		case *gatherIter:
+			out = append(out, x.out)
+			walk(x.in)
+		case *srcIter:
+			out = append(out, x.src.(*cursorIter).out)
+		default:
+			t.Fatalf("%T in the chain", x)
+		}
+	}
+	walk(it)
+	return out
+}
+
+// TestPartitionedCloseAndCancelReturnBuffers: a partitioned join abandoned
+// mid-fan-out — by close, or by a cancelled context — and a union closed
+// before its right input is reached hand every buffer their chains took
+// back to the free list, each once, and leave no arm open; an empty build
+// side opens no arm at all.
+func TestPartitionedCloseAndCancelReturnBuffers(t *testing.T) {
+	ids, srcs := probeFixture(t)
+	id := func(k string) TermRef { return C(rdf.ID(ids[k])) }
+	join := &Join{ // four typed subjects, against every property table but for the fre objects
+		L: &Access{Pattern: Pat(V("s"), id("type"), V("t"))},
+		R: &FilterNe{In: &Access{Pattern: Pat(V("s"), V("p"), V("o"))}, Col: "o", Value: rdf.ID(ids["fre"])},
+	}
+	union := &Union{ // the right side's columns are aligned to the left's
+		L: &Access{Pattern: Pat(V("s"), id("type"), V("o"))},
+		R: &Access{Pattern: Pat(V("o"), id("records"), V("s"))},
+	}
+	partitioned := []string{"rowvert", "colvert"}
+	for _, name := range partitioned {
+		for _, tc := range []struct {
+			root      Node
+			cancelled bool
+		}{{join, false}, {join, true}, {union, false}} {
+			what := fmt.Sprintf("%s %T (cancelled %v)", name, tc.root, tc.cancelled)
+			p, err := NewPlan(tc.root, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			st := &streamer{ctx: ctx, src: srcs[name], ops: srcs[name].Ops(), plan: p, tr: &Trace{},
+				mem: &memTracker{}, batch: 1}
+			s, err := st.build(tc.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fo *fanout
+			if _, ok := tc.root.(*Join); ok {
+				fo = s.it.(*edge).in.(*releaseIter).in.(*fanout)
+			}
+			// Into the fan-out's second arm, or one row into the union's left.
+			for {
+				if b, err := s.it.next(); err != nil || b == nil {
+					t.Fatalf("%s: batch %v, %v", what, b, err)
+				}
+				if fo == nil || fo.cur >= 2 {
+					break
+				}
+			}
+			if fo != nil && (fo.it == nil || fo.cur >= fo.n) {
+				t.Fatalf("%s: arm %d of %d open: %v, want one mid-fan-out", what, fo.cur, fo.n, fo.it)
+			}
+			held := heldBuffers(t, s.it)
+			if len(held) < 3 {
+				t.Fatalf("%s: %d buffers held, want the chain's", what, len(held))
+			}
+			if tc.cancelled {
+				cancel()
+				for err == nil {
+					_, err = s.it.next()
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: %v, want context.Canceled", what, err)
+				}
+			}
+			s.it.close()
+			cancel()
+			for _, b := range held {
+				if n := len(slices.DeleteFunc(slices.Clone(st.free), func(f *rel.Rel) bool { return f != b })); n != 1 {
+					t.Errorf("%s: a held buffer is on the free list %d times, want once", what, n)
+				}
+			}
+			if st.mem.cur != 0 {
+				t.Errorf("%s: %d bytes still tracked", what, st.mem.cur)
+			}
+			if fo != nil && fo.it != nil {
+				t.Errorf("%s: arm %d still open", what, fo.cur-1)
+			}
+		}
+		empty := &Join{
+			L: &Access{Pattern: Pat(V("s"), id("origin"), id("Text"))}, // matches nothing
+			R: &Access{Pattern: Pat(V("s"), V("p"), V("o"))},
+		}
+		got, _, tr, err := ExecutePlan(srcs[name], empty, ExecOptions{Streaming: true, BatchRows: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 0 || tr.PartitionScans != 0 || tr.SourceBatches != 0 {
+			t.Errorf("%s: empty build side gave %d rows, %d partition scans, %d source batches; want none",
+				name, got.Len(), tr.PartitionScans, tr.SourceBatches)
+		}
+	}
+}
