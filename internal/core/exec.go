@@ -182,8 +182,6 @@ type Trace struct {
 	// PartitionScans counts per-property scans issued by unbound-property
 	// accesses on partitioned schemes.
 	PartitionScans int
-	// UnionParts counts relations merged by access-level unions.
-	UnionParts int
 	// PeakBytes is the tracked peak of live intermediate-result bytes:
 	// in-flight batches plus buffered operator state (hash-join builds,
 	// group tables, TopN heaps, drained shared subexpressions) plus the

@@ -351,12 +351,12 @@ func heldBuffers(t *testing.T, it iter) []*rel.Rel {
 			walk(x.in)
 		case *fanout:
 			walk(x.it)
-		case *unionIter:
-			walk(x.l)
-			walk(x.r)
-		case *partProbeIter:
+			for _, p := range x.parts[min(x.cur, len(x.parts)):] {
+				walk(p)
+			}
+		case *hashJoinIter:
 			out = append(out, x.out)
-			walk(x.in)
+			walk(x.r)
 		case *filterIter:
 			out = append(out, x.out)
 			walk(x.in)

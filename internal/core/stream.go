@@ -480,19 +480,7 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 	}
 
 	if st.src.Partitioned() {
-		props := st.src.Cat().AllProps
-		if a.Restrict {
-			props = st.src.Cat().Interesting
-		}
-		asm := compileAssembly(f.slots, f.cols, 2)
-		open := func(i int) (iter, error) {
-			it, err := st.propStream(props[i], tp.S.Const, tp.O.Const, f.need)
-			if err != nil {
-				return nil, err
-			}
-			return st.gathered(it, asm, uint64(props[i])), nil
-		}
-		return stream{it: &fanout{st: st, open: open, n: len(props), w: len(f.cols)}, cols: f.cols}, nil
+		return stream{it: st.keyed(a, st.tables(a), 1, len(f.cols), nil), cols: f.cols}, nil
 	}
 
 	// Unbound property on a triple-store: one streamed scan, with the
@@ -513,20 +501,24 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 	return stream{it: st.gathered(it, compileAssembly(f.slots, f.cols, 3), 0), cols: f.cols}, nil
 }
 
-// fanout streams the per-property parts of a partitioned access in property
-// order. Union movement is charged as each batch passes downstream, and
-// closing the fan-out early stops parts that were never reached (the saving
-// of a LIMIT over a fan-out). The w parameter is the width the union
-// movement is charged at — the union precedes the projection in the paper's
-// plans, so it can exceed the emitted batch width (partitioned joins fuse
-// the projection). At w zero the parts are no union but one input in pieces
-// (a keyScan's probes, a probeIter's replay): nothing is charged or counted.
+// fanout is the one concatenation operator: it streams its n parts in
+// order, each to exhaustion. The parts are built inputs (parts: a Union's
+// two, a probeIter's replay) or opened one at a time as the fan-out reaches
+// them (open: a keyed access's per-key scans), so closing early opens no
+// part it did not reach — the saving of a LIMIT over a fan-out — and closes
+// every built part exactly once, reached or not. Its one parameter, w, is
+// the width each batch's union movement is charged at; it can exceed the
+// emitted width, since a partitioned join fuses the projection the union
+// precedes in the paper's plans. At w zero the parts are no union but one
+// input in pieces, and nothing is charged.
 type fanout struct {
-	st   *streamer
-	open func(i int) (iter, error)
-	n, w int
-	cur  int
-	it   iter
+	st    *streamer
+	w     int
+	parts []iter
+	open  func(i int) (iter, error)
+	n     int
+	cur   int
+	it    iter
 }
 
 func (f *fanout) next() (*rel.Rel, error) {
@@ -535,18 +527,14 @@ func (f *fanout) next() (*rel.Rel, error) {
 			if f.cur >= f.n {
 				return nil, nil
 			}
-			it, err := f.open(f.cur)
-			if err != nil {
+			if f.open == nil {
+				f.it = f.parts[f.cur]
+			} else if it, err := f.open(f.cur); err != nil {
 				return nil, err
-			}
-			if f.w > 0 {
-				// The union-all charges one operator dispatch per merged part.
-				f.st.charge(simio.OpNode, 1, 1)
-				f.st.tr.PartitionScans++
-				f.st.tr.UnionParts++
+			} else {
+				f.it = it
 			}
 			f.cur++
-			f.it = it
 		}
 		b, err := f.it.next()
 		if err != nil {
@@ -569,7 +557,51 @@ func (f *fanout) close() {
 		f.it.close()
 		f.it = nil
 	}
+	for ; f.cur < len(f.parts); f.cur++ {
+		f.parts[f.cur].close()
+	}
 	f.cur = f.n
+}
+
+// tables is the key list of a partitioned access: the catalog's property
+// tables, or only the interesting ones under the properties-table restriction.
+func (st *streamer) tables(a *Access) []rdf.ID {
+	if a.Restrict {
+		return st.src.Cat().Interesting
+	}
+	return st.src.Cat().AllProps
+}
+
+// keyed is the keyed access, the one lowering that opens per-key scans: a's
+// scan once per key, in key order, with the key bound in the pattern's slot
+// (1, the property: a partitioned access's tables; 0, the subject: an index
+// probe's seeks), each part's rows tagged by a's one compiled assembly and
+// passed through arm (nil: as they are). A part opens when the fan-out
+// reaches it, so one part's buffers go back before the next's are lent. A
+// per-property part is an input of the paper's union-all: it charges one
+// operator dispatch and counts in Trace.PartitionScans, and w is the union's
+// charge width (fanout).
+func (st *streamer) keyed(a *Access, keys []rdf.ID, slot, w int, arm func(iter) iter) *fanout {
+	f := st.plan.info(a)
+	asm := compileAssembly(f.slots, f.cols, 2)
+	spo := [3]rdf.ID{a.Pattern.S.Const, a.Pattern.P.Const, a.Pattern.O.Const}
+	open := func(i int) (iter, error) {
+		spo[slot] = keys[i]
+		it, err := st.propStream(spo[1], spo[0], spo[2], f.need)
+		if err != nil {
+			return nil, err
+		}
+		it = st.gathered(it, asm, uint64(spo[1]))
+		if slot == 1 {
+			st.charge(simio.OpNode, 1, 1)
+			st.tr.PartitionScans++
+		}
+		if arm != nil {
+			it = arm(it)
+		}
+		return it, nil
+	}
+	return &fanout{st: st, w: w, open: open, n: len(keys)}
 }
 
 // filterIter drops rows failing pred, charging each evaluated row at op:
@@ -762,7 +794,7 @@ func (p *probeIter) start() error {
 		acc = st.keyScan(p.a, head, outer)
 	} else { // the copied rows, the batch that outgrew the bound, the live rest
 		parts := []iter{&chunkIter{st: st, rel: head}, &chunkIter{st: st, rel: over}, p.outer.it}
-		outer.it = &fanout{st: st, n: len(parts), open: func(i int) (iter, error) { return parts[i], nil }}
+		outer.it = &fanout{st: st, parts: parts, n: len(parts)}
 		acc, err = st.build(p.a)
 	}
 	if err != nil {
@@ -792,12 +824,11 @@ func (p *probeIter) close() {
 	p.outer.it.close()
 }
 
-// keyScan lowers a probed access: its scan with the subject bound to each
-// distinct key of rows in turn, each probe charged by the StreamProp it
-// opens, one open at a time (its buffers go back before the next's are lent).
+// keyScan lowers a probed access: the keyed access with the subject bound
+// to each distinct key of rows in turn, each probe charged by the StreamProp
+// it opens.
 func (st *streamer) keyScan(a *Access, rows *rel.Rel, outer stream) stream {
-	f, tp := st.plan.info(a), a.Pattern
-	asm, kc := compileAssembly(f.slots, f.cols, 2), outer.col(tp.S.Var)
+	tp, kc := a.Pattern, outer.col(a.Pattern.S.Var)
 	// NULL (an OPTIONAL's unmatched row) joins nothing — and as a scan bound
 	// it would mean "unbound".
 	seen := map[uint64]bool{uint64(rdf.NoID): true}
@@ -808,14 +839,7 @@ func (st *streamer) keyScan(a *Access, rows *rel.Rel, outer stream) stream {
 			keys = append(keys, rdf.ID(k))
 		}
 	}
-	open := func(i int) (iter, error) {
-		it, err := st.propStream(tp.P.Const, keys[i], tp.O.Const, f.need)
-		if err != nil {
-			return nil, err
-		}
-		return st.gathered(it, asm, uint64(tp.P.Const)), nil
-	}
-	s := stream{it: &edge{mem: st.mem, in: &fanout{st: st, open: open, n: len(keys)}}, cols: f.cols}
+	s := stream{it: &edge{mem: st.mem, in: st.keyed(a, keys, 0, 0, nil)}, cols: st.plan.info(a).cols}
 	if outer.sorted == tp.S.Var {
 		s.sorted = outer.sorted // ascending keys give ascending rows
 	}
@@ -832,7 +856,8 @@ func (st *streamer) keyScan(a *Access, rows *rel.Rel, outer stream) stream {
 // as large as L — from then on R streams straight through the probe. When R
 // exhausts smaller, the buffered R builds and the drained L probes in order.
 // Either way the emitted order is probe-major with matches in
-// build-insertion order, whatever the batch size.
+// build-insertion order, whatever the batch size. A partitioned join's arms
+// run only the probe phase, over the one build the join drained.
 type hashJoinIter struct {
 	st      *streamer
 	l, r    iter
@@ -911,7 +936,7 @@ func (h *hashJoinIter) release() {
 
 // nextProbe returns the next probe-side batch, or nil at exhaustion.
 func (h *hashJoinIter) nextProbe() (*rel.Rel, error) {
-	if p := h.probeRel; h.probeCur < p.Len() {
+	if p := h.probeRel; p != nil && h.probeCur < p.Len() {
 		hi := h.probeCur + min(h.st.batch, p.Len()-h.probeCur)
 		h.view = rel.Rel{W: p.W, Data: p.Data[h.probeCur*p.W : hi*p.W]}
 		h.probeCur = hi
@@ -1237,19 +1262,15 @@ func (m *mergeJoinIter) close() {
 // buildPartitionedJoin distributes a join over the per-property union of a
 // partitioned access — the vertically-partitioned plans of the paper, with
 // "more than two hundred unions and joins". The non-access side drains once
-// into a hash build, and every per-property scan streams through tag →
-// filter → probe in property order. Join distributes over union, so the
-// result is the same bag, emitted without ever materializing the union.
+// into a hash build, and every part of the keyed access streams through
+// scan → tag → [filter] → the hash join's probe phase over that one build,
+// in property order. Join distributes over union, so the result is the same
+// bag, emitted without ever materializing the union.
 func (st *streamer) buildPartitionedJoin(j *Join, other stream, a *Access, f *FilterNe) (stream, error) {
-	tp, af, v := a.Pattern, st.plan.info(a), st.plan.info(j).v
-	accCols := af.cols
+	v, accCols := st.plan.info(j).v, st.plan.info(a).cols
 	oc, ac, fc := other.col(v), slices.Index(accCols, v), -1
 	if f != nil {
 		fc = slices.Index(accCols, f.Col)
-	}
-	props := st.src.Cat().AllProps
-	if a.Restrict {
-		props = st.src.Cat().Interesting
 	}
 	// Build once over the drained non-access side.
 	orel, err := st.drain(other.it, len(other.cols), false)
@@ -1268,78 +1289,32 @@ func (st *streamer) buildPartitionedJoin(j *Join, other stream, a *Access, f *Fi
 		return stream{it: emptyIter{}, cols: cols}, nil
 	}
 	ht := rel.NewJoinIndex(orel, oc)
-	asm := compileAssembly(af.slots, accCols, 2)
 	var accProf, filtProf *OpProfile
 	if st.prof != nil {
 		accProf, filtProf = st.profileFused(a, f)
 	}
-	open := func(i int) (iter, error) {
-		it, err := st.propStream(props[i], tp.S.Const, tp.O.Const, af.need)
-		if err != nil {
-			return nil, err
-		}
-		tagged := st.gathered(it, asm, uint64(props[i]))
+	arm := func(it iter) iter {
 		if st.prof != nil {
-			tagged = &countIter{in: tagged, prof: accProf}
+			it = &countIter{in: it, prof: accProf}
 		}
 		if fc >= 0 {
 			st.charge(simio.OpNode, 1, 1)
 			val := uint64(f.Value)
-			tagged = st.filtered(tagged, len(accCols), simio.OpFilter, func(row []uint64) bool { return row[fc] != val })
+			it = st.filtered(it, len(accCols), simio.OpFilter, func(row []uint64) bool { return row[fc] != val })
 			if st.prof != nil {
-				tagged = &countIter{in: tagged, prof: filtProf}
+				it = &countIter{in: it, prof: filtProf}
 			}
 		}
 		st.charge(simio.OpNode, 1, 1) // the per-table probe dispatch
-		return &partProbeIter{st: st, in: tagged, orel: orel, ht: ht, ac: ac, aw: len(accCols), out: st.take(len(cols))}, nil
+		return &hashJoinIter{st: st, l: emptyIter{}, r: it, lc: oc, rc: ac, lw: orel.W, rw: len(accCols),
+			started: true, buildIsL: true, ht: ht, build: orel, out: st.take(len(cols))}
 	}
 	// Union movement is charged at the pre-projection width (the probe
 	// outputs before dropping the join column).
-	fo := &fanout{st: st, open: open, n: len(props), w: len(other.cols) + len(accCols)}
+	fo := st.keyed(a, st.tables(a), 1, len(other.cols)+len(accCols), arm)
 	return stream{it: &releaseIter{in: fo, free: func() {
 		st.mem.free(bufBytes)
 	}}, cols: cols}, nil
-}
-
-// partProbeIter probes tagged per-property batches against the shared build
-// side, emitting build-row ++ probe-row (minus the access's join column) in
-// probe-major order, with the post-join projection fused.
-type partProbeIter struct {
-	st   *streamer
-	in   iter
-	orel *rel.Rel
-	ht   *rel.JoinIndex
-	ac   int
-	aw   int
-	out  *rel.Rel
-}
-
-func (p *partProbeIter) next() (*rel.Rel, error) {
-	for {
-		b, err := p.in.next()
-		if b == nil || err != nil {
-			return nil, err
-		}
-		n := b.Len()
-		p.st.charge(simio.OpHashProbe, n, p.aw)
-		reuse(p.out)
-		for i := 0; i < n; i++ {
-			for oi := p.ht.First(b.Data[i*b.W+p.ac]); oi >= 0; oi = p.ht.Next(oi) {
-				appendJoinRow(p.out, p.orel.Row(oi), b.Row(i), p.ac)
-			}
-		}
-		if p.out.Len() > 0 {
-			// Charged at the probe's pre-projection width.
-			p.st.charge(simio.OpJoinEmit, p.out.Len(), p.orel.W+p.aw)
-			return p.out, nil
-		}
-	}
-}
-
-func (p *partProbeIter) close() {
-	p.st.give(p.out)
-	p.out = nil
-	p.in.close()
 }
 
 // releaseIter frees buffered operator state exactly once, at close or
@@ -1437,45 +1412,8 @@ func (st *streamer) buildUnion(u *Union) (stream, error) {
 	}
 	st.charge(simio.OpNode, 1, 1)
 	// The right side's column order is aligned per batch when it differs.
-	it := &unionIter{st: st, l: l.it, r: st.gathered(r.it, newGather(perm, nil, len(perm)), 0), w: len(l.cols)}
-	return stream{it: it, cols: l.cols}, nil
-}
-
-// unionIter concatenates two inputs: left fully, then right.
-type unionIter struct {
-	st      *streamer
-	l, r    iter
-	w       int
-	onRight bool
-}
-
-func (u *unionIter) next() (*rel.Rel, error) {
-	for {
-		var b *rel.Rel
-		var err error
-		if !u.onRight {
-			b, err = u.l.next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				u.onRight = true
-				continue
-			}
-		} else {
-			b, err = u.r.next()
-			if b == nil || err != nil {
-				return nil, err
-			}
-		}
-		u.st.charge(simio.OpUnion, b.Len(), u.w)
-		return b, nil
-	}
-}
-
-func (u *unionIter) close() {
-	u.l.close()
-	u.r.close()
+	parts := []iter{l.it, st.gathered(r.it, newGather(perm, nil, len(perm)), 0)}
+	return stream{it: &fanout{st: st, w: len(l.cols), parts: parts, n: len(parts)}, cols: l.cols}, nil
 }
 
 func (st *streamer) buildGroup(g *Group) (stream, error) {
