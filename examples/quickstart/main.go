@@ -1,12 +1,14 @@
 // Quickstart: build a small RDF graph, load it into both storage schemes on
-// the column-store engine, run a benchmark query and a custom pattern query,
-// and print decoded results.
+// the column-store engine, run a benchmark query and a custom pattern query
+// compiled from text, and print decoded results.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"blackswan/internal/bgp"
 	"blackswan/internal/colstore"
 	"blackswan/internal/core"
 	"blackswan/internal/rdf"
@@ -76,13 +78,16 @@ func main() {
 		}
 	}
 
-	// 4. A custom pattern query via the generic BGP API: French texts and
-	// their titles — (?b type Text)(?b language fre)(?b title ?t).
-	res, vars := core.EvalBGP(triple, []core.TriplePattern{
-		core.Pat(core.V("b"), core.C(consts.Type), core.C(consts.Text)),
-		core.Pat(core.V("b"), core.C(consts.Language), core.C(consts.French)),
-		core.Pat(core.V("b"), core.C(d.InternIRI("title")), core.V("t")),
-	})
+	// 4. A custom pattern query, compiled from text into the same kind of
+	// plan the benchmark queries run as: French texts and their titles.
+	bq, err := bgp.CompileText(`SELECT ?b ?t WHERE { ?b <type> <Text> . ?b <language> <lang/fre> . ?b <title> ?t }`, d, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, vars, _, err := bq.Execute(context.Background(), triple, core.ExecOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("French texts (vars %v):\n", vars)
 	for i := 0; i < res.Len(); i++ {
 		row := res.Row(i)

@@ -370,7 +370,7 @@ func RunStream(w *Workload, systems []*System, opt StreamOptions) (*StreamReport
 		var oracle *rel.Rel
 		if j.query != nil {
 			var err error
-			if oracle, _, err = bgp.EvalBGP(j.query, core.GraphSource{G: w.DS.Graph}, w.DS.Graph.Dict, w.Cat.Interesting); err != nil {
+			if oracle, _, err = bgp.EvalBGP(j.query, w.DS.Graph, w.Cat.Interesting); err != nil {
 				return nil, fmt.Errorf("bench: stream %s: oracle: %w", j.name, err)
 			}
 		}

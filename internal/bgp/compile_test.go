@@ -164,7 +164,7 @@ func TestRandomBGPsCrossScheme(t *testing.T) {
 		}
 		// Every generated query — including OPTIONAL, range-filter and
 		// ORDER BY shapes — must match the full-language oracle.
-		oracle, vars, err := bgp.EvalBGP(q, core.GraphSource{G: f.ds.Graph}, dict, f.cat.Interesting)
+		oracle, vars, err := bgp.EvalBGP(q, f.ds.Graph, f.cat.Interesting)
 		if err != nil {
 			t.Fatalf("query %d (%v) oracle: %v\n%s", i, shape, err, q.Text())
 		}
@@ -183,26 +183,6 @@ func TestRandomBGPsCrossScheme(t *testing.T) {
 	if nonEmpty == 0 {
 		t.Error("every generated query returned empty — workload is trivial")
 	}
-}
-
-// resolvePatterns maps a query's textual patterns to core patterns.
-func resolvePatterns(t *testing.T, q *bgp.Query, dict rdf.Dict) []core.TriplePattern {
-	t.Helper()
-	ref := func(tm bgp.Term) core.TermRef {
-		if tm.IsVar() {
-			return core.V(tm.Var)
-		}
-		id, ok := dict.Lookup(rdf.Term{Value: tm.Value, Kind: tm.Kind})
-		if !ok {
-			t.Fatalf("term %s not in dictionary", tm)
-		}
-		return core.C(id)
-	}
-	var out []core.TriplePattern
-	for _, p := range q.Patterns() {
-		out = append(out, core.Pat(ref(p.S), ref(p.P), ref(p.O)))
-	}
-	return out
 }
 
 // cyclicFixture is a tiny hand-built graph with a records triangle
@@ -269,10 +249,12 @@ func TestCyclicBGP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, _ := core.EvalBGP(core.GraphSource{G: g}, resolvePatterns(t, q, g.Dict))
-	oracleProj := oracle.Project(0, 1, 2)
-	if oracleProj.Len() != 3 {
-		t.Fatalf("oracle found %d triangle rows, want 3 (rotations)", oracleProj.Len())
+	oracle, _, err := bgp.EvalBGP(q, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.Len() != 3 {
+		t.Fatalf("oracle found %d triangle rows, want 3 (rotations)", oracle.Len())
 	}
 	for _, name := range names {
 		got, cols, _, err := core.ExecutePlan(srcs[name], compiled.Root, core.ExecOptions{})
@@ -282,8 +264,8 @@ func TestCyclicBGP(t *testing.T) {
 		if fmt.Sprint(cols) != "[a b c]" {
 			t.Fatalf("%s: cols %v", name, cols)
 		}
-		if !rel.Equal(got, oracleProj) {
-			t.Fatalf("%s: %d rows, oracle %d", name, got.Len(), oracleProj.Len())
+		if !rel.Equal(got, oracle) {
+			t.Fatalf("%s: %d rows, oracle %d", name, got.Len(), oracle.Len())
 		}
 	}
 }
@@ -440,7 +422,7 @@ func TestCompileLicensesProbe(t *testing.T) {
 		t.Errorf("an object-object join is licensed %v, want [0]", got)
 	}
 
-	oracle, _, err := bgp.EvalBGP(bgp.MustParse(star), core.GraphSource{G: g}, dict, f.cat.Interesting)
+	oracle, _, err := bgp.EvalBGP(bgp.MustParse(star), g, f.cat.Interesting)
 	if err != nil || oracle.Len() == 0 {
 		t.Fatalf("oracle: %d rows, %v", oracle.Len(), err)
 	}

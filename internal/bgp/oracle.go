@@ -14,9 +14,10 @@ import (
 // reference evaluator, independent of the plan layer and both engines,
 // that the property tests validate every scheme against (the black-box
 // checking strategy — engines are compared to a model, not only to each
-// other). It extends the conjunctive core.EvalBGP to the full language:
-// filters (inequality and numeric range), UNION, OPTIONAL, aggregation
-// with HAVING, projection, DISTINCT, and ORDER BY with LIMIT.
+// other). It covers the full language: basic graph patterns, filters
+// (inequality and numeric range), UNION, OPTIONAL, aggregation with
+// HAVING, projection, DISTINCT, and ORDER BY with LIMIT. It reads the
+// graph itself, through one linear filter (match), never a storage scheme.
 //
 // The implementation works on solution mappings (variable → identifier),
 // the SPARQL model, rather than on relations: patterns extend mappings,
@@ -24,13 +25,13 @@ import (
 // and unbound variables materialize as rdf.NoID — the same NULL sentinel
 // the compiled plans use, so results compare exactly.
 
-// EvalBGP evaluates q naively over a storage scheme's pattern-level access
-// interface. interesting is the catalog's interesting-property list for
+// EvalBGP evaluates q naively over the graph g, resolving terms in g's
+// dictionary. interesting is the catalog's interesting-property list for
 // RESTRICT patterns (nil when the query uses none). It returns the result
 // rows, the output column names, and an error for queries outside the
 // evaluatable language (the same class the compiler rejects).
-func EvalBGP(q *Query, src core.TripleSource, dict rdf.Dict, interesting []rdf.ID) (*rel.Rel, []string, error) {
-	ev := &evaluator{src: src, dict: dict}
+func EvalBGP(q *Query, g *rdf.Graph, interesting []rdf.ID) (*rel.Rel, []string, error) {
+	ev := &evaluator{g: g, dict: g.Dict}
 	if len(interesting) > 0 {
 		ev.interesting = make(map[rdf.ID]bool, len(interesting))
 		for _, p := range interesting {
@@ -44,7 +45,7 @@ func EvalBGP(q *Query, src core.TripleSource, dict rdf.Dict, interesting []rdf.I
 type binding map[string]uint64
 
 type evaluator struct {
-	src         core.TripleSource
+	g           *rdf.Graph
 	dict        rdf.Dict
 	interesting map[rdf.ID]bool
 }
@@ -272,6 +273,20 @@ func (ev *evaluator) joinPattern(sols []binding, bound map[string]bool, p Patter
 	return out, nil
 }
 
+// match is the oracle's only data access: a linear filter over the graph's
+// triples, c holding each position's constant (rdf.NoID leaves it unbound).
+// No engine, no index, no charges: what the oracle says shares no code with
+// the scans under test.
+func (ev *evaluator) match(c [3]rdf.ID) []rdf.Triple {
+	var out []rdf.Triple
+	for _, t := range ev.g.Triples {
+		if (c[0] == rdf.NoID || t.S == c[0]) && (c[1] == rdf.NoID || t.P == c[1]) && (c[2] == rdf.NoID || t.O == c[2]) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 type oracleSlot struct {
 	name string
 	pos  int
@@ -302,17 +317,15 @@ func (ev *evaluator) matchPattern(p Pattern) ([]binding, []oracleSlot, error) {
 		// A constant outside the dictionary matches nothing.
 		return nil, slots, nil
 	}
-	rows := ev.src.Match(consts[0], consts[1], consts[2])
 	// The interesting-properties restriction only constrains accesses whose
 	// property is unbound, matching the executor's lowering.
 	restrict := p.Restrict && p.P.IsVar()
 	var out []binding
-	n := rows.Len()
-	for i := 0; i < n; i++ {
-		r := rows.Row(i)
-		if restrict && ev.interesting != nil && !ev.interesting[rdf.ID(r[1])] {
+	for _, t := range ev.match(consts) {
+		if restrict && ev.interesting != nil && !ev.interesting[t.P] {
 			continue
 		}
+		r := [3]uint64{uint64(t.S), uint64(t.P), uint64(t.O)}
 		b := make(binding, len(slots))
 		ok := true
 		for _, sl := range slots {

@@ -43,7 +43,7 @@ func TestStreamingGeneratedWorkload(t *testing.T) {
 				construct["limit"]++
 			}
 		}
-		oracle, _, err := bgp.EvalBGP(q, core.GraphSource{G: f.ds.Graph}, dict, f.cat.Interesting)
+		oracle, _, err := bgp.EvalBGP(q, f.ds.Graph, f.cat.Interesting)
 		if err != nil {
 			t.Fatalf("oracle %q: %v", q.Text(), err)
 		}
@@ -154,7 +154,7 @@ func FuzzStreamDifferential(f *testing.F) {
 			what = fmt.Sprintf("ProbeMax %d", probeBounds[b-1])
 		}
 		what = fmt.Sprintf("%s: %q", what, q.Text())
-		oracle, _, err := bgp.EvalBGP(q, core.GraphSource{G: graph}, graph.Dict, interesting)
+		oracle, _, err := bgp.EvalBGP(q, graph, interesting)
 		if err != nil {
 			t.Fatalf("oracle %q: %v", q.Text(), err)
 		}

@@ -95,9 +95,6 @@ func (d *ColVert) Run(q Query) (*rel.Rel, error) {
 	return runQuery(d, q)
 }
 
-// Match implements TripleSource: the pull scan, collected.
-func (d *ColVert) Match(s, p, o rdf.ID) *rel.Rel { return collectMatch(d, s, p, o) }
-
 // ScanProp implements PhysicalSource: StreamProp, collected.
 func (d *ColVert) ScanProp(p, s, o rdf.ID, need ScanCols) (*rel.Rel, error) {
 	return collectProp(d, p, s, o, need)

@@ -136,15 +136,13 @@ func TestColTripleClusterMapping(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", cl, err)
 		}
-		// Match with everything unbound must return the whole graph.
-		rows := db.Match(rdf.NoID, rdf.NoID, rdf.NoID)
-		if rows.Len() != g.Len() {
-			t.Fatalf("%v: Match(*,*,*) = %d rows, want %d", cl, rows.Len(), g.Len())
+		// The unbound access must return the whole graph, and a
+		// subject-and-property probe exactly its triples.
+		srcs := map[string]PhysicalSource{cl.String(): db}
+		if rows, _ := agreeOnAll(t, srcs, g, &Access{Pattern: Pat(V("s"), V("p"), V("o"))}); rows.Len() != g.Len() {
+			t.Fatalf("%v: (?s ?p ?o) = %d rows, want %d", cl, rows.Len(), g.Len())
 		}
-		// And a fully bound probe must find an existing triple.
 		tr := g.Triples[0]
-		if db.Match(tr.S, tr.P, tr.O).Len() != 1 {
-			t.Fatalf("%v: point probe failed", cl)
-		}
+		agreeOnAll(t, srcs, g, &Access{Pattern: Pat(C(tr.S), C(tr.P), V("o"))})
 	}
 }

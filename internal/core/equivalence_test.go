@@ -221,30 +221,21 @@ func TestRandomGraphSchemeEquivalence(t *testing.T) {
 			}
 		}
 
-		// The generic BGP evaluator over every scheme must agree with the
-		// same evaluator over the bare graph, on a pattern mix covering
-		// joins A, B and C.
-		patterns := [][]TriplePattern{
-			{Pat(V("s"), C(cat.Consts.Type), V("t"))},
-			{Pat(V("s"), C(cat.Consts.Records), V("x")), Pat(V("x"), C(cat.Consts.Type), V("t"))},
-			{Pat(V("a"), V("p"), V("o")), Pat(V("b"), C(cat.Consts.Type), V("o"))},
+		// Access and join plans over every scheme must agree with the
+		// same plans over the bare graph, on a mix covering joins A
+		// (subject-subject), B (object-object) and C (object-subject).
+		srcs := map[string]PhysicalSource{}
+		for _, db := range append([]Database{ref}, others...) {
+			srcs[db.Label()] = db.(PhysicalSource)
 		}
-		for pi, pats := range patterns {
-			want, wv := EvalBGP(GraphSource{G: g}, pats)
-			for _, db := range append([]Database{ref}, others...) {
-				src, ok := db.(TripleSource)
-				if !ok {
-					continue
-				}
-				got, gv := EvalBGP(src, pats)
-				if fmt.Sprint(gv) != fmt.Sprint(wv) {
-					t.Fatalf("seed %d pattern %d: vars %v vs %v", seed, pi, gv, wv)
-				}
-				if !rel.Equal(got, want) {
-					t.Errorf("seed %d pattern %d: %s disagrees (%d vs %d rows)",
-						seed, pi, db.Label(), got.Len(), want.Len())
-				}
-			}
+		typed := &Access{Pattern: Pat(V("s"), C(cat.Consts.Type), V("t"))}
+		for _, root := range []Node{
+			typed,
+			&Join{L: typed, R: &Access{Pattern: Pat(V("s"), C(cat.Consts.Records), V("x"))}},
+			&Join{L: &Access{Pattern: Pat(V("a"), V("p"), V("o"))}, R: &Access{Pattern: Pat(V("b"), C(cat.Consts.Type), V("o"))}},
+			&Join{L: &Access{Pattern: Pat(V("s"), C(cat.Consts.Records), V("x"))}, R: &Access{Pattern: Pat(V("x"), C(cat.Consts.Type), V("t"))}},
+		} {
+			agreeOnAll(t, srcs, g, root)
 		}
 	}
 }

@@ -71,14 +71,12 @@ type RelIter interface {
 }
 
 // PhysicalSource is the per-scheme physical access layer the executor
-// lowers plans onto. It extends the pattern-level TripleSource with the
-// property-partitioned scan path and the physical-design facts (ordering,
-// partitioning) that drive operator selection. There is one physical scan
-// form, the pull scan; a materialized scan is the pull scan opened with an
-// unbounded batch and collected (stream_source.go).
+// lowers plans onto: the property-bound and property-unbound scans, and the
+// physical-design facts (ordering, partitioning) that drive operator
+// selection. There is one physical scan form, the pull scan; a materialized
+// scan is the pull scan opened with an unbounded batch and collected
+// (stream_source.go). Queries reach a scheme only through plans.
 type PhysicalSource interface {
-	TripleSource
-
 	// Cat returns the catalog the scheme was loaded with.
 	Cat() Catalog
 	// Props returns the property roster physically available (all
@@ -126,8 +124,7 @@ type ScanCols struct {
 	S, P, O bool
 }
 
-// AllScanCols materializes every column (the TripleSource-compatible
-// behaviour).
+// AllScanCols materializes every column.
 func AllScanCols() ScanCols { return ScanCols{S: true, P: true, O: true} }
 
 // ExecOptions selects the executor's configuration. There is one executor —
@@ -325,12 +322,13 @@ func (p *Plan) info(n Node) *NodeInfo { return &p.nodes[p.index[n]] }
 // executed schemas, each access's kept slots and scan mask, and the checks
 // follow children-first. est, when not nil, is each node's estimated output
 // rows, read in that same order. A plan that breaks a schema rule fails
-// here, before any scan opens: a join needs exactly one shared variable;
-// filter, having, group, sort and project columns must exist; a group has
-// one or two keys; renames match the projection's length; union branches
-// carry the same columns. What depends on the scheme — the column order
-// after a partitioned join, a restricted load missing a table — the lowering
-// decides.
+// here, before any scan opens: an access binds at least one variable and
+// a projection keeps at least one column; a join needs exactly one shared
+// variable; filter, having, group, sort and project columns must exist; a
+// group has one or two keys; renames match the projection's length; union
+// branches carry the same columns. What
+// depends on the scheme — the column order after a partitioned join, a
+// restricted load missing a table — the lowering decides.
 func NewPlan(root Node, est func(Node) float64) (*Plan, error) {
 	p := &Plan{Root: root, index: map[Node]int{}}
 	var full [][]string // the logical schemas, before pushdown
@@ -347,7 +345,9 @@ func NewPlan(root Node, est func(Node) float64) (*Plan, error) {
 		}
 		var f []string
 		if a, ok := n.(*Access); ok {
-			f = slotCols(patternSlots(a.Pattern))
+			if f = slotCols(patternSlots(a.Pattern)); f == nil {
+				return fmt.Errorf("%s binds no variable", NodeLabel(a, nil))
+			}
 		} else if children(n) == nil {
 			return fmt.Errorf("unknown plan node %T", n)
 		} else {
@@ -509,7 +509,9 @@ func check(n Node, cols func(Node) []string) (string, error) {
 			return "", fmt.Errorf("no %scolumn %q in %v", what, c, in)
 		}
 	}
-	if x, ok := n.(*Project); ok && x.As != nil && len(x.As) != len(x.Cols) {
+	if x, ok := n.(*Project); ok && len(x.Cols) == 0 {
+		return "", fmt.Errorf("project keeps no columns")
+	} else if ok && x.As != nil && len(x.As) != len(x.Cols) {
 		return "", fmt.Errorf("project renames %d of %d columns", len(x.As), len(x.Cols))
 	}
 	return "", nil

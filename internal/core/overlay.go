@@ -274,9 +274,6 @@ func (o *DeltaOverlay) ScanProp(p, s, obj rdf.ID, need ScanCols) (*rel.Rel, erro
 	return collectProp(o, p, s, obj, need)
 }
 
-// Match implements TripleSource: the pull scan, collected.
-func (o *DeltaOverlay) Match(s, p, obj rdf.ID) *rel.Rel { return collectMatch(o, s, p, obj) }
-
 // StreamProp implements PhysicalSource over the merged data: base rows
 // minus tombstones, linearly merged with the additions — so a base whose
 // rows arrive (s, o)-ordered (all four schemes, under every bound

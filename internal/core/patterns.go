@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"blackswan/internal/rdf"
-	"blackswan/internal/rel"
 )
 
 // TermRef is one position of a triple pattern: either a constant term or a
@@ -182,180 +181,4 @@ func Table2(c Constants) []Coverage {
 		out = append(out, CoverageOf(id, c))
 	}
 	return out
-}
-
-// TripleSource is pattern-level access to a loaded storage scheme: it
-// returns the (s, p, o) rows matching a simple triple pattern with the given
-// positions bound (rdf.NoID means unbound). All four Database
-// implementations provide it, which makes EvalBGP scheme-independent.
-type TripleSource interface {
-	Match(s, p, o rdf.ID) *rel.Rel
-}
-
-// GraphSource is the reference TripleSource: Match as a linear filter over
-// the graph's triples — no engine, no index, no charges. The oracles read
-// through it, so what they say shares no code with the scans under test.
-type GraphSource struct{ G *rdf.Graph }
-
-// Match implements TripleSource.
-func (g GraphSource) Match(s, p, o rdf.ID) *rel.Rel {
-	out := rel.New(3)
-	for _, t := range g.G.Triples {
-		if (s == rdf.NoID || t.S == s) && (p == rdf.NoID || t.P == p) && (o == rdf.NoID || t.O == o) {
-			out.Append(uint64(t.S), uint64(t.P), uint64(t.O))
-		}
-	}
-	return out
-}
-
-// EvalBGP evaluates a conjunctive basic graph pattern over any storage
-// scheme, returning one row per solution with columns in order of first
-// variable appearance (and that variable order as the second result).
-//
-// This is the general query-space API built on the Section 2.2 model; the
-// twelve benchmark queries run through the declarative plan layer
-// (plan.go, exec.go) instead, because they need aggregation, HAVING,
-// unions and inequality filters on top of their patterns.
-func EvalBGP(src TripleSource, patterns []TriplePattern) (*rel.Rel, []string) {
-	if len(patterns) == 0 {
-		return rel.New(1), nil
-	}
-	var vars []string
-	varIdx := map[string]int{}
-	addVar := func(name string) {
-		if name == "" {
-			return
-		}
-		if _, ok := varIdx[name]; !ok {
-			varIdx[name] = len(vars)
-			vars = append(vars, name)
-		}
-	}
-
-	// state holds one row per partial solution over vars seen so far. A
-	// nil state with ok=true means "no variables bound yet, still
-	// satisfiable" (all-constant patterns act as existence filters).
-	var state *rel.Rel
-	ok := true
-	for _, tp := range patterns {
-		if !ok {
-			break
-		}
-		rows := src.Match(tp.S.Const, tp.P.Const, tp.O.Const)
-		// Positions of this pattern's variables within (s, p, o).
-		type slot struct {
-			name string
-			col  int
-		}
-		var slots []slot
-		for col, ref := range []TermRef{tp.S, tp.P, tp.O} {
-			if !ref.Bound() && ref.Var != "" {
-				slots = append(slots, slot{ref.Var, col})
-			}
-		}
-		// Same variable twice in one pattern means an intra-pattern
-		// equality filter (e.g. (?x, p, ?x)).
-		filtered := rel.New(3)
-		for i := 0; i < rows.Len(); i++ {
-			row := rows.Row(i)
-			ok := true
-			seen := map[string]uint64{}
-			for _, sl := range slots {
-				if prev, dup := seen[sl.name]; dup && prev != row[sl.col] {
-					ok = false
-					break
-				}
-				seen[sl.name] = row[sl.col]
-			}
-			if ok {
-				filtered.Data = append(filtered.Data, row...)
-			}
-		}
-		rows = filtered
-
-		if len(slots) == 0 {
-			// All-constant pattern: pure existence filter.
-			if rows.Len() == 0 {
-				ok = false
-				if state != nil {
-					state.Data = state.Data[:0]
-				}
-			}
-			continue
-		}
-
-		if state == nil {
-			for _, sl := range slots {
-				addVar(sl.name)
-			}
-			state = rel.New(len(vars))
-			for i := 0; i < rows.Len(); i++ {
-				row := rows.Row(i)
-				vals := make([]uint64, len(vars))
-				for _, sl := range slots {
-					vals[varIdx[sl.name]] = row[sl.col]
-				}
-				state.Data = append(state.Data, vals...)
-			}
-			continue
-		}
-
-		// Split this pattern's variables into join vars (already bound in
-		// state) and fresh vars.
-		var joins, fresh []slot
-		for _, sl := range slots {
-			if _, ok := varIdx[sl.name]; ok {
-				joins = append(joins, sl)
-			} else {
-				fresh = append(fresh, sl)
-			}
-		}
-		for _, sl := range fresh {
-			addVar(sl.name)
-		}
-		// Hash the pattern rows on the join-variable values.
-		ht := make(map[string][]int, rows.Len())
-		keyOf := func(row []uint64) string {
-			buf := make([]byte, 0, len(joins)*8)
-			for _, sl := range joins {
-				v := row[sl.col]
-				buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-					byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-			}
-			return string(buf)
-		}
-		for i := 0; i < rows.Len(); i++ {
-			ht[keyOf(rows.Row(i))] = append(ht[keyOf(rows.Row(i))], i)
-		}
-		next := rel.New(len(vars))
-		oldW := state.W
-		for i := 0; i < state.Len(); i++ {
-			srow := state.Row(i)
-			buf := make([]byte, 0, len(joins)*8)
-			for _, sl := range joins {
-				v := srow[varIdx[sl.name]]
-				buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-					byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-			}
-			for _, ri := range ht[string(buf)] {
-				rrow := rows.Row(ri)
-				vals := make([]uint64, len(vars))
-				copy(vals, srow[:oldW])
-				for _, sl := range fresh {
-					vals[varIdx[sl.name]] = rrow[sl.col]
-				}
-				next.Data = append(next.Data, vals...)
-			}
-		}
-		state = next
-	}
-	if state == nil {
-		// Only constant patterns appeared: report satisfiability as a
-		// single-column relation with one row iff all patterns matched.
-		state = rel.New(1)
-		if ok {
-			state.Append(1)
-		}
-	}
-	return state, vars
 }

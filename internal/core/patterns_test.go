@@ -2,13 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
-	"blackswan/internal/colstore"
 	"blackswan/internal/rdf"
 	"blackswan/internal/rel"
-	"blackswan/internal/rowstore"
 )
 
 func TestPatternClasses(t *testing.T) {
@@ -89,133 +88,152 @@ func TestTable2MatchesPaper(t *testing.T) {
 	}
 }
 
-func TestEvalBGPOnAllSchemes(t *testing.T) {
-	fx := newCrafted(t)
-	c := fx.cat.Consts
-	ids := fx.ids
+// refPlan evaluates an Access/Join plan over the bare graph: each access a
+// linear filter over the triples (a repeated variable an equality), each
+// join a nested loop on the shared columns. It shares no code with the
+// executor or any scan, so agreeOnAll holds every scheme to the graph.
+func refPlan(g *rdf.Graph, n Node) (*rel.Rel, []string) {
+	switch x := n.(type) {
+	case *Access:
+		refs := []TermRef{x.Pattern.S, x.Pattern.P, x.Pattern.O}
+		var cols []string
+		for _, r := range refs {
+			if !r.Bound() && !slices.Contains(cols, r.Var) {
+				cols = append(cols, r.Var)
+			}
+		}
+		out := rel.New(len(cols))
+	triples:
+		for _, t := range g.Triples {
+			vals := make([]uint64, len(cols))
+			seen := make([]bool, len(cols))
+			for i, v := range []rdf.ID{t.S, t.P, t.O} {
+				if refs[i].Bound() {
+					if v != refs[i].Const {
+						continue triples
+					}
+					continue
+				}
+				c := slices.Index(cols, refs[i].Var)
+				if seen[c] && vals[c] != uint64(v) {
+					continue triples
+				}
+				vals[c], seen[c] = uint64(v), true
+			}
+			out.Append(vals...)
+		}
+		return out, cols
+	case *Join:
+		l, lc := refPlan(g, x.L)
+		r, rc := refPlan(g, x.R)
+		cols := slices.Clone(lc)
+		for _, c := range rc {
+			if !slices.Contains(lc, c) {
+				cols = append(cols, c)
+			}
+		}
+		out := rel.New(len(cols))
+		for i := 0; i < l.Len(); i++ {
+		rows:
+			for k := 0; k < r.Len(); k++ {
+				row := slices.Clone(l.Row(i))
+				for ci, c := range rc {
+					if li := slices.Index(lc, c); li < 0 {
+						row = append(row, r.Row(k)[ci])
+					} else if row[li] != r.Row(k)[ci] {
+						continue rows
+					}
+				}
+				out.Append(row...)
+			}
+		}
+		return out, cols
+	}
+	panic(fmt.Sprintf("refPlan: %T", n))
+}
 
-	// Sources over every scheme.
-	var sources []TripleSource
-	var labels []string
-	{
-		eng := rowstore.NewEngine(newStore())
-		db, err := LoadRowTriple(eng, fx.g, fx.cat, rdf.PSO, rdf.AllOrders())
-		if err != nil {
-			t.Fatal(err)
+// agreeOnAll runs root through ExecutePlan on every source, drained and
+// pipelined at two rows a batch, and checks each result, in refPlan's
+// column order, holds the bag of rows refPlan finds in g. It returns that
+// bag.
+func agreeOnAll(t *testing.T, srcs map[string]PhysicalSource, g *rdf.Graph, root Node) (*rel.Rel, []string) {
+	t.Helper()
+	want, wc := refPlan(g, root)
+	for name, src := range srcs {
+		for _, opt := range []ExecOptions{{}, {Streaming: true, BatchRows: 2}} {
+			got, gc, _, err := ExecutePlan(src, root, opt)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, opt, err)
+			}
+			idx := make([]int, len(wc))
+			for i, c := range wc {
+				idx[i] = slices.Index(gc, c)
+			}
+			if len(gc) != len(wc) || slices.Contains(idx, -1) {
+				t.Fatalf("%s %+v: columns %v, the graph's %v", name, opt, gc, wc)
+			}
+			if got = got.Project(idx...); !rel.Equal(got, want) {
+				t.Errorf("%s %+v: %d rows %v, the graph holds %d: %v", name, opt, got.Len(), got, want.Len(), want)
+			}
 		}
-		sources = append(sources, db)
-		labels = append(labels, db.Label())
 	}
-	{
-		eng := rowstore.NewEngine(newStore())
-		db, err := LoadRowVert(eng, fx.g, fx.cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sources = append(sources, db)
-		labels = append(labels, db.Label())
-	}
-	{
-		eng := colstore.NewEngine(newStore())
-		db, err := LoadColTriple(eng, fx.g, fx.cat, rdf.PSO)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sources = append(sources, db)
-		labels = append(labels, db.Label())
-	}
-	{
-		eng := colstore.NewEngine(newStore())
-		db, err := LoadColVert(eng, fx.g, fx.cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sources = append(sources, db)
-		labels = append(labels, db.Label())
-	}
+	return want, wc
+}
 
-	// q5's pattern graph: DLC-origin subjects, their records, the record
-	// targets' types. One solution: s1 records s3, s3 typed Date.
-	patterns := []TriplePattern{
-		Pat(V("s"), C(c.Origin), C(c.DLC)),
-		Pat(V("s"), C(c.Records), V("x")),
-		Pat(V("x"), C(c.Type), V("t")),
+// TestAccessJoinOnAllSchemes runs q5's pattern graph as a plan of accesses
+// and joins on every scheme: DLC-origin subjects, their records, the
+// record targets' types. One solution: s1 records s3, s3 typed Date.
+func TestAccessJoinOnAllSchemes(t *testing.T) {
+	fx, srcs := planFixture(t)
+	c, ids := fx.cat.Consts, fx.ids
+	q5 := &Join{
+		L: &Join{
+			L: &Access{Pattern: Pat(V("s"), C(c.Origin), C(c.DLC))},
+			R: &Access{Pattern: Pat(V("s"), C(c.Records), V("x"))},
+		},
+		R: &Access{Pattern: Pat(V("x"), C(c.Type), V("t"))},
 	}
 	want := rel.New(3)
 	want.Append(ids["s1"], ids["s3"], ids["Date"])
-
-	for i, src := range sources {
-		got, vars := EvalBGP(src, patterns)
-		if fmt.Sprint(vars) != "[s x t]" {
-			t.Fatalf("%s: vars = %v", labels[i], vars)
-		}
-		if !rel.Equal(got, want) {
-			t.Errorf("%s: EvalBGP = %v, want %v", labels[i], got, want)
-		}
+	if got, cols := agreeOnAll(t, srcs, fx.g, q5); fmt.Sprint(cols) != "[s x t]" || !rel.Equal(got, want) {
+		t.Errorf("q5's pattern graph over the graph: %v %v, want [s x t] %v", cols, got, want)
 	}
 
-	// A point query (pattern p1): all constants, satisfiable.
-	exist, vars := EvalBGP(sources[0], []TriplePattern{
-		Pat(C(rdf.ID(ids["s1"])), C(c.Type), C(c.Text)),
-	})
-	if len(vars) != 0 || exist.Len() != 1 {
-		t.Fatalf("existence check: vars=%v rows=%d", vars, exist.Len())
-	}
-	absent, _ := EvalBGP(sources[0], []TriplePattern{
-		Pat(C(rdf.ID(ids["s1"])), C(c.Type), C(rdf.ID(ids["Date"]))),
-	})
-	if absent.Len() != 0 {
-		t.Fatal("absent triple reported present")
+	// Subject and property bound (pattern p4): s1's one type.
+	got, _ := agreeOnAll(t, srcs, fx.g, &Access{Pattern: Pat(C(rdf.ID(ids["s1"])), C(c.Type), V("t"))})
+	if got.Len() != 1 || got.Row(0)[0] != ids["Text"] {
+		t.Errorf("s1's types = %v, want [Text]", got)
 	}
 }
 
-func TestEvalBGPUnboundProperty(t *testing.T) {
-	// Pattern p6 (s, ?p, ?o): on the vertical scheme this visits every
-	// property table.
-	fx := newCrafted(t)
-	eng := rowstore.NewEngine(newStore())
-	db, err := LoadRowVert(eng, fx.g, fx.cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, vars := EvalBGP(db, []TriplePattern{
-		Pat(C(rdf.ID(fx.ids["s1"])), V("p"), V("o")),
-	})
-	if len(vars) != 2 {
-		t.Fatalf("vars = %v", vars)
-	}
+// TestAccessUnboundProperty: pattern p6 (s, ?p, ?o), which on the
+// vertical schemes visits every property table.
+func TestAccessUnboundProperty(t *testing.T) {
+	fx, srcs := planFixture(t)
+	got, cols := agreeOnAll(t, srcs, fx.g, &Access{Pattern: Pat(C(rdf.ID(fx.ids["s1"])), V("p"), V("o"))})
 	// s1 has: type, language, title, origin, records = 5 triples.
-	if got.Len() != 5 {
-		t.Fatalf("s1 has %d property values, want 5", got.Len())
+	if len(cols) != 2 || got.Len() != 5 {
+		t.Fatalf("s1 has %d property values over %v, want 5 over [p o]", got.Len(), cols)
 	}
 }
 
-func TestEvalBGPRepeatedVariable(t *testing.T) {
-	// (?x, records, ?x) — nobody records themselves in the fixture.
-	fx := newCrafted(t)
-	eng := rowstore.NewEngine(newStore())
-	db, err := LoadRowTriple(eng, fx.g, fx.cat, rdf.PSO, nil)
+// TestAccessRepeatedVariable: a variable in two positions of one pattern
+// is an equality filter, with the property bound and with it unbound.
+func TestAccessRepeatedVariable(t *testing.T) {
+	g, cat := minimalGraph(t)
+	s2, _ := g.Dict.Lookup(rdf.NewIRI("s2"))
+	g.AddIDs(s2, cat.Consts.Records, s2)
+	g.Normalize()
+	cat, err := CatalogFromGraph(g, cat.Consts, cat.Interesting)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := EvalBGP(db, []TriplePattern{
-		Pat(V("x"), C(fx.cat.Consts.Records), V("x")),
-	})
-	if got.Len() != 0 {
-		t.Fatalf("self-records = %v", got)
+	srcs := loadFour(t, g, cat)
+	if got, _ := agreeOnAll(t, srcs, g, &Access{Pattern: Pat(V("x"), C(cat.Consts.Records), V("x"))}); got.Len() != 1 || got.Row(0)[0] != uint64(s2) {
+		t.Errorf("(?x records ?x) = %v, want [s2]", got)
 	}
-}
-
-func TestEvalBGPEmpty(t *testing.T) {
-	fx := newCrafted(t)
-	eng := rowstore.NewEngine(newStore())
-	db, err := LoadRowTriple(eng, fx.g, fx.cat, rdf.PSO, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, vars := EvalBGP(db, nil)
-	if got.Len() != 0 || vars != nil {
-		t.Fatal("empty BGP should be empty")
+	if got, _ := agreeOnAll(t, srcs, g, &Access{Pattern: Pat(V("x"), V("p"), V("x"))}); got.Len() != 1 || got.Row(0)[1] != uint64(cat.Consts.Records) {
+		t.Errorf("(?x ?p ?x) = %v, want [s2 records]", got)
 	}
 }
 

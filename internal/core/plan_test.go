@@ -304,6 +304,12 @@ func TestMalformedPlanFailsBeforeScan(t *testing.T) {
 		{"union of different widths",
 			&Union{L: typed, R: &Project{In: typed, Cols: []string{"s"}}},
 			"union of [s t] and [s]"},
+		{"projection keeping no column",
+			&Project{In: typed},
+			"project keeps no columns"},
+		{"access binding no variable",
+			&Access{Pattern: Pat(C(rdf.ID(fx.ids["s1"])), C(c.Type), C(c.Text))},
+			fmt.Sprintf("Access #%d #%d #%d binds no variable", fx.ids["s1"], c.Type, c.Text)},
 	} {
 		if _, err := NewPlan(tc.root, nil); err == nil || err.Error() != tc.err {
 			t.Errorf("%s: NewPlan error %v, want %q", tc.name, err, tc.err)

@@ -94,9 +94,6 @@ func (d *RowTriple) Run(q Query) (*rel.Rel, error) {
 	return runQuery(d, q)
 }
 
-// Match implements TripleSource: the pull scan, collected.
-func (d *RowTriple) Match(s, p, o rdf.ID) *rel.Rel { return collectMatch(d, s, p, o) }
-
 // ScanProp implements PhysicalSource: StreamProp, collected.
 func (d *RowTriple) ScanProp(p, s, o rdf.ID, need ScanCols) (*rel.Rel, error) {
 	return collectProp(d, p, s, o, need)

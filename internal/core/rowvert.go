@@ -90,9 +90,6 @@ func (d *RowVert) Run(q Query) (*rel.Rel, error) {
 	return runQuery(d, q)
 }
 
-// Match implements TripleSource: the pull scan, collected.
-func (d *RowVert) Match(s, p, o rdf.ID) *rel.Rel { return collectMatch(d, s, p, o) }
-
 // ScanProp implements PhysicalSource: StreamProp, collected.
 func (d *RowVert) ScanProp(p, s, o rdf.ID, need ScanCols) (*rel.Rel, error) {
 	return collectProp(d, p, s, o, need)

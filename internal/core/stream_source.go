@@ -64,9 +64,8 @@ func (c *chunkRelIter) Close() {}
 
 // propConcat scans a property roster as (s, p, o) rows: the per-property
 // pull scans one after another, each batch widened with its property — the
-// unbound-property scan of the partitioned schemes, and any scheme's
-// bound-property scan in triple shape. A property without a table matches
-// nothing.
+// unbound-property scan of the partitioned schemes. A property without a
+// table matches nothing.
 type propConcat struct {
 	src   PhysicalSource
 	props []rdf.ID
@@ -144,23 +143,6 @@ func collectProp(src PhysicalSource, p, s, o rdf.ID, need ScanCols) (*rel.Rel, e
 	return collect(it, 2)
 }
 
-// collectMatch is every scheme's Match: the unbound-property scan, or the
-// one property's scan in triple shape, fully materialized and collected. A
-// scan that cannot be opened matches nothing.
-func collectMatch(src PhysicalSource, s, p, o rdf.ID) *rel.Rel {
-	var it RelIter
-	if p == rdf.NoID {
-		it = src.StreamTriples(s, o, AllScanCols(), math.MaxInt)
-	} else {
-		it = &propConcat{src: src, props: []rdf.ID{p}, s: s, o: o, need: AllScanCols(), batch: math.MaxInt}
-	}
-	out, err := collect(it, 3)
-	if err != nil {
-		return rel.New(3)
-	}
-	return out
-}
-
 // ---- RowTriple ----
 
 // StreamProp implements PhysicalSource: a bound-property range of the
@@ -215,7 +197,8 @@ func (d *RowVert) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIter
 // StreamTriples implements PhysicalSource as every property table in turn —
 // the union proliferation the paper warns about. The executor answers
 // unbound properties on partitioned schemes through its own per-property
-// fan-out, so this serves Match.
+// fan-out, so no plan reaches this; it stays so that one interface serves
+// every scheme.
 func (d *RowVert) StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter {
 	return &propConcat{src: d, props: d.cat.AllProps, s: s, o: o, need: need, batch: batchRows}
 }
@@ -277,7 +260,7 @@ func (d *ColVert) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelI
 }
 
 // StreamTriples implements PhysicalSource as every loaded table in turn,
-// with masked per-table fetches; it serves Match, as for RowVert.
+// with masked per-table fetches; no plan reaches it, as for RowVert.
 func (d *ColVert) StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter {
 	return &propConcat{src: d, props: d.loaded, s: s, o: o, need: need, batch: batchRows}
 }
