@@ -32,13 +32,16 @@ import (
 // bulk-ingest pipeline and returns a fresh estimator plus serving targets
 // under the same names BGPSystems uses — the compaction path: the
 // estimator is recomputed from the folded graph, so cardinality estimates
-// snap back to the mutated data.
+// snap back to the mutated data. The estimator builds alongside the
+// scheme loads; both only read g.
 func RebuildTargets(w *Workload, g *rdf.Graph, cat core.Catalog) (*bgp.Estimator, []serve.Target, error) {
+	estc := make(chan *bgp.Estimator, 1)
+	go func() { estc <- bgp.NewEstimator(g, cat.Interesting) }()
 	sch, err := buildLoadedSchemes(w, g, cat, 0)
+	est := <-estc
 	if err != nil {
 		return nil, nil, err
 	}
-	est := bgp.NewEstimator(g, cat.Interesting)
 	targets := []serve.Target{
 		{Name: "DBX triple PSO", Src: sch.RowTriple},
 		{Name: "DBX vert SO", Src: sch.RowVert},

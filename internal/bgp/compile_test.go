@@ -270,6 +270,30 @@ func TestCyclicBGP(t *testing.T) {
 	}
 }
 
+// TestOracleRejectsDuplicateOutputColumn holds the oracle to the
+// compiler's projection contract: a query that names one output column
+// twice fails on both sides with the same error, rather than evaluating on
+// the oracle alone.
+func TestOracleRejectsDuplicateOutputColumn(t *testing.T) {
+	g, _ := cyclicFixture(t)
+	for _, text := range []string{
+		`SELECT ?a ?a WHERE { ?a <records> ?b }`,
+		`SELECT ?b ?a ?b WHERE { ?a <records> ?b . ?b <records> ?c }`,
+	} {
+		q := bgp.MustParse(text)
+		_, cerr := bgp.Compile(q, g.Dict, nil)
+		_, _, oerr := bgp.EvalBGP(q, g, nil)
+		if cerr == nil || oerr == nil {
+			t.Fatalf("%s: compile err %v, oracle err %v; want both to reject", text, cerr, oerr)
+		}
+		for _, err := range []error{cerr, oerr} {
+			if !strings.Contains(err.Error(), "duplicate output column") {
+				t.Errorf("%s: error %q does not name the duplicate output column", text, err)
+			}
+		}
+	}
+}
+
 // TestCompileErrors covers the compiler's rejection paths.
 func TestCompileErrors(t *testing.T) {
 	f := loadFixture(t)

@@ -123,10 +123,15 @@ func (ev *evaluator) evalQuery(q *Query) (*rel.Rel, []string, error) {
 			names = append(names, s.Name())
 		}
 	}
-	for _, v := range srcVars {
+	seen := map[string]bool{}
+	for i, v := range srcVars {
 		if !bound[v] {
 			return nil, nil, fmt.Errorf("bgp oracle: selected variable ?%s not bound", v)
 		}
+		if seen[names[i]] {
+			return nil, nil, fmt.Errorf("bgp oracle: duplicate output column %q", names[i])
+		}
+		seen[names[i]] = true
 	}
 	if len(srcVars) == 0 {
 		return nil, nil, fmt.Errorf("bgp oracle: empty projection")

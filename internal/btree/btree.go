@@ -82,9 +82,10 @@ type Config struct {
 }
 
 // BulkLoad builds a tree over keys, which must already be sorted under
-// Compare with cfg.Width (duplicates allowed). The backing file is created
-// on store and sized according to the (possibly compressed) leaf payloads
-// plus inner nodes.
+// Compare with cfg.Width (duplicates allowed). The tree takes ownership of
+// keys: its leaves are views of the array, so the caller must not modify
+// it afterwards. The backing file is created on store and sized according
+// to the (possibly compressed) leaf payloads plus inner nodes.
 func BulkLoad(store *simio.Store, cfg Config, keys []Key) (*Tree, error) {
 	if cfg.Width < 1 || cfg.Width > MaxWidth {
 		return nil, fmt.Errorf("btree: width %d out of range", cfg.Width)
@@ -110,38 +111,38 @@ func BulkLoad(store *simio.Store, cfg Config, keys []Key) (*Tree, error) {
 // buildLeaves packs keys into page-sized leaves. With compression enabled a
 // leaf accepts entries until its *compressed* payload reaches the page size,
 // so repetitive key prefixes yield fewer, denser pages and therefore less
-// I/O — exactly how PSO clustering wins in the paper.
+// I/O — exactly how PSO clustering wins in the paper. Each leaf is the
+// sub-slice keys[lo:hi:hi], capacity-trimmed so that no append through one
+// leaf can reach its neighbour.
 func (t *Tree) buildLeaves(keys []Key) {
 	page := t.store.PageSize()
 	entrySize := int64(t.width * 8)
-	var cur []Key
+	lo := 0
 	var curBytes int64
-	flush := func() {
-		if len(cur) == 0 {
+	flush := func(hi int) {
+		if hi == lo {
 			return
 		}
-		t.sep = append(t.sep, cur[0])
+		t.sep = append(t.sep, keys[lo])
 		t.leafOff = append(t.leafOff, int64(len(t.leaves))*page)
-		t.leaves = append(t.leaves, cur)
+		t.leaves = append(t.leaves, keys[lo:hi:hi])
 		t.store.Extend(t.file, page)
-		cur = nil
+		lo = hi
 		curBytes = 0
 	}
 	for i, k := range keys {
 		sz := entrySize
-		if t.compress && len(cur) > 0 {
-			shared := sharedFields(cur[len(cur)-1], k, t.width)
+		if t.compress && i > lo {
+			shared := sharedFields(keys[i-1], k, t.width)
 			sz = int64((t.width-shared)*8) + 1
 		}
-		if curBytes+sz > page && len(cur) > 0 {
-			flush()
+		if curBytes+sz > page && i > lo {
+			flush(i)
 			sz = entrySize // first entry in a leaf is stored in full
 		}
-		cur = append(cur, k)
 		curBytes += sz
-		_ = i
 	}
-	flush()
+	flush(len(keys))
 }
 
 // buildInner sizes the simulated inner levels: fanout separators per page,

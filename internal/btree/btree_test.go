@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -311,5 +313,74 @@ func TestPropertyScanPrefixCompleteAndSound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// leafLayout digests a tree's physical packing: leaf count, file size, and
+// an FNV-1a hash over every leaf's separator and entry count.
+type leafLayout struct {
+	leaves int
+	size   int64
+	digest uint64
+}
+
+func layoutOf(tr *Tree) leafLayout {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for i, leaf := range tr.leaves {
+		for f := 0; f < tr.width; f++ {
+			word(tr.sep[i][f])
+		}
+		word(uint64(len(leaf)))
+	}
+	return leafLayout{leaves: tr.Leaves(), size: tr.SizeBytes(), digest: h.Sum64()}
+}
+
+// TestLeafLayoutPinned pins the page packing of fixed key sets at widths 2
+// and 3, with prefix compression on and off: leaves are views of the
+// sorted key array, and these figures are the layout the copying packer
+// produced, so the views changed no leaf boundary, separator or page.
+func TestLeafLayoutPinned(t *testing.T) {
+	for _, c := range []struct {
+		w        int
+		compress bool
+		want     leafLayout
+	}{
+		{2, false, leafLayout{leaves: 79, size: 327680, digest: 14541711247636997411}},
+		{2, true, leafLayout{leaves: 10, size: 45056, digest: 13321391943627359568}},
+		{3, false, leafLayout{leaves: 118, size: 487424, digest: 3918256318385428519}},
+		{3, true, leafLayout{leaves: 47, size: 196608, digest: 15512425681617871930}},
+	} {
+		tr := mustLoad(t, newStore(), Config{Name: "pin", Width: c.w, PrefixCompress: c.compress}, sortedKeys(20000, c.w, 7))
+		if got := layoutOf(tr); got != c.want {
+			t.Errorf("width %d compress %v: layout %+v, want %+v", c.w, c.compress, got, c.want)
+		}
+	}
+}
+
+// TestLeafViewsAreCapacityTrimmed checks that each leaf's capacity ends at
+// its last entry, so an append through one leaf reallocates instead of
+// overwriting its neighbour's first key.
+func TestLeafViewsAreCapacityTrimmed(t *testing.T) {
+	tr := mustLoad(t, newStore(), Config{Name: "views", Width: 3}, sortedKeys(5000, 3, 2))
+	if tr.Leaves() < 2 {
+		t.Fatalf("%d leaves, want at least 2", tr.Leaves())
+	}
+	for i, leaf := range tr.leaves {
+		if cap(leaf) != len(leaf) {
+			t.Fatalf("leaf %d: cap %d != len %d", i, cap(leaf), len(leaf))
+		}
+	}
+	next := tr.leaves[1][0]
+	_ = append(tr.leaves[0], Key{math.MaxUint64, math.MaxUint64, math.MaxUint64})
+	if tr.leaves[1][0] != next {
+		t.Fatalf("append to leaf 0 overwrote leaf 1's first key: %v, want %v", tr.leaves[1][0], next)
+	}
+	if got := scanAll(tr); len(got) != tr.Len() {
+		t.Fatalf("scan returned %d of %d entries", len(got), tr.Len())
 	}
 }

@@ -22,19 +22,19 @@ type ColTriple struct {
 	s, p, o int
 }
 
-// LoadColTriple sorts the graph by cluster and loads the three columns with
-// the leading one first (so the engine detects and compresses it).
+// LoadColTriple lays the graph out in cluster key order, sorts it
+// (rel.SortKeys) and loads the three columns with the leading one first
+// (so the engine detects and compresses it).
 func LoadColTriple(eng *colstore.Engine, g *rdf.Graph, cat Catalog, cluster rdf.Order) (*ColTriple, error) {
 	if err := cat.Validate(); err != nil {
 		return nil, err
 	}
-	ts := append([]rdf.Triple(nil), g.Triples...)
-	cluster.Sort(ts)
-	rows := rel.NewCap(3, len(ts))
-	for _, t := range ts {
+	rows := rel.NewCap(3, len(g.Triples))
+	for _, t := range g.Triples {
 		a, b, c := cluster.Key(t)
 		rows.Data = append(rows.Data, uint64(a), uint64(b), uint64(c))
 	}
+	rows.SortKeys(3, nil)
 	table, err := eng.CreateTable("triples", rows, true)
 	if err != nil {
 		return nil, err

@@ -33,8 +33,8 @@ func LoadColVert(eng *colstore.Engine, g *rdf.Graph, cat Catalog) (*ColVert, err
 
 // LoadColVertParts is LoadColVert with a prebuilt per-property partition
 // (see PartitionByProp), shared with the other loaders by the bulk-ingest
-// path. The shared slices are copied before sorting, so the partition
-// survives concurrent loads. A nil parts map partitions here.
+// path. The shared slices are only read, so the partition survives
+// concurrent loads. A nil parts map partitions here.
 func LoadColVertParts(eng *colstore.Engine, g *rdf.Graph, cat Catalog, parts map[rdf.ID][]rdf.Triple) (*ColVert, error) {
 	return loadColVert(eng, g, cat, cat.AllProps, "MonetDB/vert-SO", parts)
 }
@@ -50,20 +50,15 @@ func loadColVert(eng *colstore.Engine, g *rdf.Graph, cat Catalog, props []rdf.ID
 	if err := cat.Validate(); err != nil {
 		return nil, err
 	}
-	want := make(map[rdf.ID]bool, len(props))
-	for _, p := range props {
-		want[p] = true
-	}
-	// Partition each table's triples; sorting happens per table below. A
-	// shared partition is borrowed (copy-on-sort), a local one is owned.
-	parts := make(map[rdf.ID][]rdf.Triple)
-	if shared != nil {
+	// Each table's triples come from the shared partition, read-only, or
+	// from one partitioned here; sorting happens per table below.
+	parts := shared
+	if parts == nil {
+		want := make(map[rdf.ID]bool, len(props))
 		for _, p := range props {
-			// Copy: the shared slices are order-contracted views other
-			// loaders read concurrently.
-			parts[p] = append([]rdf.Triple(nil), shared[p]...)
+			want[p] = true
 		}
-	} else {
+		parts = make(map[rdf.ID][]rdf.Triple)
 		for _, t := range g.Triples {
 			if want[t.P] {
 				parts[t.P] = append(parts[t.P], t)
@@ -71,13 +66,19 @@ func loadColVert(eng *colstore.Engine, g *rdf.Graph, cat Catalog, props []rdf.ID
 		}
 	}
 	d := &ColVert{eng: eng, ops: colOps(eng), cat: cat, tables: make(map[rdf.ID]*colstore.Table, len(props)), loaded: props, label: label}
+	// The engine copies each table's columns out, so one pair of sort
+	// buffers serves every table.
+	var buf, scratch []uint64
 	for _, p := range props {
 		ts := parts[p]
-		rdf.SOP.Sort(ts) // SO order; the trailing P is constant
-		rows := rel.NewCap(2, len(ts))
+		if n := 2 * len(ts); cap(buf) < n {
+			buf, scratch = make([]uint64, n), make([]uint64, n)
+		}
+		rows := &rel.Rel{W: 2, Data: buf[:0]}
 		for _, t := range ts {
 			rows.Data = append(rows.Data, uint64(t.S), uint64(t.O))
 		}
+		rows.SortKeys(2, scratch) // SO order; the trailing P is constant
 		tb, err := eng.CreateTable(fmt.Sprintf("prop_%d", p), rows, true)
 		if err != nil {
 			return nil, err

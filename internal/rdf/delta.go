@@ -5,19 +5,45 @@ package rdf
 // dictionary — identifiers stay stable across the fold, which is what lets
 // a compacted snapshot keep serving plans compiled before it. The input
 // graph is not modified.
+//
+// The fold is one linear merge of the SPO-sorted base with the sorted
+// adds, skipping the dels as it passes them; a base that is not normalized
+// is normalized (in a copy) first.
 func ApplyDelta(g *Graph, adds, dels []Triple) *Graph {
-	dead := make(map[Triple]struct{}, len(dels))
-	for _, t := range dels {
-		dead[t] = struct{}{}
+	base := g.Triples
+	if !g.Normalized() {
+		base = append([]Triple(nil), base...)
+		SPO.Sort(base)
+		base = Dedup(base)
 	}
-	out := &Graph{Dict: g.Dict}
-	out.Triples = make([]Triple, 0, len(g.Triples)+len(adds))
-	for _, t := range g.Triples {
-		if _, ok := dead[t]; !ok {
-			out.Triples = append(out.Triples, t)
+	adds = sortedSet(adds)
+	dels = sortedSet(dels)
+	out := &Graph{Dict: g.Dict, Triples: make([]Triple, 0, len(base)+len(adds))}
+	i, j, k := 0, 0, 0
+	for i < len(base) || j < len(adds) {
+		if j == len(adds) || i < len(base) && SPO.Less(base[i], adds[j]) {
+			t := base[i]
+			i++
+			for k < len(dels) && SPO.Less(dels[k], t) {
+				k++
+			}
+			if k == len(dels) || dels[k] != t {
+				out.Triples = append(out.Triples, t)
+			}
+			continue
 		}
+		if i < len(base) && base[i] == adds[j] {
+			i++
+		}
+		out.Triples = append(out.Triples, adds[j])
+		j++
 	}
-	out.Triples = append(out.Triples, adds...)
-	out.Normalize()
 	return out
+}
+
+// sortedSet returns an SPO-sorted, duplicate-free copy of ts.
+func sortedSet(ts []Triple) []Triple {
+	ts = append([]Triple(nil), ts...)
+	SPO.Sort(ts)
+	return Dedup(ts)
 }

@@ -34,29 +34,60 @@ type Stats struct {
 }
 
 // ComputeStats scans the graph once and derives all Table 1 quantities.
+// Dictionary identifiers are dense, so the per-role frequencies count into
+// arrays indexed by identifier; the maps are filled from them once.
 func ComputeStats(g *Graph) *Stats {
+	n := maxID(g.Triples) + 1
+	subj, prop, obj := make([]int, n), make([]int, n), make([]int, n)
+	for _, t := range g.Triples {
+		subj[t.S]++
+		prop[t.P]++
+		obj[t.O]++
+	}
 	st := &Stats{
 		Triples:  len(g.Triples),
-		PropFreq: make(map[ID]int),
-		SubjFreq: make(map[ID]int),
-		ObjFreq:  make(map[ID]int),
-	}
-	for _, t := range g.Triples {
-		st.SubjFreq[t.S]++
-		st.PropFreq[t.P]++
-		st.ObjFreq[t.O]++
+		PropFreq: freqMap(prop),
+		SubjFreq: freqMap(subj),
+		ObjFreq:  freqMap(obj),
 	}
 	st.DistinctProperties = len(st.PropFreq)
 	st.DistinctSubjects = len(st.SubjFreq)
 	st.DistinctObjects = len(st.ObjFreq)
-	for s := range st.SubjFreq {
-		if _, ok := st.ObjFreq[s]; ok {
+	for id, c := range subj {
+		if c > 0 && obj[id] > 0 {
 			st.SubjectObjectOverlap++
 		}
 	}
 	st.DictionaryStrings = g.Dict.Len()
 	st.DataSetBytes = g.Dict.Bytes() + int64(len(g.Triples))*24
 	return st
+}
+
+// maxID returns the largest identifier any triple holds (NoID for none).
+func maxID(ts []Triple) ID {
+	var m ID
+	for _, t := range ts {
+		m = max(m, t.S, t.P, t.O)
+	}
+	return m
+}
+
+// freqMap collects the nonzero entries of a count array indexed by
+// identifier.
+func freqMap(counts []int) map[ID]int {
+	nz := 0
+	for _, c := range counts {
+		if c > 0 {
+			nz++
+		}
+	}
+	m := make(map[ID]int, nz)
+	for id, c := range counts {
+		if c > 0 {
+			m[ID(id)] = c
+		}
+	}
+	return m
 }
 
 // PropFreq counts the triples under each property — Stats.PropFreq
@@ -90,46 +121,65 @@ type PropDetail struct {
 // PropDetails computes, for every property of the graph, the number of
 // distinct subjects and distinct objects occurring under it, plus the
 // numeric-object profile that drives range-filter selectivity estimates.
+//
+// Identifiers are dense, so it works on arrays indexed by identifier: a
+// counting sort groups the triples' subjects and objects by property
+// (stably, so each group keeps graph order), and one pass per group counts
+// first sightings against seen-arrays stamped with the group's number —
+// no clearing between groups. Numeric values are parsed once per distinct
+// object identifier and cached.
 func PropDetails(g *Graph) map[ID]PropDetail {
-	subj := make(map[ID]map[ID]struct{})
-	obj := make(map[ID]map[ID]struct{})
-	// Numeric values are parsed once per distinct object identifier, not
-	// once per triple.
-	numCache := make(map[ID]float64)
-	numKnown := make(map[ID]bool)
-	numOf := func(id ID) (float64, bool) {
-		if known, ok := numKnown[id]; ok {
-			if !known {
-				return 0, false
-			}
-			return numCache[id], true
-		}
-		v, ok := NumericTerm(g.Dict.Term(id))
-		numKnown[id] = ok
-		if ok {
-			numCache[id] = v
-		}
-		return v, ok
+	ts := g.Triples
+	n := int(maxID(ts)) + 1
+	start := make([]int, n+1)
+	for _, t := range ts {
+		start[t.P+1]++
 	}
-	nums := make(map[ID]*PropDetail)
-	for _, t := range g.Triples {
-		s, ok := subj[t.P]
-		if !ok {
-			s = make(map[ID]struct{})
-			subj[t.P] = s
+	for p := 1; p <= n; p++ {
+		start[p] += start[p-1]
+	}
+	subjs, objs := make([]ID, len(ts)), make([]ID, len(ts))
+	at := append([]int(nil), start[:n]...)
+	for _, t := range ts {
+		subjs[at[t.P]], objs[at[t.P]] = t.S, t.O
+		at[t.P]++
+	}
+
+	const numUnknown, numYes, numNo = 0, 1, 2
+	numKind := make([]uint8, n)
+	numVal := make([]float64, n)
+	seenS, seenO := make([]uint32, n), make([]uint32, n)
+	var stamp uint32
+	out := make(map[ID]PropDetail)
+	for p := 0; p < n; p++ {
+		lo, hi := start[p], start[p+1]
+		if lo == hi {
+			continue
 		}
-		s[t.S] = struct{}{}
-		o, ok := obj[t.P]
-		if !ok {
-			o = make(map[ID]struct{})
-			obj[t.P] = o
-		}
-		o[t.O] = struct{}{}
-		if v, ok := numOf(t.O); ok {
-			d := nums[t.P]
-			if d == nil {
-				d = &PropDetail{NumMin: v, NumMax: v}
-				nums[t.P] = d
+		stamp++
+		var d PropDetail
+		for i := lo; i < hi; i++ {
+			s, o := subjs[i], objs[i]
+			if seenS[s] != stamp {
+				seenS[s] = stamp
+				d.Subjects++
+			}
+			if seenO[o] != stamp {
+				seenO[o] = stamp
+				d.Objects++
+			}
+			if numKind[o] == numUnknown {
+				numKind[o] = numNo
+				if v, ok := NumericTerm(g.Dict.Term(o)); ok {
+					numKind[o], numVal[o] = numYes, v
+				}
+			}
+			if numKind[o] != numYes {
+				continue
+			}
+			v := numVal[o]
+			if d.NumRows == 0 {
+				d.NumMin, d.NumMax = v, v
 			}
 			d.NumRows++
 			if v < d.NumMin {
@@ -139,14 +189,7 @@ func PropDetails(g *Graph) map[ID]PropDetail {
 				d.NumMax = v
 			}
 		}
-	}
-	out := make(map[ID]PropDetail, len(subj))
-	for p, s := range subj {
-		d := PropDetail{Subjects: len(s), Objects: len(obj[p])}
-		if n := nums[p]; n != nil {
-			d.NumRows, d.NumMin, d.NumMax = n.NumRows, n.NumMin, n.NumMax
-		}
-		out[p] = d
+		out[ID(p)] = d
 	}
 	return out
 }

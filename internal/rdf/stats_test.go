@@ -1,6 +1,10 @@
 package rdf
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -128,6 +132,161 @@ func TestFormatTable1(t *testing.T) {
 	for _, want := range []string{"total triples", "distinct properties", "strings in dictionary"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatTable1 missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// refComputeStats is the map-based ComputeStats that the dense-array one
+// replaced, kept as its reference.
+func refComputeStats(g *Graph) *Stats {
+	st := &Stats{
+		Triples:  len(g.Triples),
+		PropFreq: make(map[ID]int),
+		SubjFreq: make(map[ID]int),
+		ObjFreq:  make(map[ID]int),
+	}
+	for _, t := range g.Triples {
+		st.SubjFreq[t.S]++
+		st.PropFreq[t.P]++
+		st.ObjFreq[t.O]++
+	}
+	st.DistinctProperties = len(st.PropFreq)
+	st.DistinctSubjects = len(st.SubjFreq)
+	st.DistinctObjects = len(st.ObjFreq)
+	for s := range st.SubjFreq {
+		if _, ok := st.ObjFreq[s]; ok {
+			st.SubjectObjectOverlap++
+		}
+	}
+	st.DictionaryStrings = g.Dict.Len()
+	st.DataSetBytes = g.Dict.Bytes() + int64(len(g.Triples))*24
+	return st
+}
+
+// refPropDetails is the map-of-maps PropDetails that the dense-array one
+// replaced, kept as its reference.
+func refPropDetails(g *Graph) map[ID]PropDetail {
+	subj := make(map[ID]map[ID]struct{})
+	obj := make(map[ID]map[ID]struct{})
+	numCache := make(map[ID]float64)
+	numKnown := make(map[ID]bool)
+	numOf := func(id ID) (float64, bool) {
+		if known, ok := numKnown[id]; ok {
+			if !known {
+				return 0, false
+			}
+			return numCache[id], true
+		}
+		v, ok := NumericTerm(g.Dict.Term(id))
+		numKnown[id] = ok
+		if ok {
+			numCache[id] = v
+		}
+		return v, ok
+	}
+	nums := make(map[ID]*PropDetail)
+	for _, t := range g.Triples {
+		s, ok := subj[t.P]
+		if !ok {
+			s = make(map[ID]struct{})
+			subj[t.P] = s
+		}
+		s[t.S] = struct{}{}
+		o, ok := obj[t.P]
+		if !ok {
+			o = make(map[ID]struct{})
+			obj[t.P] = o
+		}
+		o[t.O] = struct{}{}
+		if v, ok := numOf(t.O); ok {
+			d := nums[t.P]
+			if d == nil {
+				d = &PropDetail{NumMin: v, NumMax: v}
+				nums[t.P] = d
+			}
+			d.NumRows++
+			if v < d.NumMin {
+				d.NumMin = v
+			}
+			if v > d.NumMax {
+				d.NumMax = v
+			}
+		}
+	}
+	out := make(map[ID]PropDetail, len(subj))
+	for p, s := range subj {
+		d := PropDetail{Subjects: len(s), Objects: len(obj[p])}
+		if n := nums[p]; n != nil {
+			d.NumRows, d.NumMin, d.NumMax = n.NumRows, n.NumMin, n.NumMax
+		}
+		out[p] = d
+	}
+	return out
+}
+
+// randomStatsGraph builds an unnormalized graph over a dictionary with
+// interned-but-unused identifiers between the used ones, numeric literals
+// (signed zeros included, so min/max order shows), non-numeric literals,
+// duplicate triples, and one property that never carries a numeric object.
+func randomStatsGraph(rng *rand.Rand, triples int) *Graph {
+	g := NewGraph()
+	d := g.Dict
+	var nodes, props, lits []ID
+	for i := 0; i < 2+rng.Intn(40); i++ {
+		nodes = append(nodes, d.Intern(NewIRI(fmt.Sprintf("n%d", i))))
+		d.Intern(NewIRI(fmt.Sprintf("gap%d", i))) // never used by a triple
+	}
+	for i := 0; i < 1+rng.Intn(8); i++ {
+		props = append(props, d.Intern(NewIRI(fmt.Sprintf("p%d", i))))
+	}
+	textOnly := d.Intern(NewIRI("textOnly"))
+	for _, v := range []string{"0", "-0", "+0", "7", "-3.5", "12.25", "+4", "1e5", "abc", "", "-", "3.0"} {
+		lits = append(lits, d.Intern(NewLiteral(v)))
+	}
+	word := d.Intern(NewLiteral("word"))
+	pick := func(ids []ID) ID { return ids[rng.Intn(len(ids))] }
+	for i := 0; i < triples; i++ {
+		s := pick(nodes)
+		switch r := rng.Intn(10); {
+		case r == 0:
+			g.AddIDs(s, textOnly, word)
+		case r < 5:
+			g.AddIDs(s, pick(props), pick(lits))
+		default:
+			g.AddIDs(s, pick(props), pick(nodes))
+		}
+		if rng.Intn(8) == 0 { // a duplicate
+			g.Triples = append(g.Triples, g.Triples[len(g.Triples)-1])
+		}
+	}
+	rng.Shuffle(len(g.Triples), func(i, j int) { g.Triples[i], g.Triples[j] = g.Triples[j], g.Triples[i] })
+	return g
+}
+
+// TestStatsMatchMapReference holds the dense-array ComputeStats and
+// PropDetails to their map-based references field for field — float
+// bounds bit for bit — on random unnormalized graphs and the empty graph.
+func TestStatsMatchMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	graphs := []*Graph{NewGraph()}
+	for i := 0; i < 200; i++ {
+		graphs = append(graphs, randomStatsGraph(rng, rng.Intn(300)))
+	}
+	for i, g := range graphs {
+		if got, want := ComputeStats(g), refComputeStats(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("graph %d: ComputeStats\n got %+v\nwant %+v", i, got, want)
+		}
+		got, want := PropDetails(g), refPropDetails(g)
+		if len(got) != len(want) {
+			t.Fatalf("graph %d: PropDetails has %d properties, want %d", i, len(got), len(want))
+		}
+		for p, w := range want {
+			d, ok := got[p]
+			if !ok || d.Subjects != w.Subjects || d.Objects != w.Objects || d.NumRows != w.NumRows ||
+				math.Float64bits(d.NumMin) != math.Float64bits(w.NumMin) ||
+				math.Float64bits(d.NumMax) != math.Float64bits(w.NumMax) {
+				t.Fatalf("graph %d: property %d detail %+v (present %v), want %+v", i, p, d, ok, w)
+			}
 		}
 	}
 }

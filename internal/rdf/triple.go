@@ -3,6 +3,8 @@ package rdf
 import (
 	"fmt"
 	"sort"
+
+	"blackswan/internal/rel"
 )
 
 // Triple is a dictionary-encoded RDF statement: subject S has property P
@@ -96,9 +98,19 @@ func (o Order) Less(x, y Triple) bool {
 	return xc < yc
 }
 
-// Sort sorts ts in place under this permutation.
+// Sort sorts ts in place under this permutation: the permuted keys are
+// ordered by rel.SortKeys's LSD radix sort and written back.
 func (o Order) Sort(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool { return o.Less(ts[i], ts[j]) })
+	keys := rel.NewCap(3, len(ts))
+	for _, t := range ts {
+		a, b, c := o.Key(t)
+		keys.Data = append(keys.Data, uint64(a), uint64(b), uint64(c))
+	}
+	keys.SortKeys(3, nil)
+	for i := range ts {
+		k := keys.Data[3*i : 3*i+3]
+		ts[i] = o.Triple(ID(k[0]), ID(k[1]), ID(k[2]))
+	}
 }
 
 // IsSorted reports whether ts is sorted under this permutation.

@@ -278,8 +278,12 @@ func (r *Rel) SortKeys(k int, scratch []uint64) {
 				at[d], sum = sum, sum+n*w
 			}
 			for i := 0; i < len(src); i += w {
-				d := src[i+c] >> s & (1<<radixBits - 1)
-				copy(dst[at[d]:at[d]+w], src[i:i+w])
+				row := src[i : i+w : i+w]
+				d := row[c] >> s & (1<<radixBits - 1)
+				out := dst[at[d] : at[d]+w : at[d]+w]
+				for j, v := range row { // an inline loop: copy's call costs more than a row
+					out[j] = v
+				}
 				at[d] += w
 			}
 			src, dst = dst, src

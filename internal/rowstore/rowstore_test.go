@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"blackswan/internal/btree"
 	"blackswan/internal/rel"
 	"blackswan/internal/simio"
 )
@@ -356,5 +357,81 @@ func TestPrefixCompressionReducesFootprint(t *testing.T) {
 	}
 	if t1.SizeBytes() >= t2.SizeBytes() {
 		t.Fatalf("compressed %d >= plain %d", t1.SizeBytes(), t2.SizeBytes())
+	}
+}
+
+// allPerms lists every permutation of {0..w-1}.
+func allPerms(w int) []Perm {
+	if w == 1 {
+		return []Perm{{0}}
+	}
+	var out []Perm
+	for _, p := range allPerms(w - 1) {
+		for at := 0; at <= len(p); at++ {
+			out = append(out, slices.Insert(slices.Clone(p), at, w-1))
+		}
+	}
+	return out
+}
+
+// TestSortIndexKeysMatchesFullSort holds the derived index sorts to a
+// comparison sort of the rows under each permutation: widths 1–3, every
+// clustered choice, secondaries in shuffled order with repeats, duplicate
+// rows, and identifiers up to 64 bits wide.
+func TestSortIndexKeysMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 60; trial++ {
+		w := 1 + trial%3
+		rows := rel.New(w)
+		for n := rng.Intn(2000); n > 0; n-- {
+			for c := 0; c < w; c++ {
+				v := uint64(rng.Intn(30))
+				if rng.Intn(10) == 0 {
+					v = rng.Uint64() >> rng.Intn(64)
+				}
+				rows.Data = append(rows.Data, v)
+			}
+		}
+		perms := allPerms(w)
+		rng.Shuffle(len(perms), func(i, j int) { perms[i], perms[j] = perms[j], perms[i] })
+		perms = append(perms, perms[rng.Intn(len(perms))])
+		keys := sortIndexKeys(perms, rows)
+		for i, p := range perms {
+			want := make([]btree.Key, rows.Len())
+			for r := range want {
+				for j, c := range p {
+					want[r][j] = rows.Data[r*w+c]
+				}
+			}
+			slices.SortFunc(want, func(a, b btree.Key) int { return btree.Compare(a, b, w) })
+			if !slices.Equal(keys[i], want) {
+				t.Fatalf("trial %d (w=%d, perms %v): index %v differs from a full sort", trial, w, perms, p)
+			}
+		}
+	}
+}
+
+// TestSortFields pins how many fields each derivation sorts: the row
+// triple store's PSO clustering feeds every other order through one-field
+// sorts, and a vertical table's OS index is one field from its SO one.
+func TestSortFields(t *testing.T) {
+	S, P, O := 0, 1, 2
+	for _, c := range []struct {
+		from, to Perm
+		want     int
+	}{
+		{Perm{P, S, O}, Perm{P, S, O}, 0},
+		{Perm{P, S, O}, Perm{S, P, O}, 1},
+		{Perm{P, S, O}, Perm{O, P, S}, 1},
+		{Perm{P, S, O}, Perm{P, O, S}, 2},
+		{Perm{S, P, O}, Perm{O, S, P}, 1},
+		{Perm{O, S, P}, Perm{S, O, P}, 1},
+		{Perm{O, P, S}, Perm{P, O, S}, 1},
+		{Perm{S, P, O}, Perm{P, O, S}, 2},
+		{Perm{0, 1}, Perm{1, 0}, 1},
+	} {
+		if got := sortFields(c.from, c.to); got != c.want {
+			t.Errorf("sortFields(%v, %v) = %d, want %d", c.from, c.to, got, c.want)
+		}
 	}
 }

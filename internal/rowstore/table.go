@@ -18,6 +18,7 @@ package rowstore
 
 import (
 	"fmt"
+	"slices"
 
 	"blackswan/internal/btree"
 	"blackswan/internal/rel"
@@ -127,104 +128,105 @@ func (e *Engine) CreateTable(spec TableSpec, rows *rel.Rel) (*Table, error) {
 	if !spec.Clustered.valid(spec.Width) {
 		return nil, fmt.Errorf("rowstore: invalid clustered permutation %v", spec.Clustered)
 	}
-	t := &Table{Name: spec.Name, Width: spec.Width, Rows: rows.Len()}
-	var err error
-	t.Clustered, err = e.buildIndex(spec.Name, spec.Clustered, true, spec.PrefixCompress, rows)
-	if err != nil {
-		return nil, err
-	}
 	for _, p := range spec.Secondary {
 		if !p.valid(spec.Width) {
 			return nil, fmt.Errorf("rowstore: invalid secondary permutation %v", p)
 		}
-		ix, err := e.buildIndex(spec.Name, p, false, spec.PrefixCompress, rows)
+	}
+	perms := append([]Perm{spec.Clustered}, spec.Secondary...)
+	keys := sortIndexKeys(perms, rows)
+	t := &Table{Name: spec.Name, Width: spec.Width, Rows: rows.Len()}
+	for i, p := range perms {
+		kind := "ix"
+		if i == 0 {
+			kind = "clustered"
+		}
+		tr, err := btree.BulkLoad(e.Store, btree.Config{
+			Name:           fmt.Sprintf("%s.%s.%s", spec.Name, kind, p),
+			Width:          spec.Width,
+			PrefixCompress: spec.PrefixCompress,
+		}, keys[i])
 		if err != nil {
 			return nil, err
 		}
-		t.Secondary = append(t.Secondary, ix)
+		ix := &Index{Perm: p, Tree: tr, Clustered: i == 0}
+		if i == 0 {
+			t.Clustered = ix
+		} else {
+			t.Secondary = append(t.Secondary, ix)
+		}
 	}
 	e.tables[spec.Name] = t
 	return t, nil
 }
 
-// buildIndex sorts rows under the permutation and bulk-loads a tree.
-func (e *Engine) buildIndex(table string, p Perm, clustered, compress bool, rows *rel.Rel) (*Index, error) {
+// sortIndexKeys returns each permutation's keys, sorted, by rel.SortKeys.
+// The first index sorts rows on every key field. Each further index is
+// derived from one already sorted: keys sorted under from, permuted to to
+// and stably sorted on to's first c fields are sorted under to when from,
+// with those c columns removed, lists to's other columns in to's order
+// (sortFields). PSO → SPO sorts one field, and so does SO → OS. The index
+// with the fewest fields to sort is built next. One pair of buffers
+// (len(rows.Data) words each) serves every sort; the key arrays are the
+// fresh allocations, which the trees keep.
+func sortIndexKeys(perms []Perm, rows *rel.Rel) [][]btree.Key {
 	w := rows.W
-	keys := make([]btree.Key, rows.Len())
-	for i := 0; i < rows.Len(); i++ {
-		row := rows.Row(i)
-		var k btree.Key
-		for j := 0; j < w; j++ {
-			k[j] = row[p[j]]
+	buf, scratch := make([]uint64, len(rows.Data)), make([]uint64, len(rows.Data))
+	keys := make([][]btree.Key, len(perms))
+	sortInto := func(i, fields int) {
+		sorted := &rel.Rel{W: w, Data: buf}
+		sorted.SortKeys(fields, scratch)
+		keys[i] = make([]btree.Key, rows.Len())
+		for r := range keys[i] {
+			copy(keys[i][r][:w], sorted.Data[r*w:])
 		}
-		keys[i] = k
 	}
-	sortKeys(keys, w)
-	kind := "ix"
-	if clustered {
-		kind = "clustered"
+	for j, c := range perms[0] {
+		for i := j; i < len(buf); i += w {
+			buf[i] = rows.Data[i-j+c]
+		}
 	}
-	tr, err := btree.BulkLoad(e.Store, btree.Config{
-		Name:           fmt.Sprintf("%s.%s.%s", table, kind, p),
-		Width:          w,
-		PrefixCompress: compress,
-	}, keys)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{Perm: p, Tree: tr, Clustered: clustered}, nil
-}
-
-// sortKeys sorts in place under Compare with width w.
-func sortKeys(keys []btree.Key, w int) {
-	quickSortKeys(keys, w, 0, len(keys)-1)
-}
-
-// quickSortKeys is a median-of-three quicksort; sort.Slice on btree.Key
-// closures is measurably slower during bulk load of millions of keys.
-func quickSortKeys(keys []btree.Key, w, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && btree.Compare(keys[j], keys[j-1], w) < 0; j-- {
-					keys[j], keys[j-1] = keys[j-1], keys[j]
+	sortInto(0, w)
+	for built := 1; built < len(perms); built++ {
+		to, from, fields := -1, -1, w+1
+		for i := range perms {
+			if keys[i] != nil {
+				continue
+			}
+			for j := range perms {
+				if keys[j] == nil {
+					continue
+				}
+				if f := sortFields(perms[j], perms[i]); f < fields {
+					to, from, fields = i, j, f
 				}
 			}
-			return
 		}
-		mid := lo + (hi-lo)/2
-		if btree.Compare(keys[mid], keys[lo], w) < 0 {
-			keys[mid], keys[lo] = keys[lo], keys[mid]
+		var pos [btree.MaxWidth]int // pos[col] is col's field in from's keys
+		for f, col := range perms[from] {
+			pos[col] = f
 		}
-		if btree.Compare(keys[hi], keys[lo], w) < 0 {
-			keys[hi], keys[lo] = keys[lo], keys[hi]
-		}
-		if btree.Compare(keys[hi], keys[mid], w) < 0 {
-			keys[hi], keys[mid] = keys[mid], keys[hi]
-		}
-		pivot := keys[mid]
-		i, j := lo, hi
-		for i <= j {
-			for btree.Compare(keys[i], pivot, w) < 0 {
-				i++
-			}
-			for btree.Compare(keys[j], pivot, w) > 0 {
-				j--
-			}
-			if i <= j {
-				keys[i], keys[j] = keys[j], keys[i]
-				i++
-				j--
+		for r, k := range keys[from] {
+			for j, col := range perms[to] {
+				buf[r*w+j] = k[pos[col]]
 			}
 		}
-		if j-lo < hi-i {
-			quickSortKeys(keys, w, lo, j)
-			lo = i
-		} else {
-			quickSortKeys(keys, w, i, hi)
-			hi = j
+		sortInto(to, fields)
+	}
+	return keys
+}
+
+// sortFields returns how many leading fields of to a stable sort must
+// order, starting from keys sorted under from: the smallest c such that
+// from without to's first c columns is to's remaining columns.
+func sortFields(from, to Perm) int {
+	for c := 0; c < len(to); c++ {
+		rest := slices.DeleteFunc(slices.Clone(from), func(col int) bool { return slices.Contains(to[:c], col) })
+		if slices.Equal(rest, to[c:]) {
+			return c
 		}
 	}
+	return len(to)
 }
 
 // Table returns a table by name, or an error if absent.
